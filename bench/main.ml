@@ -1120,7 +1120,7 @@ let b12_farm ~quick () =
       let respawns_before =
         match
           List.find_opt (fun (n, _, _) -> n = "farm.respawn")
-            (Pdt_util.Perf.snapshot ())
+            (Pdt_util.Trace.counters ())
         with
         | Some (_, calls, _) -> calls
         | None -> 0
@@ -1141,7 +1141,7 @@ let b12_farm ~quick () =
       let respawns =
         (match
            List.find_opt (fun (n, _, _) -> n = "farm.respawn")
-             (Pdt_util.Perf.snapshot ())
+             (Pdt_util.Trace.counters ())
          with
          | Some (_, calls, _) -> calls
          | None -> 0)

@@ -179,16 +179,16 @@ let run sources includes output jobs farm cache_dir no_cache incremental
     Option.iter (fun p -> write_file p (Pdt_util.Trace.chrome_json ())) trace;
     Option.iter write_pprof trace_pprof
   end;
-  let oc = open_out_bin output in
-  output_string oc serialized;
-  close_out oc;
+  (* replace, never rewrite in place: pdbd re-reads this path on reload,
+     and a reader must see the old PDB or the new one, not a torn file *)
+  Pdt_build.Cache.write_atomic output (fun oc -> output_string oc serialized);
   List.iter print_endline summary_lines;
   Printf.printf "wrote %s (%d items, %s container, digest %s)\n" output
     (Pdt_pdb.Pdb.item_count merged)
     (Pdt_pdb.Pdb_io.format_name pdb_format)
     digest;
   if stats then begin
-    let report = Pdt_util.Perf.report () in
+    let report = Pdt_util.Trace.report () in
     if report <> "" then print_string report;
     let s = Pdt_util.Intern.stats () in
     Printf.printf "intern: %d entries, %d hits, %d misses (%.1f%% hit rate)\n"

@@ -69,7 +69,7 @@ let run inputs socket domains max_line max_conns includes jobs cache_dir
         Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
         Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
         Pdt_serve.Daemon.serve_foreground t;
-        if stats then prerr_string (Pdt_util.Perf.report ());
+        if stats then prerr_string (Pdt_util.Trace.report ());
         if tracing then begin
           Pdt_util.Trace.stop ();
           Option.iter

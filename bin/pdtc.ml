@@ -27,63 +27,6 @@ let resolve_budgets ~tool max_errors limit_specs =
           exit 124)
     b limit_specs
 
-(* --project: hand the source list to the parallel incremental build driver
-   (the pdbbuild engine) and write one merged PDB. *)
-let run_project sources includes output jobs incremental no_used fixed_spec
-    mapping budgets =
-  let vfs = Pdt_util.Vfs.create ~include_paths:includes () in
-  Pdt_util.Vfs.set_disk_fallback vfs true;
-  let options =
-    { Pdt_build.Build.default_options with
-      domains = jobs;
-      sema =
-        { Pdt_sema.Sema.instantiate_used = not no_used;
-          map_specializations = fixed_spec };
-      mapping =
-        (if mapping = "ids" then Pdt_analyzer.Analyzer.Il_ids
-         else Pdt_analyzer.Analyzer.Location_based);
-      limits = budgets }
-  in
-  let out = Option.value ~default:"merged.pdb" output in
-  if incremental then begin
-    let module I = Pdt_build.Incremental in
-    let r = I.build ~options:{ I.default_options with build = options } ~vfs sources in
-    List.iter
-      (fun (u : I.unit_info) ->
-        match u.I.disposition with
-        | I.Failed m -> Printf.eprintf "pdtc: %s failed:\n%s\n" u.I.source m
-        | I.Degraded m -> Printf.eprintf "pdtc: %s degraded:\n%s\n" u.I.source m
-        | _ -> ())
-      r.I.units;
-    Pdt_pdb.Pdb_write.to_file r.I.merged out;
-    print_endline (I.stats_line r);
-    Printf.printf "wrote %s (%d items)\n" out (Pdt_pdb.Pdb.item_count r.I.merged);
-    let failed =
-      List.length
-        (List.filter
-           (fun u -> match u.I.disposition with I.Failed _ | I.Degraded _ -> true | _ -> false)
-           r.I.units)
-    in
-    if failed = 0 then 0
-    else if failed < List.length r.I.units then 2
-    else 1
-  end
-  else begin
-    let r = Pdt_build.Build.build ~options ~vfs sources in
-    List.iter
-      (fun (source, msg) -> Printf.eprintf "pdtc: %s failed:\n%s\n" source msg)
-      (Pdt_build.Build.failures r);
-    List.iter
-      (fun (source, msg) -> Printf.eprintf "pdtc: %s degraded:\n%s\n" source msg)
-      (Pdt_build.Build.degraded_units r);
-    Pdt_pdb.Pdb_write.to_file r.merged out;
-    print_endline (Pdt_build.Build.summary r);
-    Printf.printf "wrote %s (%d items)\n" out (Pdt_pdb.Pdb.item_count r.merged);
-    if r.failed = 0 && r.degraded = 0 then 0
-    else if r.compiled + r.cached + r.degraded > 0 then 2
-    else 1
-  end
-
 let run_single source includes output mapping no_used fixed_spec budgets =
   match language_of source with
   | (`Fortran | `Java) as lang -> begin
@@ -163,20 +106,19 @@ let run_single source includes output mapping no_used fixed_spec budgets =
     if degraded then 1 else 0
   end
 
-let run sources includes output mapping no_used fixed_spec project jobs
-    incremental trace max_errors limit_specs =
+let run sources includes output mapping no_used fixed_spec trace max_errors
+    limit_specs =
   let budgets = resolve_budgets ~tool:"pdtc" max_errors limit_specs in
   if trace <> None then Pdt_util.Trace.start ();
   let code =
-    match (project, sources) with
-    | true, _ ->
-        run_project sources includes output jobs incremental no_used fixed_spec
-          mapping budgets
-    | false, [ source ] ->
+    match sources with
+    | [ source ] ->
         run_single source includes output mapping no_used fixed_spec budgets
-    | false, [] -> prerr_endline "pdtc: missing SOURCE argument"; 124
-    | false, _ :: _ :: _ ->
-        prerr_endline "pdtc: several sources given; use --project to build them into one merged PDB";
+    | [] -> prerr_endline "pdtc: missing SOURCE argument"; 124
+    | _ :: _ :: _ ->
+        prerr_endline
+          "pdtc: several sources given; use pdbbuild to build them into one \
+           merged PDB";
         124
   in
   Option.iter
@@ -190,7 +132,8 @@ let run sources includes output mapping no_used fixed_spec project jobs
 
 let sources =
   Arg.(non_empty & pos_all file []
-       & info [] ~docv:"SOURCE" ~doc:"Source file(s); several require $(b,--project)")
+       & info [] ~docv:"SOURCE"
+           ~doc:"Source file; build several into one merged PDB with $(b,pdbbuild)")
 
 let includes =
   Arg.(value & opt_all dir [] & info [ "I"; "include" ] ~docv:"DIR" ~doc:"Include search directory")
@@ -212,26 +155,6 @@ let fixed_spec =
   Arg.(value & flag
        & info [ "map-specializations" ]
            ~doc:"Carry template ids through the IL so specializations map to their primary template")
-
-let project =
-  Arg.(value & flag
-       & info [ "project" ]
-           ~doc:"Build all sources as one project: compile each translation unit \
-                 in parallel (see $(b,--jobs)), through the incremental cache, and \
-                 merge the PDBs (alias for the pdbbuild driver)")
-
-let jobs =
-  Arg.(value & opt int (Pdt_build.Scheduler.default_domains ())
-       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains for --project builds")
-
-let incremental =
-  Arg.(value & flag
-       & info [ "incremental" ]
-           ~doc:"With $(b,--project): incremental re-analysis — reuse units \
-                 whose dependency fingerprint is unchanged, re-analyze the \
-                 rest, splice the delta through memoized partial merges; \
-                 prints $(b,reanalyzed=N reused=M).  Byte-identical to a \
-                 from-scratch build.")
 
 let trace =
   Arg.(value & opt (some string) None
@@ -258,6 +181,6 @@ let cmd =
   let doc = "compile C++ source into a program database (PDB)" in
   Cmd.v (Cmd.info "pdtc" ~doc)
     Term.(const run $ sources $ includes $ output $ mapping $ no_used $ fixed_spec
-          $ project $ jobs $ incremental $ trace $ max_errors $ limit_specs)
+          $ trace $ max_errors $ limit_specs)
 
 let () = exit (Cmd.eval' cmd)

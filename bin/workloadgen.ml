@@ -1,7 +1,7 @@
 (* workloadgen: dump a generated multi-TU workload project to disk, so the
-   command-line drivers (pdbbuild, pdtc --project) can be exercised against
-   a reproducible on-disk tree — CI builds one with --trace and validates
-   the resulting Chrome trace with tracecheck.
+   project driver (pdbbuild) can be exercised against a reproducible
+   on-disk tree — CI builds one with --trace and validates the resulting
+   Chrome trace with tracecheck.
 
    The shape knobs (--templates, --methods, --types, ...) scale the
    per-TU weight and --tus the breadth, so one command can synthesize

@@ -1,4 +1,4 @@
-(** The project build orchestrator behind [pdbbuild] and [pdtc --project].
+(** The project build orchestrator behind [pdbbuild].
 
     The paper's workflow is inherently multi-translation-unit: every
     compilation emits its own PDB and pdbmerge eliminates the duplicate
@@ -12,12 +12,13 @@
       input closure and options are unchanged;
     - per-unit failures are isolated: a unit that fails to compile is
       reported in the summary and the remaining PDBs still merge;
-    - the merge is canonical — independent of input order {e and} grouping
-      — so the parallel tree reduction ({!Merge_par}) used when running on
-      several domains is byte-identical to the flat sequential
-      {!Pdt_ductape.Ductape.merge}, and to a single-TU + pdbmerge build.
+    - every build ends in one flat {!Pdt_ductape.Ductape.merge} of the
+      surviving PDBs ({!result_of_units}, shared with {!Farm}).  The merge
+      is canonical — independent of input order {e and} grouping — so the
+      output is byte-identical across domain counts, to a [--farm] or
+      [--incremental] build, and to a single-TU + pdbmerge build.
 
-    The pipeline phases report wall time into {!Pdt_util.Perf}
+    The pipeline phases report wall time into {!Pdt_util.Trace} counters
     ([compile], [cache.load], [cache.store], plus [pdb.parse]/[pdb.write]/
     [pdb.merge] from the PDB layer); [pdbbuild --stats] prints them. *)
 
@@ -191,7 +192,7 @@ let compile_unit (o : options) ~vfs source : compiled =
 
    The retry policy lives here: a transient failure (an injected fault or
    a [Sys_error] — vanished file, flaky I/O) gets up to [o.retries] extra
-   attempts, each counted under the [build.retry] Perf counter; a
+   attempts, each counted under the [build.retry] counter; a
    deterministic front-end diagnostic fails fast, because re-running the
    same compile would only reproduce it. *)
 let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result =
@@ -267,6 +268,22 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
     Trace.span ~cat:"build" ~args:[ ("unit", Trace.Str source) ] "build.unit" run
   else run ()
 
+(** The epilogue every project driver shares: merge the units' PDBs with
+    the flat {!Pdt_ductape.Ductape.merge} and count the statuses.  [t0] is
+    the build's start time, for [wall_seconds]. *)
+let result_of_units ~t0 (units : unit_result list) : result =
+  let merged = Pdt_ductape.Ductape.merge (List.filter_map (fun u -> u.pdb) units) in
+  let count p = List.length (List.filter p units) in
+  { merged;
+    units;
+    compiled = count (fun u -> u.status = Compiled);
+    cached = count (fun u -> u.status = Cached);
+    degraded = count (fun u -> match u.status with Degraded _ -> true | _ -> false);
+    failed = count (fun u -> match u.status with Failed _ -> true | _ -> false);
+    skipped = count (fun u -> u.status = Skipped);
+    wall_seconds = Unix.gettimeofday () -. t0;
+    cpu_seconds = List.fold_left (fun a u -> a +. u.seconds) 0.0 units }
+
 (** Build a project: compile every source to a PDB (in parallel, through
     the cache) and merge the survivors.  Sources are deduplicated nowhere —
     the caller's list is the build plan. *)
@@ -307,23 +324,7 @@ let build ?(options = default_options) ~vfs (sources : string list) : result =
                  cone_truncated = false })
          results)
   in
-  let survivors = List.filter_map (fun u -> u.pdb) units in
-  let merged =
-    (* the tree merge only pays off when pair merges actually run
-       concurrently; with one domain the flat merge does less work *)
-    if options.domains > 1 then Merge_par.merge ~domains:options.domains survivors
-    else Pdt_ductape.Ductape.merge survivors
-  in
-  let count p = List.length (List.filter p units) in
-  { merged;
-    units;
-    compiled = count (fun u -> u.status = Compiled);
-    cached = count (fun u -> u.status = Cached);
-    degraded = count (fun u -> match u.status with Degraded _ -> true | _ -> false);
-    failed = count (fun u -> match u.status with Failed _ -> true | _ -> false);
-    skipped = count (fun u -> u.status = Skipped);
-    wall_seconds = Unix.gettimeofday () -. t0;
-    cpu_seconds = List.fold_left (fun a u -> a +. u.seconds) 0.0 units }
+  result_of_units ~t0 units
 
 (** The one-line build report: [N compiled, M cached, K failed, wall time,
     speedup] — speedup is summed per-unit time over wall time, i.e. the

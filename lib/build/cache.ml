@@ -19,7 +19,7 @@
     key, a truncated or bit-flipped body all fail the single header/digest
     comparison.  The cache is {e self-healing}: an entry that fails
     verification is quarantined (moved to [quarantine/] inside the cache
-    dir, counted under the [cache.corrupt] Perf counter) rather than
+    dir, counted under the [cache.corrupt] counter) rather than
     silently ignored, so corrupt files cannot be re-probed on every build
     and an operator can inspect what went bad; the unit then recompiles
     and the fresh store replaces the entry.  Writes go through a
@@ -185,6 +185,26 @@ let rec mkdir_p dirname =
     try Sys.mkdir dirname 0o755 with Sys_error _ -> ()
   end
 
+(** Replace [path] atomically: [write] fills a temp file beside it, which
+    [Sys.rename] then moves over [path].  A reader sees the old file or
+    the new one, never a torn mix, and a reader holding the old file open
+    keeps reading the old bytes.  The temp name
+    ["<path>.tmp.<pid>.<domain>"] cannot collide between concurrent
+    domains or processes, and is the shape {!sweep_stale_tmps} recognizes;
+    the temp file is removed if the write fails. *)
+let write_atomic path (write : out_channel -> unit) : unit =
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Domain.self () :> int)
+  in
+  try
+    let oc = open_out_bin tmp in
+    (try write oc with e -> close_out_noerr oc; raise e);
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 (* Sharded layout: objects/<hh>/<key>.pdb, hh = first two hex digits of
    the (MD5-hex) key.  256 shards bound directory size and give the
    advisory locks below a natural granularity. *)
@@ -279,7 +299,7 @@ let quarantine_if t key (still_bad : string -> bool) : unit =
             Trace.instant ~cat:"cache"
               ~args:[ ("key", Trace.Str key) ]
               "cache.quarantine";
-          Perf.record "cache.corrupt" 0;
+          Trace.count ~cat:"cache" "cache.corrupt" 0;
           mkdir_p (quarantine_dir t);
           let dest = Filename.concat (quarantine_dir t) (key ^ ".pdb") in
           (try Sys.rename path dest with Sys_error _ -> ()))
@@ -331,40 +351,26 @@ let load t key : Pdt_pdb.Pdb.t option =
 (** Store an already-serialized PDB body.  Callers that hold the bytes
     anyway (the build driver serializes each unit's PDB exactly once and
     reuses the string for the entry and its digest) avoid re-serializing.
-    The temp name carries the PID and the domain id, so concurrent domains
-    {e and} concurrent pdbbuild processes sharing a cache dir never write
-    the same temp path; the temp file is removed if the write fails. *)
+    The write goes through {!write_atomic}, so concurrent domains {e and}
+    concurrent pdbbuild processes sharing a cache dir never expose a
+    half-written entry. *)
 let store_serialized t key (body : string) : unit =
   let final = entry_path t key in
   mkdir_p (Filename.dirname final);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let write () =
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        let hdr = header key (Hashutil.string body) in
-        if Fault.should "cache.write.torn" then begin
-          (* a torn write that still reached the final path: half the
-             entry, then rename.  load must catch it by digest. *)
-          let half = hdr ^ "\n" ^ body in
-          output_string oc (String.sub half 0 (String.length half / 2))
-        end
-        else begin
-          output_string oc hdr;
-          output_char oc '\n';
-          Fault.check "cache.write.crash";
-          output_string oc body
-        end);
-    Sys.rename tmp final
-  in
-  try write ()
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  write_atomic final (fun oc ->
+      let hdr = header key (Hashutil.string body) in
+      if Fault.should "cache.write.torn" then begin
+        (* a torn write that still reached the final path: half the
+           entry, then rename.  load must catch it by digest. *)
+        let half = hdr ^ "\n" ^ body in
+        output_string oc (String.sub half 0 (String.length half / 2))
+      end
+      else begin
+        output_string oc hdr;
+        output_char oc '\n';
+        Fault.check "cache.write.crash";
+        output_string oc body
+      end)
 
 let store t key (pdb : Pdt_pdb.Pdb.t) : unit =
   store_serialized t key (Pdt_pdb.Pdb_write.to_string pdb)
@@ -417,7 +423,7 @@ let sweep_stale_tmps t : int =
                 match Sys.remove (Filename.concat dir name) with
                 | () ->
                     incr removed;
-                    Perf.record "cache.tmp_swept" 0
+                    Trace.count ~cat:"cache" "cache.tmp_swept" 0
                 | exception Sys_error _ -> ())
             | _ -> ())
           names

@@ -32,7 +32,7 @@
     supervisor bug that loses track of a unit surfaces as that unit's
     [Error], never a silent drop.
 
-    Perf counters: [farm.spawn], [farm.respawn], [farm.crash] (worker
+    Counters: [farm.spawn], [farm.respawn], [farm.crash] (worker
     died on its own), [farm.kill] (driver killed it), [farm.dispatch],
     [farm.result], [farm.requeue], [cache.tmp_swept]. *)
 
@@ -115,7 +115,7 @@ let reap_pid pid =
 
 let kill_slot (w : slot) =
   if w.pid > 0 then begin
-    Perf.record "farm.kill" 0;
+    Trace.count ~cat:"farm" "farm.kill" 0;
     (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
     reap_pid w.pid
   end;
@@ -165,9 +165,10 @@ let backoff_delay (c : config) (respawns : int) : float =
   min c.backoff_max (c.backoff_initial *. (2.0 ** float_of_int (respawns - 1)))
 
 (** Build [sources] on a farm of [config.workers] processes.  Drop-in for
-    {!Build.build}: same result shape, same status semantics, so the
-    pdbbuild summary/exit-code epilogue needs no farm-specific paths.
-    Raises {!Farm_unavailable} if no worker binary can be found. *)
+    {!Build.build}: same status semantics, and the result comes from the
+    same {!Build.result_of_units} epilogue (one flat merge), so pdbbuild's
+    summary and exit codes need no farm-specific paths.  Raises
+    {!Farm_unavailable} if no worker binary can be found. *)
 let build ?(config = default_config) ?(options = Build.default_options) ~vfs
     (sources : string list) : Build.result =
   let exe =
@@ -291,11 +292,12 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
     w.ready <- false;
     w.unit_id <- None;
     w.last_seen <- Unix.gettimeofday ();
-    Perf.record "farm.spawn" 0;
-    if Trace.on () then
-      Trace.instant ~cat:"farm"
-        ~args:[ ("slot", Trace.Int w.index); ("pid", Trace.Int pid) ]
-        "farm.spawn";
+    Trace.count ~cat:"farm"
+      ~args:
+        (if Trace.on () then
+           [ ("slot", Trace.Int w.index); ("pid", Trace.Int pid) ]
+         else [])
+      "farm.spawn" 0;
     (* ship the Config; the worker's first act is to drain it, so the
        blocking write completes even when the table exceeds the socket
        buffer.  A write failure means the child is already dead — the
@@ -312,7 +314,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
     (match w.unit_id with
     | Some i when results.(i) = None ->
         if attempts.(i) <= options.Build.retries && not !aborted then begin
-          Perf.record "farm.requeue" 0;
+          Trace.count ~cat:"farm" "farm.requeue" 0;
           Queue.push i pending
         end
         else
@@ -341,11 +343,12 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
       decr respawn_budget;
       w.respawns <- w.respawns + 1;
       w.respawn_at <- Unix.gettimeofday () +. backoff_delay config w.respawns;
-      Perf.record "farm.respawn" 0;
-      if Trace.on () then
-        Trace.instant ~cat:"farm"
-          ~args:[ ("slot", Trace.Int w.index); ("why", Trace.Str why) ]
-          "farm.respawn"
+      Trace.count ~cat:"farm"
+        ~args:
+          (if Trace.on () then
+             [ ("slot", Trace.Int w.index); ("why", Trace.Str why) ]
+           else [])
+        "farm.respawn" 0
     end
     else w.respawn_at <- infinity
   in
@@ -362,10 +365,10 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
             attempts.(i) <- attempts.(i) + 1;
             w.unit_id <- Some i;
             w.dispatched_at <- Unix.gettimeofday ();
-            Perf.record "farm.dispatch" 0;
+            Trace.count ~cat:"farm" "farm.dispatch" 0;
             if not (send w (Farm_proto.Unit { id = i; source = tasks.(i) }))
             then begin
-              Perf.record "farm.crash" 0;
+              Trace.count ~cat:"farm" "farm.crash" 0;
               handle_death w ~why:"died at dispatch"
             end
           end
@@ -385,7 +388,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
     | Farm_proto.Result { id = rid; _ } ->
         (match w.unit_id with
         | Some i when i = rid ->
-            Perf.record "farm.result" 0;
+            Trace.count ~cat:"farm" "farm.result" 0;
             record i (Ok (unit_result_of_result ~source:tasks.(i) m));
             (match results.(i) with
             | Some (Ok { Build.status = Build.Failed _; _ })
@@ -411,10 +414,10 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           -> ()
         | exception Unix.Unix_error _ ->
-            Perf.record "farm.crash" 0;
+            Trace.count ~cat:"farm" "farm.crash" 0;
             handle_death w ~why:"read error"
         | 0 ->
-            Perf.record "farm.crash" 0;
+            Trace.count ~cat:"farm" "farm.crash" 0;
             handle_death w ~why:"crashed"
         | nread -> (
             Farm_proto.Assembler.feed w.asm chunk nread;
@@ -428,7 +431,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
               in
               drain_frames ()
             with Farm_proto.Proto_error _ ->
-              Perf.record "farm.crash" 0;
+              Trace.count ~cat:"farm" "farm.crash" 0;
               kill_slot w;
               handle_death w ~why:"sent malformed frame"))
   in
@@ -550,22 +553,4 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
                  cone_truncated = false })
          reconciled)
   in
-  let survivors = List.filter_map (fun u -> u.Build.pdb) units in
-  let merged =
-    if n_workers > 1 then Merge_par.merge ~domains:n_workers survivors
-    else Pdt_ductape.Ductape.merge survivors
-  in
-  let count p = List.length (List.filter p units) in
-  { Build.merged;
-    units;
-    compiled = count (fun u -> u.Build.status = Build.Compiled);
-    cached = count (fun u -> u.Build.status = Build.Cached);
-    degraded =
-      count (fun u ->
-          match u.Build.status with Build.Degraded _ -> true | _ -> false);
-    failed =
-      count (fun u ->
-          match u.Build.status with Build.Failed _ -> true | _ -> false);
-    skipped = count (fun u -> u.Build.status = Build.Skipped);
-    wall_seconds = Unix.gettimeofday () -. t0;
-    cpu_seconds = List.fold_left (fun a u -> a +. u.Build.seconds) 0.0 units }
+  Build.result_of_units ~t0 units

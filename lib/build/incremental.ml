@@ -18,8 +18,8 @@
       clean groups splice their stale-free contribution straight from the
       cache without touching member PDBs.  The top-level merge over group
       partials is byte-identical to a flat merge of all units because
-      {!Pdt_ductape.Ductape.merge} is canonical under grouping (the same
-      theorem behind {!Merge_par});
+      {!Pdt_ductape.Ductape.merge} is canonical under grouping (pinned by
+      the grouping tests in [test_build.ml]);
     - {e a state file} ([incremental.state] in the cache dir, written
       atomically) mapping each source to its key and recorded dependency
       paths.  A missing or corrupt state file merely degrades to a full
@@ -34,11 +34,11 @@
     Fault tolerance: any exception escaping the delta path (injected
     faults included) falls back to a plain {!Build.build} — a full
     remerge — so a mid-build fault can never leave a half-spliced PDB.
-    The fallback is counted under the [incr.fallback] Perf counter.
+    The fallback is counted under the [incr.fallback] counter.
 
     Stats surface as [reanalyzed=N reused=M] from [pdbbuild
-    --incremental] and as [incr.*] Perf counters / ["incr"]-category
-    trace spans. *)
+    --incremental] and as [incr.*] counters / ["incr"]-category trace
+    spans. *)
 
 open Pdt_util
 module P = Pdt_pdb.Pdb
@@ -126,25 +126,12 @@ let load_state path : entry list =
   | None -> []
   | Some content -> Option.value (parse_state content) ~default:[]
 
-(* Atomic write, same discipline as cache entries: per-process/per-domain
-   temp name, then rename; best-effort — a lost state file only costs the
-   next run a full re-analysis. *)
+(* Atomic write, the cache entries' helper; best-effort — a lost state
+   file only costs the next run a full re-analysis. *)
 let save_state path (entries : entry list) : unit =
   try
     Cache.mkdir_p (Filename.dirname path);
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        (Domain.self () :> int)
-    in
-    let oc = open_out_bin tmp in
-    (try
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () -> output_string oc (render_state entries));
-       Sys.rename tmp path
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e)
+    Cache.write_atomic path (fun oc -> output_string oc (render_state entries))
   with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -159,6 +146,15 @@ type disposition =
   | Recompiled        (** compiled this run *)
   | Degraded of string
   | Failed of string
+
+(* [reused]: the plan classified the unit as fingerprint-unchanged, so a
+   unit-cache hit is reuse rather than a reload into a re-merged group *)
+let disposition_of_status ~reused : Build.status -> disposition = function
+  | Build.Compiled -> Recompiled
+  | Build.Cached -> if reused then Reused else Loaded
+  | Build.Degraded m -> Degraded m
+  | Build.Failed m -> Failed m
+  | Build.Skipped -> Failed "skipped"
 
 type unit_info = {
   source : string;
@@ -363,9 +359,7 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
   in
   let merged =
     Trace.timed ~cat:"incr" "incr.merge" @@ fun () ->
-    if o.Build.domains > 1 then
-      Merge_par.merge ~domains:o.Build.domains group_pdbs
-    else Pdt_ductape.Ductape.merge group_pdbs
+    Pdt_ductape.Ductape.merge group_pdbs
   in
   (* per-unit report, state entries, and the reanalyzed/reused stats *)
   let units =
@@ -388,16 +382,10 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
                          disposition = Failed "not scheduled";
                          reason = p.p_reason; seconds = 0.0 }
                    | Some u ->
-                       let disposition =
-                         match u.Build.status with
-                         | Build.Compiled -> Recompiled
-                         | Build.Cached ->
-                             if p.p_reuse then Reused else Loaded
-                         | Build.Degraded m -> Degraded m
-                         | Build.Failed m -> Failed m
-                         | Build.Skipped -> Failed "skipped"
-                       in
-                       { source = p.p_source; disposition;
+                       { source = p.p_source;
+                         disposition =
+                           disposition_of_status ~reused:p.p_reuse
+                             u.Build.status;
                          reason = p.p_reason; seconds = u.Build.seconds })
                  members)
          groups states)
@@ -456,8 +444,8 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
   let groups_reused =
     List.length (List.filter (function Ready _ -> true | _ -> false) states)
   in
-  Perf.record "incr.reanalyzed" reanalyzed;
-  Perf.record "incr.reused" reused;
+  Trace.count ~cat:"incr" "incr.reanalyzed" reanalyzed;
+  Trace.count ~cat:"incr" "incr.reused" reused;
   { merged; units; reanalyzed; reused; fallback = false; groups_reused;
     groups_remerged = List.length states - groups_reused;
     wall_seconds = Unix.gettimeofday () -. t0 }
@@ -475,16 +463,9 @@ let full_build ~(options : options) ~vfs (sources : string list)
   let units =
     List.map
       (fun (u : Build.unit_result) ->
-        let disposition =
-          match u.Build.status with
-          | Build.Compiled -> Recompiled
-          | Build.Cached -> Loaded
-          | Build.Degraded m -> Degraded m
-          | Build.Failed m -> Failed m
-          | Build.Skipped -> Failed "skipped"
-        in
-        { source = u.Build.source; disposition; reason;
-          seconds = u.Build.seconds })
+        { source = u.Build.source;
+          disposition = disposition_of_status ~reused:false u.Build.status;
+          reason; seconds = u.Build.seconds })
       r.Build.units
   in
   (* repair the state file so the next run can take the delta path *)
@@ -519,8 +500,8 @@ let full_build ~(options : options) ~vfs (sources : string list)
        save_state state_path entries);
   let reused = r.Build.cached in
   let total = List.length r.Build.units in
-  Perf.record "incr.reanalyzed" (total - reused);
-  Perf.record "incr.reused" reused;
+  Trace.count ~cat:"incr" "incr.reanalyzed" (total - reused);
+  Trace.count ~cat:"incr" "incr.reused" reused;
   { merged = r.Build.merged; units; reanalyzed = total - reused; reused;
     fallback = true; groups_reused = 0; groups_remerged = 0;
     wall_seconds = Unix.gettimeofday () -. t0 }

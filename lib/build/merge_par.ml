@@ -1,4 +1,14 @@
-(** Parallel k-way tree-reduction PDB merge.
+(** Parallel k-way tree-reduction PDB merge — a measured alternative, not
+    a build path.
+
+    No driver merges through this module: {!Build.build}, {!Farm.build}
+    and {!Incremental.build} all end in the flat
+    {!Pdt_ductape.Ductape.merge}.  Measured over the same 25 unit PDBs
+    on a 2-core host, this tree merge at 2 domains took about twice as
+    long as the flat merge (EXPERIMENTS.md, B7).  It stays as the
+    alternative the benches time, and its tests pin that the flat merge
+    is independent of grouping, which the incremental group cache relies
+    on.
 
     {!Pdt_ductape.Ductape.merge} is canonical — its output is a pure
     function of the deduplicated content, not of input order or grouping —
@@ -26,8 +36,7 @@
     differently by different groupings.
 
     With one domain (or too few inputs to split) this degrades to the
-    flat merge, which is also what {!Build.build} calls directly when not
-    running parallel. *)
+    flat merge. *)
 
 module P = Pdt_pdb.Pdb
 module D = Pdt_ductape.Ductape
@@ -61,7 +70,7 @@ let merge ?domains (pdbs : P.t list) : P.t =
            | Error e when Pdt_util.Fault.is_transient e ->
                (* a flaky worker lost this chunk; the flat merge is
                   deterministic, so redoing it inline changes nothing *)
-               Pdt_util.Perf.record "build.retry" 0;
+               Pdt_util.Trace.count ~cat:"build" "build.retry" 0;
                D.merge (chunk i)
            | Error e -> raise e))
   end

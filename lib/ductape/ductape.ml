@@ -826,111 +826,3 @@ let merge (pdbs : P.t list) : P.t =
         { m with P.ma_id = rid mamap m.P.ma_id; ma_loc = rloc m.P.ma_loc })
       smacros;
   out
-
-(* ------------------------------------------------------------------ *)
-(* Delta merge                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Delta = struct
-  (* The merge above is canonical under grouping: merging partial merges
-     of any partition of the inputs yields the same bytes as one flat
-     merge.  That theorem is what makes a *delta* path sound without any
-     per-entity provenance tracking: keep the units partitioned into
-     fixed-size groups, memoize each group's partial merge under a content
-     key, and an edit to one unit re-merges only that unit's group plus
-     the cheap top-level merge over the (already deduplicated) group
-     partials.  Removing a stale TU contribution and splicing in the new
-     one is exactly "rebuild one group". *)
-
-  type shared = {
-    memo : (string, P.t) Hashtbl.t;  (* group content key -> partial merge *)
-    mutable last_reused : int;       (* groups served from memo, last merged *)
-    mutable last_remerged : int;     (* groups re-merged, last merged *)
-  }
-
-  type t = {
-    group_size : int;
-    units : (string * string * P.t) list;
-        (* (unit name, content digest, pdb), sorted by name: a stable
-           order so an edit (same name, new content) lands in the same
-           group and only that group loses its memo entry *)
-    sh : shared;
-  }
-
-  let digest = Pdt_pdb.Pdb_digest.of_pdb
-
-  let create ?(group_size = 8) (units : (string * P.t) list) : t =
-    let units =
-      List.map (fun (n, p) -> (n, digest p, p)) units
-      |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-    in
-    { group_size = max 1 group_size;
-      units;
-      sh = { memo = Hashtbl.create 32; last_reused = 0; last_remerged = 0 } }
-
-  let names t = List.map (fun (n, _, _) -> n) t.units
-
-  let mem t name = List.exists (fun (n, _, _) -> n = name) t.units
-
-  (* set and remove share the memo table: groups untouched by the edit
-     keep their partial merges across versions *)
-  let set t name pdb =
-    let d = digest pdb in
-    let rec insert = function
-      | [] -> [ (name, d, pdb) ]
-      | (n, _, _) :: rest when n = name -> (name, d, pdb) :: rest
-      | ((n, _, _) as u) :: rest when n > name -> (name, d, pdb) :: u :: rest
-      | u :: rest -> u :: insert rest
-    in
-    { t with units = insert t.units }
-
-  let remove t name =
-    { t with units = List.filter (fun (n, _, _) -> n <> name) t.units }
-
-  let chunk size xs =
-    let rec go acc cur k = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | x :: rest ->
-          if k = size then go (List.rev cur :: acc) [ x ] 1 rest
-          else go acc (x :: cur) (k + 1) rest
-    in
-    go [] [] 0 xs
-
-  let group_key members =
-    Pdt_util.Hashutil.strings
-      ("ductape.delta.group" :: List.map (fun (_, d, _) -> d) members)
-
-  let merged t : P.t =
-    Pdt_util.Trace.timed ~cat:"pdb" "pdb.merge_delta" @@ fun () ->
-    t.sh.last_reused <- 0;
-    t.sh.last_remerged <- 0;
-    let groups = chunk t.group_size t.units in
-    let keys = List.map group_key groups in
-    let partials =
-      List.map2
-        (fun key members ->
-          match Hashtbl.find_opt t.sh.memo key with
-          | Some p ->
-              t.sh.last_reused <- t.sh.last_reused + 1;
-              p
-          | None ->
-              let p = merge (List.map (fun (_, _, p) -> p) members) in
-              Hashtbl.replace t.sh.memo key p;
-              t.sh.last_remerged <- t.sh.last_remerged + 1;
-              p)
-        keys groups
-    in
-    (* the memo only ever needs the live groups; evict once it has grown
-       well past them so a long edit session cannot leak partial merges *)
-    if Hashtbl.length t.sh.memo > 4 * List.length groups + 8 then begin
-      let live =
-        List.map2 (fun k p -> (k, p)) keys partials
-      in
-      Hashtbl.reset t.sh.memo;
-      List.iter (fun (k, p) -> Hashtbl.replace t.sh.memo k p) live
-    end;
-    merge partials
-
-  let last_reused t = t.sh.last_reused
-  let last_remerged t = t.sh.last_remerged
-end

@@ -145,51 +145,7 @@ val merge : P.t list -> P.t
     ordered by a content digest computed once per input, and a final pass
     sorts every kind by its canonical key, reassigns ids densely and
     rewrites all references.  Consequently [merge [merge xs; merge ys]]
-    serializes to the same bytes as [merge (xs @ ys)] — parallel tree
-    merges (see {!Pdt_build}) match the sequential result exactly — and
-    the merge is idempotent up to normalization: [merge [merge ps]]
+    serializes to the same bytes as [merge (xs @ ys)] — the incremental
+    build driver's cached group partials (see {!Pdt_build}) rely on this —
+    and the merge is idempotent up to normalization: [merge [merge ps]]
     serializes identically to [merge ps]. *)
-
-(** {1 Delta merge}
-
-    An incremental view over {!merge}: the units of a project, partitioned
-    into fixed-size groups whose partial merges are memoized by content.
-    Because the merge is canonical under grouping, replacing one unit's
-    contribution re-merges only its group plus a top-level merge over the
-    group partials — and the result is byte-identical to a flat
-    [merge] over all current units.  This is the in-memory delta path the
-    incremental build driver and the planned watch daemon use between
-    edits. *)
-
-module Delta : sig
-  type t
-  (** A persistent (functional) set of named unit PDBs with a shared
-      partial-merge memo.  Versions returned by {!set}/{!remove} share the
-      memo, so groups untouched by an edit keep their partial merges. *)
-
-  val create : ?group_size:int -> (string * P.t) list -> t
-  (** [group_size] defaults to 8; duplicate names keep the last binding. *)
-
-  val names : t -> string list
-  (** Unit names, sorted. *)
-
-  val mem : t -> string -> bool
-
-  val set : t -> string -> P.t -> t
-  (** Splice a unit in: replaces the stale contribution under the same
-      name, or adds a new unit. *)
-
-  val remove : t -> string -> t
-  (** Drop a unit's contribution. *)
-
-  val merged : t -> P.t
-  (** The merge of every current unit — byte-identical (serialized) to
-      [merge] of the same PDBs.  Re-merges only groups whose content
-      changed since the last call; cf. {!last_reused}. *)
-
-  val last_reused : t -> int
-  (** Groups served from the memo by the last {!merged} call. *)
-
-  val last_remerged : t -> int
-  (** Groups actually re-merged by the last {!merged} call. *)
-end

@@ -191,8 +191,7 @@ let reader_loop (t : t) () =
         (* over the admission bound: a clean structured refusal, never a
            blown FD_SETSIZE.  The reply is best-effort — the client may
            already be gone — and the fd closes either way. *)
-        Pdt_util.Trace.instant ~cat:"serve" "serve.reject";
-        Pdt_util.Perf.record "serve.rejected" 0;
+        Pdt_util.Trace.count ~cat:"serve" "serve.rejected" 0;
         let gen = (Snapshot.current t.holder).Snapshot.gen in
         let reply =
           Pdt_util.Json.to_string
@@ -204,8 +203,7 @@ let reader_loop (t : t) () =
         ignore (write_all fd (reply ^ "\n"));
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | fd, _ ->
-        Pdt_util.Trace.instant ~cat:"serve" "serve.accept";
-        Pdt_util.Perf.record "serve.accept" 0;
+        Pdt_util.Trace.count ~cat:"serve" "serve.accept" 0;
         incr next_cid;
         Hashtbl.replace conns !next_cid
           { fd; cid = !next_cid; leftover = ""; pending = Queue.create ();

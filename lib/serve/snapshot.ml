@@ -33,9 +33,9 @@ type source =
     }
       (** A project served from its sources.  Reload runs the
           [pdbbuild --incremental] machinery ({!Pdt_build.Incremental},
-          which splices through [Ductape.Delta]): unchanged dependency
-          fingerprints are reused, so an edit-free reload touches
-          nothing and an edit rebuilds only its cone. *)
+          which splices cached group partial merges): unchanged
+          dependency fingerprints are reused, so an edit-free reload
+          touches nothing and an edit rebuilds only its cone. *)
   | In_memory of { label : string; produce : int -> P.t }
       (** Test harness source: [produce gen] builds generation [gen]'s
           PDB.  Lets the stress suite serve two distinguishable versions

@@ -14,10 +14,10 @@
       only when a domain joins a trace (once per domain per trace) and at
       export.  Domain ids are never reused within a process, so one
       buffer maps to one track.
-    - {b Counters and spans cannot disagree.}  {!Perf} is a facade over
-      {!timed}/{!count} below: the counter update and the B/E events are
-      computed from the same two clock reads, so [--stats] totals are by
-      construction the sums of the spans in the trace.
+    - {b Counters and spans cannot disagree.}  {!timed}/{!count} update
+      the counter table and emit the B/E events from the same two clock
+      reads, so [--stats] totals ({!report}) are by construction the sums
+      of the spans in the trace.
 
     The clock is monotonic.  This OCaml's [Unix] module predates
     [Unix.clock_gettime], so we use bechamel's [Monotonic_clock] stub
@@ -86,7 +86,7 @@ let emit (ev : event) : unit =
   end
   else b.dropped <- b.dropped + 1
 
-(* --- counters (the Perf substrate) --------------------------------- *)
+(* --- counters (what --stats reports) -------------------------------- *)
 
 type counter = { mutable calls : int; mutable ns : int }
 
@@ -114,6 +114,25 @@ let reset_counters () =
   Hashtbl.reset ctable;
   Mutex.unlock cmutex
 
+(** The [--stats] table of [pdbbuild] and [pdbd]: one line per counter
+    with calls, total and mean milliseconds.  Empty string when nothing
+    was recorded. *)
+let report () : string =
+  match counters () with
+  | [] -> ""
+  | rows ->
+      let b = Buffer.create 256 in
+      Buffer.add_string b
+        (Printf.sprintf "%-16s %8s %12s %12s\n" "phase" "calls" "total ms" "mean ms");
+      List.iter
+        (fun (name, calls, ns) ->
+          let ms = float_of_int ns /. 1e6 in
+          Buffer.add_string b
+            (Printf.sprintf "%-16s %8d %12.3f %12.3f\n" name calls ms
+               (ms /. float_of_int (max 1 calls))))
+        rows;
+      Buffer.contents b
+
 (* --- recording API ------------------------------------------------- *)
 
 let on () = Atomic.get enabled
@@ -134,9 +153,8 @@ let span ?(args = []) ~cat (name : string) (f : unit -> 'a) : 'a =
       f
   end
 
-(** Like {!span} but the counter is updated even when tracing is off —
-    this is what [Perf.time] compiles to, so [--stats] works untraced and
-    agrees with the trace when both are on. *)
+(** Like {!span} but the counter is updated even when tracing is off, so
+    [--stats] works untraced and agrees with the trace when both are on. *)
 let timed ?(args = []) ~cat (name : string) (f : unit -> 'a) : 'a =
   let ts = now_ns () in
   let emitted = Atomic.get enabled in
@@ -154,8 +172,7 @@ let instant ?(args = []) ~cat (name : string) : unit =
   if Atomic.get enabled then
     emit { ph = I; name; cat; ts = now_ns (); args }
 
-(** Bump counter [name] by [ns] and mark the occurrence on the track.
-    [Perf.record] compiles to this. *)
+(** Bump counter [name] by [ns] and mark the occurrence on the track. *)
 let count ?(args = []) ~cat (name : string) (ns : int) : unit =
   counter_add name ns;
   if Atomic.get enabled then

@@ -385,6 +385,63 @@ let test_mixed_language_project () =
     (List.exists (fun (c : P.class_item) -> c.P.cl_name = "Gen0")
        r.B.merged.P.classes)
 
+(* ---------------- pdbbuild output replacement ---------------- *)
+
+(* pdbd re-reads a pdbbuild output on reload, and the ASCII format has no
+   end marker, so a torn output parses as a smaller PDB without error.  A
+   rebuild must therefore replace the output file, never rewrite it in
+   place: a reader holding the previous output open keeps reading the
+   previous bytes, and no temp file is left beside the output. *)
+let test_rebuild_replaces_output () =
+  let dir = fresh_dir () in
+  C.mkdir_p dir;
+  let out = Filename.concat dir "merged.pdb" in
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "pdbbuild.exe")
+  in
+  let pdbbuild sources =
+    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process exe
+        (Array.of_list ((exe :: sources) @ [ "-o"; out; "--no-cache" ]))
+        Unix.stdin null null
+    in
+    Unix.close null;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "pdbbuild did not exit 0"
+  in
+  let read_all fd =
+    let b = Buffer.create 65536 and chunk = Bytes.create 65536 in
+    let rec go () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents b
+      | n -> Buffer.add_subbytes b chunk 0 n; go ()
+    in
+    go ()
+  in
+  let sources = G.write_project ~n_tus ~dir () in
+  pdbbuild sources;
+  let before = In_channel.with_open_bin out In_channel.input_all in
+  let held = Unix.openfile out [ Unix.O_RDONLY ] 0 in
+  (* a smaller project, so the new output differs from the old *)
+  pdbbuild [ List.hd sources ];
+  let held_bytes = read_all held in
+  Unix.close held;
+  Alcotest.(check string) "held fd still reads the previous output" before
+    held_bytes;
+  Alcotest.(check bool) "output path holds the new PDB" true
+    (In_channel.with_open_bin out In_channel.input_all <> before);
+  let leftovers =
+    List.filter
+      (String.starts_with ~prefix:"merged.pdb.")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check (list string)) "no temp file left beside the output" []
+    leftovers
+
 let suite =
   [ Alcotest.test_case "scheduler: map preserves order" `Quick test_scheduler_map;
     Alcotest.test_case "scheduler: exceptions stay per-slot" `Quick
@@ -424,4 +481,6 @@ let suite =
     Alcotest.test_case "degraded unit still merges" `Quick
       test_degraded_unit_still_merges;
     Alcotest.test_case "mixed C++/Fortran/Java project" `Quick
-      test_mixed_language_project ]
+      test_mixed_language_project;
+    Alcotest.test_case "rebuild replaces output, never rewrites" `Quick
+      test_rebuild_replaces_output ]

@@ -73,7 +73,7 @@ let read_file path =
 
 let perf_calls name =
   match
-    List.find_opt (fun (n, _, _) -> n = name) (Pdt_util.Perf.snapshot ())
+    List.find_opt (fun (n, _, _) -> n = name) (Pdt_util.Trace.counters ())
   with
   | Some (_, calls, _) -> calls
   | None -> 0

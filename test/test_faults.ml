@@ -87,7 +87,7 @@ let reference =
 
 let perf_calls name =
   match
-    List.find_opt (fun (n, _, _) -> n = name) (Pdt_util.Perf.snapshot ())
+    List.find_opt (fun (n, _, _) -> n = name) (Pdt_util.Trace.counters ())
   with
   | Some (_, calls, _) -> calls
   | None -> 0

@@ -23,7 +23,6 @@
 
 module B = Pdt_build.Build
 module I = Pdt_build.Incremental
-module D = Pdt_ductape.Ductape
 
 let pdb_string = Pdt_pdb.Pdb_write.to_string
 
@@ -286,49 +285,6 @@ let check_corrupt_state () =
   Alcotest.(check string) "bytes still correct"
     (cold_bytes files0) (pdb_string r.I.merged)
 
-(* ---------------- Ductape.Delta: the in-memory delta merge ---------------- *)
-
-let unit_pdbs files =
-  let r =
-    B.build
-      ~options:{ B.default_options with domains = 1; cache_dir = None }
-      ~vfs:(vfs_of files) (sources_of files)
-  in
-  List.filter_map
-    (fun (u : B.unit_result) ->
-      Option.map (fun p -> (u.B.source, p)) u.B.pdb)
-    r.B.units
-
-let check_delta_splice () =
-  let files0, patch, _ = load_case "header_edit" in
-  let files1 = apply_patch files0 patch in
-  let units0 = unit_pdbs files0 and units1 = unit_pdbs files1 in
-  let d0 = D.Delta.create ~group_size:2 units0 in
-  Alcotest.(check string) "delta merged = flat merge"
-    (pdb_string (D.merge (List.map snd units0)))
-    (pdb_string (D.Delta.merged d0));
-  (* splice each changed unit's new contribution over the stale one *)
-  let d1 =
-    List.fold_left (fun d (n, p) -> D.Delta.set d n p) d0 units1
-  in
-  Alcotest.(check string) "spliced delta = flat merge of new units"
-    (pdb_string (D.merge (List.map snd units1)))
-    (pdb_string (D.Delta.merged d1));
-  (* removal drops the contribution *)
-  let victim = fst (List.hd units1) in
-  let d2 = D.Delta.remove d1 victim in
-  Alcotest.(check string) "removal = flat merge without the unit"
-    (pdb_string (D.merge (List.filter_map
-                            (fun (n, p) -> if n = victim then None else Some p)
-                            units1)))
-    (pdb_string (D.Delta.merged d2));
-  (* repeated merges are stable and reuse groups *)
-  let again = pdb_string (D.Delta.merged d2) in
-  Alcotest.(check string) "merged is stable across calls"
-    again (pdb_string (D.Delta.merged d2));
-  Alcotest.(check bool) "second call reuses every group" true
-    (D.Delta.last_remerged d2 = 0 && D.Delta.last_reused d2 >= 1)
-
 let cases =
   [ "header_edit"; "tu_edit"; "template_edit"; "whitespace_noop";
     "add_delete" ]
@@ -341,6 +297,4 @@ let suite =
   @ [ Alcotest.test_case "quiescent rebuild reuses everything" `Quick
         check_quiescent;
       Alcotest.test_case "corrupt state degrades cleanly" `Quick
-        check_corrupt_state;
-      Alcotest.test_case "Ductape.Delta splice/remove byte-identity" `Quick
-        check_delta_splice ]
+        check_corrupt_state ]

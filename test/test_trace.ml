@@ -1,6 +1,6 @@
 (* Tests for the structured tracing layer (lib/util/trace.ml) and its
    exporters: Chrome trace_event JSON validity, B/E nesting per track,
-   agreement between the span stream and the Perf counters, instantiation
+   agreement between the span stream and the counters, instantiation
    span args vs sema's own log, and span-tree shape determinism across
    domain counts.  Also pins the monotonic-clock satellite: recorded
    durations are never negative. *)
@@ -52,14 +52,14 @@ let test_json_roundtrip () =
    under NTP; CLOCK_MONOTONIC cannot, so durations are never negative *)
 let test_durations_never_negative () =
   for _ = 1 to 10_000 do
-    let t1 = Pdt_util.Perf.now_ns () in
-    let t2 = Pdt_util.Perf.now_ns () in
+    let t1 = T.now_ns () in
+    let t2 = T.now_ns () in
     Alcotest.(check bool) "clock is monotonic" true (t2 >= t1)
   done;
   T.stop ();
   T.reset_counters ();
   for _ = 1 to 100 do
-    Pdt_util.Perf.time "tick" (fun () -> ignore (Sys.opaque_identity 1))
+    T.timed ~cat:"test" "tick" (fun () -> ignore (Sys.opaque_identity 1))
   done;
   List.iter
     (fun (name, calls, ns) ->
@@ -154,7 +154,7 @@ let test_chrome_trace_validates () =
       Alcotest.(check bool) ("span " ^ name ^ " present") true (has name))
     [ "pp.include"; "lex.tokenize"; "parse.tu"; "sema.analyze";
       "sema.instantiate"; "build.unit"; "compile"; "pdb.write"; "pdb.merge";
-      "pdb.merge_chunk"; "sched.queue_wait" ];
+      "sched.queue_wait" ];
   (* one track per worker domain: > 1 tid when building on 4 domains *)
   let tids =
     List.sort_uniq compare (List.map (fun (t, _, _) -> t) events)
