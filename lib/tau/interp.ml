@@ -10,7 +10,17 @@
     - a deterministic virtual-cycle cost model, so profiles are reproducible;
     - builtin implementations of the mini-STL ([vector], [ostream],
       [string]) and of the TAU measurement macros ([TAU_PROFILE], [CT]);
-    - C++ exceptions mapped onto OCaml exceptions. *)
+    - C++ exceptions mapped onto OCaml exceptions.
+
+    A step does no name resolution of its own.  Block scopes are immutable
+    association lists, saved and restored around a block.  Member and
+    constructor candidates, overload picks, per-routine parameter facts,
+    free routines, free operators, enum constants and the classes AST types
+    name come from tables in [t], each entry computed at most once per run;
+    the cycle and step counters are native ints.  A table may skip work,
+    never a tick: a step charges the same cycles whether its lookups hit a
+    table or not, so profiles stay byte-identical
+    (test/golden/tau_profiles.txt pins them). *)
 
 open Pdt_il
 open Il
@@ -51,10 +61,23 @@ exception Continue_exc
 exception Cpp_exception of value
 
 type frame = {
-  mutable blocks : (string, value ref) Hashtbl.t list;  (** innermost first *)
+  mutable scope : (string * value ref) list;  (** innermost binding first *)
   f_this : obj option;
   mutable f_timers : int;  (** TAU timers opened in this frame *)
   f_ret_ref : bool;  (** the routine returns a reference (T &) *)
+}
+
+(* The candidate routines of one kind of call, with the overload picked for
+   each list of argument kind tags (see [pick]). *)
+type cands = {
+  routines : Il.routine_entity list;
+  picks : (int list, Il.routine_entity option) Hashtbl.t;
+}
+
+(* What [invoke] needs to know of a routine on every call. *)
+type routine_facts = {
+  ret_ref : bool;  (** returns a reference (T &) *)
+  params : (Il.param_info * bool) list;  (** with "bound by reference" *)
 }
 
 type t = {
@@ -62,28 +85,35 @@ type t = {
   globals : (string, value ref) Hashtbl.t;
   output : Buffer.t;
   profiler : Rt.t;
-  mutable cycles : int64;
-  mutable steps : int64;
-  max_steps : int64;
-  mutable max_depth : int;
+  mutable cycles : int;
+  mutable steps : int;
+  max_steps : int;
   mutable depth : int;
   instrumented : bool;  (** whether TAU_PROFILE statements are honoured *)
   mpi : int * int;      (** simulated (rank, size) for mpi_rank()/mpi_size() *)
-  class_by_name : (string, Il.class_id) Hashtbl.t;
-      (** display name -> class; the IL is immutable during execution *)
+  (* Lookup tables; the IL is immutable during execution. *)
+  class_by_name : (string, Il.class_id) Hashtbl.t;  (** display name -> class *)
+  type_classes : (Ast.type_expr, Il.class_id option) Hashtbl.t;
+      (** the class an AST type names, keyed by structure; filled on use *)
+  members : (Il.class_id * string, cands) Hashtbl.t;
+      (** member functions by name, inherited ones included; filled on use *)
+  ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
+  facts : (Il.routine_id, routine_facts) Hashtbl.t;  (** filled on use *)
+  free_routines : (string, cands) Hashtbl.t;  (** non-members, by name *)
+  free_operators : (string, cands) Hashtbl.t;  (** parentless routines, by name *)
+  enum_constants : (string, int64) Hashtbl.t;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Cost model (deterministic virtual cycles)                           *)
 (* ------------------------------------------------------------------ *)
 
-let cost_expr = 1L
-let cost_call = 5L
-let cost_builtin = 2L
+let cost_expr = 1
+let cost_call = 5
 
 let tick t c =
-  t.cycles <- Int64.add t.cycles c;
-  t.steps <- Int64.add t.steps 1L;
+  t.cycles <- t.cycles + c;
+  t.steps <- t.steps + 1;
   if t.steps > t.max_steps then error "step limit exceeded (infinite loop?)"
 
 (* ------------------------------------------------------------------ *)
@@ -162,6 +192,77 @@ let pick_overload_dyn t (cands : Il.routine_entity list) (args : value list) :
     None viable
 
 (* ------------------------------------------------------------------ *)
+(* Dispatch tables                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [tbl]'s entry for [key], computed by [compute t key] on first use *)
+let memo tbl compute t key =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute t key in
+      Hashtbl.add tbl key v;
+      v
+
+let cands routines = { routines; picks = Hashtbl.create 4 }
+
+(* [pick_overload_dyn] sees of an argument only its constructor and, for an
+   object, its class: the tag carries exactly that *)
+let kind_tag = function
+  | Vunit -> 0
+  | Vint _ -> 1
+  | Vdouble _ -> 2
+  | Vbool _ -> 3
+  | Vchar _ -> 4
+  | Vstr _ -> 5
+  | Vptr _ -> 6
+  | Vnull -> 7
+  | Varr _ -> 8
+  | Vobj o -> 9 + o.o_class
+
+let pick t (c : cands) (args : value list) : Il.routine_entity option =
+  match c.routines with
+  | [] -> None
+  | routines -> (
+      let tags = List.map kind_tag args in
+      match Hashtbl.find_opt c.picks tags with
+      | Some r -> r
+      | None ->
+          let r = pick_overload_dyn t routines args in
+          Hashtbl.add c.picks tags r;
+          r)
+
+let member_cands t (cl : Il.class_id) name : cands =
+  memo t.members (fun t (cl, name) -> cands (member_funcs t cl name)) t (cl, name)
+
+let ctor_cands t (cl : Il.class_id) : cands =
+  memo t.ctors
+    (fun t cl ->
+      cands
+        (List.filter (fun r -> r.ro_kind = Rk_ctor)
+           (List.map (Il.routine t.prog) (Il.class_ t.prog cl).cl_funcs)))
+    t cl
+
+let routine_facts t (r : Il.routine_entity) : routine_facts =
+  memo t.facts
+    (fun t id ->
+      let r = Il.routine t.prog id in
+      let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
+      let ret_ref =
+        match (Il.type_ t.prog r.ro_sig).ty_kind with
+        | Tfunc { rett; _ } -> is_ref rett
+        | _ -> false
+      in
+      let by_ref (p : Il.param_info) =
+        match (Il.type_ t.prog p.pi_type).ty_kind with
+        | Tref _ -> true
+        | Tqual { base; _ } -> is_ref base
+        | _ -> false
+      in
+      { ret_ref; params = List.map (fun p -> (p, by_ref p)) r.ro_params })
+    t r.ro_id
+
+(* ------------------------------------------------------------------ *)
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -229,6 +330,20 @@ let value_to_display_string = function
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* the routines [keep] selects, grouped by name, each group in Hashtbl.iter
+   order reversed unless [order] sorts it *)
+let routines_by_name (prog : Il.program) keep order : (string, cands) Hashtbl.t =
+  let groups = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun _ (r : Il.routine_entity) ->
+      if keep r then
+        Hashtbl.replace groups r.ro_name
+          (r :: Option.value (Hashtbl.find_opt groups r.ro_name) ~default:[]))
+    prog.Il.routines;
+  let by_name = Hashtbl.create (Hashtbl.length groups) in
+  Hashtbl.iter (fun name rs -> Hashtbl.replace by_name name (cands (order rs))) groups;
+  by_name
+
 let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
     ?(max_steps = 50_000_000L) ?(mpi = (0, 1)) (prog : Il.program) : t =
   let class_by_name = Hashtbl.create 64 in
@@ -237,10 +352,35 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
       if not (Hashtbl.mem class_by_name c.cl_name) then
         Hashtbl.replace class_by_name c.cl_name id)
     prog.Il.classes;
+  let free_routines =
+    routines_by_name prog
+      (fun r -> match r.ro_parent with Pclass _ -> false | _ -> true)
+      (List.sort (fun a b -> compare a.Il.ro_id b.Il.ro_id))
+  in
+  (* unsorted: the candidate order decides overload ties *)
+  let free_operators = routines_by_name prog (fun r -> r.ro_parent = Pnone) Fun.id in
+  (* the first enum (in table order) that declares a name wins *)
+  let enum_constants = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ (ty : Il.type_entity) ->
+      match ty.ty_kind with
+      | Tenum { constants; _ } ->
+          List.iter
+            (fun (n, v, _) ->
+              if not (Hashtbl.mem enum_constants n) then Hashtbl.replace enum_constants n v)
+            constants
+      | _ -> ())
+    prog.Il.types;
+  let max_steps =
+    if Int64.compare max_steps (Int64.of_int max_int) > 0 then max_int
+    else Int64.to_int max_steps
+  in
   { prog; globals = Hashtbl.create 64; output = Buffer.create 256;
-    profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0L;
-    steps = 0L; max_steps; max_depth = 0; depth = 0;
-    instrumented = true && instrumented; mpi; class_by_name }
+    profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
+    max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
+    type_classes = Hashtbl.create 16;
+    members = Hashtbl.create 64; ctors = Hashtbl.create 16; facts = Hashtbl.create 64;
+    free_routines; free_operators; enum_constants }
 
 (* type name of a value, used by the CT() macro *)
 let type_name_of_value t = function
@@ -291,25 +431,25 @@ and make_object t (cl : Il.class_id) : obj =
 (* Environment                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let push_block (f : frame) = f.blocks <- Hashtbl.create 8 :: f.blocks
-let pop_block (f : frame) =
-  match f.blocks with [] -> () | _ :: rest -> f.blocks <- rest
+(* run [k] in a nested block: the bindings it makes are dropped on every
+   exit, normal or exceptional *)
+let in_block (f : frame) k =
+  let saved = f.scope in
+  match k () with
+  | () -> f.scope <- saved
+  | exception e ->
+      f.scope <- saved;
+      raise e
 
-let bind_local (f : frame) name cell =
-  match f.blocks with
-  | b :: _ -> Hashtbl.replace b name cell
-  | [] -> error "no active block"
+let bind_local (f : frame) name cell = f.scope <- (name, cell) :: f.scope
 
-let rec find_local blocks name =
-  match blocks with
+let rec find_local scope name =
+  match scope with
   | [] -> None
-  | b :: rest -> (
-      match Hashtbl.find_opt b name with
-      | Some c -> Some c
-      | None -> find_local rest name)
+  | (n, c) :: rest -> if String.equal n name then Some c else find_local rest name
 
 let lookup_cell t (f : frame) name : value ref option =
-  match find_local f.blocks name with
+  match find_local f.scope name with
   | Some c -> Some c
   | None -> (
       (* implicit this->field *)
@@ -679,7 +819,9 @@ let rec eval t (f : frame) (e : Ast.expr) : value =
 
 (* find the IL class named by an AST type (display-name based) *)
 and lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
-  Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty))
+  memo t.type_classes
+    (fun t ty -> Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty)))
+    t ty
 
 and construct_from_type t f (ty : Ast.type_expr) (args : Ast.expr list) loc : value =
   ignore loc;
@@ -700,12 +842,11 @@ and construct_from_type t f (ty : Ast.type_expr) (args : Ast.expr list) loc : va
           in
           match find_class_by_name t cname with
           | Some cl -> (
-              match member_funcs t cl last.Ast.id with
-              | [] -> error "no member '%s' in %s" last.Ast.id cname
-              | cands -> (
-                  match pick_overload_dyn t cands vargs with
-                  | Some r -> invoke t r None vargs
-                  | None -> error "no viable overload for %s::%s" cname last.Ast.id))
+              let c = member_cands t cl last.Ast.id in
+              if c.routines = [] then error "no member '%s' in %s" last.Ast.id cname;
+              match pick t c vargs with
+              | Some r -> invoke t r None vargs
+              | None -> error "no viable overload for %s::%s" cname last.Ast.id)
           | None -> error "unknown class '%s'" cname)
       | _ -> assert false)
   | None -> (
@@ -739,11 +880,7 @@ and construct t (cl : Il.class_id) (args : value list) : value =
       (match builtin_method t o ctor_name args with
        | Some _ -> Vobj o
        | None ->
-           let ctors =
-             List.filter (fun r -> r.ro_kind = Rk_ctor)
-               (List.map (Il.routine t.prog) c.cl_funcs)
-           in
-           (match pick_overload_dyn t ctors args with
+           (match pick t (ctor_cands t cl) args with
             | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
                 run_ctor t o cl ctor args
             | Some _ | None ->
@@ -777,11 +914,7 @@ and run_default_ctor t (o : obj) (cl : Il.class_id) : unit =
   match builtin_method t o (class_base_name c) [] with
   | Some _ -> ()
   | None -> (
-      let ctors =
-        List.filter (fun r -> r.ro_kind = Rk_ctor)
-          (List.map (Il.routine t.prog) c.cl_funcs)
-      in
-      match pick_overload_dyn t ctors [] with
+      match pick t (ctor_cands t cl) [] with
       | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
           run_ctor t o cl ctor []
       | Some _ | None -> construct_bases_and_fields t o cl ~skip:[])
@@ -801,13 +934,13 @@ and eval_name t (f : frame) (q : Ast.qual_name) : value =
       | None -> (
           (* enum constants resolved by sema are... not in IL bodies; look in
              IL enums *)
-          match find_enum_constant t id with
+          match Hashtbl.find_opt t.enum_constants id with
           | Some v -> Vint v
           | None -> error "unbound identifier '%s'" id))
   | parts -> (
       (* qualified: try enum constant Class::CONST or namespace variable *)
       let last = (List.nth parts (List.length parts - 1)).Ast.id in
-      match find_enum_constant t last with
+      match Hashtbl.find_opt t.enum_constants last with
       | Some v -> Vint v
       | None -> (
           match Hashtbl.find_opt t.globals (Ast.qual_name_to_string q) with
@@ -816,19 +949,6 @@ and eval_name t (f : frame) (q : Ast.qual_name) : value =
               match Hashtbl.find_opt t.globals last with
               | Some cell -> Vptr cell
               | None -> error "unbound name '%s'" (Ast.qual_name_to_string q))))
-
-and find_enum_constant t name : int64 option =
-  let found = ref None in
-  Hashtbl.iter
-    (fun _ (ty : Il.type_entity) ->
-      match ty.ty_kind with
-      | Tenum { constants; _ } -> (
-          match List.find_opt (fun (n, _, _) -> n = name) constants with
-          | Some (_, v, _) -> if !found = None then found := Some v
-          | None -> ())
-      | _ -> ())
-    t.prog.Il.types;
-  !found
 
 (* lvalue evaluation: a mutable cell *)
 and eval_lval t (f : frame) (e : Ast.expr) : value ref option =
@@ -898,24 +1018,18 @@ and call_method t (o : obj) (name : string) (args : value list) : value option =
   match builtin_method t o name args with
   | Some v -> Some v
   | None -> (
-      match member_funcs t o.o_class name with
-      | [] -> None
-      | cands -> (
-          match pick_overload_dyn t cands args with
-          | Some r -> Some (invoke t r (Some o) args)
-          | None -> None))
+      match pick t (member_cands t o.o_class name) args with
+      | Some r -> Some (invoke t r (Some o) args)
+      | None -> None)
 
 and free_operator t (f : frame) op (args : value list) : value option =
   ignore f;
-  let name = "operator" ^ op in
-  let cands = ref [] in
-  Hashtbl.iter
-    (fun _ (r : Il.routine_entity) ->
-      if r.ro_name = name && r.ro_parent = Pnone then cands := r :: !cands)
-    t.prog.Il.routines;
-  match pick_overload_dyn t !cands args with
-  | Some r -> Some (invoke t r None args)
+  match Hashtbl.find_opt t.free_operators ("operator" ^ op) with
   | None -> None
+  | Some c -> (
+      match pick t c args with
+      | Some r -> Some (invoke t r None args)
+      | None -> None)
 
 (* function-call expression *)
 and eval_call t (f : frame) (callee : Ast.expr) (args : Ast.expr list) : value =
@@ -954,21 +1068,21 @@ and eval_call t (f : frame) (callee : Ast.expr) (args : Ast.expr list) : value =
           let vargs = eval_args t f args in
           (* member function of this? *)
           match f.f_this with
-          | Some o when member_funcs t o.o_class name <> [] -> (
+          | Some o when (member_cands t o.o_class name).routines <> [] -> (
               match call_method t o name vargs with
               | Some v -> v
               | None -> error "member call '%s' failed" name)
           | _ -> (
-              (* free function by (qualified) name *)
-              match find_free_routines t q with
-              | [] -> (
+              (* free function by its unqualified name *)
+              match Hashtbl.find_opt t.free_routines name with
+              | None -> (
                   (* constructor call: Class(args) where parser kept IdE *)
                   match find_class_by_name t (Ast.qual_name_to_string q) with
                   | Some cl -> construct t cl vargs
                   | None -> error "call to unknown function '%s'"
                               (Ast.qual_name_to_string q))
-              | cands -> (
-                  match pick_overload_dyn t cands vargs with
+              | Some c -> (
+                  match pick t c vargs with
                   | Some r -> invoke t r None vargs
                   | None -> error "no viable overload for '%s'" name))))
   | _ -> (
@@ -981,26 +1095,18 @@ and eval_call t (f : frame) (callee : Ast.expr) (args : Ast.expr list) : value =
           | None -> error "object is not callable")
       | _ -> error "value is not callable")
 
+(* arguments pass references through so T& parameters can alias; a call
+   runs once, its T& result already a Vptr *)
 and eval_args t f args =
   List.map
     (fun (a : Ast.expr) ->
-      (* pass references through so T& parameters can alias *)
-      match eval_lval t f a with
-      | Some cell -> Vptr cell
-      | None -> deref (eval t f a))
+      match a.Ast.e with
+      | Ast.Call _ -> eval t f a
+      | _ -> (
+          match eval_lval t f a with
+          | Some cell -> Vptr cell
+          | None -> deref (eval t f a)))
     args
-
-and find_free_routines t (q : Ast.qual_name) : Il.routine_entity list =
-  let name = (Ast.last_part q).Ast.id in
-  let out = ref [] in
-  Hashtbl.iter
-    (fun _ (r : Il.routine_entity) ->
-      if r.ro_name = name
-         && (match r.ro_parent with Pclass _ -> false | _ -> true)
-      then out := r :: !out)
-    t.prog.Il.routines;
-  (* stable order: by id *)
-  List.sort (fun a b -> compare a.Il.ro_id b.Il.ro_id) !out
 
 and find_class_by_name t name : Il.class_id option =
   Hashtbl.find_opt t.class_by_name name
@@ -1014,10 +1120,10 @@ and tau_profile t (f : frame) (args : Ast.expr list) : value =
       | [ n ] -> name_of n
       | n :: ty :: _ ->
           let n = name_of n and ty = name_of ty in
-          if ty = "" || ty = "0" then n else Printf.sprintf "%s [%s]" n ty
+          if ty = "" || ty = "0" then n else String.concat "" [ n; " ["; ty; "]" ]
       | [] -> "<unnamed>"
     in
-    if Rt.enter t.profiler label ~now:t.cycles then
+    if Rt.enter t.profiler label ~now:(Int64.of_int t.cycles) then
       f.f_timers <- f.f_timers + 1
   end;
   Vunit
@@ -1028,56 +1134,9 @@ and invoke t (r : Il.routine_entity) (this_obj : obj option) (args : value list)
   tick t cost_call;
   t.depth <- t.depth + 1;
   if t.depth > 10_000 then error "call stack overflow";
-  t.max_depth <- max t.max_depth t.depth;
-  let ret_ref =
-    match (Il.type_ t.prog r.ro_sig).ty_kind with
-    | Tfunc { rett; _ } -> (
-        match (Il.type_ t.prog rett).ty_kind with Tref _ -> true | _ -> false)
-    | _ -> false
-  in
-  let frame =
-    { blocks = [ Hashtbl.create 8 ]; f_this = this_obj; f_timers = 0;
-      f_ret_ref = ret_ref }
-  in
-  (* bind parameters: by-value params copy; reference params alias *)
-  let rec bind (params : Il.param_info list) (args : value list) =
-    match (params, args) with
-    | [], _ -> ()
-    | (p : Il.param_info) :: ps, arg :: rest ->
-        let is_ref =
-          match (Il.type_ t.prog p.pi_type).ty_kind with
-          | Tref _ -> true
-          | Tqual { base; _ } -> (
-              match (Il.type_ t.prog base).ty_kind with Tref _ -> true | _ -> false)
-          | _ -> false
-        in
-        let cell =
-          match (arg, is_ref) with
-          | Vptr c, true -> c
-          | v, _ -> ref (copy_value (deref v))
-        in
-        (match p.pi_name with
-         | Some n -> bind_local frame n cell
-         | None -> ());
-        bind ps rest
-    | p :: ps, [] ->
-        (* default argument *)
-        (match (p.pi_default, p.pi_name) with
-         | Some d, Some n ->
-             let v = deref (eval t frame d) in
-             bind_local frame n (ref v)
-         | _ -> ());
-        bind ps []
-  in
-  bind r.ro_params args;
-  let finish v =
-    (* close TAU timers opened in this frame *)
-    for _ = 1 to frame.f_timers do
-      Rt.exit_ t.profiler ~now:t.cycles
-    done;
-    t.depth <- t.depth - 1;
-    v
-  in
+  let facts = routine_facts t r in
+  let frame = { scope = []; f_this = this_obj; f_timers = 0; f_ret_ref = facts.ret_ref } in
+  bind_params t frame facts.params args;
   (match this_obj with
    | Some o when r.ro_kind = Rk_ctor ->
        (* run member initializers *)
@@ -1092,11 +1151,7 @@ and invoke t (r : Il.routine_entity) (this_obj : obj option) (args : value list)
                    match builtin_method t fo (class_base_name c) vargs with
                    | Some _ -> ()
                    | None -> (
-                       let ctors =
-                         List.filter (fun r -> r.ro_kind = Rk_ctor)
-                           (List.map (Il.routine t.prog) c.cl_funcs)
-                       in
-                       match pick_overload_dyn t ctors vargs with
+                       match pick t (ctor_cands t fo.o_class) vargs with
                        | Some ctor -> ignore (invoke t ctor (Some fo) vargs)
                        | None -> ()))
                | _, [ v ] -> cell := copy_value v
@@ -1113,12 +1168,7 @@ and invoke t (r : Il.routine_entity) (this_obj : obj option) (args : value list)
                in
                match base with
                | Some b -> (
-                   let bc = Il.class_ t.prog b.ba_class in
-                   let ctors =
-                     List.filter (fun r -> r.ro_kind = Rk_ctor)
-                       (List.map (Il.routine t.prog) bc.cl_funcs)
-                   in
-                   match pick_overload_dyn t ctors vargs with
+                   match pick t (ctor_cands t b.ba_class) vargs with
                    | Some ctor -> ignore (invoke t ctor (Some o) vargs)
                    | None -> ())
                | None -> ()))
@@ -1127,17 +1177,48 @@ and invoke t (r : Il.routine_entity) (this_obj : obj option) (args : value list)
   match r.ro_body with
   | None ->
       (* undefined routine: builtin or no-op *)
-      finish Vunit
+      finish t frame Vunit
   | Some body -> (
       try
         exec_stmt t frame body;
-        finish Vunit
+        finish t frame Vunit
       with
-      | Return_exc v -> finish v
+      | Return_exc v -> finish t frame v
       | Cpp_exception _ as ex ->
           (* unwind this frame's timers, then propagate *)
-          ignore (finish Vunit);
+          ignore (finish t frame Vunit);
           raise ex)
+
+(* bind parameters: by-value params copy; reference params alias *)
+and bind_params t frame params (args : value list) =
+  match (params, args) with
+  | [], _ -> ()
+  | ((p : Il.param_info), by_ref) :: ps, arg :: rest ->
+      let cell =
+        match (arg, by_ref) with
+        | Vptr c, true -> c
+        | v, _ -> ref (copy_value (deref v))
+      in
+      (match p.pi_name with
+       | Some n -> bind_local frame n cell
+       | None -> ());
+      bind_params t frame ps rest
+  | (p, _) :: ps, [] ->
+      (* default argument *)
+      (match (p.pi_default, p.pi_name) with
+       | Some d, Some n ->
+           let v = deref (eval t frame d) in
+           bind_local frame n (ref v)
+       | _ -> ());
+      bind_params t frame ps []
+
+(* leave a frame: close the TAU timers it opened *)
+and finish t frame v =
+  for _ = 1 to frame.f_timers do
+    Rt.exit_ t.profiler ~now:(Int64.of_int t.cycles)
+  done;
+  t.depth <- t.depth - 1;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -1149,11 +1230,7 @@ and exec_stmt t (f : frame) (s : Ast.stmt) : unit =
   | Ast.SExpr None -> ()
   | Ast.SExpr (Some e) -> ignore (eval t f e)
   | Ast.SDecl vds -> List.iter (exec_local_decl t f) vds
-  | Ast.SCompound ss ->
-      push_block f;
-      Fun.protect
-        ~finally:(fun () -> pop_block f)
-        (fun () -> List.iter (exec_stmt t f) ss)
+  | Ast.SCompound ss -> in_block f (fun () -> List.iter (exec_stmt t f) ss)
   | Ast.SIf (c, a, b) ->
       if truthy (deref (eval t f c)) then exec_stmt t f a
       else Option.iter (exec_stmt t f) b
@@ -1172,10 +1249,7 @@ and exec_stmt t (f : frame) (s : Ast.stmt) : unit =
         done
       with Break_exc -> ())
   | Ast.SFor (init, cond, step, body) -> (
-      push_block f;
-      Fun.protect
-        ~finally:(fun () -> pop_block f)
-        (fun () ->
+      in_block f (fun () ->
           Option.iter (exec_stmt t f) init;
           try
             while
@@ -1253,10 +1327,7 @@ and exec_stmt t (f : frame) (s : Ast.stmt) : unit =
         in
         (match List.find_opt matches handlers with
          | Some h ->
-             push_block f;
-             Fun.protect
-               ~finally:(fun () -> pop_block f)
-               (fun () ->
+             in_block f (fun () ->
                  (match h.h_param with
                   | Some { Ast.pname = Some n; _ } -> bind_local f n (ref v)
                   | _ -> ());
@@ -1340,9 +1411,7 @@ let init_globals t =
       Hashtbl.replace t.globals gv.gv_name (ref v))
     (Il.globals t.prog);
   (* frame for global initializers *)
-  let gframe =
-    { blocks = [ Hashtbl.create 4 ]; f_this = None; f_timers = 0; f_ret_ref = false }
-  in
+  let gframe = { scope = []; f_this = None; f_timers = 0; f_ret_ref = false } in
   List.iter
     (fun (gv : Il.global_var) ->
       match gv.gv_init with
@@ -1378,15 +1447,16 @@ let run ?(entry = "main") ?instrumented ?tracing ?callpath ?throttle ?max_steps
   | None -> error "no entry routine '%s'" entry
   | Some main -> (
       let mk code =
-        { exit_code = code; output = Buffer.contents t.output; cycles = t.cycles;
-          steps = t.steps; profile = t.profiler }
+        { exit_code = code; output = Buffer.contents t.output;
+          cycles = Int64.of_int t.cycles; steps = Int64.of_int t.steps;
+          profile = t.profiler }
       in
       try
         let v = invoke t main None [] in
-        Rt.unwind t.profiler ~now:t.cycles;
+        Rt.unwind t.profiler ~now:(Int64.of_int t.cycles);
         mk (Int64.to_int (to_int (match v with Vunit -> Vint 0L | v -> v)))
       with Cpp_exception v ->
-        Rt.unwind t.profiler ~now:t.cycles;
+        Rt.unwind t.profiler ~now:(Int64.of_int t.cycles);
         raise
           (Uncaught
              ( Printf.sprintf "uncaught C++ exception: %s" (type_name_of_value t v),

@@ -15,7 +15,7 @@ type entry = {
 }
 
 type timer = {
-  t_name : string;
+  t_entry : entry;  (** the profile row this timer charges *)
   t_start : int64;
   mutable t_child : int64;  (** cycles spent in instrumented children *)
 }
@@ -56,7 +56,7 @@ let enter t name ~now =
   let name =
     if t.callpath then
       match t.stack with
-      | parent :: _ -> parent.t_name ^ " => " ^ name
+      | parent :: _ -> parent.t_entry.e_name ^ " => " ^ name
       | [] -> name
     else name
   in
@@ -72,11 +72,9 @@ let enter t name ~now =
   if throttled then false
   else begin
     (match t.stack with
-     | parent :: _ ->
-         (entry t parent.t_name).e_child_calls
-         <- (entry t parent.t_name).e_child_calls + 1
+     | parent :: _ -> parent.t_entry.e_child_calls <- parent.t_entry.e_child_calls + 1
      | [] -> ());
-    t.stack <- { t_name = name; t_start = now; t_child = 0L } :: t.stack;
+    t.stack <- { t_entry = e; t_start = now; t_child = 0L } :: t.stack;
     if t.tracing then t.events <- Enter (name, now) :: t.events;
     true
   end
@@ -87,14 +85,14 @@ let exit_ t ~now =
   | timer :: rest ->
       let inclusive = Int64.sub now timer.t_start in
       let exclusive = Int64.sub inclusive timer.t_child in
-      let e = entry t timer.t_name in
+      let e = timer.t_entry in
       e.e_inclusive <- Int64.add e.e_inclusive inclusive;
       e.e_exclusive <- Int64.add e.e_exclusive exclusive;
       (match rest with
        | parent :: _ -> parent.t_child <- Int64.add parent.t_child inclusive
        | [] -> ());
       t.stack <- rest;
-      if t.tracing then t.events <- Exit (timer.t_name, now) :: t.events
+      if t.tracing then t.events <- Exit (e.e_name, now) :: t.events
 
 (** Unwind all open timers (e.g. after an uncaught exception). *)
 let unwind t ~now = while t.stack <> [] do exit_ t ~now done

@@ -150,31 +150,35 @@ let diff (expected : string) (actual : string) : string =
     Printf.bprintf b "+... (%d more actual lines)\n" (Array.length a - !first - window - 1);
   Buffer.contents b
 
-let check_golden (name, produce) () =
-  let actual = produce () in
+(* A whole-file golden under the golden dir; [suite] is the alcotest suite
+   whose run regenerates it, [what] names the pinned text in the failure
+   message. *)
+let check_text_golden ~suite ~what ~name actual =
+  let dir = golden_dir () in
+  let path = Filename.concat dir name in
   if Sys.getenv_opt "PDT_GOLDEN_REGEN" = Some "1" then begin
-    let dir = golden_dir () in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir (name ^ ".pdb") in
     write_file path actual;
     Alcotest.fail
-      (Printf.sprintf "regenerated %s (%d bytes) — unset PDT_GOLDEN_REGEN and rerun"
-         path (String.length actual))
+      (Printf.sprintf
+         "regenerated %s (%d bytes) — unset PDT_GOLDEN_REGEN and rerun" path
+         (String.length actual))
   end
   else begin
-    let path = golden_read_path name in
     if not (Sys.file_exists path) then
       Alcotest.fail
         (Printf.sprintf
-           "missing golden %s — run PDT_GOLDEN_REGEN=1 dune exec test/main.exe -- test golden"
-           path);
+           "missing golden %s — run PDT_GOLDEN_REGEN=1 dune exec test/main.exe \
+            -- test %s" path suite);
     let expected = read_file path in
     if expected <> actual then
       Alcotest.fail
-        (Printf.sprintf
-           "%s: PDB output changed (golden %d bytes, actual %d bytes)\n%s" name
+        (Printf.sprintf "%s: %s changed (golden %d bytes, actual %d)\n%s" name what
            (String.length expected) (String.length actual) (diff expected actual))
   end
+
+let check_golden (name, produce) () =
+  check_text_golden ~suite:"golden" ~what:"PDB output" ~name:(name ^ ".pdb") (produce ())
 
 (* the corpus goldens must also still parse and round-trip, so a golden
    can never go stale in a way the rest of the suite would miss *)

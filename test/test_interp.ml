@@ -175,6 +175,42 @@ let test_function_template_runtime () =
      int main() { return max2(3, 9) + (int)max2(1.5, 2.5); }"
     11
 
+let test_call_args_evaluated_once () =
+  (* regression: a call used as an argument ran twice when its result was
+     not a reference — the lvalue probe ran it, then the value path did *)
+  check_exit "argument call runs once"
+    "int c = 0;\nint g() { c = c + 1; return c; }\nint f(int x) { return x; }\n\
+     int main() { f(g()); return c; }"
+    1;
+  check_exit "T& result still aliases"
+    "int c = 1;\nint & g() { return c; }\nvoid bump(int & x) { x = x + 10; }\n\
+     int main() { bump(g()); return c; }"
+    11
+
+(* Dispatch is answered from per-run tables.  Each answer is hand-derived
+   from the C++ source, so a table keyed too coarsely (by routine name
+   without the dynamic class, by candidate set without the argument kinds)
+   hands back a stale routine and a wrong exit code. *)
+let test_dispatch_tables () =
+  check_exit "one pointer, dynamic class cycles"
+    "class Base {\npublic:\n  virtual int id() { return 1; }\n  virtual ~Base() { }\n};\n\
+     class D1 : public Base {\npublic:\n  virtual int id() { return 2; }\n};\n\
+     class D2 : public Base {\npublic:\n  virtual int id() { return 3; }\n};\n\
+     int main() {\n  Base b;\n  D1 d1;\n  D2 d2;\n  Base *p = &b;\n  int s = 0;\n\
+     \  for (int i = 0; i < 6; i++) {\n\
+     \    if (i % 3 == 0) p = &b; else if (i % 3 == 1) p = &d1; else p = &d2;\n\
+     \    s = s * 4 + p->id();\n  }\n  return s % 251;\n}"
+    249;
+  check_exit "one overload set, argument kind alternates"
+    "int f(int x) { return 1; }\nint f(double x) { return 2; }\n\
+     int main() {\n  int s = 0;\n  for (int i = 0; i < 6; i++)\n\
+     \    s = s * 3 + (i % 2 == 0 ? f(0.5) : f(i));\n  return s % 251;\n}"
+    135;
+  check_exit "enum constant read in a loop"
+    "enum Color { RED, GREEN, BLUE };\n\
+     int main() { int s = 0; for (int i = 0; i < 3; i++) s = s + BLUE; return s; }"
+    6
+
 let suite =
   [ Alcotest.test_case "casts convert" `Quick test_casts_convert;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -194,4 +230,6 @@ let suite =
     Alcotest.test_case "step limit" `Quick test_step_limit;
     Alcotest.test_case "global initialization" `Quick test_globals_initialized;
     Alcotest.test_case "operator overloading at runtime" `Quick test_operator_overloading_runtime;
-    Alcotest.test_case "function templates at runtime" `Quick test_function_template_runtime ]
+    Alcotest.test_case "function templates at runtime" `Quick test_function_template_runtime;
+    Alcotest.test_case "call arguments evaluated once" `Quick test_call_args_evaluated_once;
+    Alcotest.test_case "dispatch tables" `Quick test_dispatch_tables ]

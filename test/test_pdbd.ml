@@ -108,31 +108,6 @@ let get_reply name = function
 
 (* ---------------- conformance: the golden session ---------------- *)
 
-let check_text_golden ~(name : string) (actual : string) : unit =
-  let dir = Test_golden.golden_dir () in
-  let path = Filename.concat dir name in
-  if Sys.getenv_opt "PDT_GOLDEN_REGEN" = Some "1" then begin
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Test_golden.write_file path actual;
-    Alcotest.fail
-      (Printf.sprintf
-         "regenerated %s (%d bytes) — unset PDT_GOLDEN_REGEN and rerun" path
-         (String.length actual))
-  end
-  else begin
-    if not (Sys.file_exists path) then
-      Alcotest.fail
-        (Printf.sprintf
-           "missing golden %s — run PDT_GOLDEN_REGEN=1 dune exec test/main.exe \
-            -- test pdbd" path);
-    let expected = Test_golden.read_file path in
-    if expected <> actual then
-      Alcotest.fail
-        (Printf.sprintf "%s: wire replies changed (golden %d bytes, actual %d)\n%s"
-           name (String.length expected) (String.length actual)
-           (Test_golden.diff expected actual))
-  end
-
 let test_conformance_session () =
   let holder = stack_holder () in
   let d = (Snap.current holder).Snap.dt in
@@ -221,7 +196,8 @@ let test_conformance_session () =
   send {|{"id":34,"verb":"reload"}|};
   send {|{"id":35,"verb":"ping"}|};
   send {|{"id":36,"verb":"shutdown"}|};
-  check_text_golden ~name:"pdbd_session.txt" (Buffer.contents b)
+  Test_golden.check_text_golden ~suite:"pdbd" ~what:"wire replies"
+    ~name:"pdbd_session.txt" (Buffer.contents b)
 
 (* every line of the session must also be well-formed JSON with the
    envelope fields, independent of the golden bytes *)

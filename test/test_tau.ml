@@ -182,6 +182,51 @@ let test_uninstrumented_profile_empty () =
   Alcotest.(check int) "no profile entries" 0
     (List.length (Pdt_tau.Pprof.rows r.profile))
 
+(* The interpreter's cost model, pinned: for the Figure 7 solver and the
+   Figure 1 Stack, test/golden/tau_profiles.txt holds every run's exit
+   code, cycles and steps (uninstrumented, flat, callpath, tracing), the
+   program output, both pprof texts and the trace's event count.  An
+   interpreter change that moves a single tick fails here with a diff;
+   the uninstrumented cycles make the B4 virtual-cycle overhead an
+   asserted figure.  Regenerate with
+   PDT_GOLDEN_REGEN=1 dune exec test/main.exe -- test tau *)
+let tau_profiles_text () =
+  let b = Buffer.create 16384 in
+  let section title vfs main =
+    let c, d = compile_d vfs main in
+    let vfs2, _ = I.instrument_vfs vfs (I.plan d) in
+    let prog = (Pdt.compile_exn ~vfs:vfs2 main).Pdt.program in
+    let line label (r : Pdt_tau.Interp.result) extra =
+      Printf.bprintf b "%-15s exit %d, cycles %Ld, steps %Ld%s\n" label r.exit_code
+        r.cycles r.steps extra
+    in
+    let plain = Pdt_tau.Interp.run c.Pdt.program in
+    let flat = Pdt_tau.Interp.run prog in
+    let callpath = Pdt_tau.Interp.run ~callpath:true prog in
+    let traced = Pdt_tau.Interp.run ~tracing:true prog in
+    Printf.bprintf b "== %s ==\n" title;
+    line "uninstrumented" plain "";
+    line "instrumented" flat "";
+    line "callpath" callpath "";
+    line "tracing" traced
+      (Printf.sprintf ", events %d" (List.length (Pdt_tau.Runtime.events traced.profile)));
+    Printf.bprintf b "virtual-cycle overhead: %.2fx\n"
+      (Int64.to_float flat.cycles /. Int64.to_float plain.cycles);
+    Printf.bprintf b "-- output --\n%s" flat.output;
+    Printf.bprintf b "-- flat profile --\n%s" (Pdt_tau.Pprof.format flat.profile);
+    Printf.bprintf b "-- callpath profile --\n%s\n"
+      (Pdt_tau.Pprof.format callpath.profile)
+  in
+  section "pooma_like: n=24, max_iters=200"
+    (Pdt_workloads.Pooma_like.vfs ~n:24 ~max_iters:200 ())
+    Pdt_workloads.Pooma_like.main_file;
+  section "Stack" (Pdt_workloads.Stack.vfs ()) Pdt_workloads.Stack.main_file;
+  Buffer.contents b
+
+let test_tau_profiles_golden () =
+  Test_golden.check_text_golden ~suite:"tau" ~what:"interpreter cost model"
+    ~name:"tau_profiles.txt" (tau_profiles_text ())
+
 let suite =
   [ Alcotest.test_case "Figure 6 plan filter" `Quick test_plan_figure6_filter;
     Alcotest.test_case "static/free: no CT(*this)" `Quick test_plan_static_members_no_ct;
@@ -195,4 +240,5 @@ let suite =
     Alcotest.test_case "profile determinism" `Quick test_profile_determinism;
     Alcotest.test_case "event tracing" `Quick test_tracing;
     Alcotest.test_case "uninstrumented: empty profile" `Quick
-      test_uninstrumented_profile_empty ]
+      test_uninstrumented_profile_empty;
+    Alcotest.test_case "golden: tau profiles" `Quick test_tau_profiles_golden ]
