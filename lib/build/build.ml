@@ -108,6 +108,11 @@ type unit_result = {
       (** the preprocessor hit the include-depth budget: [deps] misses the
           skipped subtree, so the unit must never be treated as reusable
           by dependency fingerprint *)
+  digest : string option;
+      (** {!Pdt_pdb.Pdb_digest} of [pdb], taken from its ASCII bytes when
+          the driver held them (the body just stored in or loaded from the
+          cache, a farm payload); [None] otherwise, and {!merge_inputs}
+          digests the PDB itself *)
 }
 
 type result = {
@@ -198,9 +203,9 @@ let compile_unit (o : options) ~vfs source : compiled =
 let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result =
   let run () =
   let t0 = Unix.gettimeofday () in
-  let finish ?(deps = []) ?(cone_truncated = false) status pdb =
+  let finish ?(deps = []) ?(cone_truncated = false) ?digest status pdb =
     { source; status; pdb; seconds = Unix.gettimeofday () -. t0;
-      deps; cone_truncated }
+      deps; cone_truncated; digest }
   in
   (* a failed store never sinks the unit — the PDB is in hand and the next
      build simply misses; count the loss so --stats surfaces it *)
@@ -216,23 +221,32 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
     in
     match (cache, key) with
     | Some c, Some k -> (
-        match Trace.timed ~cat:"cache" "cache.load" (fun () -> Cache.load c k) with
-        | Some pdb ->
+        match
+          Trace.timed ~cat:"cache" "cache.load" (fun () -> Cache.load c k)
+        with
+        | Some (pdb, digest) ->
             Trace.count ~cat:"cache" "cache.hit" 0;
-            finish Cached (Some pdb)
+            finish ?digest Cached (Some pdb)
         | None -> (
             Trace.count ~cat:"cache" "cache.miss" 0;
             match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit o ~vfs source) with
             | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
-                (* serialize once; the entry body reuses the bytes.  A
-                   truncated-cone unit is never stored: its key misses the
-                   skipped include subtree, so a later edit to that subtree
-                   could not invalidate the entry *)
-                if not c_truncated then begin
-                  let body = Pdt_pdb.Pdb_io.to_string o.pdb_format pdb in
-                  store_entry c k body
-                end;
-                finish ~deps:c_deps ~cone_truncated:c_truncated Compiled
+                (* serialize once; the entry body and, in ASCII, the
+                   merge digest reuse the bytes.  A truncated-cone unit is
+                   never stored: its key misses the skipped include
+                   subtree, so a later edit to that subtree could not
+                   invalidate the entry *)
+                let digest =
+                  if c_truncated then None
+                  else begin
+                    let body = Pdt_pdb.Pdb_io.to_string o.pdb_format pdb in
+                    store_entry c k body;
+                    match o.pdb_format with
+                    | Pdt_pdb.Pdb_io.Ascii -> Some (Pdt_pdb.Pdb_digest.of_string body)
+                    | Pdt_pdb.Pdb_io.Binary -> None
+                  end
+                in
+                finish ~deps:c_deps ~cone_truncated:c_truncated ?digest Compiled
                   (Some pdb)
             | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated } ->
                 (* a partial PDB never enters the cache: fixing the source
@@ -268,11 +282,22 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
     Trace.span ~cat:"build" ~args:[ ("unit", Trace.Str source) ] "build.unit" run
   else run ()
 
+(** A (digest, PDB) pair for {!Pdt_ductape.Ductape.merge_digested}: the
+    digest in hand, else one taken by serializing [pdb]. *)
+let merge_input (digest : string option) (pdb : Pdt_pdb.Pdb.t) =
+  match digest with
+  | Some d -> (d, pdb)
+  | None -> (Pdt_pdb.Pdb_digest.of_pdb pdb, pdb)
+
+(** The merge inputs of the units that produced a PDB. *)
+let merge_inputs (units : unit_result list) : (string * Pdt_pdb.Pdb.t) list =
+  List.filter_map (fun u -> Option.map (merge_input u.digest) u.pdb) units
+
 (** The epilogue every project driver shares: merge the units' PDBs with
-    the flat {!Pdt_ductape.Ductape.merge} and count the statuses.  [t0] is
-    the build's start time, for [wall_seconds]. *)
+    the flat {!Pdt_ductape.Ductape.merge_digested} and count the statuses.
+    [t0] is the build's start time, for [wall_seconds]. *)
 let result_of_units ~t0 (units : unit_result list) : result =
-  let merged = Pdt_ductape.Ductape.merge (List.filter_map (fun u -> u.pdb) units) in
+  let merged = Pdt_ductape.Ductape.merge_digested (merge_inputs units) in
   let count p = List.length (List.filter p units) in
   { merged;
     units;
@@ -311,7 +336,8 @@ let build ?(options = default_options) ~vfs (sources : string list) : result =
            | Ok u -> u
            | Error Scheduler.Cancelled ->
                { source = tasks.(i); status = Skipped; pdb = None;
-                 seconds = 0.0; deps = []; cone_truncated = false }
+                 seconds = 0.0; deps = []; cone_truncated = false;
+                 digest = None }
            | Error e when Fault.is_transient e && options.retries > 0 ->
                (* the worker faulted before the task ran (flaky-worker
                   injection, lost job): one sequential redo, which brings
@@ -321,7 +347,7 @@ let build ?(options = default_options) ~vfs (sources : string list) : result =
            | Error e ->
                { source = tasks.(i); status = Failed (Printexc.to_string e);
                  pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false })
+                 cone_truncated = false; digest = None })
          results)
   in
   result_of_units ~t0 units

@@ -250,14 +250,17 @@ let header key digest = Printf.sprintf "%s key=%s digest=%s" magic key digest
    key and the body digest.  No fault sites here — this is also the
    re-judgement that runs under the shard lock, where an injected verdict
    would fabricate exactly the false positive the lock exists to prevent. *)
-let verify_content key content : string option =
+let verify_digested key content : (string * string) option =
   match String.index_opt content '\n' with
   | None -> None
   | Some i ->
       let body = String.sub content (i + 1) (String.length content - i - 1) in
-      if String.sub content 0 i = header key (Hashutil.string body) then
-        Some body
+      let digest = Hashutil.string body in
+      if String.sub content 0 i = header key digest then Some (body, digest)
       else None
+
+let verify_content key content : string option =
+  Option.map fst (verify_digested key content)
 
 let read_file path =
   Fault.check "cache.read";
@@ -308,21 +311,26 @@ let quarantine_if t key (still_bad : string -> bool) : unit =
     verification — version mismatch, key mismatch (misfiled), digest
     mismatch (truncated / bit-flipped), unparseable body.  Every
     verification failure quarantines the entry so the next build stores a
-    fresh one instead of re-probing the same corrupt file. *)
-let load t key : Pdt_pdb.Pdb.t option =
+    fresh one instead of re-probing the same corrupt file.
+
+    With the PDB comes its {!Pdt_pdb.Pdb_digest} when the body is ASCII:
+    verification has just taken the body's MD5, and an ASCII body is the
+    canonical serialization of the PDB it parses to, so the merge need not
+    serialize the PDB again to digest it.  A PDB-B body gives [None]. *)
+let load t key : (Pdt_pdb.Pdb.t * string option) option =
   match read_file (entry_path t key) with
   | None -> None
   | Some content -> (
       let verified =
-        match verify_content key content with
-        | Some body when not (Fault.should "cache.load.corrupt") -> Some body
+        match verify_digested key content with
+        | Some v when not (Fault.should "cache.load.corrupt") -> Some v
         | _ -> None
       in
       match verified with
       | None ->
           quarantine_if t key (fun c -> verify_content key c = None);
           None
-      | Some body -> (
+      | Some (body, body_digest) -> (
           (* digest-verified bytes should always parse; if they somehow
              don't, that's corruption too — quarantine, never crash.
              The body format is sniffed per entry (ASCII or PDB-B), so a
@@ -330,7 +338,11 @@ let load t key : Pdt_pdb.Pdb.t option =
              reuses entries written by the other.  Transient injections
              from the parser's own site propagate so the driver's retry
              policy sees them. *)
-          try Some (Pdt_pdb.Pdb_io.of_string body)
+          try
+            let pdb = Pdt_pdb.Pdb_io.of_string body in
+            match Pdt_pdb.Pdb_io.sniff_string body with
+            | Pdt_pdb.Pdb_io.Ascii -> Some (pdb, Some body_digest)
+            | Pdt_pdb.Pdb_io.Binary -> Some (pdb, None)
           with
           | Fault.Injected _ as e -> raise e
           | _ ->

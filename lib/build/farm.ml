@@ -158,7 +158,16 @@ let unit_result_of_result ~source (r : Farm_proto.msg) : Build.unit_result =
             Build.Failed "farm: undecodable PDB in result frame"
         | s, _, _ -> s
       in
-      { Build.source; status; pdb; seconds; deps; cone_truncated }
+      (* an ASCII payload is the PDB's canonical serialization: the merge
+         digest comes from the bytes in hand *)
+      let digest =
+        match (pdb, wire_pdb) with
+        | Some _, Some s
+          when Pdt_pdb.Pdb_io.sniff_string s = Pdt_pdb.Pdb_io.Ascii ->
+            Some (Pdt_pdb.Pdb_digest.of_string s)
+        | _ -> None
+      in
+      { Build.source; status; pdb; seconds; deps; cone_truncated; digest }
   | _ -> invalid_arg "unit_result_of_result"
 
 let backoff_delay (c : config) (respawns : int) : float =
@@ -327,7 +336,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
                         "farm: worker %s with unit in flight (attempt %d/%d)"
                         why attempts.(i) (options.Build.retries + 1));
                  pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false })
+                 cone_truncated = false; digest = None })
     | _ -> ());
     w.unit_id <- None;
     close_slot_fd w;
@@ -444,7 +453,8 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
           record i
             (Ok
                { Build.source = tasks.(i); status; pdb = None;
-                 seconds = 0.0; deps = []; cone_truncated = false }))
+                 seconds = 0.0; deps = []; cone_truncated = false;
+                 digest = None }))
       results
   in
   Trace.span ~cat:"farm" ~args:[ ("workers", Trace.Int n_workers) ] "farm.build"
@@ -550,7 +560,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
                { Build.source = tasks.(i);
                  status = Build.Failed (Printexc.to_string e);
                  pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false })
+                 cone_truncated = false; digest = None })
          reconciled)
   in
   Build.result_of_units ~t0 units

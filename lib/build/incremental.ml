@@ -230,10 +230,10 @@ let classify ~vfs ~(o : Build.options) (prev : (string, entry) Hashtbl.t)
       { p_source = source; p_key = key; p_reuse = true;
         p_reason = "fingerprint unchanged"; p_prev = Some e }
 
-(* A group either splices its cached partial merge (members untouched) or
-   re-merges from member unit results. *)
+(* A group either splices its cached partial merge (members untouched),
+   held as a merge input, or re-merges from member unit results. *)
 type group_state =
-  | Ready of P.t
+  | Ready of (string * P.t)
   | Need of Build.unit_result option array  (* filled by the scheduler *)
 
 let delta_build ~(options : options) ~vfs (sources : string list) : result =
@@ -268,11 +268,12 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
     else
       let gkey = group_key (List.map (fun p -> p.p_key) members) in
       match
-        (try Cache.load cache gkey with e when Fault.is_transient e -> None)
+        (try Cache.load cache gkey
+         with e when Fault.is_transient e -> None)
       with
-      | Some pdb ->
+      | Some (pdb, digest) ->
           Trace.count ~cat:"incr" "incr.group_hit" 0;
-          Ready pdb
+          Ready (Build.merge_input digest pdb)
       | None ->
           Trace.count ~cat:"incr" "incr.group_miss" 0;
           Need (Array.make (List.length members) None)
@@ -317,22 +318,24 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
               { Build.source = p.p_source;
                 status = Build.Failed (Printexc.to_string e);
                 pdb = None; seconds = 0.0; deps = [];
-                cone_truncated = false })
+                cone_truncated = false; digest = None })
     results;
-  (* assemble group partials; freshly merged clean groups go back into the
-     content-addressed cache for the next edit *)
+  (* assemble group partials, each with its merge digest; freshly merged
+     clean groups go back into the content-addressed cache for the next
+     edit, and their digest comes from the serialization made for it *)
   let group_pdbs =
     Trace.timed ~cat:"incr" "incr.group_merge" @@ fun () ->
     List.map2
       (fun members state ->
         match state with
-        | Ready pdb -> Some pdb
+        | Ready input -> Some input
         | Need slots ->
             let us = Array.to_list slots |> List.filter_map Fun.id in
-            let survivors = List.filter_map (fun u -> u.Build.pdb) us in
+            let survivors = Build.merge_inputs us in
             if survivors = [] then None
             else begin
-              let pdb = Pdt_ductape.Ductape.merge survivors in
+              let pdb = Pdt_ductape.Ductape.merge_digested survivors in
+              let body = Pdt_pdb.Pdb_write.to_string pdb in
               let clean =
                 List.length us = List.length members
                 && List.for_all
@@ -346,20 +349,18 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
               in
               if clean then begin
                 let gkey = group_key (List.map (fun p -> p.p_key) members) in
-                try
-                  Cache.store_serialized cache gkey
-                    (Pdt_pdb.Pdb_write.to_string pdb)
+                try Cache.store_serialized cache gkey body
                 with e when Fault.is_transient e ->
                   Trace.count ~cat:"incr" "incr.group_store_failed" 0
               end;
-              Some pdb
+              Some (Pdt_pdb.Pdb_digest.of_string body, pdb)
             end)
       groups states
     |> List.filter_map Fun.id
   in
   let merged =
     Trace.timed ~cat:"incr" "incr.merge" @@ fun () ->
-    Pdt_ductape.Ductape.merge group_pdbs
+    Pdt_ductape.Ductape.merge_digested group_pdbs
   in
   (* per-unit report, state entries, and the reanalyzed/reused stats *)
   let units =

@@ -371,21 +371,26 @@ let type_key (pdb : P.t) (ty : P.type_item) =
     definitions that earlier ones lacked: an undefined routine merged with a
     defined duplicate adopts its body position and call list.
 
-    The result is canonical: it depends only on the deduplicated content,
-    not on the caller's input order or grouping.  Inputs are first sorted
-    by a content digest (computed once per input — only the 16-byte key is
-    retained for the sort), and after deduplication a final pass orders
-    every kind by its canonical key, reassigns ids densely in that order,
-    rewrites all references, and sorts the unioned reference lists.  Hence
-    for any partition of the inputs, merging the partial merges yields the
-    same bytes as one flat merge — which is what lets {!Pdt_build}'s
-    parallel tree merge reduce pairwise on worker domains and still match
-    the sequential result exactly. *)
-let merge (pdbs : P.t list) : P.t =
+    Each input comes with its digest: the MD5 (hex) of its canonical ASCII
+    serialization, {!Pdt_pdb.Pdb_digest.of_pdb}.  The build drivers take it
+    from bytes they already hold — a unit's ASCII cache body, just stored
+    or just verified, a group partial, an ASCII farm payload — and {!merge}
+    computes it for inputs without bytes.  Inputs are sorted by digest
+    first.  The merge is first-wins for same-key entities, so input order
+    decides the output bytes, and the digest order makes that order a
+    function of the inputs' content, not of how the caller listed them.
+    After deduplication a final pass orders every kind by its canonical
+    key, reassigns ids densely in that order, rewrites all references, and
+    sorts the unioned reference lists.  Hence for any partition of the
+    inputs, merging the partial merges yields the same bytes as one flat
+    merge — which is what lets the incremental driver splice cached group
+    partials and still match a from-scratch build exactly.  A digest that
+    is not its PDB's could reorder inputs where same-key entities
+    conflict, so the bytes must be that PDB's canonical ASCII. *)
+let merge_digested (inputs : (string * P.t) list) : P.t =
   Pdt_util.Trace.timed ~cat:"pdb" "pdb.merge" @@ fun () ->
   let pdbs =
-    List.map (fun p -> (Pdt_pdb.Pdb_digest.of_pdb p, p)) pdbs
-    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) inputs
     |> List.map snd
   in
   let out = P.create () in
@@ -826,3 +831,8 @@ let merge (pdbs : P.t list) : P.t =
         { m with P.ma_id = rid mamap m.P.ma_id; ma_loc = rloc m.P.ma_loc })
       smacros;
   out
+
+(** {!merge_digested} for PDBs held without their bytes: each input's
+    digest is taken by serializing it. *)
+let merge (pdbs : P.t list) : P.t =
+  merge_digested (List.map (fun p -> (Pdt_pdb.Pdb_digest.of_pdb p, p)) pdbs)

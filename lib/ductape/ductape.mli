@@ -142,10 +142,23 @@ val merge : P.t list -> P.t
 
     The result is canonical: a pure function of the deduplicated content,
     independent of input permutation {e and} of grouping.  Inputs are
-    ordered by a content digest computed once per input, and a final pass
-    sorts every kind by its canonical key, reassigns ids densely and
-    rewrites all references.  Consequently [merge [merge xs; merge ys]]
-    serializes to the same bytes as [merge (xs @ ys)] — the incremental
-    build driver's cached group partials (see {!Pdt_build}) rely on this —
-    and the merge is idempotent up to normalization: [merge [merge ps]]
-    serializes identically to [merge ps]. *)
+    ordered by their content digest (see {!merge_digested}; [merge] takes
+    each input's digest by serializing it), and a final pass sorts every
+    kind by its canonical key, reassigns ids densely and rewrites all
+    references.  Consequently [merge [merge xs; merge ys]] serializes to
+    the same bytes as [merge (xs @ ys)] — the incremental build driver's
+    cached group partials (see {!Pdt_build}) rely on this — and the merge
+    is idempotent up to normalization: [merge [merge ps]] serializes
+    identically to [merge ps]. *)
+
+val merge_digested : (string * P.t) list -> P.t
+(** {!merge} for inputs whose digest the caller already holds: each pair
+    is a PDB and {!Pdt_pdb.Pdb_digest.of_pdb} of it, the MD5 (hex) of its
+    canonical ASCII.  The build drivers take it from ASCII bytes already
+    in hand — a cache body just stored or just verified, a group partial,
+    a farm payload — instead of serializing every input again.  The sort
+    by digest stays: the merge is first-wins for same-key entities, so
+    input order decides the output bytes, and sorting by content makes
+    that order independent of how the caller listed the inputs.  A digest
+    that is not its PDB's may change the output where same-key entities
+    conflict. *)

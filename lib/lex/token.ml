@@ -34,12 +34,12 @@ let keywords =
     "throw"; "true"; "try"; "typedef"; "typeid"; "typename"; "union";
     "unsigned"; "using"; "virtual"; "void"; "volatile"; "wchar_t"; "while" ]
 
-let keyword_set : (string, unit) Hashtbl.t =
+(** Each keyword's [Kw] token, shared by every occurrence the lexer
+    finds. *)
+let keyword_tokens : (string, t) Hashtbl.t =
   let h = Hashtbl.create 97 in
-  List.iter (fun k -> Hashtbl.replace h k ()) keywords;
+  List.iter (fun k -> Hashtbl.replace h k (Kw k)) keywords;
   h
-
-let is_keyword s = Hashtbl.mem keyword_set s
 
 (** All punctuators, longest first so the lexer can use maximal munch. *)
 let punctuators =

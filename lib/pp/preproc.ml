@@ -146,11 +146,18 @@ let paste_tokens t (a : Token.tok) (b : Token.tok) : Token.tok =
         (Token.spelling a.tok) (Token.spelling b.tok);
       a
 
+(* To the preprocessor a keyword is an identifier: [#define inline] names
+   a macro like any other. *)
+let names_macro t (tk : Token.tok) =
+  match tk.tok with
+  | Token.Ident n | Token.Kw n -> Hashtbl.mem t.macros n
+  | _ -> false
+
 (* Expand [input] fully.  [expanding] is the lexical hide context. *)
 let rec expand t (input : ptok list) : ptok list =
   let rec go acc = function
     | [] -> List.rev acc
-    | ({ p = { tok = Token.Ident name; _ }; hide } as x) :: rest
+    | ({ p = { tok = Token.Ident name | Token.Kw name; _ }; hide } as x) :: rest
       when (not (SS.mem name hide)) && Hashtbl.mem t.macros name -> (
         let m = Hashtbl.find t.macros name in
         match m.m_kind with
@@ -296,10 +303,10 @@ let eval_condition t loc (toks : Token.tok list) : bool =
         in
         match rest with
         | ({ Token.tok = Token.Punct "("; _ })
-          :: ({ Token.tok = Token.Ident n; _ } as idt)
+          :: ({ Token.tok = Token.Ident n | Token.Kw n; _ } as idt)
           :: ({ Token.tok = Token.Punct ")"; _ }) :: r ->
             replace_defined (mk (Hashtbl.mem t.macros n) idt :: acc) r
-        | ({ Token.tok = Token.Ident n; _ } as idt) :: r ->
+        | ({ Token.tok = Token.Ident n | Token.Kw n; _ } as idt) :: r ->
             replace_defined (mk (Hashtbl.mem t.macros n) idt :: acc) r
         | _ ->
             Diag.error t.diags loc "malformed 'defined' operator";
@@ -512,9 +519,14 @@ and process_line t path conds currently_active line =
   match line with
   | Text toks ->
       if currently_active () then begin
-        let expanded = expand t (ptoks_of_toks toks) in
+        (* a line that names no macro is its own expansion *)
+        let expanded =
+          if List.exists (names_macro t) toks then
+            toks_of_ptoks (expand t (ptoks_of_toks toks))
+          else toks
+        in
         Limits.count_tokens t.limits (List.length expanded);
-        t.out <- List.rev_append (toks_of_ptoks expanded) t.out
+        t.out <- List.rev_append expanded t.out
       end
   | Directive (loc, dtoks) -> (
       let name, rest =
@@ -532,7 +544,7 @@ and process_line t path conds currently_active line =
       | "ifdef" | "ifndef" ->
           let v =
             match rest with
-            | { tok = Token.Ident n; _ } :: _ -> Hashtbl.mem t.macros n
+            | { tok = Token.Ident n | Token.Kw n; _ } :: _ -> Hashtbl.mem t.macros n
             | _ ->
                 Diag.error t.diags loc "#%s requires an identifier" name;
                 false
@@ -595,7 +607,7 @@ and process_line t path conds currently_active line =
       | "define" -> define_macro t loc rest
       | "undef" -> (
           match rest with
-          | { tok = Token.Ident n; _ } :: _ -> Hashtbl.remove t.macros n
+          | { tok = Token.Ident n | Token.Kw n; _ } :: _ -> Hashtbl.remove t.macros n
           | _ -> Diag.error t.diags loc "#undef requires an identifier")
       | "error" ->
           (* recorded, not raised: keep preprocessing to surface further

@@ -301,7 +301,7 @@ let test_cache_load_rejects_stale_version () =
   let key = C.key ~vfs ~options:"opts" source in
   C.store cache key pdb;
   (match C.load cache key with
-   | Some loaded ->
+   | Some (loaded, _) ->
        Alcotest.(check string) "store/load roundtrip" (pdb_string pdb)
          (pdb_string loaded)
    | None -> Alcotest.fail "freshly stored entry must load");
@@ -321,6 +321,103 @@ let test_cache_key_covers_options () =
   let k1' = C.key ~vfs ~options:"a" source in
   Alcotest.(check string) "key is deterministic" k1 k1';
   Alcotest.(check bool) "options change the key" true (k1 <> k2)
+
+(* ---------------- merge digests ---------------- *)
+
+(* Every (digest, PDB) pair a build hands the merge must carry that PDB's
+   own digest, the MD5 of its canonical ASCII.  A digest taken from other
+   bytes would reorder inputs only where same-key entities conflict, which
+   no byte-identity pin is sure to hit, so this is the guard.  [from_bytes]
+   says whether the units must have taken theirs from bytes in hand (ASCII
+   bodies) rather than leaving the merge to serialize the PDB. *)
+let check_merge_digests what ~from_bytes (r : B.result) =
+  let inputs = B.merge_inputs r.B.units in
+  Alcotest.(check int) (what ^ ": one input per unit") (List.length r.B.units)
+    (List.length inputs);
+  List.iter
+    (fun (d, p) ->
+      if d <> Pdt_pdb.Pdb_digest.of_pdb p then
+        Alcotest.failf "%s: a merge input's digest is not its PDB's" what)
+    inputs;
+  List.iter
+    (fun (u : B.unit_result) ->
+      Alcotest.(check bool) (what ^ ": digest from bytes in hand: " ^ u.B.source)
+        from_bytes (u.B.digest <> None))
+    r.B.units
+
+let test_merge_digests_pool () =
+  let build_fmt ~cache_dir pdb_format =
+    let vfs, sources = project () in
+    B.build
+      ~options:
+        { B.default_options with domains = 2; cache_dir = Some cache_dir; pdb_format }
+      ~vfs sources
+  in
+  let ascii_dir = fresh_dir () and binary_dir = fresh_dir () in
+  let cold = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Ascii in
+  Alcotest.(check int) "ascii cold: all compiled" (n_tus + 1) cold.B.compiled;
+  check_merge_digests "ascii cold" ~from_bytes:true cold;
+  let warm = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Ascii in
+  Alcotest.(check int) "ascii warm: all cached" (n_tus + 1) warm.B.cached;
+  check_merge_digests "ascii warm" ~from_bytes:true warm;
+  let cold = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Binary in
+  check_merge_digests "binary cold" ~from_bytes:false cold;
+  let warm = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Binary in
+  Alcotest.(check int) "binary warm: all cached" (n_tus + 1) warm.B.cached;
+  check_merge_digests "binary warm" ~from_bytes:false warm;
+  (* entries are sniffed per body, not per build mode *)
+  let r = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Binary in
+  check_merge_digests "binary build over ascii entries" ~from_bytes:true r;
+  let r = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Ascii in
+  check_merge_digests "ascii build over binary entries" ~from_bytes:false r;
+  Alcotest.(check string) "every build merges the same bytes"
+    (pdb_string cold.B.merged) (pdb_string r.B.merged)
+
+(* An incremental edit-rebuild merges unit PDBs into group partials, then
+   the partials; both take their digests from cache bodies (through
+   Cache.load) or from the serialization made for the store.
+   Check every entry the rebuild can take a digest from. *)
+let test_merge_digests_incremental () =
+  let module I = Pdt_build.Incremental in
+  let cache_dir = fresh_dir () in
+  let options =
+    { I.group_size = 2; state_file = None;
+      build = { B.default_options with domains = 2; cache_dir = Some cache_dir } }
+  in
+  ignore (I.build ~options ~vfs:(fst (project ())) (snd (project ())));
+  let vfs, sources = project () in
+  Pdt_util.Vfs.add_file vfs "tu1.cpp"
+    (G.translation_unit G.default_config ~tu_index:1
+     ^ "\nint tu1_extra( ) { return 41; }\n");
+  let r = I.build ~options ~vfs sources in
+  Alcotest.(check bool) "delta path taken" false r.I.fallback;
+  Alcotest.(check bool) "cached group partials spliced" true (r.I.groups_reused > 0);
+  Alcotest.(check string) "bytes = from-scratch build"
+    (pdb_string (build ~domains:1 (vfs, sources)).B.merged)
+    (pdb_string r.I.merged);
+  let cache = C.create ~dir:cache_dir () in
+  let rec entries dir acc =
+    Array.fold_left
+      (fun acc f ->
+        let path = Filename.concat dir f in
+        if Sys.is_directory path then entries path acc
+        else if Filename.check_suffix f ".pdb" then Filename.chop_suffix f ".pdb" :: acc
+        else acc)
+      acc (Sys.readdir dir)
+  in
+  let keys = entries (Filename.concat cache_dir "objects") [] in
+  (* n_tus + 1 unit entries plus the group partials of both runs *)
+  Alcotest.(check bool) "unit and group entries present" true
+    (List.length keys > n_tus + 1);
+  List.iter
+    (fun key ->
+      match C.load cache key with
+      | Some (p, Some d) ->
+          if d <> Pdt_pdb.Pdb_digest.of_pdb p then
+            Alcotest.failf "entry %s: digest is not its PDB's" key
+      | Some (_, None) -> Alcotest.failf "entry %s: ASCII body gave no digest" key
+      | None -> Alcotest.failf "entry %s did not load" key)
+    keys
 
 (* ---------------- failure isolation ---------------- *)
 
@@ -476,6 +573,10 @@ let suite =
       test_cache_load_rejects_stale_version;
     Alcotest.test_case "cache key covers options" `Quick
       test_cache_key_covers_options;
+    Alcotest.test_case "merge digests: pool, ascii/binary, cold/warm" `Quick
+      test_merge_digests_pool;
+    Alcotest.test_case "merge digests: incremental edit-rebuild" `Quick
+      test_merge_digests_incremental;
     Alcotest.test_case "failed unit does not sink the build" `Quick
       test_failed_unit_does_not_sink_build;
     Alcotest.test_case "degraded unit still merges" `Quick

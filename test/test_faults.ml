@@ -463,7 +463,7 @@ let corruption_case name mutate () =
        (Filename.concat (C.quarantine_dir cache) (Filename.basename path)));
   C.store cache key pdb;
   (match C.load cache key with
-  | Some loaded ->
+  | Some (loaded, _) ->
       Alcotest.(check string) (name ^ ": rebuilt entry loads cleanly")
         (pdb_string pdb) (pdb_string loaded)
   | None -> Alcotest.fail (name ^ ": rebuilt entry must load"));
@@ -548,7 +548,7 @@ let test_corrupt_truncated_binary () =
   let body = Pdt_pdb.Pdb_io.to_string Pdt_pdb.Pdb_io.Binary pdb in
   C.store_serialized cache key body;
   (match C.load cache key with
-  | Some loaded ->
+  | Some (loaded, _) ->
       Alcotest.(check string) "binary entry loads losslessly"
         (pdb_string pdb) (pdb_string loaded)
   | None -> Alcotest.fail "fresh binary entry must load");

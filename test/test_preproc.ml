@@ -114,6 +114,66 @@ let test_predefined () =
   Alcotest.(check (list string)) "predefined visible" [ "ok" ]
     (List.map (fun (t : Token.tok) -> Token.spelling t.tok) r.Preproc.tokens)
 
+(* a leading-0 literal is octal in #if too *)
+let test_octal_condition () =
+  check "010 == 8" "#if 010 == 8\nok\n#else\nbad\n#endif" [ "ok" ]
+
+(* a #define continued with a line splice, LF or CRLF, is one directive *)
+let test_continued_define () =
+  List.iter
+    (fun (what, src) ->
+      let r, diags = run src in
+      Alcotest.(check (list string)) what [ "int"; "a"; "="; "1"; ";" ] (spellings r);
+      Alcotest.(check int) (what ^ ": no diagnostics") 0
+        (List.length (Diag.diagnostics diags)))
+    [ ("LF", "#define X \\\n 1\nint a = X;\n");
+      ("CRLF", "#define X \\\r\n 1\r\nint a = X;\r\n") ]
+
+(* to the preprocessor a keyword is an identifier *)
+let test_keyword_macros () =
+  check "keywords expand" "#define inline\n#define unsigned int\ninline unsigned f( ) { return 1; }"
+    [ "int"; "f"; "("; ")"; "{"; "return"; "1"; ";"; "}" ];
+  check "#ifdef a keyword" "#define inline\n#ifdef inline\nyes\n#endif" [ "yes" ];
+  check "#ifndef a keyword" "#define inline\n#ifndef inline\nno\n#endif" [];
+  check "defined a keyword" "#define inline\n#if defined(inline) && defined inline\nyes\n#endif"
+    [ "yes" ];
+  check "#undef a keyword" "#define inline static\n#undef inline\ninline" [ "inline" ]
+
+let run_with_budget ~max_tokens src =
+  let vfs = Vfs.create () in
+  Vfs.add_file vfs "main.cpp" src;
+  let diags = Diag.create () in
+  let limits =
+    Limits.create ~budgets:{ Limits.default_budgets with Limits.max_tokens } ()
+  in
+  (Preproc.run ~limits ~vfs ~diags "main.cpp", diags)
+
+(* the token budget holds for text with no macro in it: a TU of exactly
+   the budget passes, one more token breaches it.  The text between two
+   directives is one logical line to the preprocessor, charged whole *)
+let test_token_budget_macro_free () =
+  let decls = String.concat "" (List.init 100 (Printf.sprintf "int a%d ;\n")) in
+  let r, diags = run_with_budget ~max_tokens:300 decls in
+  Alcotest.(check int) "all 300 tokens out" 300 (List.length r.Preproc.tokens);
+  Alcotest.(check bool) "at the budget: no breach" false (Diag.has_errors diags);
+  let r, diags = run_with_budget ~max_tokens:300 (decls ^ "x\n") in
+  Alcotest.(check bool) "one over: breach recorded" true (Diag.has_errors diags);
+  Alcotest.(check int) "the breaching text is dropped" 0
+    (List.length r.Preproc.tokens)
+
+(* a line whose expansion breaches the budget is charged and appended as
+   one unit: none of its tokens reach the output *)
+let test_token_budget_macro_line () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "#define T0 x x\n";
+  for i = 1 to 24 do
+    Buffer.add_string b (Printf.sprintf "#define T%d T%d T%d\n" i (i - 1) (i - 1))
+  done;
+  Buffer.add_string b "int a ; int y = T24 ;\n";
+  let r, diags = run_with_budget ~max_tokens:10_000 (Buffer.contents b) in
+  Alcotest.(check bool) "breach recorded" true (Diag.has_errors diags);
+  Alcotest.(check (list string)) "no token of the line" [] (spellings r)
+
 let suite =
   [ Alcotest.test_case "object-like macros" `Quick test_object_macro;
     Alcotest.test_case "function-like macros" `Quick test_function_macro;
@@ -125,4 +185,12 @@ let suite =
     Alcotest.test_case "undef" `Quick test_undef;
     Alcotest.test_case "#error" `Quick test_error_directive;
     Alcotest.test_case "macro log for PDB" `Quick test_macro_log;
-    Alcotest.test_case "predefined macros" `Quick test_predefined ]
+    Alcotest.test_case "predefined macros" `Quick test_predefined;
+    Alcotest.test_case "octal literal in #if" `Quick test_octal_condition;
+    Alcotest.test_case "continued #define, LF and CRLF" `Quick
+      test_continued_define;
+    Alcotest.test_case "macros named after keywords" `Quick test_keyword_macros;
+    Alcotest.test_case "token budget: macro-free TU" `Quick
+      test_token_budget_macro_free;
+    Alcotest.test_case "token budget: macro line dropped whole" `Quick
+      test_token_budget_macro_line ]
