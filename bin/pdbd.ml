@@ -1,4 +1,4 @@
-(* pdbd: the snapshot-isolated PDB query daemon (ROADMAP item 1).
+(* pdbd: the snapshot-isolated PDB query daemon.
 
    Loads a merged PDB — or builds one from project sources through the
    incremental build machinery — into an immutable DUCTAPE snapshot, then
@@ -9,9 +9,11 @@
      pdbd project.pdb --socket /tmp/pdb.sock &
      printf '{"verb":"stats"}\n' | nc -U /tmp/pdb.sock
 
-   The reader loop runs on the main domain so signals surface as EINTR
-   in select; `--domains` sizes the worker pool that evaluates queries
-   in parallel, each against the snapshot it grabbed at dispatch. *)
+   `--domains` sets the number of event loops.  Each loop owns the
+   connections it accepts and answers their requests inline, each
+   against the snapshot current when it is answered; the first loop runs
+   on the main domain, the others on one domain each.  A signal writes
+   the daemon's stop pipe, which wakes every loop. *)
 
 open Cmdliner
 
@@ -61,7 +63,7 @@ let run inputs socket domains max_line max_conns includes jobs cache_dir
         in
         let t = Pdt_serve.Daemon.create ~config holder in
         let snap = Pdt_serve.Snapshot.current holder in
-        Printf.eprintf "pdbd: serving %s (%s, gen %d) on %s, %d worker domain%s\n%!"
+        Printf.eprintf "pdbd: serving %s (%s, gen %d) on %s, %d event loop%s\n%!"
           snap.Pdt_serve.Snapshot.label snap.Pdt_serve.Snapshot.format
           snap.Pdt_serve.Snapshot.gen socket domains
           (if domains = 1 then "" else "s");
@@ -95,7 +97,9 @@ let socket =
 
 let domains =
   Arg.(value & opt int (Pdt_build.Scheduler.default_domains ())
-       & info [ "domains" ] ~docv:"N" ~doc:"Worker domains answering queries")
+       & info [ "domains" ] ~docv:"N"
+           ~doc:"Event loops answering queries, one domain each; a \
+                 connection stays on the loop that accepted it")
 
 let max_line =
   Arg.(value & opt int (1 lsl 20)

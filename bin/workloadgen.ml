@@ -309,7 +309,7 @@ let reloads =
 let bench_domains =
   Arg.(value & opt int (Pdt_build.Scheduler.default_domains ())
        & info [ "bench-domains" ] ~docv:"N"
-           ~doc:"Worker domains for the in-process daemon")
+           ~doc:"Event loops of the forked daemon (pdbd --domains)")
 
 let out =
   Arg.(value & opt string "BENCH_pdbd.json"

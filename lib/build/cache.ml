@@ -29,8 +29,8 @@
 
     {b Cross-process sharing} (format v4).  One cache directory is shared
     by concurrent builder processes — farm workers, parallel [pdbbuild]
-    invocations, a live [pdbd --project] — so the layout and the
-    destructive operations are built for contention:
+    invocations, a live [pdbd] serving project sources — so the layout
+    and the destructive operations are built for contention:
 
     - entries live in 256 {e shards}, [objects/<hh>/<key>.pdb] with [hh]
       the first two hex digits of the key, so no single directory grows

@@ -1,16 +1,18 @@
-(** A fixed-size pool of OCaml 5 domains draining a shared work queue.
+(** A fixed-size pool of OCaml 5 domains sharing one array of jobs.
 
-    The project build compiles translation units on [domains] workers; the
-    queue is guarded by a [Mutex.t]/[Condition.t] pair (no domainslib
-    dependency).  Results land in per-index slots so callers see them in
-    submission order, never completion order — determinism downstream
-    (merge order, summary order) does not depend on scheduling.
+    The project build compiles translation units on [domains] workers;
+    each worker claims the next job index from one [Atomic] counter (no
+    lock, no queue, no domainslib dependency), and the claim is traced
+    as the [sched.queue_wait] span.  Results land in per-index slots so
+    callers see them in submission order, never completion order —
+    determinism downstream (merge order, summary order) does not depend
+    on scheduling.
 
     Robustness: an exception escaping the task function is captured as
     that slot's [Error], a worker domain dying outside the task (the
     ["scheduler.worker"] fault-injection site models this) marks only its
     own slot, and a caller-supplied [should_stop] predicate lets the
-    build's fail-fast mode drain the remaining queue as {!Cancelled}
+    build's fail-fast mode resolve the unclaimed jobs as {!Cancelled}
     slots instead of running them. *)
 
 open Pdt_util
@@ -52,47 +54,6 @@ let reconcile ?(witness : exn option) ~(pool : string)
    | _ -> ());
   out
 
-type 'a queue = {
-  jobs : 'a Queue.t;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  mutable closed : bool;
-}
-
-let queue_create () =
-  { jobs = Queue.create (); mutex = Mutex.create ();
-    nonempty = Condition.create (); closed = false }
-
-let queue_push q x =
-  Mutex.lock q.mutex;
-  Queue.push x q.jobs;
-  Condition.signal q.nonempty;
-  Mutex.unlock q.mutex
-
-(** No further pushes; workers blocked on an empty queue drain and exit. *)
-let queue_close q =
-  Mutex.lock q.mutex;
-  q.closed <- true;
-  Condition.broadcast q.nonempty;
-  Mutex.unlock q.mutex
-
-(** Blocking pop; [None] once the queue is closed and drained. *)
-let queue_pop q =
-  Mutex.lock q.mutex;
-  let rec take () =
-    match Queue.take_opt q.jobs with
-    | Some x -> Some x
-    | None ->
-        if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.mutex;
-          take ()
-        end
-  in
-  let r = take () in
-  Mutex.unlock q.mutex;
-  r
-
 (** Default worker count: leave one core for the orchestrating domain, and
     don't oversubscribe small containers. *)
 let default_domains () =
@@ -126,12 +87,10 @@ let parallel_map ?domains ?(should_stop = fun () -> false) (f : 'a -> 'b)
   else if domains <= 1 then Array.map run1 items
   else begin
     let results = Array.make n None in
-    let q = queue_create () in
-    Array.iteri (fun i _ -> queue_push q i) items;
-    queue_close q;
+    let next = Atomic.make 0 in
     (* first exception to escape a worker's loop (i.e. outside run1's
        per-task capture) or a join.  It must not vanish: the jobs the dead
-       worker had popped surface below as that exception instead of an
+       worker had claimed surface below as that exception instead of an
        anonymous "lost job", and if no slot is missing it re-raises after
        the join barrier — a worker death is a bug in the scheduler or the
        runtime, never a normal outcome. *)
@@ -139,15 +98,17 @@ let parallel_map ?domains ?(should_stop = fun () -> false) (f : 'a -> 'b)
     let note_crash e = ignore (Atomic.compare_and_set crashed None (Some e)) in
     let worker () =
       let rec loop () =
-        match Trace.span ~cat:"sched" "sched.queue_wait" (fun () -> queue_pop q)
-        with
-        | None -> ()
-        | Some i ->
-            results.(i) <- Some (run1 items.(i));
-            loop ()
+        let i =
+          Trace.span ~cat:"sched" "sched.queue_wait" (fun () ->
+              Atomic.fetch_and_add next 1)
+        in
+        if i < n then begin
+          results.(i) <- Some (run1 items.(i));
+          loop ()
+        end
       in
       (* a dying worker must not take the whole pool down: record the
-         exception and exit; jobs still queued drain on its siblings *)
+         exception and exit; unclaimed jobs go to its siblings *)
       try loop () with e -> note_crash e
     in
     let ds = List.init domains (fun _ -> Domain.spawn worker) in

@@ -1,15 +1,16 @@
 (** Immutable, atomically swappable program-database snapshots — the
-    state model behind pdbd (ROADMAP item 1).
+    state model behind pdbd.
 
     A snapshot is a fully indexed {!Pdt_ductape.Ductape.t}: every hash
     table inside it is built at [index] time and never mutated afterwards,
-    so any number of worker domains can read one snapshot concurrently
-    without a lock.  The live snapshot sits in an [Atomic.t] cell; a
-    reload builds the replacement off to the side and publishes it with a
-    single [Atomic.set].  Requests grab the cell {e once} at dispatch
-    time, which is the whole snapshot-isolation story: an in-flight query
-    keeps the generation it started with, no matter how many swaps land
-    while it runs, and a reply can never mix data from two generations.
+    so any number of the daemon's event loops can read one snapshot
+    concurrently without a lock.  The live snapshot sits in an [Atomic.t]
+    cell; a reload builds the replacement off to the side and publishes it
+    with a single [Atomic.set].  A request grabs the cell {e once} when it
+    is answered, which is the whole snapshot-isolation story: an
+    in-flight query keeps the generation it started with, no matter how
+    many swaps land while it runs, and a reply can never mix data from
+    two generations.
 
     Reloads are serialized by a mutex (concurrent [reload] requests
     queue; each still gets its own generation).  A reload that fails —

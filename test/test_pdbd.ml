@@ -9,11 +9,11 @@
    any change to it must leave a reviewable diff.  Regenerate with
    PDT_GOLDEN_REGEN=1 after an intentional protocol change.
 
-   Concurrency: a live daemon (Unix socket, worker-domain pool) is
-   hammered by client threads while reloads swap the snapshot under
-   them.  Each generation serves a PDB with a different routine count,
-   and every reply must be internally consistent — the advertised gen
-   and the data must come from the same snapshot — with zero failed
+   Concurrency: a live daemon (Unix socket, PDT_TEST_DOMAINS event
+   loops) is hammered by client threads while reloads swap the snapshot
+   under them.  Each generation serves a PDB with a different routine
+   count, and every reply must be internally consistent — the advertised
+   gen and the data must come from the same snapshot — with zero failed
    queries across the swaps.  Failures dump a pdbd-stress.log for CI to
    upload.
 
@@ -21,7 +21,13 @@
    oversized payloads, pipelined garbage) runs ~2000 frames through
    handle_line, which must always return a structured one-line reply,
    and a socket-level subset checks the daemon survives the same abuse
-   with at worst a dropped connection. *)
+   with at worst a dropped connection; every fourth socket frame comes
+   from a client that reads nothing until another client is served.
+   Two directed tests pin the connection lifecycle: a client that never
+   reads holds up no other client, and one that closes with replies
+   still owed gives its slot back and does not delay stop.  Every wait
+   on the daemon is bounded, so a regression fails instead of hanging
+   the suite. *)
 
 module J = Pdt_util.Json
 module P = Pdt_pdb.Pdb
@@ -88,12 +94,37 @@ let rec connect_retry ?(tries = 200) path =
       ignore (Unix.select [] [] [] 0.02);
       connect_retry ~tries:(tries - 1) path
 
-let with_daemon ?(domains = test_domains 2) ?(max_line = Dm.default_config.Dm.max_line)
-    ?(max_conns = Dm.default_config.Dm.max_conns) (holder : Snap.t)
-    (f : string -> unit) : unit =
+(* Dm.stop, bounded: a daemon that does not come down within [secs]
+   fails the test instead of hanging the suite *)
+let stop_within (secs : float) (t : Dm.t) : unit =
+  let finished = Atomic.make false in
+  ignore (Thread.create (fun () -> Dm.stop t; Atomic.set finished true) ());
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    ignore (Unix.select [] [] [] 0.01)
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.failf "Daemon.stop did not return within %.1f s" secs
+
+let start_daemon ?(domains = test_domains 2) ?(max_line = Dm.default_config.Dm.max_line)
+    ?(max_conns = Dm.default_config.Dm.max_conns) (holder : Snap.t) :
+    string * Dm.t =
   let socket_path = fresh_socket () in
-  let t = Dm.start ~config:{ Dm.socket_path; domains; max_line; max_conns } holder in
-  Fun.protect ~finally:(fun () -> Dm.stop t) (fun () -> f socket_path)
+  (socket_path, Dm.start ~config:{ Dm.socket_path; domains; max_line; max_conns } holder)
+
+(* run [f], then stop [t] within [secs]; a failure in [f] is the one
+   reported, not one in the stop that follows it *)
+let then_stop ?(secs = 30.0) (t : Dm.t) (f : unit -> unit) : unit =
+  match f () with
+  | () -> stop_within secs t
+  | exception e ->
+      (try stop_within secs t with _ -> ());
+      raise e
+
+let with_daemon ?domains ?max_line ?max_conns (holder : Snap.t)
+    (f : string -> unit) : unit =
+  let socket_path, t = start_daemon ?domains ?max_line ?max_conns holder in
+  then_stop t (fun () -> f socket_path)
 
 let reply_ok (j : J.t) = J.member "ok" j = Some (J.Bool true)
 
@@ -360,9 +391,11 @@ let test_too_many_connections () =
      the freed slot readmits *)
   let rec readmitted tries =
     let c = connect_retry socket in
+    (* a refused connection the daemon already closed fails the write:
+       that too means "not readmitted yet" *)
     match Cl.request_json c (J.Obj [ ("verb", J.Str "ping") ]) with
     | Some j when reply_ok j -> Cl.close c
-    | _ ->
+    | _ | (exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _)) ->
         Cl.close c;
         if tries = 0 then Alcotest.fail "slot never freed after disconnect"
         else begin
@@ -372,6 +405,83 @@ let test_too_many_connections () =
   in
   readmitted 200;
   Cl.close c2
+
+(* A client that pipelines and never reads must not hold up another one,
+   even when a single loop serves both: its replies queue up to the
+   output bound, its loop stops answering it, and every other client is
+   served meanwhile.  Once it reads, it gets all of them, in order. *)
+let test_slow_reader () =
+  with_daemon ~domains:1 (stack_holder ()) @@ fun socket ->
+  let n = 2000 in
+  let a = connect_retry socket in
+  Fun.protect ~finally:(fun () -> Cl.close a) @@ fun () ->
+  Unix.setsockopt_float a.Cl.fd Unix.SO_SNDTIMEO 10.0;
+  Unix.setsockopt_float a.Cl.fd Unix.SO_RCVTIMEO 10.0;
+  let batch =
+    String.concat "\n"
+      (List.init n (Printf.sprintf {|{"id":%d,"verb":"stats","render":true}|}))
+  in
+  Cl.send_line a batch;
+  (* let the daemon start answering A, and its replies pile up unread *)
+  (match Unix.select [ a.Cl.fd ] [] [] 5.0 with
+   | [], _, _ -> Alcotest.fail "slow reader: no reply within 5 s"
+   | _ -> ignore (Unix.select [] [] [] 0.3));
+  let b = connect_retry socket in
+  Fun.protect ~finally:(fun () -> Cl.close b) @@ fun () ->
+  Unix.setsockopt_float b.Cl.fd Unix.SO_RCVTIMEO 1.0;
+  (match Cl.request_json b (J.Obj [ ("verb", J.Str "ping") ]) with
+   | Some j -> Alcotest.(check bool) "second client answered" true (reply_ok j)
+   | None -> Alcotest.fail "second client dropped"
+   | exception (Sys_error _ | Sys_blocked_io | Unix.Unix_error _) ->
+       Alcotest.fail "second client's ping unanswered within 1 s");
+  let bytes = ref 0 in
+  for i = 0 to n - 1 do
+    match Cl.recv_line a with
+    | None -> Alcotest.failf "slow reader dropped before reply %d" i
+    | exception (Sys_error _ | Sys_blocked_io) ->
+        Alcotest.failf "slow reader: reply %d not received" i
+    | Some line -> (
+        bytes := !bytes + String.length line + 1;
+        match J.parse line with
+        | Ok j when reply_ok j ->
+            if Option.bind (J.member "id" j) J.to_num_opt <> Some (float_of_int i)
+            then Alcotest.failf "slow reader: reply %d out of order: %s" i line
+        | _ -> Alcotest.failf "slow reader: reply %d not ok: %s" i line)
+  done;
+  Alcotest.(check bool) "replies passed the output bound" true
+    (!bytes > Dm.max_unread)
+
+(* A client that disconnects with replies still owed must give its slot
+   back: at max_conns = 1 the next client is admitted, and stop does not
+   wait on the dead connection. *)
+let test_fire_and_close () =
+  let socket, t = start_daemon ~max_conns:1 (stack_holder ()) in
+  then_stop ~secs:(Dm.drain_deadline +. 1.0) t @@ fun () ->
+  let c = connect_retry socket in
+  Cl.send_line c
+    (String.concat "\n"
+       (List.init 50 (Printf.sprintf {|{"id":%d,"verb":"ping"}|})));
+  Cl.close c;
+  (* the daemon frees the slot once it sees the close; until then the
+     next client may still be refused *)
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec next_client () =
+    let c = connect_retry socket in
+    Unix.setsockopt_float c.Cl.fd Unix.SO_RCVTIMEO 1.0;
+    let reply =
+      try Cl.request_json c (J.Obj [ ("verb", J.Str "ping") ])
+      with Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> None
+    in
+    Cl.close c;
+    match reply with
+    | Some j when J.member "pong" j = Some (J.Bool true) -> ()
+    | _ when Unix.gettimeofday () < deadline ->
+        ignore (Unix.select [] [] [] 0.02);
+        next_client ()
+    | Some j -> Alcotest.failf "next client not served: %s" (J.to_string j)
+    | None -> Alcotest.fail "next client got no reply"
+  in
+  next_client ()
 
 (* ---------------- concurrency: snapshot isolation under reloads ----- *)
 
@@ -581,6 +691,23 @@ let test_fuzz_socket () =
        Cl.send_line c frame;
        (* pipelined garbage: the daemon answers line by line or drops us *)
        Cl.send_line c {|{"id":"probe","verb":"ping"}|};
+       (* slow-reader mode, every fourth frame: [c] reads nothing until a
+          well-behaved second client has been served *)
+       if i mod 4 = 3 then begin
+         let other = connect_retry socket in
+         Unix.setsockopt_float other.Cl.fd Unix.SO_RCVTIMEO 5.0;
+         let served =
+           try
+             Option.fold ~none:false ~some:reply_ok
+               (Cl.request_json other (J.Obj [ ("verb", J.Str "ping") ]))
+           with Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> false
+         in
+         Cl.close other;
+         if not served then
+           Alcotest.failf "fuzz-socket %d: a slow reader held up another client" i;
+         if Unix.select [ c.Cl.fd ] [] [] 5.0 = ([], [], []) then
+           Alcotest.failf "fuzz-socket %d: slow reader got no reply and no close" i
+       end;
        let rec drain_until_probe budget =
          if budget = 0 then Alcotest.failf "fuzz-socket %d: no probe reply" i
          else
@@ -620,6 +747,10 @@ let suite =
       test_too_many_connections;
     Alcotest.test_case "oversized line: error then close" `Quick
       test_oversized_line;
+    Alcotest.test_case "slow reader holds up no other client" `Quick
+      test_slow_reader;
+    Alcotest.test_case "fire-and-close frees its slot" `Quick
+      test_fire_and_close;
     Alcotest.test_case "stress: snapshot isolation under reloads" `Slow
       test_stress_snapshot_isolation;
     Alcotest.test_case "concurrent reloads serialize" `Quick
