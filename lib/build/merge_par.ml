@@ -21,8 +21,8 @@
 
     A k-way split beats a pairwise binary tree here for two reasons: the
     pool spawns its domains once instead of once per round, and each input
-    item is canonicalized twice in total (once in its chunk, once at the
-    root over the already-deduplicated partials) instead of [log2 n]
+    item is keyed and rewritten twice in total (once in its chunk, once at
+    the root over the already-deduplicated partials) instead of [log2 n]
     times.  When template duplication across translation units is heavy —
     the paper's Table 2 scenario — the partials are close to the unique
     content, so the root merge is cheap and the chunk level parallelizes

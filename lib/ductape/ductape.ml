@@ -283,22 +283,35 @@ let instantiations t (te : P.template_item) : item list =
 
 type 'a tree = { node : 'a; children : 'a tree list }
 
-(** The source-file inclusion tree, rooted at the main source file (the
-    first file of the PDB).  Cycles (mutual inclusion guards) are cut. *)
-let include_tree t : P.source_file tree option =
-  match t.pdb.P.files with
-  | [] -> None
-  | root :: _ ->
-      let rec build seen (f : P.source_file) =
-        { node = f;
-          children =
-            List.filter_map
-              (fun id ->
-                if List.mem id seen then None
-                else Option.map (build (id :: seen)) (file t id))
-              f.P.so_includes }
-      in
-      Some (build [ root.P.so_id ] root)
+(** The source-file inclusion forest: one tree per file that no other
+    file includes, in file order — the main file of a one-unit PDB, every
+    translation unit of a merged one.  When every file is included by
+    another (all lie on include cycles), the first file is the one root.
+    Cycles (mutual inclusion guards) are cut. *)
+let include_tree t : P.source_file tree list =
+  let files = t.pdb.P.files in
+  let included = Hashtbl.create 64 in
+  List.iter
+    (fun (f : P.source_file) ->
+      List.iter
+        (fun id -> if id <> f.P.so_id then Hashtbl.replace included id ())
+        f.P.so_includes)
+    files;
+  let roots =
+    match List.filter (fun f -> not (Hashtbl.mem included f.P.so_id)) files, files with
+    | [], first :: _ -> [ first ]
+    | roots, _ -> roots
+  in
+  let rec build seen (f : P.source_file) =
+    { node = f;
+      children =
+        List.filter_map
+          (fun id ->
+            if List.mem id seen then None
+            else Option.map (build (id :: seen)) (file t id))
+          f.P.so_includes }
+  in
+  List.map (fun root -> build [ root.P.so_id ] root) roots
 
 (** Static call tree rooted at [root] (default: the routine named "main").
     Cycles are cut at the repeated node. *)
@@ -379,14 +392,21 @@ let type_key (pdb : P.t) (ty : P.type_item) =
     first.  The merge is first-wins for same-key entities, so input order
     decides the output bytes, and the digest order makes that order a
     function of the inputs' content, not of how the caller listed them.
-    After deduplication a final pass orders every kind by its canonical
-    key, reassigns ids densely in that order, rewrites all references, and
-    sorts the unioned reference lists.  Hence for any partition of the
-    inputs, merging the partial merges yields the same bytes as one flat
-    merge — which is what lets the incremental driver splice cached group
-    partials and still match a from-scratch build exactly.  A digest that
-    is not its PDB's could reorder inputs where same-key entities
-    conflict, so the bytes must be that PDB's canonical ASCII. *)
+
+    An entity's output id is its key's rank within its kind, over the
+    distinct keys of all inputs.  Each item's key is computed once, in its
+    own input, and each reference is rewritten once, straight to that
+    rank; the unioned reference lists (file includes, namespace members,
+    class member functions) come out sorted.  A partial merge keeps every
+    key of its inputs, so the ranks, and with them every id, are the same
+    however the inputs are grouped.  For mutually consistent inputs —
+    duplicates equal up to ids, or declaration/definition pairs, as under
+    the one-definition rule — merging the partial merges of any partition
+    therefore yields the same bytes as one flat merge, which is what lets
+    the incremental driver splice cached group partials and still match a
+    from-scratch build exactly.  A digest that is not its PDB's could
+    reorder inputs where same-key entities conflict, so the bytes must be
+    that PDB's canonical ASCII. *)
 let merge_digested (inputs : (string * P.t) list) : P.t =
   Pdt_util.Trace.timed ~cat:"pdb" "pdb.merge" @@ fun () ->
   let pdbs =
@@ -404,72 +424,41 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         out.P.diag_count <- out.P.diag_count + p.P.diag_count
       end)
     pdbs;
-  (* key -> new id, per kind *)
-  let fkeys = Hashtbl.create 64 and ckeys = Hashtbl.create 64 in
-  let rkeys = Hashtbl.create 256 and tekeys = Hashtbl.create 64 in
-  let nkeys = Hashtbl.create 16 and tykeys = Hashtbl.create 256 in
-  let mkeys = Hashtbl.create 64 in
-  let next_f = ref 1 and next_c = ref 1 and next_r = ref 1 and next_te = ref 1 in
-  let next_n = ref 1 and next_ty = ref 1 and next_m = ref 1 in
-  (* accumulated merged items by new id *)
-  let mfiles : (int, P.source_file) Hashtbl.t = Hashtbl.create 64 in
-  let mclasses : (int, P.class_item) Hashtbl.t = Hashtbl.create 64 in
-  let mroutines : (int, P.routine_item) Hashtbl.t = Hashtbl.create 256 in
-  let mtemplates : (int, P.template_item) Hashtbl.t = Hashtbl.create 64 in
-  let mnamespaces : (int, P.namespace_item) Hashtbl.t = Hashtbl.create 16 in
-  let mtypes : (int, P.type_item) Hashtbl.t = Hashtbl.create 256 in
-  let mmacros : (int, P.macro_item) Hashtbl.t = Hashtbl.create 64 in
-  let order_f = ref [] and order_c = ref [] and order_r = ref [] in
-  let order_te = ref [] and order_n = ref [] and order_ty = ref [] in
-  let order_m = ref [] in
-  List.iter
-    (fun (pdb : P.t) ->
-      (* pass 1: assign new ids for this pdb's items *)
-      let fmap = Hashtbl.create 16 and cmap = Hashtbl.create 64 in
-      let rmap = Hashtbl.create 256 and temap = Hashtbl.create 64 in
-      let nmap = Hashtbl.create 16 and tymap = Hashtbl.create 256 in
-      let mmap = Hashtbl.create 64 in
-      let alloc keys key next map oldid order =
-        match Hashtbl.find_opt keys key with
-        | Some newid ->
-            Hashtbl.replace map oldid newid;
-            (newid, false)
-        | None ->
-            let newid = !next in
-            incr next;
-            Hashtbl.replace keys key newid;
-            Hashtbl.replace map oldid newid;
-            order := newid :: !order;
-            (newid, true)
-      in
-      List.iter
-        (fun (f : P.source_file) ->
-          ignore (alloc fkeys (file_key f) next_f fmap f.P.so_id order_f))
-        pdb.P.files;
-      List.iter
-        (fun (n : P.namespace_item) ->
-          ignore (alloc nkeys (namespace_key pdb n) next_n nmap n.P.na_id order_n))
-        pdb.P.namespaces;
-      List.iter
-        (fun (te : P.template_item) ->
-          ignore (alloc tekeys (template_key pdb te) next_te temap te.P.te_id order_te))
-        pdb.P.templates;
-      List.iter
-        (fun (c : P.class_item) ->
-          ignore (alloc ckeys (class_key pdb c) next_c cmap c.P.cl_id order_c))
-        pdb.P.classes;
-      List.iter
-        (fun (r : P.routine_item) ->
-          ignore (alloc rkeys (routine_key pdb r) next_r rmap r.P.ro_id order_r))
-        pdb.P.routines;
-      List.iter
-        (fun (ty : P.type_item) ->
-          ignore (alloc tykeys (type_key pdb ty) next_ty tymap ty.P.ty_id order_ty))
-        pdb.P.types;
-      List.iter
-        (fun (m : P.macro_item) ->
-          ignore (alloc mkeys (macro_key m) next_m mmap m.P.ma_id order_m))
-        pdb.P.pdb_macros;
+  (* pass 1: key every item in its own input and rank the kind's distinct
+     keys; returns one empty slot per output id and, per input, the map
+     from its local ids to output ids *)
+  let rank items id key =
+    let keyed = List.map (fun p -> List.map (fun x -> (id x, key p x)) (items p)) pdbs in
+    let ranks = Hashtbl.create 256 in
+    List.iter (List.iter (fun (_, k) -> Hashtbl.replace ranks k 0)) keyed;
+    Hashtbl.fold (fun k _ acc -> k :: acc) ranks []
+    |> List.sort String.compare
+    |> List.iteri (fun i k -> Hashtbl.replace ranks k (i + 1));
+    let local l =
+      let map = Hashtbl.create 64 in
+      List.iter (fun (i, k) -> Hashtbl.replace map i (Hashtbl.find ranks k)) l;
+      map
+    in
+    (Array.make (Hashtbl.length ranks + 1) None, Array.of_list (List.map local keyed))
+  in
+  let mfiles, fmaps = rank (fun p -> p.P.files) (fun f -> f.P.so_id) (fun _ -> file_key) in
+  let mnamespaces, nmaps =
+    rank (fun p -> p.P.namespaces) (fun n -> n.P.na_id) namespace_key
+  in
+  let mtemplates, temaps =
+    rank (fun p -> p.P.templates) (fun te -> te.P.te_id) template_key
+  in
+  let mclasses, cmaps = rank (fun p -> p.P.classes) (fun c -> c.P.cl_id) class_key in
+  let mroutines, rmaps = rank (fun p -> p.P.routines) (fun r -> r.P.ro_id) routine_key in
+  let mtypes, tymaps = rank (fun p -> p.P.types) (fun ty -> ty.P.ty_id) type_key in
+  let mmacros, mmaps =
+    rank (fun p -> p.P.pdb_macros) (fun m -> m.P.ma_id) (fun _ -> macro_key)
+  in
+  List.iteri
+    (fun i (pdb : P.t) ->
+      let fmap = fmaps.(i) and nmap = nmaps.(i) and temap = temaps.(i) in
+      let cmap = cmaps.(i) and rmap = rmaps.(i) and tymap = tymaps.(i) in
+      let mmap = mmaps.(i) in
       (* pass 2: rewrite and merge *)
       let remap_loc (l : P.loc) =
         if l.P.lfile = 0 then l
@@ -495,10 +484,10 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         (fun (f : P.source_file) ->
           let newid = Hashtbl.find fmap f.P.so_id in
           let includes = List.filter_map (Hashtbl.find_opt fmap) f.P.so_includes in
-          match Hashtbl.find_opt mfiles newid with
+          match mfiles.(newid) with
           | None ->
-              Hashtbl.replace mfiles newid
-                { P.so_id = newid; so_name = f.P.so_name; so_includes = includes }
+              mfiles.(newid) <-
+                Some { P.so_id = newid; so_name = f.P.so_name; so_includes = includes }
           | Some existing ->
               List.iter
                 (fun i ->
@@ -522,10 +511,10 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
                 | P.Rma i -> Option.map (fun i -> P.Rma i) (Hashtbl.find_opt mmap i))
               n.P.na_members
           in
-          match Hashtbl.find_opt mnamespaces newid with
+          match mnamespaces.(newid) with
           | None ->
-              Hashtbl.replace mnamespaces newid
-                { n with P.na_id = newid; na_loc = remap_loc n.P.na_loc;
+              mnamespaces.(newid) <-
+                Some { n with P.na_id = newid; na_loc = remap_loc n.P.na_loc;
                   na_parent = remap_parent n.P.na_parent; na_members = members }
           | Some existing ->
               List.iter
@@ -537,9 +526,9 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
       List.iter
         (fun (te : P.template_item) ->
           let newid = Hashtbl.find temap te.P.te_id in
-          if not (Hashtbl.mem mtemplates newid) then
-            Hashtbl.replace mtemplates newid
-              { te with P.te_id = newid; te_loc = remap_loc te.P.te_loc;
+          if Option.is_none mtemplates.(newid) then
+            mtemplates.(newid) <-
+              Some { te with P.te_id = newid; te_loc = remap_loc te.P.te_loc;
                 te_parent = remap_parent te.P.te_parent;
                 te_pos = remap_extent te.P.te_pos })
         pdb.P.templates;
@@ -575,13 +564,17 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
                   c.P.cl_members;
               cl_pos = remap_extent c.P.cl_pos }
           in
-          match Hashtbl.find_opt mclasses newid with
-          | None -> Hashtbl.replace mclasses newid rewritten
+          match mclasses.(newid) with
+          | None -> mclasses.(newid) <- Some rewritten
           | Some existing ->
-              (* a complete definition beats a forward declaration; merge the
-                 member-function lists of partial (used-mode) instantiations *)
-              if existing.P.cl_members = [] && rewritten.P.cl_members <> [] then
-                Hashtbl.replace mclasses newid rewritten
+              (* a definition beats a forward declaration: it has an extent
+                 (a bare [class X;] has none, even [class X { };] has one) or
+                 data members.  Otherwise merge the member-function lists of
+                 partial (used-mode) instantiations. *)
+              if (existing.P.cl_pos = P.null_extent && rewritten.P.cl_pos <> P.null_extent)
+                 || (existing.P.cl_members = [] && rewritten.P.cl_members <> [])
+              then
+                mclasses.(newid) <- Some rewritten
               else
                 List.iter
                   (fun (ro, l) ->
@@ -627,19 +620,19 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
                   r.P.ro_du;
               ro_pos = remap_extent r.P.ro_pos }
           in
-          match Hashtbl.find_opt mroutines newid with
-          | None -> Hashtbl.replace mroutines newid rewritten
+          match mroutines.(newid) with
+          | None -> mroutines.(newid) <- Some rewritten
           | Some existing ->
               (* a definition from a later TU completes a declaration *)
               if rewritten.P.ro_defined && not existing.P.ro_defined then
-                Hashtbl.replace mroutines newid rewritten)
+                mroutines.(newid) <- Some rewritten)
         pdb.P.routines;
       List.iter
         (fun (ty : P.type_item) ->
           let newid = Hashtbl.find tymap ty.P.ty_id in
-          if not (Hashtbl.mem mtypes newid) then
-            Hashtbl.replace mtypes newid
-              { ty with P.ty_id = newid; ty_loc = remap_loc ty.P.ty_loc;
+          if Option.is_none mtypes.(newid) then
+            mtypes.(newid) <-
+              Some { ty with P.ty_id = newid; ty_loc = remap_loc ty.P.ty_loc;
                 ty_parent = remap_parent ty.P.ty_parent;
                 ty_info =
                   (match ty.P.ty_info with
@@ -660,176 +653,30 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
       List.iter
         (fun (m : P.macro_item) ->
           let newid = Hashtbl.find mmap m.P.ma_id in
-          if not (Hashtbl.mem mmacros newid) then
-            Hashtbl.replace mmacros newid
-              { m with P.ma_id = newid; ma_loc = remap_loc m.P.ma_loc })
+          if Option.is_none mmacros.(newid) then
+            mmacros.(newid) <-
+              Some { m with P.ma_id = newid; ma_loc = remap_loc m.P.ma_loc })
         pdb.P.pdb_macros)
     pdbs;
-  (* Canonicalization.  The accumulators above are deduplicated but their
-     id space is first-occurrence order over the input list, so merging
-     the same PDBs grouped differently (a parallel tree merge) would
-     allocate differently.  This final pass makes the output a pure
-     function of the deduplicated content: entities of each kind are
-     ordered by their canonical key (unique per kind — it is the dedup
-     identity), ids are reassigned densely in that order, every reference
-     is rewritten, and unioned reference lists (file includes, namespace
-     members, class member-function lists) are sorted.  Source-ordered
-     lists (calls, base classes, members) keep their winner's order. *)
-  let pre = P.create () in
-  pre.P.files <- List.rev_map (Hashtbl.find mfiles) !order_f;
-  pre.P.namespaces <- List.rev_map (Hashtbl.find mnamespaces) !order_n;
-  pre.P.templates <- List.rev_map (Hashtbl.find mtemplates) !order_te;
-  pre.P.classes <- List.rev_map (Hashtbl.find mclasses) !order_c;
-  pre.P.routines <- List.rev_map (Hashtbl.find mroutines) !order_r;
-  pre.P.types <- List.rev_map (Hashtbl.find mtypes) !order_ty;
-  pre.P.pdb_macros <- List.rev_map (Hashtbl.find mmacros) !order_m;
-  let sort_by key get_id items =
-    List.sort
-      (fun a b ->
-        let c = String.compare (key a) (key b) in
-        if c <> 0 then c else compare (get_id a) (get_id b))
-      items
-  in
-  let sfiles = sort_by file_key (fun f -> f.P.so_id) pre.P.files in
-  let snamespaces = sort_by (namespace_key pre) (fun n -> n.P.na_id) pre.P.namespaces in
-  let stemplates = sort_by (template_key pre) (fun te -> te.P.te_id) pre.P.templates in
-  let sclasses = sort_by (class_key pre) (fun c -> c.P.cl_id) pre.P.classes in
-  let sroutines = sort_by (routine_key pre) (fun r -> r.P.ro_id) pre.P.routines in
-  let stypes = sort_by (type_key pre) (fun ty -> ty.P.ty_id) pre.P.types in
-  let smacros = sort_by macro_key (fun m -> m.P.ma_id) pre.P.pdb_macros in
-  let remap_of get_id items =
-    let h = Hashtbl.create 64 in
-    List.iteri (fun i x -> Hashtbl.replace h (get_id x) (i + 1)) items;
-    h
-  in
-  let fmap = remap_of (fun (f : P.source_file) -> f.P.so_id) sfiles in
-  let nmap = remap_of (fun (n : P.namespace_item) -> n.P.na_id) snamespaces in
-  let temap = remap_of (fun (te : P.template_item) -> te.P.te_id) stemplates in
-  let cmap = remap_of (fun (c : P.class_item) -> c.P.cl_id) sclasses in
-  let rmap = remap_of (fun (r : P.routine_item) -> r.P.ro_id) sroutines in
-  let tymap = remap_of (fun (ty : P.type_item) -> ty.P.ty_id) stypes in
-  let mamap = remap_of (fun (m : P.macro_item) -> m.P.ma_id) smacros in
-  let rid h id = if id = 0 then 0 else Option.value ~default:0 (Hashtbl.find_opt h id) in
-  let rloc (l : P.loc) =
-    if l.P.lfile = 0 then l else { l with P.lfile = rid fmap l.P.lfile }
-  in
-  let rextent (e : P.extent) =
-    { P.hstart = rloc e.P.hstart; hstop = rloc e.P.hstop;
-      bstart = rloc e.P.bstart; bstop = rloc e.P.bstop }
-  in
-  let rtyperef = function
-    | P.Tyref id -> P.Tyref (rid tymap id)
-    | P.Clref id -> P.Clref (rid cmap id)
-  in
-  let rparent = function
-    | P.Pcl id -> P.Pcl (rid cmap id)
-    | P.Pna id -> P.Pna (rid nmap id)
-    | P.Pnone -> P.Pnone
-  in
-  let ritemref = function
-    | P.Rso i -> P.Rso (rid fmap i)
-    | P.Rro i -> P.Rro (rid rmap i)
-    | P.Rcl i -> P.Rcl (rid cmap i)
-    | P.Rty i -> P.Rty (rid tymap i)
-    | P.Rte i -> P.Rte (rid temap i)
-    | P.Rna i -> P.Rna (rid nmap i)
-    | P.Rma i -> P.Rma (rid mamap i)
-  in
-  out.P.files <-
-    List.map
-      (fun (f : P.source_file) ->
-        { P.so_id = rid fmap f.P.so_id; so_name = f.P.so_name;
-          so_includes = List.sort compare (List.map (rid fmap) f.P.so_includes) })
-      sfiles;
-  out.P.namespaces <-
-    List.map
-      (fun (n : P.namespace_item) ->
-        { n with P.na_id = rid nmap n.P.na_id; na_loc = rloc n.P.na_loc;
-          na_parent = rparent n.P.na_parent;
-          na_members = List.sort compare (List.map ritemref n.P.na_members) })
-      snamespaces;
-  out.P.templates <-
-    List.map
-      (fun (te : P.template_item) ->
-        { te with P.te_id = rid temap te.P.te_id; te_loc = rloc te.P.te_loc;
-          te_parent = rparent te.P.te_parent; te_pos = rextent te.P.te_pos })
-      stemplates;
-  out.P.classes <-
-    List.map
-      (fun (c : P.class_item) ->
-        { c with P.cl_id = rid cmap c.P.cl_id; cl_loc = rloc c.P.cl_loc;
-          cl_parent = rparent c.P.cl_parent;
-          cl_templ = Option.map (rid temap) c.P.cl_templ;
-          cl_stempl = Option.map (rid temap) c.P.cl_stempl;
-          cl_bases = List.map (fun (a, v, b) -> (a, v, rid cmap b)) c.P.cl_bases;
-          cl_friends =
-            List.map
-              (function `Cl i -> `Cl (rid cmap i) | `Ro i -> `Ro (rid rmap i))
-              c.P.cl_friends;
-          cl_funcs =
-            List.sort compare
-              (List.map (fun (ro, l) -> (rid rmap ro, rloc l)) c.P.cl_funcs);
-          cl_members =
-            List.map
-              (fun (m : P.member) ->
-                { m with P.m_loc = rloc m.P.m_loc; m_type = rtyperef m.P.m_type })
-              c.P.cl_members;
-          cl_pos = rextent c.P.cl_pos })
-      sclasses;
-  out.P.routines <-
-    List.map
-      (fun (r : P.routine_item) ->
-        { r with P.ro_id = rid rmap r.P.ro_id; ro_loc = rloc r.P.ro_loc;
-          ro_parent = rparent r.P.ro_parent; ro_sig = rtyperef r.P.ro_sig;
-          ro_templ = Option.map (rid temap) r.P.ro_templ;
-          ro_calls =
-            List.map
-              (fun (c : P.call) ->
-                { c with P.c_callee = rid rmap c.P.c_callee; c_loc = rloc c.P.c_loc })
-              r.P.ro_calls;
-          ro_spawns =
-            List.map
-              (fun (s : P.spawn) ->
-                { P.sp_callee = rid rmap s.P.sp_callee; sp_loc = rloc s.P.sp_loc;
-                  sp_join = Option.map rloc s.P.sp_join })
-              r.P.ro_spawns;
-          ro_du =
-            List.map
-              (fun (v : P.du_var) ->
-                { v with
-                  P.v_defs = List.map rloc v.P.v_defs;
-                  v_uses =
-                    List.map
-                      (fun (u : P.du_use) -> { u with P.u_loc = rloc u.P.u_loc })
-                      v.P.v_uses })
-              r.P.ro_du;
-          ro_pos = rextent r.P.ro_pos })
-      sroutines;
-  out.P.types <-
-    List.map
-      (fun (ty : P.type_item) ->
-        { ty with P.ty_id = rid tymap ty.P.ty_id; ty_loc = rloc ty.P.ty_loc;
-          ty_parent = rparent ty.P.ty_parent;
-          ty_info =
-            (match ty.P.ty_info with
-             | P.Ybuiltin _ | P.Yenum _ | P.Ytparam | P.Yerror -> ty.P.ty_info
-             | P.Yptr r -> P.Yptr (rtyperef r)
-             | P.Yref r -> P.Yref (rtyperef r)
-             | P.Ytref { target; yconst; yvolatile } ->
-                 P.Ytref { target = rtyperef target; yconst; yvolatile }
-             | P.Yarray { elem; size } -> P.Yarray { elem = rtyperef elem; size }
-             | P.Yfunc { rett; args; ellipsis; cqual; exceptions } ->
-                 P.Yfunc
-                   { rett = rtyperef rett;
-                     args = List.map (fun (r, d) -> (rtyperef r, d)) args;
-                     ellipsis; cqual;
-                     exceptions = Option.map (List.map rtyperef) exceptions }) })
-      stypes;
-  out.P.pdb_macros <-
-    List.map
-      (fun (m : P.macro_item) ->
-        { m with P.ma_id = rid mamap m.P.ma_id; ma_loc = rloc m.P.ma_loc })
-      smacros;
+  (* each kind in id order; the unioned reference lists are sorted, so
+     they do not depend on which input contributed first *)
+  let emit merged = List.filter_map Fun.id (Array.to_list merged) in
+  out.P.files <- emit mfiles;
+  out.P.namespaces <- emit mnamespaces;
+  out.P.templates <- emit mtemplates;
+  out.P.classes <- emit mclasses;
+  out.P.routines <- emit mroutines;
+  out.P.types <- emit mtypes;
+  out.P.pdb_macros <- emit mmacros;
+  List.iter
+    (fun (f : P.source_file) -> f.P.so_includes <- List.sort compare f.P.so_includes)
+    out.P.files;
+  List.iter
+    (fun (n : P.namespace_item) -> n.P.na_members <- List.sort compare n.P.na_members)
+    out.P.namespaces;
+  List.iter
+    (fun (c : P.class_item) -> c.P.cl_funcs <- List.sort compare c.P.cl_funcs)
+    out.P.classes;
   out
 
 (** {!merge_digested} for PDBs held without their bytes: each input's

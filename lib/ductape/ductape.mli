@@ -123,8 +123,11 @@ val instantiations : t -> P.template_item -> item list
 
 type 'a tree = { node : 'a; children : 'a tree list }
 
-val include_tree : t -> P.source_file tree option
-(** Source-file inclusion tree rooted at the main file; cycles cut. *)
+val include_tree : t -> P.source_file tree list
+(** Source-file inclusion forest: one tree per file no other file
+    includes, in file order (the main file of a one-unit PDB, every
+    translation unit of a merged one), or the first file alone when all
+    lie on include cycles; cycles cut. *)
 
 val call_tree : ?root:P.routine_item -> t -> P.routine_item tree option
 (** Static call tree (default root: [main]); cycles cut. *)
@@ -138,18 +141,20 @@ val merge : P.t list -> P.t
 (** Merge PDBs from separate compilations into one, eliminating duplicate
     entities — in particular duplicate template instantiations (the engine
     behind pdbmerge, Table 2).  Duplicates complete each other: an undefined
-    routine adopts a duplicate's definition (body extent and call list).
+    routine adopts a duplicate's definition (body extent and call list),
+    and a forward-declared class adopts its definition.
 
     The result is canonical: a pure function of the deduplicated content,
     independent of input permutation {e and} of grouping.  Inputs are
     ordered by their content digest (see {!merge_digested}; [merge] takes
-    each input's digest by serializing it), and a final pass sorts every
-    kind by its canonical key, reassigns ids densely and rewrites all
-    references.  Consequently [merge [merge xs; merge ys]] serializes to
-    the same bytes as [merge (xs @ ys)] — the incremental build driver's
-    cached group partials (see {!Pdt_build}) rely on this — and the merge
-    is idempotent up to normalization: [merge [merge ps]] serializes
-    identically to [merge ps]. *)
+    each input's digest by serializing it), and an entity's output id is
+    its key's rank within its kind.  Grouping cannot move a rank: a
+    partial merge keeps every key of its inputs.  Consequently
+    [merge [merge xs; merge ys]] serializes to the same bytes as
+    [merge (xs @ ys)] for mutually consistent inputs — the incremental
+    build driver's cached group partials (see {!Pdt_build}) rely on this —
+    and the merge is idempotent up to normalization: [merge [merge ps]]
+    serializes identically to [merge ps]. *)
 
 val merge_digested : (string * P.t) list -> P.t
 (** {!merge} for inputs whose digest the caller already holds: each pair

@@ -78,7 +78,8 @@ let call_graph ?root (d : D.t) : string =
     roots;
   Buffer.contents buf
 
-(** The source-file inclusion tree as a string. *)
+(** The source-file inclusion forest as a string: one tree per file no
+    other file includes. *)
 let include_tree (d : D.t) : string =
   let buf = Buffer.create 256 in
   let rec go level (t : P.source_file D.tree) =
@@ -88,7 +89,7 @@ let include_tree (d : D.t) : string =
     Buffer.add_char buf '\n';
     List.iter (go (level + 1)) t.D.children
   in
-  (match D.include_tree d with Some t -> go 0 t | None -> ());
+  List.iter (go 0) (D.include_tree d);
   Buffer.contents buf
 
 (** The class hierarchy forest as a string. *)

@@ -228,6 +228,41 @@ let test_parallel_merge_decl_def () =
       Alcotest.fail
         (Printf.sprintf "expected 1 merged routine, got %d" (List.length rs))
 
+(* shapes.h defines [Square : Shape]; a.cpp uses Square, and each
+   b<i>.cpp only forward-declares it.  Square has no data members, so only
+   its extent tells the definition from the bare [class Square;]. *)
+let shapes_project (bs : int list) =
+  let vfs = Pdt_util.Vfs.create () in
+  Pdt_util.Vfs.add_file vfs "shapes.h"
+    "class Shape { public: virtual int area() const { return 0; } };\n\
+     class Square : public Shape { public: int area() const { return 4; } };\n";
+  Pdt_util.Vfs.add_file vfs "a.cpp"
+    "#include \"shapes.h\"\nint main() { Square s; return s.area(); }\n";
+  let b i =
+    let name = Printf.sprintf "b%d.cpp" i in
+    Pdt_util.Vfs.add_file vfs name
+      (Printf.sprintf "class Square;\nint use%d(Square * p) { return 0; }\n" i);
+    name
+  in
+  (vfs, "a.cpp" :: List.map b bs)
+
+(* A forward declaration must not strip the class's definition from the
+   merged PDB, whichever unit sorts first by digest. *)
+let test_forward_decl_keeps_definition () =
+  for i = 0 to 15 do
+    let what = Printf.sprintf "a.cpp + b%d.cpp" i in
+    let r = build ~domains:1 (shapes_project [ i ]) in
+    Alcotest.(check int) (what ^ ": no failures") 0 r.B.failed;
+    let d = D.index r.B.merged in
+    match List.find_opt (fun (c : P.class_item) -> c.P.cl_name = "Square") (D.classes d) with
+    | None -> Alcotest.fail (what ^ ": Square missing from the merged PDB")
+    | Some sq ->
+        Alcotest.(check (list string)) (what ^ ": Square keeps its base") [ "Shape" ]
+          (List.map (fun (_, _, (c : P.class_item)) -> c.P.cl_name) (D.bases d sq));
+        Alcotest.(check bool) (what ^ ": Square keeps its extent") true
+          (sq.P.cl_pos <> P.null_extent)
+  done
+
 (* ---------------- the incremental cache ---------------- *)
 
 let test_warm_cache_recompiles_nothing () =
@@ -561,6 +596,8 @@ let suite =
       test_parallel_merge_order_independent;
     Alcotest.test_case "tree merge decl/def pairs" `Quick
       test_parallel_merge_decl_def;
+    Alcotest.test_case "forward declaration keeps the definition" `Quick
+      test_forward_decl_keeps_definition;
     Alcotest.test_case "warm cache recompiles nothing" `Quick
       test_warm_cache_recompiles_nothing;
     Alcotest.test_case "edit invalidates exactly one entry" `Quick

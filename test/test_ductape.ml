@@ -61,11 +61,11 @@ let test_callees_callers () =
 let test_include_tree () =
   let d = stack_d () in
   match D.include_tree d with
-  | Some t ->
+  | [ t ] ->
       Alcotest.(check string) "root" "TestStackAr.cpp" t.D.node.P.so_name;
       let names = List.map (fun c -> c.D.node.P.so_name) t.D.children in
       Alcotest.(check bool) "StackAr.h child" true (List.mem "StackAr.h" names)
-  | None -> Alcotest.fail "no include tree"
+  | _ -> Alcotest.fail "no include tree"
 
 let test_call_tree () =
   let d = stack_d () in

@@ -193,9 +193,143 @@ let test_goldens_roundtrip () =
       end)
     corpus
 
+(* ---------------- merged-PDB digests ---------------- *)
+
+(* merge_digests.txt pins the bytes Ductape.merge produces, one line per
+   merge case: the case name, the merged PDB's digest and its item count.
+   The cases are generated projects (flat, as 8-unit group partials and
+   reversed, which must all agree), more generator shapes, the C++
+   golden workloads pairwise and all together, a mixed-language project,
+   damaged inputs with a fifth of one item kind dropped so that
+   references dangle, and a class defined in one unit and only
+   forward-declared in others.  A merge change that moves any byte of
+   any case fails here. *)
+
+module B = Pdt_build.Build
+module G = Pdt_workloads.Generator
+module D = Pdt_ductape.Ductape
+module P = Pdt_pdb.Pdb
+
+let unit_pdbs (vfs, sources) =
+  List.map (fun s -> (B.compile_unit B.default_options ~vfs s).B.c_pdb) sources
+
+let rec chunks n = function
+  | [] -> []
+  | l -> List.filteri (fun i _ -> i < n) l :: chunks n (List.filteri (fun i _ -> i >= n) l)
+
+let item_kinds =
+  [| "files"; "namespaces"; "templates"; "classes"; "routines"; "types"; "macros" |]
+
+(* Drop a fifth (at least one) of the items of kind [seed mod 7] from
+   every input, picked by a seeded generator.  Each damaged case also
+   generates its project from its seed, so kinds with one item per input
+   (namespaces, macros) still differ between seeds. *)
+let damage ~seed (pdbs : P.t list) : P.t list =
+  let r = G.rng seed in
+  let drop_fifth l =
+    let ranked = List.mapi (fun i _ -> (G.next r, i)) l |> List.sort compare in
+    let victims = List.filteri (fun k _ -> k < max 1 (List.length l / 5)) ranked in
+    List.filteri (fun i _ -> not (List.exists (fun (_, v) -> v = i) victims)) l
+  in
+  List.map
+    (fun (p : P.t) ->
+      let p = { p with P.files = p.P.files } (* a copy; the input stays whole *) in
+      (match seed mod 7 with
+       | 0 -> p.P.files <- drop_fifth p.P.files
+       | 1 -> p.P.namespaces <- drop_fifth p.P.namespaces
+       | 2 -> p.P.templates <- drop_fifth p.P.templates
+       | 3 -> p.P.classes <- drop_fifth p.P.classes
+       | 4 -> p.P.routines <- drop_fifth p.P.routines
+       | 5 -> p.P.types <- drop_fifth p.P.types
+       | _ -> p.P.pdb_macros <- drop_fifth p.P.pdb_macros);
+      p)
+    pdbs
+
+(* (seed, (class templates, chain depth, methods, function templates,
+   plain classes, instantiation types), TUs) *)
+let shapes =
+  [ (1, (1, 1, 1, 1, 1, 1), 1); (2, (2, 1, 2, 1, 1, 2), 2);
+    (3, (3, 2, 2, 2, 2, 2), 3); (4, (4, 3, 3, 2, 1, 3), 4);
+    (5, (2, 2, 4, 3, 3, 1), 5); (6, (5, 4, 2, 1, 2, 4), 6);
+    (7, (3, 1, 1, 4, 4, 5), 3); (8, (6, 5, 3, 2, 2, 3), 4);
+    (9, (4, 4, 4, 4, 4, 4), 2); (10, (8, 3, 4, 4, 4, 3), 8);
+    (11, (2, 2, 2, 0, 0, 2), 4); (12, (7, 2, 1, 3, 1, 5), 5) ]
+
+let merge_cases () : (string * P.t) list =
+  let flat_grouped_reversed name pdbs =
+    [ (name ^ "/flat", D.merge pdbs);
+      (name ^ "/groups8", D.merge (List.map D.merge (chunks 8 pdbs)));
+      (name ^ "/reversed", D.merge (List.rev pdbs)) ]
+  in
+  let default_shape =
+    List.concat_map
+      (fun seed ->
+        flat_grouped_reversed
+          (Printf.sprintf "gen-default-s%d-24tu" seed)
+          (unit_pdbs (G.project_vfs ~cfg:{ G.default_config with seed } ~n_tus:24 ())))
+      [ 7; 31; 42 ]
+  in
+  let other_shapes =
+    List.map
+      (fun (seed, (t, d, m, f, p, i), n_tus) ->
+        let cfg =
+          { G.seed; n_class_templates = t; chain_depth = d; methods_per_class = m;
+            n_function_templates = f; n_plain_classes = p; n_instantiation_types = i }
+        in
+        ( Printf.sprintf "gen-s%d-t%d-d%d-m%d-f%d-p%d-i%d-%dtu/flat" seed t d m f p i n_tus,
+          D.merge (unit_pdbs (G.project_vfs ~cfg ~n_tus ())) ))
+      shapes
+  in
+  let workloads =
+    List.filter_map
+      (fun (name, _) ->
+        if name = "fortran_demo" then None
+        else Some (name, Pdt_pdb.Pdb_parse.of_string (read_file (golden_read_path name))))
+      corpus
+  in
+  let rec pairs = function
+    | [] -> []
+    | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
+  in
+  let corpus_cases =
+    List.map
+      (fun ((a, pa), (b, pb)) -> (Printf.sprintf "corpus/%s+%s" a b, D.merge [ pa; pb ]))
+      (pairs workloads)
+    @ [ ("corpus/all", D.merge (List.map snd workloads)) ]
+  in
+  let mixed ?(seed = G.default_config.G.seed) () =
+    unit_pdbs (G.mixed_project_vfs ~cfg:{ G.default_config with seed } ~n_tus:3 ())
+  in
+  let damaged =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "damaged/s%d-%s" seed item_kinds.(seed mod 7),
+          D.merge (damage ~seed (mixed ~seed ())) ))
+      (List.init 14 (fun i -> i + 1))
+  in
+  let forward_decl =
+    [ ("fwd-decl/a+b0", D.merge (unit_pdbs (Test_build.shapes_project [ 0 ])));
+      ( "fwd-decl/a+b0..b15",
+        D.merge (unit_pdbs (Test_build.shapes_project (List.init 16 Fun.id))) ) ]
+  in
+  default_shape @ other_shapes @ corpus_cases
+  @ [ ("mixed-3tu-f90-java/flat", D.merge (mixed ())) ]
+  @ damaged @ forward_decl
+
+let test_merge_digests () =
+  let lines =
+    List.map
+      (fun (name, m) ->
+        Printf.sprintf "%s %s %d\n" name (Pdt_pdb.Pdb_digest.of_pdb m) (P.item_count m))
+      (merge_cases ())
+  in
+  check_text_golden ~suite:"golden" ~what:"merged PDB digests" ~name:"merge_digests.txt"
+    (String.concat "" lines)
+
 let suite =
   List.map
     (fun (name, produce) ->
       Alcotest.test_case ("golden: " ^ name) `Quick (check_golden (name, produce)))
     corpus
-  @ [ Alcotest.test_case "goldens parse and round-trip" `Quick test_goldens_roundtrip ]
+  @ [ Alcotest.test_case "goldens parse and round-trip" `Quick test_goldens_roundtrip;
+      Alcotest.test_case "golden: merge digests" `Quick test_merge_digests ]

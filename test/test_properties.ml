@@ -241,6 +241,60 @@ let prop_project_merge_roundtrip =
       s = s')
 
 (* ------------------------------------------------------------------ *)
+(* Merge: any grouping of the inputs merges to the flat merge's bytes  *)
+(* ------------------------------------------------------------------ *)
+
+(* A random generator config and project size, and a random partition of
+   the units into 1-6 groups in random order: merging the group partials
+   must serialize exactly like one flat merge of all the units.  The
+   incremental driver's cached group partials depend on this. *)
+let prop_merge_grouping_independent =
+  QCheck.Test.make ~count:50
+    ~name:"merge: merging group partials = one flat merge"
+    QCheck.(triple (int_range 0 1000) (int_range 2 6) (int_range 0 1_000_000))
+    (fun (seed, n_tus, partition_seed) ->
+      let r = Pdt_workloads.Generator.rng seed in
+      let pick lo hi = lo + (Pdt_workloads.Generator.next r mod (hi - lo + 1)) in
+      let cfg =
+        { Pdt_workloads.Generator.seed;
+          n_class_templates = pick 1 4; chain_depth = pick 1 3;
+          methods_per_class = pick 1 3; n_function_templates = pick 0 3;
+          n_plain_classes = pick 0 3; n_instantiation_types = pick 1 4 }
+      in
+      let vfs, sources = Pdt_workloads.Generator.project_vfs ~cfg ~n_tus () in
+      let pdbs =
+        List.map
+          (fun f -> Pdt_analyzer.Analyzer.run (Pdt.compile_exn ~vfs f).Pdt.program)
+          sources
+      in
+      let rs = Random.State.make [| partition_seed |] in
+      let shuffled =
+        List.map (fun p -> (Random.State.bits rs, p)) pdbs
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let n = List.length shuffled in
+      let k = 1 + Random.State.int rs (min 6 n) in
+      (* k contiguous non-empty runs: cut after k-1 distinct positions *)
+      let cuts =
+        List.init (n - 1) (fun i -> (Random.State.bits rs, i + 1))
+        |> List.sort compare
+        |> List.filteri (fun j _ -> j < k - 1)
+        |> List.map snd
+      in
+      let group_of i = List.length (List.filter (fun c -> c <= i) cuts) in
+      let groups =
+        List.init k (fun g -> List.filteri (fun i _ -> group_of i = g) shuffled)
+      in
+      let module D = Pdt_ductape.Ductape in
+      let flat = Pdt_pdb.Pdb_write.to_string (D.merge pdbs) in
+      let grouped = Pdt_pdb.Pdb_write.to_string (D.merge (List.map D.merge groups)) in
+      if flat <> grouped then
+        QCheck.Test.fail_reportf "%d units in %d groups: grouped merge differs" n
+          (List.length groups);
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Incremental build: a random edit's delta rebuild is exact           *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,6 +414,7 @@ let suite =
       prop_generator_deterministic;
       prop_generator_compiles;
       prop_project_merge_roundtrip;
+      prop_merge_grouping_independent;
       prop_incremental_edit_exact;
       prop_subst_empty_identity;
       prop_instrumentation_preserves_semantics ]

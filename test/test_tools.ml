@@ -74,6 +74,17 @@ let test_pdbtree_include_and_class () =
   let ch = Pdt_tools.Pdbtree.class_hierarchy d in
   Alcotest.(check bool) "classes listed" true (contains ch "Stack<int>")
 
+(* A merged project has one root per file no other file includes: every
+   translation unit, not just the PDB's first file (generated.h, which
+   sorts first by name). *)
+let test_pdbtree_include_forest_merged () =
+  let vfs, files = Pdt_workloads.Generator.project_vfs ~n_tus:3 () in
+  let merged, _ = Pdt.compile_project ~vfs files in
+  let roots = [ "main.cpp"; "tu0.cpp"; "tu1.cpp"; "tu2.cpp" ] in
+  Alcotest.(check string) "one tree per translation unit"
+    (String.concat "" (List.map (fun r -> r ^ "\n`--> generated.h\n") roots))
+    (Pdt_tools.Pdbtree.include_tree (D.index merged))
+
 (* ---------------- pdbmerge ---------------- *)
 
 let test_pdbmerge_stats () =
@@ -194,6 +205,8 @@ let suite =
     Alcotest.test_case "pdbtree call graph (Fig 5)" `Quick test_pdbtree_call_graph_figure5;
     Alcotest.test_case "pdbtree VIRTUAL and recursion" `Quick test_pdbtree_virtual_and_recursion;
     Alcotest.test_case "pdbtree include/class trees" `Quick test_pdbtree_include_and_class;
+    Alcotest.test_case "pdbtree include forest of a merged PDB" `Quick
+      test_pdbtree_include_forest_merged;
     Alcotest.test_case "pdbmerge statistics" `Quick test_pdbmerge_stats;
     Alcotest.test_case "pdbhtml pages" `Quick test_pdbhtml_pages;
     Alcotest.test_case "pdbhtml links resolve" `Quick test_pdbhtml_links_resolve;
