@@ -14,7 +14,7 @@
    --clients level — every client performs the handshake and --queries
    round trips while reloads swap the snapshot under them — and writes
    the p50/p90/p99 latency and queries/sec curve to --out
-   (BENCH_pdbd.json).  Any failed query fails the run: the snapshot swap
+   (pdbd-load.json).  Any failed query fails the run: the snapshot swap
    must be invisible to clients. *)
 
 open Cmdliner
@@ -312,7 +312,7 @@ let bench_domains =
            ~doc:"Event loops of the forked daemon (pdbd --domains)")
 
 let out =
-  Arg.(value & opt string "BENCH_pdbd.json"
+  Arg.(value & opt string "pdbd-load.json"
        & info [ "out" ] ~docv:"FILE" ~doc:"Benchmark result file (B11)")
 
 let bench_shutdown =

@@ -219,11 +219,6 @@ let last_part (q : qual_name) : name_part =
 
 let builtin ?signedness ?length base = TBuiltin { base; signedness; length }
 
-let int_type = builtin `Int
-let void_type = builtin `Void
-let bool_type = builtin `Bool
-let double_type = builtin `Double
-
 (** Strip top-level cv-qualifiers. *)
 let rec unqual = function
   | TConst t | TVolatile t -> unqual t

@@ -75,39 +75,94 @@ let dir t = t.dir
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Lexical include scan: finds  #include "x"  and  #include <x>  at the
-   start of a line (after whitespace), the only forms the preprocessor
-   accepts.  Macro-computed includes don't exist in this front end. *)
+(* Lexical include scan: the files  #include "x"  and  #include <x>  name,
+   the only forms the preprocessor accepts (macro-computed includes don't
+   exist in this front end).  The preprocessor reads lexer tokens, so one
+   byte pass finds directives by the lexer's rules without tokenizing the
+   file: blanks, comments and line splices may sit between any two tokens;
+   a [#] starts a directive when no token precedes it on its line, where a
+   line break inside a block comment or a literal's escape ends a line and
+   a splice does not; and string and character literals are skipped whole,
+   to their quote or an unescaped line break, so that neither hides nor
+   fakes a comment.  The lexer and the preprocessor read each include
+   directive the pass finds. *)
 let scan_includes (src : string) : (bool * string) list =
+  let n = String.length src in
+  let at i c = i < n && src.[i] = c in
   let acc = ref [] in
-  String.split_on_char '\n' src
-  |> List.iter (fun line ->
-         let n = String.length line in
-         let i = ref 0 in
-         while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done;
-         if !i < n && line.[!i] = '#' then begin
-           incr i;
-           while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done;
-           let kw = "include" in
-           let k = String.length kw in
-           if !i + k <= n && String.sub line !i k = kw then begin
-             i := !i + k;
-             while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do incr i done;
-             if !i < n then
-               match line.[!i] with
-               | '"' -> (
-                   match String.index_from_opt line (!i + 1) '"' with
-                   | Some j ->
-                       acc := (false, String.sub line (!i + 1) (j - !i - 1)) :: !acc
-                   | None -> ())
-               | '<' -> (
-                   match String.index_from_opt line (!i + 1) '>' with
-                   | Some j ->
-                       acc := (true, String.sub line (!i + 1) (j - !i - 1)) :: !acc
-                   | None -> ())
-               | _ -> ()
-           end
-         end);
+  let bol = ref true in
+  (* past the trivia at [i], noting in [bol] a line break it crosses *)
+  let rec trivia i =
+    if i >= n then i
+    else
+      match src.[i] with
+      | ' ' | '\t' | '\r' -> trivia (i + 1)
+      | '\n' ->
+          bol := true;
+          trivia (i + 1)
+      | '\\' when at (i + 1) '\n' -> trivia (i + 2)
+      | '\\' when at (i + 1) '\r' && at (i + 2) '\n' -> trivia (i + 3)
+      | '/' when at (i + 1) '/' -> (
+          match String.index_from_opt src i '\n' with Some j -> trivia j | None -> n)
+      | '/' when at (i + 1) '*' ->
+          let rec close j =
+            if j + 1 >= n then n
+            else if src.[j] = '*' && src.[j + 1] = '/' then trivia (j + 2)
+            else begin
+              if src.[j] = '\n' then bol := true;
+              close (j + 1)
+            end
+          in
+          close (i + 2)
+      | _ -> i
+  in
+  (* past the literal whose opening quote [q] is at [i - 1] *)
+  let rec literal q i =
+    if i >= n then n
+    else if src.[i] = '\n' then i
+    else if src.[i] = q then i + 1
+    else if src.[i] = '\\' then begin
+      if at (i + 1) '\n' then bol := true;
+      literal q (i + 2)
+    end
+    else literal q (i + 1)
+  in
+  (* past the directive whose [#] ends at [i]: an include's tokens, up to
+     the next line, come from the lexer, and the preprocessor's own
+     [include_target] reads the file they name *)
+  let directive i =
+    let i = trivia i in
+    if !bol || i + 7 > n || String.sub src i 7 <> "include" then i
+    else begin
+      let toks, stop = Pdt_lex.Lexer.rest_of_line ~diags:(Diag.create ()) src i in
+      (match toks with
+       | { tok = Pdt_lex.Token.Ident "include"; _ } :: rest ->
+           Option.iter
+             (fun (name, system) -> acc := (system, name) :: !acc)
+             (Pdt_pp.Preproc.include_target rest)
+       | _ -> ());
+      bol := true;
+      stop
+    end
+  in
+  let i = ref 0 in
+  while !i < n do
+    match src.[!i] with
+    | ' ' | '\t' | '\r' -> incr i
+    | '\n' ->
+        bol := true;
+        incr i
+    | '#' when !bol ->
+        bol := false;
+        i := directive (!i + 1)
+    | ('"' | '\'') as q ->
+        bol := false;
+        i := literal q (!i + 1)
+    | '/' | '\\' when trivia !i > !i -> i := trivia !i
+    | _ ->
+        bol := false;
+        incr i
+  done;
   List.rev !acc
 
 (** The include closure of [source]: [(path, contents)] in DFS first-visit

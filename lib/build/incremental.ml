@@ -46,12 +46,9 @@ module P = Pdt_pdb.Pdb
 type options = {
   build : Build.options;
   group_size : int;    (** units per memoized partial merge *)
-  state_file : string option;
-      (** default: [incremental.state] inside the cache dir *)
 }
 
-let default_options =
-  { build = Build.default_options; group_size = 8; state_file = None }
+let default_options = { build = Build.default_options; group_size = 8 }
 
 (* ------------------------------------------------------------------ *)
 (* Persistent state                                                    *)
@@ -65,6 +62,9 @@ type entry = {
 }
 
 let state_magic = "PDT-INCR v1"
+
+(* the state file of the cache in [dir] *)
+let state_path dir = Filename.concat dir "incremental.state"
 
 (* Hash of a dependency set's current contents.  Normalized like the
    cache key, so whitespace-only edits keep the hash; a missing file
@@ -245,11 +245,7 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
   in
   let t0 = Unix.gettimeofday () in
   let cache = Cache.create ~dir () in
-  let state_path =
-    match options.state_file with
-    | Some p -> p
-    | None -> Filename.concat dir "incremental.state"
-  in
+  let state_path = state_path dir in
   let prev_entries = load_state state_path in
   let had_state = prev_entries <> [] in
   let prev = Hashtbl.create 64 in
@@ -473,11 +469,6 @@ let full_build ~(options : options) ~vfs (sources : string list)
   (match options.build.Build.cache_dir with
    | None -> ()
    | Some dir ->
-       let state_path =
-         match options.state_file with
-         | Some p -> p
-         | None -> Filename.concat dir "incremental.state"
-       in
        let entries =
          List.filter_map
            (fun (u : Build.unit_result) ->
@@ -498,7 +489,7 @@ let full_build ~(options : options) ~vfs (sources : string list)
              | _ -> None)
            r.Build.units
        in
-       save_state state_path entries);
+       save_state (state_path dir) entries);
   let reused = r.Build.cached in
   let total = List.length r.Build.units in
   Trace.count ~cat:"incr" "incr.reanalyzed" (total - reused);

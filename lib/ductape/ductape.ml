@@ -92,7 +92,7 @@ let pdb t = t.pdb
 (* Loading sniffs the container format (ASCII vs PDB-B).  On the binary
    path the whole load — mmap, record decode, and index build — runs
    under one [pdb.mmap_index] span: that is the end-to-end "cold load"
-   cost the B10 bench tracks against the ASCII parser. *)
+   cost, which a trace shows as one span. *)
 let of_string s =
   match Pdt_pdb.Pdb_io.sniff_string s with
   | Pdt_pdb.Pdb_io.Binary ->

@@ -330,6 +330,20 @@ let next st : Token.tok =
     { tok; loc = tloc; bol; space }
   end
 
+(** The tokens after offset [pos] of [src] on its logical line, and the
+    offset where the trivia before the next line's first token begins
+    (or the end of [src]). *)
+let rest_of_line ~diags src pos =
+  let st = create ~diags ~file:"" src in
+  st.pos <- pos;
+  st.bol <- false;
+  let rec go acc =
+    let stop = st.pos in
+    let t = next st in
+    if t.tok = Token.Eof || t.bol then (List.rev acc, stop) else go (t :: acc)
+  in
+  go []
+
 (** Lex an entire file to a token list (without the trailing [Eof]). *)
 let tokenize ~diags ~file src =
   let go () =

@@ -1171,19 +1171,6 @@ and parse_ctor_inits t : (string * expr list) list =
   end
   else []
 
-(* Skip a balanced brace block without parsing (used for error recovery). *)
-and skip_balanced t =
-  expect_punct t "{";
-  let depth = ref 1 in
-  while !depth > 0 do
-    (match (cur t).tok with
-     | Token.Punct "{" -> incr depth
-     | Token.Punct "}" -> decr depth
-     | Token.Eof -> err t "unexpected end of file inside braces"
-     | _ -> ());
-    advance t
-  done
-
 (* class definition after the class-key; [key_loc] is the location of the
    class keyword *)
 and parse_class t key key_loc : class_def =

@@ -63,8 +63,6 @@ let sec_cl = 7
 let sec_ty = 8
 let sec_ma = 9
 
-let section_count = 9
-
 (* fixed record widths, in u32 words *)
 let so_words = 4
 let na_words = 10

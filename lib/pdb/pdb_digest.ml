@@ -10,9 +10,3 @@
 let of_string (s : string) : string = Digest.to_hex (Digest.string s)
 
 let of_pdb (pdb : Pdb.t) : string = of_string (Pdb_write.to_string pdb)
-
-(** Digest of a PDB file on disk, loaded (either container format) and
-    re-serialized to canonical ASCII first, so that incidental formatting
-    differences — including the choice of ASCII vs PDB-B container — do
-    not change the digest. *)
-let of_file (path : string) : string = of_pdb (Pdb_io.of_file path)

@@ -13,11 +13,6 @@ type format = Ascii | Binary
 
 let format_name = function Ascii -> "ascii" | Binary -> "binary"
 
-let format_of_string = function
-  | "ascii" -> Some Ascii
-  | "binary" -> Some Binary
-  | _ -> None
-
 let sniff_string (s : string) : format =
   if Pdb_bin.is_binary_string s then Binary else Ascii
 

@@ -3,13 +3,10 @@
     This is the original multi-pass parser ([String.split_on_char] into
     lines, list-of-blocks intermediate, per-line [String.trim]).  The hot
     path now runs through the single-pass cursor parser in {!Pdb_parse};
-    this module stays for two jobs:
-
-    - tests cross-check that {!Pdb_parse} reports the same [Parse_error]
-      line numbers on malformed input, and parses well-formed input to the
-      same structure;
-    - bench B7 measures the new parser's throughput against this one (the
-      speedup recorded in [BENCH_pdb_io.json]). *)
+    this module stays so that tests ([test_pdb], [test_fuzz], [test_mhp],
+    [test_duchains]) can cross-check that {!Pdb_parse} reports the same
+    [Parse_error] line numbers on malformed input, and parses well-formed
+    input to the same structure. *)
 
 open Pdb
 

@@ -94,8 +94,6 @@ let in_buf n f =
 
 let loc_str (l : loc) = in_buf 24 (fun b -> add_loc b l)
 let extent_str (e : extent) = in_buf 96 (fun b -> add_extent b e)
-let typeref_str r = in_buf 12 (fun b -> add_typeref b r)
-let itemref_str r = in_buf 12 (fun b -> add_itemref b r)
 
 let parent_str = function
   | Pcl id -> Some ("cl#" ^ string_of_int id)

@@ -121,6 +121,22 @@ let split_lines toks =
   in
   go [] [] toks
 
+(* The file an [#include] followed by [toks] names, and whether it is a
+   system include: ["x"], or [<x>] reassembled from its tokens'
+   spellings; [None] when malformed. *)
+let include_target (toks : Token.tok list) : (string * bool) option =
+  match toks with
+  | [ { tok = Token.StringLit (_, f); _ } ] -> Some (f, false)
+  | { tok = Token.Punct "<"; _ } :: r ->
+      let rec gather acc = function
+        | { Token.tok = Token.Punct ">"; _ } :: _ ->
+            Some (String.concat "" (List.rev acc), true)
+        | tk :: r -> gather (Token.spelling tk.Token.tok :: acc) r
+        | [] -> None
+      in
+      gather [] r
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Macro expansion                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -578,21 +594,7 @@ and process_line t path conds currently_active line =
           | _ :: r -> conds := r)
       | _ when not (currently_active ()) -> ()
       | "include" -> (
-          let target =
-            match rest with
-            | [ { tok = Token.StringLit (_, f); _ } ] -> Some (f, false)
-            | { tok = Token.Punct "<"; _ } :: r ->
-                (* reassemble  <foo/bar.h>  *)
-                let rec gather acc = function
-                  | { Token.tok = Token.Punct ">"; _ } :: _ ->
-                      Some (String.concat "" (List.rev acc), true)
-                  | tk :: r -> gather (Token.spelling tk.Token.tok :: acc) r
-                  | [] -> None
-                in
-                gather [] r
-            | _ -> None
-          in
-          match target with
+          match include_target rest with
           | None -> Diag.error t.diags loc "malformed #include"
           | Some (name, system) -> (
               match Vfs.resolve_include t.vfs ~from:path ~system name with

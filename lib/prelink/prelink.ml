@@ -88,10 +88,6 @@ let node_equal a b =
   | Nroutine x, Nroutine y -> x = y
   | _ -> false
 
-let node_name (p : Il.program) = function
-  | Nclass cl -> (Il.class_ p cl).cl_name
-  | Nroutine ro -> Il.routine_full_name p (Il.routine p ro)
-
 (** Run the prelinker fixed point over [prog] (which must have been analyzed
     in used mode, so the full dependency graph is present).
     [translation_units] is the number of TUs the program is notionally split

@@ -11,12 +11,6 @@ type env = (string * template_arg) list
 
 let lookup (env : env) name = List.assoc_opt name env
 
-(** Turn a template argument into a type (when a parameter is used in type
-    position). *)
-let type_of_arg = function
-  | TA_type t -> Some t
-  | TA_expr _ -> None
-
 let rec subst_type (env : env) (t : type_expr) : type_expr =
   match t with
   | TBuiltin _ -> t

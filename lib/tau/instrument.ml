@@ -263,8 +263,6 @@ type selection = {
   sel_include_only : string list option;
 }
 
-let no_selection = { sel_exclude = []; sel_include_only = None }
-
 (* glob match with '*' wildcards *)
 let glob_match pattern name =
   let np = String.length pattern and nn = String.length name in

@@ -9,19 +9,6 @@
 
 module Rt = Runtime
 
-(** The header exposing the simulated MPI queries to C++ sources. *)
-let mpi_header =
-  {|#ifndef PDT_MPI_H
-#define PDT_MPI_H
-
-int mpi_rank();
-int mpi_size();
-
-#endif
-|}
-
-let mount_mpi vfs = Pdt_util.Vfs.add_file vfs "/pdt/include/kai/mpi.h" mpi_header
-
 type rank_result = { rank : int; result : Interp.result }
 
 (** Run the program once per rank. *)

@@ -302,4 +302,3 @@ let member (key : string) (j : t) : t option =
 
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_num_opt = function Num f -> Some f | _ -> None
-let to_list_opt = function List l -> Some l | _ -> None

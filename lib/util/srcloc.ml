@@ -33,12 +33,6 @@ type range = { start : t; stop : t }
 
 let range start stop = { start; stop }
 
-let range_of_point p = { start = p; stop = p }
-
-let dummy_range = { start = dummy; stop = dummy }
-
-let pp_range ppf r = Fmt.pf ppf "%a..%a" pp r.start pp r.stop
-
 (** Extent of a "fat" item: separate header and body ranges, as stored by the
     PDB [rpos]/[cpos]/[tpos] attributes.  Either part may be missing (e.g. a
     declaration without a body). *)

@@ -235,66 +235,6 @@ let mixed_project_vfs ?(cfg = default_config) ~n_tus () :
   Pdt_util.Vfs.add_file vfs "Gen0.java" (java_unit ~tu_index:0);
   (vfs, cpp_sources @ [ "gen0.f90"; "Gen0.java" ])
 
-(* ------------------------------------------------------------------ *)
-(* PDB-level corpus scaling                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Deep-copy a PDB with [suffix] appended to every file and item name.
-    Cross-references are by item id and stay valid unchanged; only the
-    names (which the canonical merge deduplicates on) move, so [r]
-    replicas of a project merge into a corpus [r]× the size instead of
-    collapsing back to one copy.  This is how the scale benches
-    synthesize production-size corpora — hundreds of MB of merged PDB —
-    without paying hundreds of front-end compiles. *)
-let replicate_pdb ~(suffix : string) (p : Pdt_pdb.Pdb.t) : Pdt_pdb.Pdb.t =
-  let module P = Pdt_pdb.Pdb in
-  let s n = if n = "" then n else n ^ suffix in
-  { P.version = p.P.version;
-    incomplete = p.P.incomplete;
-    diag_count = p.P.diag_count;
-    files =
-      List.map
-        (fun (f : P.source_file) ->
-          { f with P.so_name = s f.P.so_name; so_includes = f.P.so_includes })
-        p.P.files;
-    types =
-      List.map
-        (fun (ty : P.type_item) -> { ty with P.ty_name = s ty.P.ty_name })
-        p.P.types;
-    classes =
-      List.map
-        (fun (c : P.class_item) -> { c with P.cl_name = s c.P.cl_name })
-        p.P.classes;
-    routines =
-      List.map
-        (fun (r : P.routine_item) -> { r with P.ro_name = s r.P.ro_name })
-        p.P.routines;
-    templates =
-      List.map
-        (fun (te : P.template_item) -> { te with P.te_name = s te.P.te_name })
-        p.P.templates;
-    namespaces =
-      List.map
-        (fun (n : P.namespace_item) -> { n with P.na_name = s n.P.na_name })
-        p.P.namespaces;
-    pdb_macros =
-      List.map
-        (fun (m : P.macro_item) -> { m with P.ma_name = s m.P.ma_name })
-        p.P.pdb_macros }
-
-(** [replicas] renamed copies of each PDB in [pdbs] (replica 0 keeps the
-    original names), interleaved in replica-major order.  With [pdbs] the
-    per-TU output of an [n]-TU project, the result models an
-    [n × replicas]-TU project whose units share nothing nameable — the
-    worst (largest) case for the merge. *)
-let replicate_corpus ~(replicas : int) (pdbs : Pdt_pdb.Pdb.t list) :
-    Pdt_pdb.Pdb.t list =
-  List.concat
-    (List.init replicas (fun r ->
-         if r = 0 then pdbs
-         else
-           List.map (replicate_pdb ~suffix:(Printf.sprintf "_r%d" r)) pdbs))
-
 (** Write a project to a real directory (for exercising the command-line
     drivers); returns the on-disk source paths in build order. *)
 let write_project ?(cfg = default_config) ~n_tus ~dir () : string list =

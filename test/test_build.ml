@@ -357,6 +357,97 @@ let test_cache_key_covers_options () =
   Alcotest.(check string) "key is deterministic" k1 k1';
   Alcotest.(check bool) "options change the key" true (k1 <> k2)
 
+(* Spellings of [#include "a.h"] the preprocessor follows, since it reads
+   lexer tokens: comments and line splices may sit around the [#], the
+   [include] and the header name, and a comment that spans a line break
+   starts a new line.  The last two check that a literal holding a
+   comment opener or a quote does not hide the directive after it. *)
+let include_spellings =
+  [ ("comment before #", "/* c */ #include \"a.h\"\n");
+    ("comment after #", "#/**/include \"a.h\"\n");
+    ("comment before the name", "#include/**/\"a.h\"\n");
+    ("splice after #", "#\\\ninclude \"a.h\"\n");
+    ("splice before the name", "#include \\\n\"a.h\"\n");
+    ("comment across a line break", "/* c\n*/ #include \"a.h\"\n");
+    ("comment opener in a string", "const char *s = \"/*\";\n#include \"a.h\"\n");
+    ("quote in a character", "char q = '\"';\n#include \"a.h\"\n") ]
+
+let spelling_project spelling =
+  let vfs = Pdt_util.Vfs.create () in
+  Pdt_util.Vfs.add_file vfs "a.h" "int a_one() { return 1; }\n";
+  Pdt_util.Vfs.add_file vfs "main.cpp" (spelling ^ "int main() { return a_one(); }\n");
+  (vfs, [ "main.cpp" ])
+
+let test_include_closure_covers_deps () =
+  List.iter
+    (fun (what, spelling) ->
+      let vfs, sources = spelling_project spelling in
+      let c = B.compile_unit B.default_options ~vfs (List.hd sources) in
+      Alcotest.(check bool) (what ^ ": compiles clean") true (c.B.c_degraded = None);
+      Alcotest.(check bool) (what ^ ": a.h was read") true (List.mem "a.h" c.B.c_deps);
+      let closure = List.map fst (C.include_closure ~vfs (List.hd sources)) in
+      List.iter
+        (fun dep ->
+          if not (List.mem dep closure) then
+            Alcotest.failf "%s: %s was read but is not in the include closure" what dep)
+        c.B.c_deps)
+    include_spellings
+
+(* The scan reads bytes, not tokens, so it must agree with the lexer on
+   where comments, splices, literals and lines begin.  Over random strings
+   of the fragments that move those boundaries, every include the
+   preprocessor would follow must be among the scan's. *)
+let prop_include_scan_covers_directives =
+  let fragments =
+    [| "#"; "include"; "\"a.h\""; "<b.h>"; "/*"; "*/"; "//"; "\\\n"; "\\\r\n";
+       "\n"; "\r\n"; " "; "\t"; "'"; "\""; "\\"; "x"; "/"; "*"; "<"; ">"; "c.h" |]
+  in
+  QCheck.Test.make ~count:5000 ~name:"cache key: include scan sees every directive"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(map (String.concat "") (list_size (int_range 1 14) (oneofa fragments))))
+    (fun src ->
+      let toks = Pdt_lex.Lexer.tokenize ~diags:(Pdt_util.Diag.create ()) ~file:"f" src in
+      let scanned = C.scan_includes src in
+      List.for_all
+        (function
+          | Pdt_pp.Preproc.Directive (_, { tok = Pdt_lex.Token.Ident "include"; _ } :: rest)
+            -> (
+              match Pdt_pp.Preproc.include_target rest with
+              | Some (name, system) -> List.mem (system, name) scanned
+              | None -> true)
+          | _ -> true)
+        (Pdt_pp.Preproc.split_lines toks))
+
+(* After a.h gains a routine, a rebuild over the warm cache must give
+   what a build with no cache gives, for the pool and the incremental
+   driver alike. *)
+let test_header_edit_under_any_spelling () =
+  let module I = Pdt_build.Incremental in
+  List.iter
+    (fun (what, spelling) ->
+      let edit (vfs, sources) =
+        Pdt_util.Vfs.add_file vfs "a.h"
+          "int a_one() { return 1; }\nint a_two() { return 2; }\n";
+        (vfs, sources)
+      in
+      let fresh = pdb_string (build ~domains:1 (edit (spelling_project spelling))).B.merged in
+      let cache_dir = fresh_dir () in
+      ignore (build ~cache_dir ~domains:1 (spelling_project spelling));
+      let r = build ~cache_dir ~domains:1 (edit (spelling_project spelling)) in
+      Alcotest.(check string) (what ^ ": cached rebuild = no-cache build") fresh
+        (pdb_string r.B.merged);
+      let options =
+        { I.default_options with
+          build = { B.default_options with domains = 1; cache_dir = Some (fresh_dir ()) } }
+      in
+      let vfs, sources = spelling_project spelling in
+      ignore (I.build ~options ~vfs sources);
+      let vfs, sources = edit (spelling_project spelling) in
+      Alcotest.(check string) (what ^ ": incremental rebuild = no-cache build") fresh
+        (pdb_string (I.build ~options ~vfs sources).I.merged))
+    include_spellings
+
 (* ---------------- merge digests ---------------- *)
 
 (* Every (digest, PDB) pair a build hands the merge must carry that PDB's
@@ -416,7 +507,7 @@ let test_merge_digests_incremental () =
   let module I = Pdt_build.Incremental in
   let cache_dir = fresh_dir () in
   let options =
-    { I.group_size = 2; state_file = None;
+    { I.group_size = 2;
       build = { B.default_options with domains = 2; cache_dir = Some cache_dir } }
   in
   ignore (I.build ~options ~vfs:(fst (project ())) (snd (project ())));
@@ -610,6 +701,11 @@ let suite =
       test_cache_load_rejects_stale_version;
     Alcotest.test_case "cache key covers options" `Quick
       test_cache_key_covers_options;
+    Alcotest.test_case "cache key: include closure covers what is read" `Quick
+      test_include_closure_covers_deps;
+    QCheck_alcotest.to_alcotest prop_include_scan_covers_directives;
+    Alcotest.test_case "cache key: header edit under any include spelling" `Quick
+      test_header_edit_under_any_spelling;
     Alcotest.test_case "merge digests: pool, ascii/binary, cold/warm" `Quick
       test_merge_digests_pool;
     Alcotest.test_case "merge digests: incremental edit-rebuild" `Quick

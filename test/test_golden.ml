@@ -326,10 +326,120 @@ let test_merge_digests () =
   check_text_golden ~suite:"golden" ~what:"merged PDB digests" ~name:"merge_digests.txt"
     (String.concat "" lines)
 
+(* ---------------- the paper's counts ---------------- *)
+
+(* paper_counts.txt pins the counts behind EXPERIMENTS.md's B1 (§2: a
+   template chain of length L instantiated in used mode, against the
+   prelinker's automatic mode simulated on the same IL), B2 (Table 2:
+   pdbmerge over the per-unit PDBs of an N-TU generated project), Table 1
+   (attribute lines per item kind in the Stack PDB), Figure 4 (the Stack
+   PDB's population of each DUCTAPE hierarchy level) and the §3.1
+   specialization-mapping ablation. *)
+
+let paper_counts () =
+  let b = Buffer.create 2048 in
+  let pr fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let analyze c = A.run c.Pdt.program in
+  pr "B1: used-mode vs automatic instantiation (paper section 2)";
+  pr "| chain length | used: passes | used: IL entities | auto: prelink rounds | %s |"
+    "auto: IL entities";
+  List.iter
+    (fun n ->
+      let cfg = { G.default_config with n_class_templates = n; chain_depth = 2 } in
+      let c = Pdt.compile_string (G.single_file_program ~cfg ()) in
+      let r = Pdt_prelink.Prelink.simulate c.Pdt.program in
+      (* used mode instantiates everything in the one compilation above *)
+      pr "| %d | 1 | %d | %d | %d |" n r.used_mode_il_entities r.rounds
+        r.automatic_mode_il_entities)
+    [ 2; 4; 6; 8; 10; 12 ];
+  pr "";
+  pr "B2: pdbmerge duplicate elimination (paper Table 2)";
+  pr "| TUs | items before | items after | duplicate instantiations eliminated | ratio |";
+  List.iter
+    (fun n_tus ->
+      let vfs, files = G.project_vfs ~n_tus () in
+      let _, s =
+        Pdt_tools.Pdbmerge.merge (List.map (fun f -> analyze (Pdt.compile_exn ~vfs f)) files)
+      in
+      pr "| %d | %d | %d | %d | %.2f |" n_tus s.items_before s.items_after
+        s.duplicate_instantiations
+        (float_of_int s.items_before /. float_of_int (max 1 s.items_after)))
+    [ 2; 4; 8; 12 ];
+  let stack =
+    analyze (Pdt.compile_exn ~vfs:(Pdt_workloads.Stack.vfs ()) Pdt_workloads.Stack.main_file)
+  in
+  let lines = String.split_on_char '\n' (W.to_string stack) in
+  let attrs kind prefix names =
+    let count a = List.length (List.filter (String.starts_with ~prefix:(a ^ " ")) lines) in
+    pr "| %s | %s | %s |" kind prefix
+      (String.concat " " (List.map (fun a -> Printf.sprintf "%s=%d" a (count a)) names))
+  in
+  pr "";
+  pr "Table 1: attribute lines per item type, Stack PDB";
+  pr "| item type | prefix | attribute lines |";
+  attrs "SOURCE FILES" "so" [ "sinc" ];
+  attrs "ROUTINES" "ro" [ "rloc"; "rclass"; "rsig"; "rcall"; "rtempl"; "rpos" ];
+  attrs "CLASSES" "cl" [ "ckind"; "ctempl"; "cfunc"; "cmem"; "cpos" ];
+  attrs "TYPES" "ty" [ "ykind"; "yrett"; "yargt" ];
+  attrs "TEMPLATES" "te" [ "tkind"; "ttext" ];
+  attrs "NAMESPACES" "na" [ "nmem" ];
+  attrs "MACROS" "ma" [ "makind"; "matext" ];
+  let d = D.index stack in
+  let items = D.items d in
+  let level name p = pr "| %s | %d |" name (List.length (List.filter p items)) in
+  pr "";
+  pr "Figure 4: DUCTAPE item hierarchy, Stack PDB";
+  pr "| class | items |";
+  level "pdbSimpleItem" (fun _ -> true);
+  level "pdbFile" (function D.File _ -> true | _ -> false);
+  level "pdbItem" D.is_item;
+  level "pdbMacro" (function D.Macro _ -> true | _ -> false);
+  level "pdbType" (function D.Type _ -> true | _ -> false);
+  level "pdbFatItem" D.is_fat_item;
+  level "pdbTemplate" (function D.Template _ -> true | _ -> false);
+  level "pdbNamespace" (function D.Namespace _ -> true | _ -> false);
+  level "pdbTemplateItem" D.is_template_item;
+  level "pdbClass" (function D.Class _ -> true | _ -> false);
+  level "pdbRoutine" (function D.Routine _ -> true | _ -> false);
+  pr "| template instantiations | %d |" (List.length (D.template_items d));
+  let c =
+    Pdt.compile_string
+      ~opts:{ Pdt_sema.Sema.default_options with map_specializations = true }
+      "template <class T> class Traits { public: int size() { return 1; } };\n\
+       template <> class Traits<char> { public: int size() { return 99; } };\n\
+       template <class T> class Traits<T *> { public: int size() { return 8; } };\n\
+       int main() { Traits<int> a; Traits<char> b; Traits<double *> c;\n\
+       \  return a.size() + b.size() + c.size(); }"
+  in
+  let classes mapping =
+    (A.run ~opts:{ A.default_options with mapping } c.Pdt.program).P.classes
+  in
+  let mapped mapping =
+    List.length
+      (List.filter
+         (fun (cl : P.class_item) -> cl.cl_templ <> None || cl.cl_stempl <> None)
+         (classes mapping))
+  in
+  pr "";
+  pr "Ablation: specialization mapping (paper section 3.1)";
+  pr "| classes | count |";
+  pr "| instantiations + specializations | %d |"
+    (List.length
+       (List.filter (fun (cl : P.class_item) -> String.contains cl.cl_name '<')
+          (classes A.Location_based)));
+  pr "| mapped, location-based (paper) | %d |" (mapped A.Location_based);
+  pr "| mapped, IL ids (proposed fix) | %d |" (mapped A.Il_ids);
+  Buffer.contents b
+
+let test_paper_counts () =
+  check_text_golden ~suite:"golden" ~what:"paper counts" ~name:"paper_counts.txt"
+    (paper_counts ())
+
 let suite =
   List.map
     (fun (name, produce) ->
       Alcotest.test_case ("golden: " ^ name) `Quick (check_golden (name, produce)))
     corpus
   @ [ Alcotest.test_case "goldens parse and round-trip" `Quick test_goldens_roundtrip;
-      Alcotest.test_case "golden: merge digests" `Quick test_merge_digests ]
+      Alcotest.test_case "golden: merge digests" `Quick test_merge_digests;
+      Alcotest.test_case "golden: paper counts" `Quick test_paper_counts ]
