@@ -19,8 +19,9 @@
       [--incremental] build, and to a single-TU + pdbmerge build.
 
     The pipeline phases report wall time into {!Pdt_util.Trace} counters
-    ([compile], [cache.load], [cache.store], plus [pdb.parse]/[pdb.write]/
-    [pdb.merge] from the PDB layer); [pdbbuild --stats] prints them. *)
+    ([compile], [cache.key], [cache.load], [cache.store], plus
+    [pdb.parse]/[pdb.write]/[pdb.merge] from the PDB layer); [pdbbuild
+    --stats] prints them. *)
 
 open Pdt_util
 
@@ -216,7 +217,7 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
   let attempt () =
     let key =
       Option.map
-        (fun _ -> Cache.key ~vfs ~options:(options_fingerprint o source) source)
+        (fun c -> Cache.key ~cache:c ~vfs ~options:(options_fingerprint o source) source)
         cache
     in
     match (cache, key) with

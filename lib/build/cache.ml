@@ -9,9 +9,30 @@
     - the compile-option fingerprint the driver passes in,
     - the cache format version.
 
+    As a formula (format v5), with [p1 .. pn] the closure in DFS
+    first-visit order, the source first:
+
+    {v key = MD5 (magic, options, p1, d(p1), ..., pn, d(pn))
+    d(p) = MD5 (normalize_for_key (bytes of p)) v}
+
+    where the parts are length-prefixed ({!Pdt_util.Hashutil.strings}).
+    [Incremental.dep_hash] hashes the same per-file digest [d], so only
+    this module knows how a file is normalized.
+
     The closure scan over-approximates: it follows every [#include] it can
     resolve, including ones inside inactive [#if] regions, so an edit to a
     conditionally included header conservatively invalidates the entry.
+
+    {b One scan per file per build.}  A {!t} lives for one build:
+    [Build.build], [Incremental.build], the farm and each [pdbworker]
+    create one per build and pass it to every key they compute.  It
+    carries a table from a normalized path to the bytes last read there,
+    their include scan and their digest [d], so a header every unit
+    includes is scanned, normalized and hashed once, not once per unit and
+    again for its dependency hash.  Every key still reads each file
+    through the VFS, and the table answers only when the bytes read now
+    are the bytes it holds, so an edit between two keys is never served a
+    stale digest.
 
     Entries are self-describing — the first line is a magic header carrying
     the format version, the key, and an MD5 digest of the body — so [load]
@@ -56,18 +77,31 @@
 
 open Pdt_util
 
-(* v4: sharded objects/<hh>/ layout (older flat-layout entries are simply
-   never probed; the first build over an old directory recompiles and
-   repopulates, which is the ordinary cold-cache path) *)
-let format_version = 4
+(* v5: the key hashes each file's digest, not its normalized text.  v4
+   brought the sharded objects/<hh>/ layout.  Entries of an older version
+   are never probed under a v5 key; the first build over an old directory
+   recompiles and repopulates, which is the ordinary cold-cache path. *)
+let format_version = 5
 
 let magic = Printf.sprintf "PDT-CACHE v%d" format_version
 
-type t = { dir : string }
+(* What keys need of one file's bytes *)
+type file = {
+  bytes : string;
+  includes : (bool * string) list;  (* [scan_includes bytes] *)
+  digest : string;  (* MD5 of [normalize_for_key bytes] *)
+}
+
+type t = {
+  dir : string;
+  files : (string, file) Hashtbl.t;  (* normalized path -> last bytes read *)
+  files_lock : Mutex.t;  (* units are keyed from several domains at once *)
+}
 
 let default_dir = ".pdt-cache"
 
-let create ?(dir = default_dir) () = { dir }
+let create ?(dir = default_dir) () =
+  { dir; files = Hashtbl.create 64; files_lock = Mutex.create () }
 
 let dir t = t.dir
 
@@ -165,33 +199,6 @@ let scan_includes (src : string) : (bool * string) list =
   done;
   List.rev !acc
 
-(** The include closure of [source]: [(path, contents)] in DFS first-visit
-    order, the source itself first.  Unresolvable includes are skipped (the
-    compile proper will diagnose them; for the key they simply contribute
-    nothing, and creating the missing header later changes the closure and
-    hence the key). *)
-let include_closure ~vfs (source : string) : (string * string) list =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let rec visit path =
-    let path = Vfs.normalize path in
-    if not (Hashtbl.mem seen path) then begin
-      Hashtbl.replace seen path ();
-      match Vfs.read_raw vfs path with
-      | None -> ()
-      | Some contents ->
-          out := (path, contents) :: !out;
-          List.iter
-            (fun (system, name) ->
-              match Vfs.resolve_include vfs ~from:path ~system name with
-              | Some p -> visit p
-              | None -> ())
-            (scan_includes contents)
-    end
-  in
-  visit source;
-  List.rev !out
-
 (* Whitespace that provably cannot change a PDB: trailing spaces/tabs on a
    line (tokens and their columns are untouched — nothing follows them) and
    blank lines at end of file (no tokens follow).  Normalizing them out of
@@ -218,16 +225,66 @@ let normalize_for_key (src : string) : string =
   in
   String.concat "\n" (List.rev (drop_trailing_blanks (List.rev lines)))
 
+(** The include scan and key digest of [bytes], just read at the
+    normalized [path].  [cache]'s table answers when the bytes it holds
+    for [path] are these bytes; otherwise they are scanned, normalized and
+    hashed, and the table keeps the result for the rest of the build. *)
+let file ?cache path bytes : file =
+  let fresh () =
+    { bytes; includes = scan_includes bytes;
+      digest = Hashutil.string (normalize_for_key bytes) }
+  in
+  match cache with
+  | None -> fresh ()
+  | Some t -> (
+      match Mutex.protect t.files_lock (fun () -> Hashtbl.find_opt t.files path) with
+      | Some f when f.bytes == bytes || String.equal f.bytes bytes -> f
+      | _ ->
+          let f = fresh () in
+          Mutex.protect t.files_lock (fun () -> Hashtbl.replace t.files path f);
+          f)
+
+(** The include closure of [source]: [(path, file)] in DFS first-visit
+    order, the source itself first.  Unresolvable includes are skipped (the
+    compile proper will diagnose them; for the key they simply contribute
+    nothing, and creating the missing header later changes the closure and
+    hence the key). *)
+let include_closure ?cache ~vfs (source : string) : (string * file) list =
+  let seen = Hashtbl.create 16 in
+  let out = ref [] in
+  let rec visit path =
+    let path = Vfs.normalize path in
+    if not (Hashtbl.mem seen path) then begin
+      Hashtbl.replace seen path ();
+      match Vfs.read_raw vfs path with
+      | None -> ()
+      | Some contents ->
+          let f = file ?cache path contents in
+          out := (path, f) :: !out;
+          List.iter
+            (fun (system, name) ->
+              match Vfs.resolve_include vfs ~from:path ~system name with
+              | Some p -> visit p
+              | None -> ())
+            f.includes
+    end
+  in
+  visit source;
+  List.rev !out
+
 (** Cache key for one translation unit.  [options] is the driver's
     compile-option fingerprint (instantiation mode, mapping, language,
     resource budgets).  File contents enter the hash through
     {!normalize_for_key}, so edits the PDB cannot observe (trailing
-    whitespace, trailing blank lines) keep the key stable. *)
-let key ~vfs ~(options : string) (source : string) : string =
-  let closure = include_closure ~vfs source in
+    whitespace, trailing blank lines) keep the key stable.  [cache] is the
+    build's cache, whose table saves rescanning files other units' keys
+    have already read. *)
+let key ?cache ~vfs ~(options : string) (source : string) : string =
+  Trace.timed ~cat:"cache" "cache.key" @@ fun () ->
   Hashutil.strings
     (magic :: options
-     :: List.concat_map (fun (p, c) -> [ p; normalize_for_key c ]) closure)
+     :: List.concat_map (fun (p, f) -> [ p; f.digest ])
+          (include_closure ?cache ~vfs source))
 
 (* ------------------------------------------------------------------ *)
 (* Entries                                                             *)

@@ -66,17 +66,36 @@ let state_magic = "PDT-INCR v1"
 (* the state file of the cache in [dir] *)
 let state_path dir = Filename.concat dir "incremental.state"
 
-(* Hash of a dependency set's current contents.  Normalized like the
-   cache key, so whitespace-only edits keep the hash; a missing file
+(* Hash of a dependency set's current contents: each file's key digest
+   ({!Cache.file}), so whitespace-only edits keep the hash; a missing file
    hashes to a marker, so deletion changes it. *)
-let dep_hash ~vfs (deps : string list) : string =
+let dep_hash ?cache ~vfs (deps : string list) : string =
   Hashutil.strings
     (List.concat_map
        (fun p ->
          match Vfs.read_raw vfs p with
-         | Some c -> [ p; Cache.normalize_for_key c ]
+         | Some c -> [ p; (Cache.file ?cache p c).Cache.digest ]
          | None -> [ p; "\x00missing" ])
        (List.sort_uniq compare deps))
+
+(* The state entry of a unit that built clean under [key].  A compile
+   records what it read.  A unit the cache served recorded nothing: it
+   keeps [prev] when that was made under the same key, else takes its
+   lexical include closure, which subsumes every read the compile would
+   do.  Degraded, failed and cone-truncated units get no entry. *)
+let state_entry ~cache ~vfs ~key ~(prev : entry option)
+    (u : Build.unit_result) : entry option =
+  let entry deps =
+    Some
+      { e_source = u.Build.source; e_key = key;
+        e_dep_hash = dep_hash ~cache ~vfs deps; e_deps = deps }
+  in
+  match (u.Build.status, prev) with
+  | Build.Compiled, _ when not u.Build.cone_truncated -> entry u.Build.deps
+  | Build.Cached, Some e when e.e_key = key -> Some e
+  | Build.Cached, _ ->
+      entry (List.map fst (Cache.include_closure ~cache ~vfs u.Build.source))
+  | _ -> None
 
 (* One line per unit, tab-separated: source, key, dep hash, then the dep
    paths.  A digest header binds the whole body, mirroring cache
@@ -208,10 +227,10 @@ type plan_item = {
   p_prev : entry option;
 }
 
-let classify ~vfs ~(o : Build.options) (prev : (string, entry) Hashtbl.t)
-    ~had_state source : plan_item =
+let classify ~cache ~vfs ~(o : Build.options)
+    (prev : (string, entry) Hashtbl.t) ~had_state source : plan_item =
   let key =
-    Cache.key ~vfs ~options:(Build.options_fingerprint o source) source
+    Cache.key ~cache ~vfs ~options:(Build.options_fingerprint o source) source
   in
   let reanalyze reason =
     { p_source = source; p_key = key; p_reuse = false; p_reason = reason;
@@ -221,7 +240,7 @@ let classify ~vfs ~(o : Build.options) (prev : (string, entry) Hashtbl.t)
   | None ->
       reanalyze (if had_state then "new unit" else "no incremental state")
   | Some e when e.e_key <> key -> reanalyze "dependency cone changed"
-  | Some e when dep_hash ~vfs e.e_deps <> e.e_dep_hash ->
+  | Some e when dep_hash ~cache ~vfs e.e_deps <> e.e_dep_hash ->
       (* belt and braces: the key's lexical closure should subsume every
          recorded read, but the recorded set is what the compile actually
          consumed, so it gets the final word *)
@@ -252,7 +271,7 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
   List.iter (fun e -> Hashtbl.replace prev e.e_source e) prev_entries;
   let plan =
     Trace.timed ~cat:"incr" "incr.plan" @@ fun () ->
-    List.map (classify ~vfs ~o prev ~had_state) sources
+    List.map (classify ~cache ~vfs ~o prev ~had_state) sources
   in
   let groups = chunk (max 1 options.group_size) plan in
   (* probe the partial-merge cache for groups with no re-analyzed member;
@@ -396,32 +415,8 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
            | Need slots ->
                List.mapi
                  (fun i p ->
-                   match slots.(i) with
-                   | Some (u : Build.unit_result) -> (
-                       match u.Build.status with
-                       | Build.Compiled when not u.Build.cone_truncated ->
-                           Some
-                             { e_source = p.p_source; e_key = p.p_key;
-                               e_dep_hash = dep_hash ~vfs u.Build.deps;
-                               e_deps = u.Build.deps }
-                       | Build.Cached -> (
-                           (* the compile didn't run, so nothing was
-                              recorded: carry the previous entry forward,
-                              or fall back to the lexical closure, which
-                              subsumes every read the compile would do *)
-                           match p.p_prev with
-                           | Some e when e.e_key = p.p_key -> Some e
-                           | _ ->
-                               let deps =
-                                 List.map fst
-                                   (Cache.include_closure ~vfs p.p_source)
-                               in
-                               Some
-                                 { e_source = p.p_source; e_key = p.p_key;
-                                   e_dep_hash = dep_hash ~vfs deps;
-                                   e_deps = deps })
-                       | _ -> None)
-                   | None -> None)
+                   Option.bind slots.(i)
+                     (state_entry ~cache ~vfs ~key:p.p_key ~prev:p.p_prev))
                  members
                |> List.filter_map Fun.id)
          groups states)
@@ -465,28 +460,25 @@ let full_build ~(options : options) ~vfs (sources : string list)
           reason; seconds = u.Build.seconds })
       r.Build.units
   in
-  (* repair the state file so the next run can take the delta path *)
+  (* repair the state file so the next run can take the delta path: every
+     unit that built clean gets an entry, the cached ones included, or the
+     next run would re-merge every group holding one *)
   (match options.build.Build.cache_dir with
    | None -> ()
    | Some dir ->
+       let cache = Cache.create ~dir () in
        let entries =
          List.filter_map
            (fun (u : Build.unit_result) ->
-             match u.Build.status with
-             | Build.Compiled when not u.Build.cone_truncated ->
-                 (try
-                    Some
-                      { e_source = u.Build.source;
-                        e_key =
-                          Cache.key ~vfs
-                            ~options:
-                              (Build.options_fingerprint options.build
-                                 u.Build.source)
-                            u.Build.source;
-                        e_dep_hash = dep_hash ~vfs u.Build.deps;
-                        e_deps = u.Build.deps }
-                  with _ -> None)
-             | _ -> None)
+             try
+               let key =
+                 Cache.key ~cache ~vfs
+                   ~options:
+                     (Build.options_fingerprint options.build u.Build.source)
+                   u.Build.source
+               in
+               state_entry ~cache ~vfs ~key ~prev:None u
+             with _ -> None)
            r.Build.units
        in
        save_state (state_path dir) entries);

@@ -43,7 +43,15 @@ let unescape_text s =
   go 0;
   Buffer.contents b
 
-let add_int b n = Buffer.add_string b (string_of_int n)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* Ids, lines and columns are non-negative: their digits go straight into
+   the buffer, with no format interpretation and no intermediate string.
+   A negative (only an array's [ysize] can be one) keeps [string_of_int]. *)
+let add_int b n =
+  if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
 
 let add_loc b (l : loc) =
   if l.lfile = 0 then Buffer.add_string b "NULL 0 0"

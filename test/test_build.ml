@@ -357,6 +357,45 @@ let test_cache_key_covers_options () =
   Alcotest.(check string) "key is deterministic" k1 k1';
   Alcotest.(check bool) "options change the key" true (k1 <> k2)
 
+(* A cache's file table answers only for the bytes it holds.  A cache
+   that keyed every unit before two in-place edits of generated.h (new
+   bytes, then trailing blanks only) must then give the keys and
+   dependency hashes a fresh cache gives, from one domain or two. *)
+let test_file_table_checks_bytes () =
+  let module I = Pdt_build.Incremental in
+  let vfs, sources = project () in
+  let header = Option.get (Pdt_util.Vfs.read_raw vfs "generated.h") in
+  let fingerprints ~domains cache =
+    S.parallel_map ~domains
+      (fun source ->
+        let deps = List.map fst (C.include_closure ~cache ~vfs source) in
+        (C.key ~cache ~vfs ~options:"o" source, I.dep_hash ~cache ~vfs deps))
+      (Array.of_list sources)
+    |> Array.to_list
+    |> List.map (function Ok v -> v | Error e -> raise e)
+  in
+  let fresh () = fingerprints ~domains:1 (C.create ~dir:(fresh_dir ()) ()) in
+  let edits =
+    [ ("new bytes", header ^ "int table_edit() { return 1; }\n");
+      ("trailing blanks", header ^ "int table_edit() { return 1; }  \t\n\n\n") ]
+  in
+  List.iter
+    (fun domains ->
+      Pdt_util.Vfs.add_file vfs "generated.h" header;
+      let kept = C.create ~dir:(fresh_dir ()) () in
+      let before = fingerprints ~domains kept in
+      List.iter
+        (fun (what, contents) ->
+          Pdt_util.Vfs.add_file vfs "generated.h" contents;
+          let expected = fresh () in
+          Alcotest.(check bool) (what ^ ": the edit moved the keys") true
+            (expected <> before);
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s: kept table = fresh table, %d domain(s)" what domains)
+            expected (fingerprints ~domains kept))
+        edits)
+    [ 1; 2 ]
+
 (* Spellings of [#include "a.h"] the preprocessor follows, since it reads
    lexer tokens: comments and line splices may sit around the [#], the
    [include] and the header name, and a comment that spans a line break
@@ -701,6 +740,8 @@ let suite =
       test_cache_load_rejects_stale_version;
     Alcotest.test_case "cache key covers options" `Quick
       test_cache_key_covers_options;
+    Alcotest.test_case "cache key: file table checks the bytes" `Quick
+      test_file_table_checks_bytes;
     Alcotest.test_case "cache key: include closure covers what is read" `Quick
       test_include_closure_covers_deps;
     QCheck_alcotest.to_alcotest prop_include_scan_covers_directives;

@@ -366,6 +366,37 @@ let test_incremental_fallback_counted () =
     (pdb_string r.I.merged);
   rm_rf dir
 
+(* After a fallback the state must hold every unit that built clean, the
+   ones the unit cache served included: the next unchanged run then
+   reuses every unit and re-merges only the group holding the edit. *)
+let test_quiescent_after_fallback () =
+  List.iter
+    (fun domains ->
+      let dir = fresh_dir () in
+      let incr_build (vfs, sources) =
+        I.build
+          ~options:
+            { I.group_size = 2;
+              build = { B.default_options with domains; cache_dir = Some dir } }
+          ~vfs sources
+      in
+      ignore (incr_build (project ()));
+      let edited = edited_project () in
+      let r =
+        F.with_faults ~sites:[ "vfs.read" ] ~seed:7 ~rate:1.0 ~max_faults:1
+          (fun () -> incr_build edited)
+      in
+      Alcotest.(check bool) "fallback taken" true r.I.fallback;
+      let q = incr_build edited in
+      Alcotest.(check (pair int int)) "reanalyzed/reused after a fallback"
+        (0, n_tus + 1) (q.I.reanalyzed, q.I.reused);
+      Alcotest.(check (pair int int)) "groups reused/re-merged" (1, 1)
+        (q.I.groups_reused, q.I.groups_remerged);
+      Alcotest.(check string) "bytes" (Lazy.force edited_reference)
+        (pdb_string q.I.merged);
+      rm_rf dir)
+    matrix_domains
+
 (* ---------------- retry policy ---------------- *)
 
 let test_retry_recovers_transient () =
@@ -966,6 +997,8 @@ let suite =
       test_incremental_fault_matrix;
     Alcotest.test_case "incremental: delta-path fault falls back cleanly"
       `Quick test_incremental_fallback_counted;
+    Alcotest.test_case "incremental: quiescent run after a fallback" `Quick
+      test_quiescent_after_fallback;
     Alcotest.test_case "retry recovers a transient fault" `Quick
       test_retry_recovers_transient;
     Alcotest.test_case "retries are bounded, failure is structured" `Quick

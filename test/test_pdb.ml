@@ -65,6 +65,58 @@ let test_null_locations () =
   let s, s' = roundtrip pdb in
   Alcotest.(check string) "null locs roundtrip" s s'
 
+(* The writer emits a non-negative int digit by digit: ids, lines and
+   columns at each width boundary and at [max_int] must print as
+   [string_of_int] prints them, and a negative array size too. *)
+let test_integer_widths () =
+  let ints = [ 0; 9; 10; 99; 100; 1_000_000; max_int ] in
+  let sizes = List.map (fun n -> (n, n)) ints @ [ (1, -1); (2, min_int) ] in
+  let s = string_of_int in
+  let at n = { P.lfile = max_int; lline = n; lcol = n } in
+  let pdb = P.create () in
+  pdb.P.incomplete <- true;
+  pdb.P.diag_count <- 1_000_000;
+  pdb.P.files <-
+    List.map (fun n -> { P.so_id = n; so_name = "f.h"; so_includes = [ n ] }) ints;
+  pdb.P.routines <-
+    List.map
+      (fun n ->
+        { P.ro_id = n; ro_name = "r"; ro_loc = at n; ro_parent = P.Pnone;
+          ro_acs = "NA"; ro_sig = P.Tyref n; ro_link = "C++"; ro_store = "NA";
+          ro_virt = "no"; ro_kind = "NA"; ro_static = false; ro_inline = false;
+          ro_templ = None; ro_calls = [ { P.c_callee = n; c_virt = false; c_loc = at n } ];
+          ro_spawns = []; ro_du = []; ro_pos = P.null_extent; ro_defined = false })
+      ints;
+  pdb.P.types <-
+    List.map
+      (fun (n, size) ->
+        { P.ty_id = n; ty_name = "a"; ty_loc = P.null_loc; ty_parent = P.Pnone;
+          ty_acs = "NA"; ty_info = P.Yarray { elem = P.Tyref n; size = Some size };
+          ty_names = [] })
+      sizes;
+  let expected =
+    String.concat ""
+      ([ "<PDB " ^ P.current_version ^ " incomplete " ^ s 1_000_000 ^ ">\n\n" ]
+      @ List.map (fun n -> "so#" ^ s n ^ " f.h\nsinc so#" ^ s n ^ "\n\n") ints
+      @ List.map
+          (fun n ->
+            let loc = "so#" ^ s max_int ^ " " ^ s n ^ " " ^ s n in
+            "ro#" ^ s n ^ " r\nrloc " ^ loc ^ "\nrsig ty#" ^ s n
+            ^ "\nrlink C++\nrstore NA\nrvirt no\nrcall ro#" ^ s n ^ " no " ^ loc
+            ^ "\n\n")
+          ints
+      @ List.map
+          (fun (n, size) ->
+            "ty#" ^ s n ^ " a\nykind array\nyelem ty#" ^ s n ^ "\nysize " ^ s size
+            ^ "\n\n")
+          sizes)
+  in
+  let bytes = W.to_string pdb in
+  Alcotest.(check string) "digits as string_of_int prints them" expected bytes;
+  Alcotest.(check string) "cursor parser round trip" bytes (W.to_string (R.of_string bytes));
+  Alcotest.(check string) "reference parser round trip" bytes
+    (W.to_string (Ref.of_string bytes))
+
 let test_typeref_names () =
   let vfs = Pdt_workloads.Stack.vfs () in
   let c = Pdt.compile ~vfs Pdt_workloads.Stack.main_file in
@@ -237,6 +289,7 @@ let suite =
     Alcotest.test_case "text escaping" `Quick test_text_escaping;
     Alcotest.test_case "parse error reporting" `Quick test_parse_error_reporting;
     Alcotest.test_case "null locations" `Quick test_null_locations;
+    Alcotest.test_case "integer widths" `Quick test_integer_widths;
     Alcotest.test_case "typeref names" `Quick test_typeref_names;
     Alcotest.test_case "malformed input matches reference parser" `Quick
       test_malformed_matches_reference;

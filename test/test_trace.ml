@@ -176,6 +176,7 @@ let test_cache_spans_present () =
   ignore (build_traced ~cache_dir:dir ~domains:2 ());
   let cold = validate_chrome (T.chrome_json ()) in
   let has l name = List.exists (fun (_, ph, n) -> ph <> "M" && n = name) l in
+  Alcotest.(check bool) "cache.key span" true (has cold "cache.key");
   Alcotest.(check bool) "cache.load span" true (has cold "cache.load");
   Alcotest.(check bool) "cache.miss marks" true (has cold "cache.miss");
   Alcotest.(check bool) "cache.store span" true (has cold "cache.store");
