@@ -64,8 +64,7 @@ let run sources includes output jobs farm cache_dir no_cache incremental
       cache_dir = (if no_cache then None else Some cache_dir);
       retries;
       fail_fast;
-      limits = resolve_budgets max_errors limit_specs;
-      pdb_format }
+      limits = resolve_budgets max_errors limit_specs }
   in
   (* --farm N: supervised worker processes instead of in-process domains.
      Incompatible with --incremental (the delta driver is
@@ -303,11 +302,10 @@ let pdb_format =
                 ("binary", Pdt_pdb.Pdb_io.Binary) ])
            Pdt_pdb.Pdb_io.Ascii
        & info [ "pdb-format" ] ~docv:"FORMAT"
-           ~doc:"Container format for the output PDB and fresh cache \
-                 entries: $(b,ascii) (the paper's interchange format, \
-                 default) or $(b,binary) (PDB-B, mmap-loadable).  Cache \
-                 keys and digests are format-independent, so switching \
-                 formats never invalidates the cache.")
+           ~doc:"Container format for the output PDB: $(b,ascii) (the \
+                 paper's interchange format, default) or $(b,binary) \
+                 (PDB-B, mmap-loadable).  The cache always holds canonical \
+                 ASCII, so switching formats reuses every entry.")
 
 let limit_specs =
   Arg.(value & opt_all string []

@@ -38,40 +38,30 @@ let run pdb_file check to_binary to_ascii out trace =
       code
     in
     finish
-    @@
-    match Pdt_ductape.Ductape.of_file pdb_file with
-    | exception Pdt_pdb.Pdb_parse.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: not a valid PDB file: %s\n" pdb_file line msg;
-        1
-    | exception Pdt_pdb.Pdb_bin.Format_error msg ->
-        Printf.eprintf "%s: not a valid PDB-B file: %s\n" pdb_file msg;
-        1
-    | exception Sys_error msg ->
-        Printf.eprintf "pdbconv: %s\n" msg;
-        1
-    | d ->
-        if check then begin
-          match Pdt_tools.Pdbconv.check d with
-          | [] ->
-              Printf.printf "PDB is consistent (%s container)\n"
-                (Pdt_pdb.Pdb_io.format_name (Pdt_pdb.Pdb_io.sniff_file pdb_file));
-              0
-          | problems ->
-              List.iter prerr_endline problems;
-              1
-        end
-        else if to_binary then begin
-          write_output out (Pdt_pdb.Pdb_bin.to_string (Pdt_ductape.Ductape.pdb d));
+    @@ Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbconv" Pdt_ductape.Ductape.of_file pdb_file
+    @@ fun d ->
+    if check then begin
+      match Pdt_tools.Pdbconv.check d with
+      | [] ->
+          Printf.printf "PDB is consistent (%s container)\n"
+            (Pdt_pdb.Pdb_io.format_name (Pdt_pdb.Pdb_io.sniff_file pdb_file));
           0
-        end
-        else if to_ascii then begin
-          write_output out (Pdt_pdb.Pdb_write.to_string (Pdt_ductape.Ductape.pdb d));
-          0
-        end
-        else begin
-          print_string (Pdt_tools.Pdbconv.convert d);
-          0
-        end
+      | problems ->
+          List.iter prerr_endline problems;
+          1
+    end
+    else if to_binary then begin
+      write_output out (Pdt_pdb.Pdb_bin.to_string (Pdt_ductape.Ductape.pdb d));
+      0
+    end
+    else if to_ascii then begin
+      write_output out (Pdt_pdb.Pdb_write.to_string (Pdt_ductape.Ductape.pdb d));
+      0
+    end
+    else begin
+      print_string (Pdt_tools.Pdbconv.convert d);
+      0
+    end
   end
 
 let pdb_file =

@@ -23,50 +23,41 @@ let need_var r name =
       Error 1
 
 let run pdb_file cmd routine var =
-  match Pdt_ductape.Ductape.of_file pdb_file with
-  | exception Pdt_pdb.Pdb_parse.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: not a valid PDB file: %s\n" pdb_file line msg;
-      1
-  | exception Pdt_pdb.Pdb_bin.Format_error msg ->
-      Printf.eprintf "%s: not a valid PDB-B file: %s\n" pdb_file msg;
-      1
-  | exception Sys_error msg ->
-      Printf.eprintf "pdbduct: %s\n" msg;
-      1
-  | d -> (
-      Option.iter prerr_endline (T.semantics_note d);
-      let with_routine f =
-        match routine with
+  Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbduct" Pdt_ductape.Ductape.of_file pdb_file
+  @@ fun d ->
+  Option.iter prerr_endline (T.semantics_note d);
+  let with_routine f =
+    match routine with
+    | None ->
+        Printf.eprintf "pdbduct: %s needs a ROUTINE argument\n" cmd;
+        1
+    | Some key -> (
+        match need_routine d key with
+        | Error rc -> rc
+        | Ok r -> f r)
+  in
+  let with_var f =
+    with_routine (fun r ->
+        match var with
         | None ->
-            Printf.eprintf "pdbduct: %s needs a ROUTINE argument\n" cmd;
+            Printf.eprintf "pdbduct: %s needs a VAR argument\n" cmd;
             1
-        | Some key -> (
-            match need_routine d key with
+        | Some name -> (
+            match need_var r name with
             | Error rc -> rc
-            | Ok r -> f r)
-      in
-      let with_var f =
-        with_routine (fun r ->
-            match var with
-            | None ->
-                Printf.eprintf "pdbduct: %s needs a VAR argument\n" cmd;
-                1
-            | Some name -> (
-                match need_var r name with
-                | Error rc -> rc
-                | Ok v -> f r v))
-      in
-      match cmd with
-      | "vars" -> with_routine (fun r -> print_string (T.vars_text d r); 0)
-      | "defs" -> with_var (fun r v -> print_string (T.defs_text d r v); 0)
-      | "uses" -> with_var (fun r v -> print_string (T.uses_text d r v); 0)
-      | "chain" -> with_var (fun r v -> print_string (T.chain_text d r v); 0)
-      | "spawns" -> with_routine (fun r -> print_string (T.spawns_text d r); 0)
-      | "mhp" -> print_string (T.mhp_text d); 0
-      | c ->
-          Printf.eprintf
-            "pdbduct: unknown command %S (expected vars|defs|uses|chain|spawns|mhp)\n" c;
-          1)
+            | Ok v -> f r v))
+  in
+  match cmd with
+  | "vars" -> with_routine (fun r -> print_string (T.vars_text d r); 0)
+  | "defs" -> with_var (fun r v -> print_string (T.defs_text d r v); 0)
+  | "uses" -> with_var (fun r v -> print_string (T.uses_text d r v); 0)
+  | "chain" -> with_var (fun r v -> print_string (T.chain_text d r v); 0)
+  | "spawns" -> with_routine (fun r -> print_string (T.spawns_text d r); 0)
+  | "mhp" -> print_string (T.mhp_text d); 0
+  | c ->
+      Printf.eprintf
+        "pdbduct: unknown command %S (expected vars|defs|uses|chain|spawns|mhp)\n" c;
+      1
 
 let pdb_file =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PDB" ~doc:"Program database file")

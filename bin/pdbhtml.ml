@@ -4,24 +4,15 @@
 open Cmdliner
 
 let run pdb_file outdir =
-  match Pdt_ductape.Ductape.of_file pdb_file with
-  | exception Pdt_pdb.Pdb_parse.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: not a valid PDB file: %s\n" pdb_file line msg;
-      1
-  | exception Pdt_pdb.Pdb_bin.Format_error msg ->
-      Printf.eprintf "%s: not a valid PDB-B file: %s\n" pdb_file msg;
-      1
+  Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbhtml" Pdt_ductape.Ductape.of_file pdb_file
+  @@ fun d ->
+  match Pdt_tools.Pdbhtml.generate_to_dir d outdir with
+  | n ->
+      Printf.printf "wrote %d pages to %s/\n" n outdir;
+      0
   | exception Sys_error msg ->
       Printf.eprintf "pdbhtml: %s\n" msg;
       1
-  | d -> (
-      match Pdt_tools.Pdbhtml.generate_to_dir d outdir with
-      | n ->
-          Printf.printf "wrote %d pages to %s/\n" n outdir;
-          0
-      | exception Sys_error msg ->
-          Printf.eprintf "pdbhtml: %s\n" msg;
-          1)
 
 let pdb_file =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PDB" ~doc:"Program database file")

@@ -4,34 +4,25 @@
 open Cmdliner
 
 let run pdb_files output =
-  match
-    List.map
-      (fun f ->
-        (* load one at a time so errors name the offending file; the
-           container format (ASCII or PDB-B) is sniffed per file *)
-        match Pdt_pdb.Pdb_io.of_file f with
-        | pdb -> pdb
-        | exception Pdt_pdb.Pdb_parse.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: not a valid PDB file: %s\n" f line msg;
-            exit 1
-        | exception Pdt_pdb.Pdb_bin.Format_error msg ->
-            Printf.eprintf "%s: not a valid PDB-B file: %s\n" f msg;
-            exit 1)
-      pdb_files
-  with
-  | exception Sys_error msg ->
-      Printf.eprintf "pdbmerge: %s\n" msg;
-      1
-  | pdbs -> (
-      let merged, stats = Pdt_tools.Pdbmerge.merge pdbs in
-      match Pdt_pdb.Pdb_write.to_file merged output with
-      | () ->
-          print_endline (Pdt_tools.Pdbmerge.stats_to_string stats);
-          Printf.printf "wrote %s\n" output;
-          0
-      | exception Sys_error msg ->
-          Printf.eprintf "pdbmerge: %s\n" msg;
-          1)
+  (* load one at a time, stopping at the first file that cannot be read,
+     so the error names it; the container format (ASCII or PDB-B) is
+     sniffed per file *)
+  let rec load pdbs = function
+    | f :: rest ->
+        Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbmerge" Pdt_pdb.Pdb_io.of_file f
+          (fun pdb -> load (pdb :: pdbs) rest)
+    | [] -> (
+        let merged, stats = Pdt_tools.Pdbmerge.merge (List.rev pdbs) in
+        match Pdt_pdb.Pdb_write.to_file merged output with
+        | () ->
+            print_endline (Pdt_tools.Pdbmerge.stats_to_string stats);
+            Printf.printf "wrote %s\n" output;
+            0
+        | exception Sys_error msg ->
+            Printf.eprintf "pdbmerge: %s\n" msg;
+            1)
+  in
+  load [] pdb_files
 
 let pdb_files =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"PDB" ~doc:"Program database files")

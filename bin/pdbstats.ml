@@ -4,17 +4,8 @@
 open Cmdliner
 
 let run pdb_file =
-  match Pdt_ductape.Ductape.of_file pdb_file with
-  | exception Pdt_pdb.Pdb_parse.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: not a valid PDB file: %s\n" pdb_file line msg;
-      1
-  | exception Pdt_pdb.Pdb_bin.Format_error msg ->
-      Printf.eprintf "%s: not a valid PDB-B file: %s\n" pdb_file msg;
-      1
-  | exception Sys_error msg ->
-      Printf.eprintf "pdbstats: %s\n" msg;
-      1
-  | d ->
+  Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbstats" Pdt_ductape.Ductape.of_file pdb_file
+  @@ fun d ->
   Option.iter prerr_endline (Pdt_tools.Duct.semantics_note d);
   print_string (Pdt_tools.Pdbstats.report d);
   0

@@ -148,9 +148,7 @@ let () =
               | B.Failed m -> (P.S_failed, m)
               | B.Skipped -> (P.S_failed, "worker: unit skipped unexpectedly")
             in
-            let pdb =
-              Option.map (Pdt_pdb.Pdb_io.to_string options.B.pdb_format) u.B.pdb
-            in
+            let pdb = Option.map Pdt_pdb.Pdb_write.to_string u.B.pdb in
             let result =
               P.Result
                 { id; status; message; pdb; seconds = u.B.seconds;

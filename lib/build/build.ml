@@ -46,12 +46,6 @@ type options = {
   sema : Pdt_sema.Sema.options;
   mapping : Pdt_analyzer.Analyzer.mapping;
   limits : Limits.budgets;   (** front-end resource budgets per unit *)
-  pdb_format : Pdt_pdb.Pdb_io.format;
-      (** container format for cache entries (and the driver's output
-          file).  Deliberately absent from {!options_fingerprint}: both
-          containers hold the same model and [Cache.load] sniffs per
-          entry, so ASCII- and binary-mode builds share keys and reuse
-          each other's entries *)
 }
 
 let default_options =
@@ -61,8 +55,7 @@ let default_options =
     fail_fast = false;
     sema = Pdt_sema.Sema.default_options;
     mapping = Pdt_analyzer.Analyzer.Location_based;
-    limits = Limits.default_budgets;
-    pdb_format = Pdt_pdb.Pdb_io.Ascii }
+    limits = Limits.default_budgets }
 
 (* Everything that can change a unit's PDB besides its input content; part
    of the cache key.  Bump Cache.format_version instead when the PDB format
@@ -110,11 +103,18 @@ type unit_result = {
           skipped subtree, so the unit must never be treated as reusable
           by dependency fingerprint *)
   digest : string option;
-      (** {!Pdt_pdb.Pdb_digest} of [pdb], taken from its ASCII bytes when
-          the driver held them (the body just stored in or loaded from the
-          cache, a farm payload); [None] otherwise, and {!merge_inputs}
-          digests the PDB itself *)
+      (** {!Pdt_pdb.Pdb_digest} of [pdb], the MD5 of the canonical ASCII
+          bytes the driver already holds for it: the body it just stored
+          in or loaded from the cache, or a farm Result payload.  [None]
+          when no bytes were made — no cache, a degraded or cone-truncated
+          unit, no PDB — and {!merge_inputs} digests the PDB itself *)
 }
+
+(** The result of a unit that produced no PDB: [Failed] or [Skipped]
+    before any work was timed. *)
+let no_pdb source status =
+  { source; status; pdb = None; seconds = 0.0; deps = [];
+    cone_truncated = false; digest = None }
 
 type result = {
   merged : Pdt_pdb.Pdb.t;      (** merge of every successful unit *)
@@ -227,24 +227,22 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
         with
         | Some (pdb, digest) ->
             Trace.count ~cat:"cache" "cache.hit" 0;
-            finish ?digest Cached (Some pdb)
+            finish ~digest Cached (Some pdb)
         | None -> (
             Trace.count ~cat:"cache" "cache.miss" 0;
             match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit o ~vfs source) with
             | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
-                (* serialize once; the entry body and, in ASCII, the
-                   merge digest reuse the bytes.  A truncated-cone unit is
-                   never stored: its key misses the skipped include
-                   subtree, so a later edit to that subtree could not
-                   invalidate the entry *)
+                (* serialize once; the entry body and the merge digest
+                   reuse the bytes.  A truncated-cone unit is never
+                   stored: its key misses the skipped include subtree, so
+                   a later edit to that subtree could not invalidate the
+                   entry *)
                 let digest =
                   if c_truncated then None
                   else begin
-                    let body = Pdt_pdb.Pdb_io.to_string o.pdb_format pdb in
+                    let body = Pdt_pdb.Pdb_write.to_string pdb in
                     store_entry c k body;
-                    match o.pdb_format with
-                    | Pdt_pdb.Pdb_io.Ascii -> Some (Pdt_pdb.Pdb_digest.of_string body)
-                    | Pdt_pdb.Pdb_io.Binary -> None
+                    Some (Pdt_pdb.Pdb_digest.of_string body)
                   end
                 in
                 finish ~deps:c_deps ~cone_truncated:c_truncated ?digest Compiled
@@ -283,16 +281,17 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
     Trace.span ~cat:"build" ~args:[ ("unit", Trace.Str source) ] "build.unit" run
   else run ()
 
-(** A (digest, PDB) pair for {!Pdt_ductape.Ductape.merge_digested}: the
-    digest in hand, else one taken by serializing [pdb]. *)
-let merge_input (digest : string option) (pdb : Pdt_pdb.Pdb.t) =
-  match digest with
-  | Some d -> (d, pdb)
-  | None -> (Pdt_pdb.Pdb_digest.of_pdb pdb, pdb)
-
-(** The merge inputs of the units that produced a PDB. *)
+(** The (digest, PDB) pairs {!Pdt_ductape.Ductape.merge_digested} takes
+    for the units that produced a PDB: the digest in hand, else one taken
+    by serializing the PDB. *)
 let merge_inputs (units : unit_result list) : (string * Pdt_pdb.Pdb.t) list =
-  List.filter_map (fun u -> Option.map (merge_input u.digest) u.pdb) units
+  List.filter_map
+    (fun u ->
+      match (u.pdb, u.digest) with
+      | Some pdb, Some d -> Some (d, pdb)
+      | Some pdb, None -> Some (Pdt_pdb.Pdb_digest.of_pdb pdb, pdb)
+      | None, _ -> None)
+    units
 
 (** The epilogue every project driver shares: merge the units' PDBs with
     the flat {!Pdt_ductape.Ductape.merge_digested} and count the statuses.
@@ -335,20 +334,14 @@ let build ?(options = default_options) ~vfs (sources : string list) : result =
       (Array.mapi
          (fun i -> function
            | Ok u -> u
-           | Error Scheduler.Cancelled ->
-               { source = tasks.(i); status = Skipped; pdb = None;
-                 seconds = 0.0; deps = []; cone_truncated = false;
-                 digest = None }
+           | Error Scheduler.Cancelled -> no_pdb tasks.(i) Skipped
            | Error e when Fault.is_transient e && options.retries > 0 ->
                (* the worker faulted before the task ran (flaky-worker
                   injection, lost job): one sequential redo, which brings
                   build_unit's own retry budget with it *)
                Trace.count ~cat:"build" "build.retry" 0;
                task tasks.(i)
-           | Error e ->
-               { source = tasks.(i); status = Failed (Printexc.to_string e);
-                 pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false; digest = None })
+           | Error e -> no_pdb tasks.(i) (Failed (Printexc.to_string e)))
          results)
   in
   result_of_units ~t0 units

@@ -1,15 +1,18 @@
 (** The incremental PDB cache.
 
     A cache entry maps a content hash of one translation unit's inputs to
-    its serialized PDB under [.pdt-cache/].  The key covers everything that
-    can change the PDB:
+    its PDB under [.pdt-cache/], serialized as canonical ASCII (the
+    {!Pdt_pdb.Pdb_write} bytes): the build holds one PDB form, whatever
+    container [pdbbuild --pdb-format] writes its output in, and an entry's
+    body digest is the merge digest of the PDB it holds.  The key covers
+    everything that can change the PDB:
 
     - the source path and its contents,
     - the contents of every file in the (lexically scanned) include closure,
     - the compile-option fingerprint the driver passes in,
     - the cache format version.
 
-    As a formula (format v5), with [p1 .. pn] the closure in DFS
+    As a formula (format v6), with [p1 .. pn] the closure in DFS
     first-visit order, the source first:
 
     {v key = MD5 (magic, options, p1, d(p1), ..., pn, d(pn))
@@ -77,11 +80,12 @@
 
 open Pdt_util
 
-(* v5: the key hashes each file's digest, not its normalized text.  v4
-   brought the sharded objects/<hh>/ layout.  Entries of an older version
-   are never probed under a v5 key; the first build over an old directory
-   recompiles and repopulates, which is the ordinary cold-cache path. *)
-let format_version = 5
+(* v6: every body is canonical ASCII; v5 entries may be PDB-B.  v5 keyed
+   each file's digest, not its normalized text, and v4 brought the sharded
+   objects/<hh>/ layout.  Entries of an older version are never probed
+   under a v6 key; the first build over an old directory recompiles and
+   repopulates, which is the ordinary cold-cache path. *)
+let format_version = 6
 
 let magic = Printf.sprintf "PDT-CACHE v%d" format_version
 
@@ -421,15 +425,16 @@ let quarantine_if t key (still_bad : string -> bool) : unit =
 
 (** Look a key up.  [None] on: no entry, or an entry that fails
     verification — version mismatch, key mismatch (misfiled), digest
-    mismatch (truncated / bit-flipped), unparseable body.  Every
-    verification failure quarantines the entry so the next build stores a
-    fresh one instead of re-probing the same corrupt file.
+    mismatch (truncated / bit-flipped), a body that does not parse as
+    ASCII (a PDB-B body included).  Every verification failure quarantines
+    the entry so the next build stores a fresh one instead of re-probing
+    the same corrupt file.
 
-    With the PDB comes its {!Pdt_pdb.Pdb_digest} when the body is ASCII:
-    verification has just taken the body's MD5, and an ASCII body is the
-    canonical serialization of the PDB it parses to, so the merge need not
-    serialize the PDB again to digest it.  A PDB-B body gives [None]. *)
-let load t key : (Pdt_pdb.Pdb.t * string option) option =
+    With the PDB comes its {!Pdt_pdb.Pdb_digest}: verification has just
+    taken the body's MD5, and the body is the canonical serialization of
+    the PDB it parses to, so the merge need not serialize the PDB again to
+    digest it. *)
+let load t key : (Pdt_pdb.Pdb.t * string) option =
   match read_file (entry_path t key) with
   | None -> None
   | Some content -> (
@@ -445,17 +450,9 @@ let load t key : (Pdt_pdb.Pdb.t * string option) option =
       | Some (body, body_digest) -> (
           (* digest-verified bytes should always parse; if they somehow
              don't, that's corruption too — quarantine, never crash.
-             The body format is sniffed per entry (ASCII or PDB-B), so a
-             cache dir can hold a mix of both and a build in either mode
-             reuses entries written by the other.  Transient injections
-             from the parser's own site propagate so the driver's retry
-             policy sees them. *)
-          try
-            let pdb = Pdt_pdb.Pdb_io.of_string body in
-            match Pdt_pdb.Pdb_io.sniff_string body with
-            | Pdt_pdb.Pdb_io.Ascii -> Some (pdb, Some body_digest)
-            | Pdt_pdb.Pdb_io.Binary -> Some (pdb, None)
-          with
+             Transient injections from the parser's own site propagate
+             so the driver's retry policy sees them. *)
+          try Some (Pdt_pdb.Pdb_parse.of_string body, body_digest) with
           | Fault.Injected _ as e -> raise e
           | _ ->
               (* still_bad = verifies but still won't parse.  A transient
@@ -466,16 +463,15 @@ let load t key : (Pdt_pdb.Pdb.t * string option) option =
                   match verify_content key c with
                   | None -> true
                   | Some b -> (
-                      match Pdt_pdb.Pdb_io.of_string b with
+                      match Pdt_pdb.Pdb_parse.of_string b with
                       | _ -> false
                       | exception Fault.Injected _ -> false
                       | exception _ -> true));
               None))
 
-(** Store an already-serialized PDB body.  Callers that hold the bytes
-    anyway (the build driver serializes each unit's PDB exactly once and
-    reuses the string for the entry and its digest) avoid re-serializing.
-    The write goes through {!write_atomic}, so concurrent domains {e and}
+(** Store a PDB body, its {!Pdt_pdb.Pdb_write} bytes: callers serialize
+    once and reuse the string for the entry and its merge digest.  The
+    write goes through {!write_atomic}, so concurrent domains {e and}
     concurrent pdbbuild processes sharing a cache dir never expose a
     half-written entry. *)
 let store_serialized t key (body : string) : unit =
@@ -495,9 +491,6 @@ let store_serialized t key (body : string) : unit =
         Fault.check "cache.write.crash";
         output_string oc body
       end)
-
-let store t key (pdb : Pdt_pdb.Pdb.t) : unit =
-  store_serialized t key (Pdt_pdb.Pdb_write.to_string pdb)
 
 (* ------------------------------------------------------------------ *)
 (* Stale temp sweeping                                                 *)

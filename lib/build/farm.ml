@@ -143,29 +143,23 @@ let unit_result_of_result ~source (r : Farm_proto.msg) : Build.unit_result =
         | Farm_proto.S_degraded -> Build.Degraded message
         | Farm_proto.S_failed -> Build.Failed message
       in
-      let pdb =
+      (* the payload is the canonical ASCII of the PDB the worker built,
+         so the merge digest comes from the bytes in hand.  A parse
+         failure means the Result frame body was corrupted in transit —
+         treat as a failed unit, not a crash *)
+      let pdb, digest =
         match wire_pdb with
-        | None -> None
+        | None -> (None, None)
         | Some s -> (
-            (* the worker serialized the PDB it just built; a parse
-               failure here means the Result frame body was corrupted in
-               transit — treat as a failed unit, not a crash *)
-            try Some (Pdt_pdb.Pdb_io.of_string s) with _ -> None)
+            match Pdt_pdb.Pdb_parse.of_string s with
+            | pdb -> (Some pdb, Some (Pdt_pdb.Pdb_digest.of_string s))
+            | exception _ -> (None, None))
       in
       let status =
         match (status, pdb, wire_pdb) with
         | (Build.Compiled | Build.Cached | Build.Degraded _), None, Some _ ->
             Build.Failed "farm: undecodable PDB in result frame"
         | s, _, _ -> s
-      in
-      (* an ASCII payload is the PDB's canonical serialization: the merge
-         digest comes from the bytes in hand *)
-      let digest =
-        match (pdb, wire_pdb) with
-        | Some _, Some s
-          when Pdt_pdb.Pdb_io.sniff_string s = Pdt_pdb.Pdb_io.Ascii ->
-            Some (Pdt_pdb.Pdb_digest.of_string s)
-        | _ -> None
       in
       { Build.source; status; pdb; seconds; deps; cone_truncated; digest }
   | _ -> invalid_arg "unit_result_of_result"
@@ -329,14 +323,11 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
         else
           record i
             (Ok
-               { Build.source = tasks.(i);
-                 status =
-                   Build.Failed
-                     (Printf.sprintf
-                        "farm: worker %s with unit in flight (attempt %d/%d)"
-                        why attempts.(i) (options.Build.retries + 1));
-                 pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false; digest = None })
+               (Build.no_pdb tasks.(i)
+                  (Build.Failed
+                    (Printf.sprintf
+                       "farm: worker %s with unit in flight (attempt %d/%d)"
+                       why attempts.(i) (options.Build.retries + 1)))))
     | _ -> ());
     w.unit_id <- None;
     close_slot_fd w;
@@ -449,12 +440,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
     Queue.clear pending;
     Array.iteri
       (fun i r ->
-        if r = None then
-          record i
-            (Ok
-               { Build.source = tasks.(i); status; pdb = None;
-                 seconds = 0.0; deps = []; cone_truncated = false;
-                 digest = None }))
+        if r = None then record i (Ok (Build.no_pdb tasks.(i) status)))
       results
   in
   Trace.span ~cat:"farm" ~args:[ ("workers", Trace.Int n_workers) ] "farm.build"
@@ -556,11 +542,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
       (Array.mapi
          (fun i -> function
            | Ok u -> u
-           | Error e ->
-               { Build.source = tasks.(i);
-                 status = Build.Failed (Printexc.to_string e);
-                 pdb = None; seconds = 0.0; deps = [];
-                 cone_truncated = false; digest = None })
+           | Error e -> Build.no_pdb tasks.(i) (Build.Failed (Printexc.to_string e)))
          reconciled)
   in
   Build.result_of_units ~t0 units

@@ -21,7 +21,8 @@
       mismatch as a permanently-failed worker, not a retry.
     - ['U'] {e Unit} (driver → worker): one translation unit to build.
     - ['R'] {e Result} (worker → driver): the unit's outcome, mirroring
-      {!Build.unit_result} (status, serialized PDB, timings, deps).
+      {!Build.unit_result} (status, the PDB's canonical ASCII, timings,
+      deps).
     - ['B'] {e Heartbeat} (worker → driver): sent every [heartbeat_ms]
       by a worker-side thread, carrying the id of the unit in flight (or
       {!no_unit} when idle).  Silence past the driver's liveness window
@@ -33,7 +34,9 @@
 
 exception Proto_error of string
 
-let version = 1
+(* 2: Config carries no PDB format; every Result payload is canonical
+   ASCII *)
+let version = 2
 
 (** Heartbeat unit id meaning "idle, no unit in flight". *)
 let no_unit = 0xFFFF_FFFF
@@ -106,7 +109,6 @@ type config = {
   c_sema_spec : bool;
   c_mapping : Pdt_analyzer.Analyzer.mapping;
   c_limits : Pdt_util.Limits.budgets;
-  c_pdb_format : Pdt_pdb.Pdb_io.format;
   c_include_paths : string list;
   c_disk_fallback : bool;
   c_files : (string * string) list;  (** the full VFS table, path → bytes *)
@@ -126,7 +128,7 @@ type msg =
       id : int;
       status : unit_status;
       message : string;         (** Degraded/Failed detail; else "" *)
-      pdb : string option;      (** serialized (ASCII or PDB-B) container *)
+      pdb : string option;      (** the PDB's canonical ASCII *)
       seconds : float;
       deps : string list;
       cone_truncated : bool;
@@ -143,7 +145,6 @@ let config_of_options (o : Build.options) ~(vfs : Pdt_util.Vfs.t)
     c_sema_spec = o.Build.sema.Pdt_sema.Sema.map_specializations;
     c_mapping = o.Build.mapping;
     c_limits = o.Build.limits;
-    c_pdb_format = o.Build.pdb_format;
     c_include_paths = vfs.Pdt_util.Vfs.include_paths;
     c_disk_fallback = vfs.Pdt_util.Vfs.disk_fallback;
     c_files =
@@ -166,8 +167,7 @@ let options_of_config (c : config) : Build.options =
       { Pdt_sema.Sema.instantiate_used = c.c_sema_used;
         map_specializations = c.c_sema_spec };
     mapping = c.c_mapping;
-    limits = c.c_limits;
-    pdb_format = c.c_pdb_format }
+    limits = c.c_limits }
 
 let vfs_of_config (c : config) : Pdt_util.Vfs.t =
   let vfs = Pdt_util.Vfs.create ~include_paths:c.c_include_paths () in
@@ -187,15 +187,6 @@ let mapping_of_code = function
   | 0 -> Pdt_analyzer.Analyzer.Location_based
   | 1 -> Pdt_analyzer.Analyzer.Il_ids
   | n -> raise (Proto_error (Printf.sprintf "bad mapping code %d" n))
-
-let format_code = function
-  | Pdt_pdb.Pdb_io.Ascii -> 0
-  | Pdt_pdb.Pdb_io.Binary -> 1
-
-let format_of_code = function
-  | 0 -> Pdt_pdb.Pdb_io.Ascii
-  | 1 -> Pdt_pdb.Pdb_io.Binary
-  | n -> raise (Proto_error (Printf.sprintf "bad pdb-format code %d" n))
 
 let status_code = function
   | S_compiled -> 0
@@ -223,7 +214,6 @@ let encode (m : msg) : string =
       put_bool b c.c_sema_used;
       put_bool b c.c_sema_spec;
       put_u32 b (mapping_code c.c_mapping);
-      put_u32 b (format_code c.c_pdb_format);
       let l = c.c_limits in
       put_u32 b l.Pdt_util.Limits.max_include_depth;
       put_u32 b l.Pdt_util.Limits.max_macro_depth;
@@ -280,7 +270,6 @@ let decode (payload : string) : msg =
         let sema_used = get_bool c in
         let sema_spec = get_bool c in
         let mapping = mapping_of_code (get_u32 c) in
-        let fmt = format_of_code (get_u32 c) in
         let max_include_depth = get_u32 c in
         let max_macro_depth = get_u32 c in
         let max_tokens = get_u32 c in
@@ -310,7 +299,6 @@ let decode (payload : string) : msg =
                 max_parse_depth;
                 max_instantiation_depth;
                 max_errors };
-            c_pdb_format = fmt;
             c_include_paths = include_paths;
             c_disk_fallback = disk_fallback;
             c_files = files;

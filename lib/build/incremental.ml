@@ -288,7 +288,7 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
       with
       | Some (pdb, digest) ->
           Trace.count ~cat:"incr" "incr.group_hit" 0;
-          Ready (Build.merge_input digest pdb)
+          Ready (digest, pdb)
       | None ->
           Trace.count ~cat:"incr" "incr.group_miss" 0;
           Need (Array.make (List.length members) None)
@@ -329,11 +329,7 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
           ignore (task (p, slots, i))
       | Error e ->
           slots.(i) <-
-            Some
-              { Build.source = p.p_source;
-                status = Build.Failed (Printexc.to_string e);
-                pdb = None; seconds = 0.0; deps = [];
-                cone_truncated = false; digest = None })
+            Some (Build.no_pdb p.p_source (Build.Failed (Printexc.to_string e))))
     results;
   (* assemble group partials, each with its merge digest; freshly merged
      clean groups go back into the content-addressed cache for the next

@@ -386,8 +386,8 @@ let type_key (pdb : P.t) (ty : P.type_item) =
 
     Each input comes with its digest: the MD5 (hex) of its canonical ASCII
     serialization, {!Pdt_pdb.Pdb_digest.of_pdb}.  The build drivers take it
-    from bytes they already hold — a unit's ASCII cache body, just stored
-    or just verified, a group partial, an ASCII farm payload — and {!merge}
+    from bytes they already hold — a unit's cache body, just stored or
+    just verified, a group partial, a farm payload — and {!merge}
     computes it for inputs without bytes.  Inputs are sorted by digest
     first.  The merge is first-wins for same-key entities, so input order
     decides the output bytes, and the digest order makes that order a

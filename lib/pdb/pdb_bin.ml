@@ -463,10 +463,7 @@ let i32 (b : buf) (off : int) : int =
 
 type reader = {
   buf : buf;
-  strings : string Lazy.t array;
-      (* extracted (and interned) from the blob on first use, so a
-         partial decode — the on-demand {!View} — only pays for the
-         strings its records actually reference *)
+  strings : string array;  (* the pool, extracted and interned *)
   aux_base : int;   (* byte offset of the first aux word *)
   aux_count : int;  (* words in the aux section *)
   rver : int;       (* the file's format version (1 or 2) *)
@@ -476,7 +473,7 @@ let fetch_string (r : reader) (id : int) (what : string) : string =
   if id < 0 || id >= Array.length r.strings then
     err "%s: string id %d out of range (pool has %d strings)" what id
       (Array.length r.strings);
-  Lazy.force (Array.unsafe_get r.strings id)
+  Array.unsafe_get r.strings id
 
 (* Validate an aux reference and return the byte offset of its first
    word. *)
@@ -799,11 +796,10 @@ let extract_string (b : buf) (off : int) (len : int) : string =
 (* Section layout                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the eager decoder and the on-demand {!View} share:
-   header validation, the section table, string-table monotonicity and
-   per-kind record-section bounds.  O(sections + string count) u32
-   reads, no allocation proportional to content size — this is the
-   entire up-front cost of opening a mapped file. *)
+(* Validation before any record is decoded: the header, the section
+   table, string-table monotonicity and per-kind record-section bounds.
+   O(sections + string count) u32 reads, no allocation proportional to
+   content size. *)
 
 let n_kinds = 7
 let k_so = 0
@@ -910,20 +906,20 @@ let layout (b : buf) : layout =
     lay_aux_base = aux_off + 4; lay_aux_count = aux_count;
     lay_sects = sects }
 
-let strings_of_layout (b : buf) (lay : layout) : string Lazy.t array =
-  Array.init lay.lay_str_count (fun i ->
-      let o = u32 b (lay.lay_str_cum_base + (4 * i)) in
-      let o' = u32 b (lay.lay_str_cum_base + (4 * (i + 1))) in
-      lazy (extract_string b (lay.lay_str_blob_base + o) (o' - o)))
-
-let reader_of_layout (b : buf) (lay : layout) : reader =
-  { buf = b; strings = strings_of_layout b lay;
-    aux_base = lay.lay_aux_base; aux_count = lay.lay_aux_count;
-    rver = lay.lay_ver }
-
-let decode (b : buf) : Pdb.t =
-  let lay = layout b in
-  let r = reader_of_layout b lay in
+(* Decode the whole PDB from [b], whose [layout] is [lay].  Every pool
+   string is referenced by some record, so the pool is extracted up
+   front. *)
+let decode (b : buf) (lay : layout) : Pdb.t =
+  let strings =
+    Array.init lay.lay_str_count (fun i ->
+        let o = u32 b (lay.lay_str_cum_base + (4 * i)) in
+        let o' = u32 b (lay.lay_str_cum_base + (4 * (i + 1))) in
+        extract_string b (lay.lay_str_blob_base + o) (o' - o))
+  in
+  let r =
+    { buf = b; strings; aux_base = lay.lay_aux_base;
+      aux_count = lay.lay_aux_count; rver = lay.lay_ver }
+  in
   let items k decode_one =
     let base, count = lay.lay_sects.(k) in
     let words = kind_words_v lay.lay_ver k in
@@ -948,7 +944,7 @@ let decode (b : buf) : Pdb.t =
 
 let of_bigarray (b : buf) : Pdb.t =
   Pdt_util.Fault.check "pdb.bin_read";
-  Pdt_util.Trace.timed ~cat:"pdb" "pdb.bin_read" @@ fun () -> decode b
+  Pdt_util.Trace.timed ~cat:"pdb" "pdb.bin_read" @@ fun () -> decode b (layout b)
 
 let bigarray_of_string (s : string) : buf =
   let n = String.length s in
@@ -1000,147 +996,29 @@ let is_binary_file (path : string) : bool =
       r
 
 (* ------------------------------------------------------------------ *)
-(* On-demand view                                                     *)
+(* Validated open                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Zero-copy, on-demand access to a mapped PDB-B file — the reason the
-    records are fixed-width.  Opening validates the layout and builds a
-    per-kind id→offset index by reading one u32 per record; nothing
-    else is materialized.  Individual items decode straight out of the
-    mapping when asked for, and only the strings those items reference
-    are ever extracted from the blob.  The cost of [of_file] is
-    therefore O(items) word reads — orders of magnitude under a full
-    ASCII parse — which is the "cold index load" bench B10 measures. *)
-module View = struct
-  type t = {
-    buf : buf;
-    lay : layout;
-    r : reader;
-    ids : (int, int) Hashtbl.t array;
-        (* per kind: item id -> byte offset of its record *)
-    version : string;
-    incomplete : bool;
-    diag_count : int;
-  }
+(** A mapped PDB-B file whose layout has been validated: opening checks
+    the header, the section table and every section's extent without
+    decoding a record, and {!to_pdb} decodes from that layout.  pdbd
+    opens its database this way on every load and reload. *)
+module View : sig
+  type t
+  val of_file : string -> t
+  val of_string : string -> t
+  val to_pdb : t -> Pdb.t
+end = struct
+  type t = { buf : buf; lay : layout }
 
   let of_bigarray (b : buf) : t =
     Pdt_util.Fault.check "pdb.bin_read";
     Pdt_util.Trace.timed ~cat:"pdb" "pdb.view_open" @@ fun () ->
-    let lay = layout b in
-    let r = reader_of_layout b lay in
-    let ids =
-      Array.init n_kinds (fun k ->
-          let base, count = lay.lay_sects.(k) in
-          let words = kind_words_v lay.lay_ver k in
-          let h = Hashtbl.create (max 16 count) in
-          for i = 0 to count - 1 do
-            let off = base + (4 * words * i) in
-            Hashtbl.replace h (i32 b off) off
-          done;
-          h)
-    in
-    { buf = b; lay; r; ids;
-      version = fetch_string r lay.lay_version_sid "header version";
-      incomplete = lay.lay_flags land 1 <> 0;
-      diag_count = lay.lay_diag_count }
+    { buf = b; lay = layout b }
 
   let of_file (path : string) : t = of_bigarray (map_path path)
   let of_string (s : string) : t = of_bigarray (bigarray_of_string s)
 
-  let version v = v.version
-  let incomplete v = v.incomplete
-  let diag_count v = v.diag_count
-
-  let count v k = snd v.lay.lay_sects.(k)
-  let file_count v = count v k_so
-  let namespace_count v = count v k_na
-  let template_count v = count v k_te
-  let routine_count v = count v k_ro
-  let class_count v = count v k_cl
-  let type_count v = count v k_ty
-  let macro_count v = count v k_ma
-
-  let item_count v =
-    let n = ref 0 in
-    for k = 0 to n_kinds - 1 do n := !n + count v k done;
-    !n
-
-  (** Per-kind record counts, in section order: so na te ro cl ty ma. *)
-  let counts v = List.init n_kinds (fun k -> (kind_names.(k), count v k))
-
-  let at v k decode_one i =
-    let base, n = v.lay.lay_sects.(k) in
-    if i < 0 || i >= n then
-      err "%s record index %d out of range (%d records)" kind_names.(k) i n;
-    decode_one v.r (base + (4 * kind_words_v v.lay.lay_ver k * i))
-
-  let file_at v i = at v k_so decode_so i
-  let namespace_at v i = at v k_na decode_na i
-  let template_at v i = at v k_te decode_te i
-  let routine_at v i = at v k_ro decode_ro i
-  let class_at v i = at v k_cl decode_cl i
-  let type_at v i = at v k_ty decode_ty i
-  let macro_at v i = at v k_ma decode_ma i
-
-  let by_id v k decode_one id =
-    Option.map (decode_one v.r) (Hashtbl.find_opt v.ids.(k) id)
-
-  let file_by_id v id = by_id v k_so decode_so id
-  let namespace_by_id v id = by_id v k_na decode_na id
-  let template_by_id v id = by_id v k_te decode_te id
-  let routine_by_id v id = by_id v k_ro decode_ro id
-  let class_by_id v id = by_id v k_cl decode_cl id
-  let type_by_id v id = by_id v k_ty decode_ty id
-  let macro_by_id v id = by_id v k_ma decode_ma id
-
-  let string_matches (b : buf) (off : int) (s : string) : bool =
-    let n = String.length s in
-    let rec go j =
-      j >= n
-      || (Bigarray.Array1.unsafe_get b (off + j) = String.unsafe_get s j
-          && go (j + 1))
-    in
-    go 0
-
-  (** Find the pool id of an exact string by scanning the blob in place —
-      no extraction, so a miss allocates nothing. *)
-  let find_string v (s : string) : int option =
-    let b = v.buf and lay = v.lay in
-    let n = String.length s in
-    let cum i = u32 b (lay.lay_str_cum_base + (4 * i)) in
-    let rec go i =
-      if i >= lay.lay_str_count then None
-      else
-        let o = cum i in
-        if cum (i + 1) - o = n && string_matches b (lay.lay_str_blob_base + o) s
-        then Some i
-        else go (i + 1)
-    in
-    go 0
-
-  (* Every record kind stores its name sid in word 1, so a find-by-name
-     is one blob scan for the sid plus one u32 scan over the records. *)
-  let find_by_name v k decode_one name =
-    match find_string v name with
-    | None -> None
-    | Some sid ->
-        let base, n = v.lay.lay_sects.(k) in
-        let words = kind_words_v v.lay.lay_ver k in
-        let rec go i =
-          if i >= n then None
-          else
-            let off = base + (4 * words * i) in
-            if u32 v.buf (off + 4) = sid then Some (decode_one v.r off)
-            else go (i + 1)
-        in
-        go 0
-
-  let find_file v name = find_by_name v k_so decode_so name
-  let find_routine v name = find_by_name v k_ro decode_ro name
-  let find_class v name = find_by_name v k_cl decode_cl name
-  let find_template v name = find_by_name v k_te decode_te name
-
-  (** Materialize the whole PDB (same result as {!of_bigarray} on the
-      underlying buffer). *)
-  let to_pdb v : Pdb.t = decode v.buf
+  (** The whole PDB, as the eager loaders decode it. *)
+  let to_pdb v : Pdb.t = decode v.buf v.lay
 end

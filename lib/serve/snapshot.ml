@@ -76,8 +76,8 @@ let load_gen (source : source) (gen : int) : snap * reload_stats =
       let pdb, mmap =
         match fmt with
         | Pdt_pdb.Pdb_io.Binary ->
-            (* zero-copy open: mmap + validate + id index, then decode
-               into the navigable model the query verbs need *)
+            (* mmap and validate, then decode into the navigable model
+               the query verbs need *)
             (Pdt_pdb.Pdb_bin.View.to_pdb (Pdt_pdb.Pdb_bin.View.of_file path), true)
         | Pdt_pdb.Pdb_io.Ascii -> (Pdt_pdb.Pdb_parse.of_file path, false)
       in

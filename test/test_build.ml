@@ -334,7 +334,7 @@ let test_cache_load_rejects_stale_version () =
   let pdb = Pdt_analyzer.Analyzer.run (Pdt.compile_exn ~vfs source).Pdt.program in
   let cache = C.create ~dir:cache_dir () in
   let key = C.key ~vfs ~options:"opts" source in
-  C.store cache key pdb;
+  C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
    | Some (loaded, _) ->
        Alcotest.(check string) "store/load roundtrip" (pdb_string pdb)
@@ -492,10 +492,10 @@ let test_header_edit_under_any_spelling () =
 (* Every (digest, PDB) pair a build hands the merge must carry that PDB's
    own digest, the MD5 of its canonical ASCII.  A digest taken from other
    bytes would reorder inputs only where same-key entities conflict, which
-   no byte-identity pin is sure to hit, so this is the guard.  [from_bytes]
-   says whether the units must have taken theirs from bytes in hand (ASCII
-   bodies) rather than leaving the merge to serialize the PDB. *)
-let check_merge_digests what ~from_bytes (r : B.result) =
+   no byte-identity pin is sure to hit, so this is the guard.  Every unit
+   must have taken its digest from the bytes in hand (the cache body or
+   farm payload) rather than leaving the merge to serialize the PDB. *)
+let check_merge_digests what (r : B.result) =
   let inputs = B.merge_inputs r.B.units in
   Alcotest.(check int) (what ^ ": one input per unit") (List.length r.B.units)
     (List.length inputs);
@@ -507,36 +507,25 @@ let check_merge_digests what ~from_bytes (r : B.result) =
   List.iter
     (fun (u : B.unit_result) ->
       Alcotest.(check bool) (what ^ ": digest from bytes in hand: " ^ u.B.source)
-        from_bytes (u.B.digest <> None))
+        true (u.B.digest <> None))
     r.B.units
 
 let test_merge_digests_pool () =
-  let build_fmt ~cache_dir pdb_format =
+  let cache_dir = fresh_dir () in
+  let build () =
     let vfs, sources = project () in
     B.build
-      ~options:
-        { B.default_options with domains = 2; cache_dir = Some cache_dir; pdb_format }
+      ~options:{ B.default_options with domains = 2; cache_dir = Some cache_dir }
       ~vfs sources
   in
-  let ascii_dir = fresh_dir () and binary_dir = fresh_dir () in
-  let cold = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Ascii in
-  Alcotest.(check int) "ascii cold: all compiled" (n_tus + 1) cold.B.compiled;
-  check_merge_digests "ascii cold" ~from_bytes:true cold;
-  let warm = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Ascii in
-  Alcotest.(check int) "ascii warm: all cached" (n_tus + 1) warm.B.cached;
-  check_merge_digests "ascii warm" ~from_bytes:true warm;
-  let cold = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Binary in
-  check_merge_digests "binary cold" ~from_bytes:false cold;
-  let warm = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Binary in
-  Alcotest.(check int) "binary warm: all cached" (n_tus + 1) warm.B.cached;
-  check_merge_digests "binary warm" ~from_bytes:false warm;
-  (* entries are sniffed per body, not per build mode *)
-  let r = build_fmt ~cache_dir:ascii_dir Pdt_pdb.Pdb_io.Binary in
-  check_merge_digests "binary build over ascii entries" ~from_bytes:true r;
-  let r = build_fmt ~cache_dir:binary_dir Pdt_pdb.Pdb_io.Ascii in
-  check_merge_digests "ascii build over binary entries" ~from_bytes:false r;
-  Alcotest.(check string) "every build merges the same bytes"
-    (pdb_string cold.B.merged) (pdb_string r.B.merged)
+  let cold = build () in
+  Alcotest.(check int) "cold: all compiled" (n_tus + 1) cold.B.compiled;
+  check_merge_digests "cold" cold;
+  let warm = build () in
+  Alcotest.(check int) "warm: all cached" (n_tus + 1) warm.B.cached;
+  check_merge_digests "warm" warm;
+  Alcotest.(check string) "cold and warm builds merge the same bytes"
+    (pdb_string cold.B.merged) (pdb_string warm.B.merged)
 
 (* An incremental edit-rebuild merges unit PDBs into group partials, then
    the partials; both take their digests from cache bodies (through
@@ -577,10 +566,9 @@ let test_merge_digests_incremental () =
   List.iter
     (fun key ->
       match C.load cache key with
-      | Some (p, Some d) ->
+      | Some (p, d) ->
           if d <> Pdt_pdb.Pdb_digest.of_pdb p then
             Alcotest.failf "entry %s: digest is not its PDB's" key
-      | Some (_, None) -> Alcotest.failf "entry %s: ASCII body gave no digest" key
       | None -> Alcotest.failf "entry %s did not load" key)
     keys
 
@@ -747,7 +735,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_include_scan_covers_directives;
     Alcotest.test_case "cache key: header edit under any include spelling" `Quick
       test_header_edit_under_any_spelling;
-    Alcotest.test_case "merge digests: pool, ascii/binary, cold/warm" `Quick
+    Alcotest.test_case "merge digests: pool, cold/warm" `Quick
       test_merge_digests_pool;
     Alcotest.test_case "merge digests: incremental edit-rebuild" `Quick
       test_merge_digests_incremental;

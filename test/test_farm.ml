@@ -267,30 +267,26 @@ let test_farm_without_cache () =
     (pdb_string r.B.merged)
 
 (* The digests a --farm 2 build hands the merge: taken from the Result
-   frame's payload when it is ASCII, and always that PDB's own. *)
+   frame's payload, and always that PDB's own. *)
 let test_farm_merge_digests () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let vfs, sources = project () in
+  let build () =
+    Farm.build ~config:(farm_config ~workers:2 ())
+      ~options:{ B.default_options with cache_dir = Some dir }
+      ~vfs sources
+  in
+  let cold = build () in
+  let warm = build () in
+  Alcotest.(check int) "warm: all cached" (n_tus + 1) warm.B.cached;
   List.iter
-    (fun (what, pdb_format, from_bytes) ->
-      let dir = fresh_dir () in
-      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-      let vfs, sources = project () in
-      let build () =
-        Farm.build ~config:(farm_config ~workers:2 ())
-          ~options:{ B.default_options with cache_dir = Some dir; pdb_format }
-          ~vfs sources
-      in
-      let cold = build () in
-      let warm = build () in
-      Alcotest.(check int) (what ^ " warm: all cached") (n_tus + 1) warm.B.cached;
-      List.iter
-        (fun (run, r) ->
-          let what = what ^ " " ^ run in
-          Alcotest.(check int) (what ^ ": no failures") 0 r.B.failed;
-          Alcotest.(check string) (what ^ ": farm bytes == Domain-pool bytes")
-            (Lazy.force reference) (pdb_string r.B.merged);
-          Test_build.check_merge_digests what ~from_bytes r)
-        [ ("cold", cold); ("warm", warm) ])
-    [ ("ascii", Pdt_pdb.Pdb_io.Ascii, true); ("binary", Pdt_pdb.Pdb_io.Binary, false) ]
+    (fun (what, r) ->
+      Alcotest.(check int) (what ^ ": no failures") 0 r.B.failed;
+      Alcotest.(check string) (what ^ ": farm bytes == Domain-pool bytes")
+        (Lazy.force reference) (pdb_string r.B.merged);
+      Test_build.check_merge_digests what r)
+    [ ("cold", cold); ("warm", warm) ]
 
 let test_farm_unavailable () =
   let config =

@@ -480,7 +480,7 @@ let corruption_case name mutate () =
   in
   let cache = C.create ~dir () in
   let key = C.key ~vfs ~options:"opts" source in
-  C.store cache key pdb;
+  C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
   | Some _ -> ()
   | None -> Alcotest.fail (name ^ ": fresh entry must load"));
@@ -492,7 +492,7 @@ let corruption_case name mutate () =
   Alcotest.(check bool) (name ^ " was quarantined") true
     (Sys.file_exists
        (Filename.concat (C.quarantine_dir cache) (Filename.basename path)));
-  C.store cache key pdb;
+  C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
   | Some (loaded, _) ->
       Alcotest.(check string) (name ^ ": rebuilt entry loads cleanly")
@@ -546,7 +546,7 @@ let test_corrupt_wrong_key () =
   let cache = C.create ~dir () in
   let k1 = C.key ~vfs ~options:"opts" s1 in
   let k2 = C.key ~vfs ~options:"opts" s2 in
-  C.store cache k1 pdb;
+  C.store_serialized cache k1 (pdb_string pdb);
   (* k2 may land in a shard no store has created yet *)
   C.mkdir_p (Filename.dirname (C.entry_path cache k2));
   write_file (C.entry_path cache k2) (read_file (C.entry_path cache k1));
@@ -560,14 +560,11 @@ let test_corrupt_wrong_key () =
   | None -> Alcotest.fail "the correctly-filed entry still loads");
   rm_rf dir
 
-(* PDB-B axis of the corruption matrix: binary (PDB-B) cache entries have
-   two lines of defense, and both must hold.  (a) Truncating the entry
-   file breaks the digest header, same as for ASCII entries.  (b) An
-   entry whose digest is *valid* but whose body is a truncated PDB-B
-   container sails past the digest check — the format-sniffing parse is
-   the last defense, and it must quarantine (Format_error caught), never
-   crash the build. *)
-let test_corrupt_truncated_binary () =
+(* Cache entries hold canonical ASCII only.  A PDB-B body under a valid
+   header, whole or cut short, passes the digest check, so the ASCII
+   parse is the defense: the entry must be a miss and be quarantined,
+   with no exception escaping. *)
+let test_binary_body_quarantined () =
   let dir = fresh_dir () in
   let vfs, sources = project () in
   let source = List.hd sources in
@@ -576,41 +573,37 @@ let test_corrupt_truncated_binary () =
   in
   let cache = C.create ~dir () in
   let key = C.key ~vfs ~options:"opts" source in
-  let body = Pdt_pdb.Pdb_io.to_string Pdt_pdb.Pdb_io.Binary pdb in
-  C.store_serialized cache key body;
-  (match C.load cache key with
-  | Some (loaded, _) ->
-      Alcotest.(check string) "binary entry loads losslessly"
-        (pdb_string pdb) (pdb_string loaded)
-  | None -> Alcotest.fail "fresh binary entry must load");
   let path = C.entry_path cache key in
-  (* (a) raw file truncation: caught by the digest header *)
-  let content = read_file path in
-  write_file path (String.sub content 0 (String.length content / 2));
-  Alcotest.(check bool) "truncated binary entry is a miss" true
-    (C.load cache key = None);
-  Alcotest.(check bool) "truncated binary entry quarantined" true
-    (Sys.file_exists
-       (Filename.concat (C.quarantine_dir cache) (Filename.basename path)));
-  (* (b) digest-valid header over a truncated PDB-B body: only the parse
-     can catch this one *)
+  let quarantined = Filename.concat (C.quarantine_dir cache) (Filename.basename path) in
+  let body = Pdt_pdb.Pdb_bin.to_string pdb in
+  C.mkdir_p (Filename.dirname path);
   List.iter
     (fun frac ->
+      let what =
+        if frac = 1 then "whole PDB-B body"
+        else Printf.sprintf "1/%d PDB-B body" frac
+      in
       let cut = String.sub body 0 (String.length body / frac) in
-      write_file path
-        (C.header key (Pdt_util.Hashutil.string cut) ^ "\n" ^ cut);
-      Alcotest.(check bool)
-        (Printf.sprintf "1/%d PDB-B body is a miss, not a crash" frac)
-        true
-        (C.load cache key = None);
-      Alcotest.(check bool)
-        (Printf.sprintf "1/%d PDB-B body quarantined" frac)
-        false (Sys.file_exists path))
-    [ 2; 4; 16 ];
-  C.store_serialized cache key body;
+      (try Sys.remove quarantined with Sys_error _ -> ());
+      write_file path (C.header key (Pdt_util.Hashutil.string cut) ^ "\n" ^ cut);
+      (match C.load cache key with
+      | None -> ()
+      | Some _ -> Alcotest.failf "%s loaded from the cache" what
+      | exception e ->
+          Alcotest.failf "%s: %s escaped the load" what (Printexc.to_string e));
+      Alcotest.(check bool) (what ^ " left no live entry") false
+        (Sys.file_exists path);
+      Alcotest.(check bool) (what ^ " was quarantined") true
+        (Sys.file_exists quarantined))
+    [ 1; 2; 4; 16 ];
+  C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
-  | Some _ -> ()
-  | None -> Alcotest.fail "re-stored binary entry must load");
+  | Some (loaded, digest) ->
+      Alcotest.(check string) "ASCII entry stored over it loads"
+        (pdb_string pdb) (pdb_string loaded);
+      Alcotest.(check string) "with its PDB's digest"
+        (Pdt_pdb.Pdb_digest.of_pdb pdb) digest
+  | None -> Alcotest.fail "ASCII entry stored over it must load");
   rm_rf dir
 
 let test_corrupt_counter_reported () =
@@ -631,13 +624,13 @@ let test_torn_write_heals () =
   let cache = C.create ~dir () in
   let key = C.key ~vfs ~options:"opts" source in
   F.with_faults ~sites:[ "cache.write.torn" ] ~seed:1 ~rate:1.0 ~max_faults:1
-    (fun () -> C.store cache key pdb);
+    (fun () -> C.store_serialized cache key (pdb_string pdb));
   Alcotest.(check bool) "torn entry reached the final path" true
     (Sys.file_exists (C.entry_path cache key));
   Alcotest.(check bool) "torn entry is a miss" true (C.load cache key = None);
   Alcotest.(check bool) "torn entry quarantined" false
     (Sys.file_exists (C.entry_path cache key));
-  C.store cache key pdb;
+  C.store_serialized cache key (pdb_string pdb);
   Alcotest.(check bool) "healed entry loads" true (C.load cache key <> None);
   rm_rf dir
 
@@ -652,7 +645,7 @@ let test_crashed_write_leaves_no_tmp () =
   let key = C.key ~vfs ~options:"opts" source in
   (try
      F.with_faults ~sites:[ "cache.write.crash" ] ~seed:1 ~rate:1.0
-       ~max_faults:1 (fun () -> C.store cache key pdb)
+       ~max_faults:1 (fun () -> C.store_serialized cache key (pdb_string pdb))
    with F.Injected _ -> ());
   Alcotest.(check bool) "no entry written" false
     (Sys.file_exists (C.entry_path cache key));
@@ -1017,8 +1010,8 @@ let suite =
       test_corrupt_wrong_version;
     Alcotest.test_case "wrong-key entry quarantined, right key intact" `Quick
       test_corrupt_wrong_key;
-    Alcotest.test_case "truncated PDB-B entry quarantined and rebuilt" `Quick
-      test_corrupt_truncated_binary;
+    Alcotest.test_case "a PDB-B body in a cache entry is quarantined" `Quick
+      test_binary_body_quarantined;
     Alcotest.test_case "corruption shows in the cache.corrupt counter" `Quick
       test_corrupt_counter_reported;
     Alcotest.test_case "torn write self-heals" `Quick test_torn_write_heals;

@@ -146,99 +146,8 @@ let test_ductape_index_equality () =
     golden_names
 
 (* ------------------------------------------------------------------ *)
-(* The zero-copy View agrees with the eager decoder                    *)
+(* The validated open decodes what the eager decoder does              *)
 (* ------------------------------------------------------------------ *)
-
-let test_view_counts () =
-  List.iter
-    (fun name ->
-      let bin = produce_bin name in
-      let pdb = B.of_string bin in
-      let v = V.of_string bin in
-      Alcotest.(check string) (name ^ ": version") pdb.P.version (V.version v);
-      Alcotest.(check bool) (name ^ ": incomplete") pdb.P.incomplete (V.incomplete v);
-      Alcotest.(check int) (name ^ ": diag_count") pdb.P.diag_count (V.diag_count v);
-      Alcotest.(check int) (name ^ ": item_count") (P.item_count pdb) (V.item_count v);
-      let expect =
-        [ ("so", List.length pdb.P.files);
-          ("na", List.length pdb.P.namespaces);
-          ("te", List.length pdb.P.templates);
-          ("ro", List.length pdb.P.routines);
-          ("cl", List.length pdb.P.classes);
-          ("ty", List.length pdb.P.types);
-          ("ma", List.length pdb.P.pdb_macros) ]
-      in
-      List.iter
-        (fun (kind, n) ->
-          Alcotest.(check int) (name ^ ": " ^ kind ^ " count") n
-            (List.assoc kind (V.counts v)))
-        expect)
-    golden_names
-
-let test_view_by_id () =
-  List.iter
-    (fun name ->
-      let bin = produce_bin name in
-      let pdb = B.of_string bin in
-      let v = V.of_string bin in
-      List.iter
-        (fun (r : P.routine_item) ->
-          match V.routine_by_id v r.P.ro_id with
-          | Some r' ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: ro#%d decodes identically" name r.P.ro_id)
-                true (r = r')
-          | None ->
-              Alcotest.fail
-                (Printf.sprintf "%s: ro#%d missing from view" name r.P.ro_id))
-        pdb.P.routines;
-      List.iter
-        (fun (c : P.class_item) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: cl#%d decodes identically" name c.P.cl_id)
-            true (V.class_by_id v c.P.cl_id = Some c))
-        pdb.P.classes;
-      List.iter
-        (fun (f : P.source_file) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: so#%d decodes identically" name f.P.so_id)
-            true (V.file_by_id v f.P.so_id = Some f))
-        pdb.P.files;
-      (* a miss is None, not an exception *)
-      Alcotest.(check bool) (name ^ ": unknown id is None") true
-        (V.routine_by_id v 987654 = None))
-    golden_names
-
-let test_view_at_and_find () =
-  let bin = produce_bin "ministl" in
-  let pdb = B.of_string bin in
-  let v = V.of_string bin in
-  (* sequential record access enumerates exactly the eager lists *)
-  let all_at count at = List.init count at in
-  Alcotest.(check bool) "routine_at enumerates routines" true
-    (all_at (V.routine_count v) (V.routine_at v) = pdb.P.routines);
-  Alcotest.(check bool) "class_at enumerates classes" true
-    (all_at (V.class_count v) (V.class_at v) = pdb.P.classes);
-  Alcotest.(check bool) "type_at enumerates types" true
-    (all_at (V.type_count v) (V.type_at v) = pdb.P.types);
-  (* name resolution without decoding: agrees with an eager scan *)
-  (match V.find_routine v "main" with
-  | Some r ->
-      Alcotest.(check bool) "find_routine main" true
-        (Some r = List.find_opt (fun (r : P.routine_item) -> r.P.ro_name = "main") pdb.P.routines)
-  | None -> Alcotest.fail "ministl has a main");
-  (match V.find_class v "vector<int>" with
-  | Some c -> Alcotest.(check string) "find_class vector<int>" "vector<int>" c.P.cl_name
-  | None -> Alcotest.fail "ministl has a vector<int> instantiation");
-  (match V.find_template v "vector" with
-  | Some te -> Alcotest.(check string) "find_template vector" "vector" te.P.te_name
-  | None -> Alcotest.fail "ministl has a vector template");
-  Alcotest.(check bool) "find_routine miss is None" true
-    (V.find_routine v "no_such_routine_name" = None);
-  (* out-of-range record index raises the container's own error *)
-  (match V.routine_at v (V.routine_count v) with
-  | exception B.Format_error _ -> ()
-  | _ -> Alcotest.fail "out-of-range routine_at must raise Format_error")
 
 let test_view_to_pdb () =
   List.iter
@@ -254,10 +163,11 @@ let test_view_to_pdb () =
 (* ------------------------------------------------------------------ *)
 
 let attempt what bytes =
-  (* both the eager decoder and the view must contain the damage *)
+  (* both the eager decoder and the validated open must contain the
+     damage, the latter through its decode too *)
   let outcomes =
     [ (fun () -> ignore (B.of_string bytes));
-      (fun () -> ignore (V.of_string bytes)) ]
+      (fun () -> ignore (V.to_pdb (V.of_string bytes))) ]
   in
   List.iter
     (fun f ->
@@ -350,11 +260,6 @@ let suite =
       Alcotest.test_case "mmap of_file" `Quick test_mmap_of_file;
       Alcotest.test_case "ductape index equality across containers" `Quick
         test_ductape_index_equality;
-      Alcotest.test_case "view: counts and header" `Quick test_view_counts;
-      Alcotest.test_case "view: by-id lookup equals eager decode" `Quick
-        test_view_by_id;
-      Alcotest.test_case "view: record access and name resolution" `Quick
-        test_view_at_and_find;
       Alcotest.test_case "view: to_pdb is lossless" `Quick test_view_to_pdb;
       Alcotest.test_case "truncation sweep never crashes" `Quick
         test_truncation_sweep;
