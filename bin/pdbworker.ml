@@ -119,6 +119,8 @@ let () =
   let cache =
     Option.map (fun dir -> Pdt_build.Cache.create ~dir ()) options.B.cache_dir
   in
+  (* one front-end memo for every unit this worker compiles *)
+  let memo = Pdt.memo () in
   let period_s = float_of_int (max 1 config.P.c_heartbeat_ms) /. 1000.0 in
   ignore (Thread.create heartbeat_loop period_s);
   (try send (P.Hello { version = P.version; pid = Unix.getpid () })
@@ -137,7 +139,7 @@ let () =
                any work *)
             if Fault.should "farm.worker.kill" then self_kill ();
             if Fault.should "farm.worker.wedge" then wedge ();
-            let u = B.build_unit options cache ~vfs source in
+            let u = B.build_unit ~memo options cache ~vfs source in
             (* second half: work done, result not yet delivered *)
             if Fault.should "farm.worker.kill" then self_kill ();
             let status, message =

@@ -18,9 +18,14 @@
       output is byte-identical across domain counts, to a [--farm] or
       [--incremental] build, and to a single-TU + pdbmerge build.
 
+    A build makes one {!Pdt.memo} and compiles every unit with it, so a
+    header the units share is lexed once and, when it opens each unit,
+    parsed once.
+
     The pipeline phases report wall time into {!Pdt_util.Trace} counters
-    ([compile], [cache.key], [cache.load], [cache.store], plus
-    [pdb.parse]/[pdb.write]/[pdb.merge] from the PDB layer); [pdbbuild
+    ([compile], with [pp.run], [parse.tu], [sema.analyze] and
+    [analyzer.run] inside it; [cache.key], [cache.load], [cache.store],
+    plus [pdb.parse]/[pdb.write]/[pdb.merge] from the PDB layer); [pdbbuild
     --stats] prints them. *)
 
 open Pdt_util
@@ -146,8 +151,9 @@ type compiled = {
 (* Compile one unit against a private VFS copy (domains must not share the
    mutable Hashtbl inside Vfs.t) and run the IL Analyzer.  A read recorder
    on the private copy captures the unit's true dependency set — every
-   file the preprocessor actually opened — for incremental rebuilds. *)
-let compile_unit (o : options) ~vfs source : compiled =
+   file the preprocessor actually opened — for incremental rebuilds.
+   [memo] is the build's {!Pdt.memo}. *)
+let compile_unit ?memo (o : options) ~vfs source : compiled =
   let vfs = Vfs.copy vfs in
   let seen = Hashtbl.create 16 in
   let reads = ref [] in
@@ -159,6 +165,10 @@ let compile_unit (o : options) ~vfs source : compiled =
            reads := path :: !reads
          end));
   let deps () = List.sort compare !reads in
+  let analyze ?opts prog =
+    Trace.timed ~cat:"analyzer" "analyzer.run" (fun () ->
+        Pdt_analyzer.Analyzer.run ?opts prog)
+  in
   match language_of_source source with
   | Fortran | Java -> (
       match Vfs.read_raw vfs source with
@@ -171,17 +181,17 @@ let compile_unit (o : options) ~vfs source : compiled =
             | _ -> Pdt_java.Java_sema.compile_string ~file:source ~diags src
           in
           if Diag.has_errors diags then raise (Unit_error (Diag.to_string diags));
-          { c_pdb = Pdt_analyzer.Analyzer.run prog; c_degraded = None;
+          { c_pdb = analyze prog; c_degraded = None;
             c_deps = deps (); c_truncated = false })
   | Cpp ->
       let limits = Limits.create ~budgets:o.limits () in
-      let c = Pdt.compile ~opts:o.sema ~limits ~vfs source in
+      let c = Pdt.compile ~opts:o.sema ~limits ?memo ~vfs source in
       if o.fail_fast && Diag.has_errors c.Pdt.diags then
         raise (Unit_error (Diag.to_string c.Pdt.diags));
       let aopts =
         { Pdt_analyzer.Analyzer.default_options with mapping = o.mapping }
       in
-      let pdb = Pdt_analyzer.Analyzer.run ~opts:aopts c.Pdt.program in
+      let pdb = analyze ~opts:aopts c.Pdt.program in
       let truncated = c.Pdt.pp.Pdt_pp.Preproc.include_depth_exceeded in
       if Diag.has_errors c.Pdt.diags then begin
         pdb.Pdt_pdb.Pdb.incomplete <- true;
@@ -201,7 +211,8 @@ let compile_unit (o : options) ~vfs source : compiled =
    attempts, each counted under the [build.retry] counter; a
    deterministic front-end diagnostic fails fast, because re-running the
    same compile would only reproduce it. *)
-let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result =
+let build_unit ?memo (o : options) (cache : Cache.t option) ~vfs source :
+    unit_result =
   let run () =
   let t0 = Unix.gettimeofday () in
   let finish ?(deps = []) ?(cone_truncated = false) ?digest status pdb =
@@ -230,7 +241,7 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
             finish ~digest Cached (Some pdb)
         | None -> (
             Trace.count ~cat:"cache" "cache.miss" 0;
-            match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit o ~vfs source) with
+            match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit ?memo o ~vfs source) with
             | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
                 (* serialize once; the entry body and the merge digest
                    reuse the bytes.  A truncated-cone unit is never
@@ -253,7 +264,7 @@ let build_unit (o : options) (cache : Cache.t option) ~vfs source : unit_result 
                 finish ~deps:c_deps ~cone_truncated:c_truncated
                   (Degraded msg) (Some pdb)))
     | _ -> (
-        match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit o ~vfs source) with
+        match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit ?memo o ~vfs source) with
         | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
             finish ~deps:c_deps ~cone_truncated:c_truncated Compiled (Some pdb)
         | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated } ->
@@ -317,8 +328,9 @@ let build ?(options = default_options) ~vfs (sources : string list) : result =
   let cache = Option.map (fun dir -> Cache.create ~dir ()) options.cache_dir in
   let tasks = Array.of_list sources in
   let aborted = Atomic.make false in
+  let memo = Pdt.memo () in
   let task source =
-    let u = build_unit options cache ~vfs source in
+    let u = build_unit ~memo options cache ~vfs source in
     (match u.status with
      | Failed _ when options.fail_fast -> Atomic.set aborted true
      | _ -> ());

@@ -18,6 +18,16 @@ type compilation = {
 exception Compile_error of string
 (** Raised by {!compile_exn} when the front end reports errors. *)
 
+(** The front-end work one build shares between its units, under one
+    mutex: each header's tokens ({!Pdt_lex.Lexer.memo}) and the parse of
+    a unit's leading header tokens ({!Pdt_parse.Parser.memo}).  A build
+    makes one and drops it when it returns. *)
+type memo = { lexes : Pdt_lex.Lexer.memo; prefixes : Pdt_parse.Parser.memo }
+
+let memo () =
+  let lock = Mutex.create () in
+  { lexes = Pdt_lex.Lexer.memo ~lock; prefixes = Pdt_parse.Parser.memo ~lock }
+
 (** Compile [main] from [vfs].
 
     @param opts semantic-analysis options (instantiation mode etc.)
@@ -25,16 +35,25 @@ exception Compile_error of string
     @param limits resource budgets; defaults to {!Limits.default_budgets}.
       A shared {!Limits.t} governor is threaded through every stage, so
       pathological inputs degrade into recorded [Fatal] diagnostics and a
-      partial result instead of crashing the process. *)
-let compile ?opts ?(predefined = []) ?limits ~vfs main : compilation =
+      partial result instead of crashing the process.
+    @param memo the build's shared front-end work; the result is the one
+      a compile without it gives. *)
+let compile ?opts ?(predefined = []) ?limits ?memo ~vfs main : compilation =
   let limits =
     match limits with Some l -> l | None -> Limits.default ()
   in
   let diags = Diag.create () in
   let predefined = ("__PDT__", "1") :: predefined in
-  let pp = Pdt_pp.Preproc.run ~predefined ~limits ~vfs ~diags main in
+  let pp =
+    Trace.timed ~cat:"pp" "pp.run" (fun () ->
+        Pdt_pp.Preproc.run ~predefined ~limits
+          ?memo:(Option.map (fun m -> m.lexes) memo)
+          ~vfs ~diags main)
+  in
   let tu =
-    Pdt_parse.Parser.parse_translation_unit ~limits ~diags ~file:main pp.tokens
+    Pdt_parse.Parser.parse_translation_unit
+      ?memo:(Option.map (fun m -> m.prefixes) memo)
+      ~limits ~diags ~file:main pp.tokens
   in
   let program = Pdt_sema.Sema.analyze ?opts ~limits ~diags pp tu in
   { program; tu; pp; diags }

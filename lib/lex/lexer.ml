@@ -344,15 +344,52 @@ let rest_of_line ~diags src pos =
   in
   go []
 
-(** Lex an entire file to a token list (without the trailing [Eof]). *)
-let tokenize ~diags ~file src =
-  let go () =
+(** Clean lexes shared by the units of one build, keyed by path and
+    bytes, under [lock].  Every unit that includes a header then holds the
+    same token records for it, which is what {!Pdt_parse.Parser}'s prefix
+    memo recognises. *)
+type memo = {
+  lock : Mutex.t;
+  lexes : (string * string, Token.tok list) Hashtbl.t;
+}
+
+let memo ~lock = { lock; lexes = Hashtbl.create 16 }
+
+(** Lex an entire file to a token list (without the trailing [Eof]).
+    With [memo], a file lexed before under the same path with the same
+    bytes gets that lex's tokens back.  A lex that recorded a diagnostic
+    is never stored, so a hit has none to replay. *)
+let tokenize ?memo ~diags ~file src =
+  let lex () =
     let st = create ~diags ~file src in
     let rec loop acc =
       let t = next st in
       match t.tok with Token.Eof -> List.rev acc | _ -> loop (t :: acc)
     in
     loop []
+  in
+  let go () =
+    match memo with
+    | None -> lex ()
+    | Some m -> (
+        let key = (file, src) in
+        match Mutex.protect m.lock (fun () -> Hashtbl.find_opt m.lexes key) with
+        | Some toks ->
+            Pdt_util.Trace.count ~cat:"lex" "lex.memo_hit" 0;
+            toks
+        | None ->
+            let before = diags.Diag.diags in
+            let toks = lex () in
+            if diags.Diag.diags != before then toks
+            else
+              (* a domain that lexed the same file meanwhile stored first:
+                 share its records *)
+              Mutex.protect m.lock (fun () ->
+                  match Hashtbl.find_opt m.lexes key with
+                  | Some first -> first
+                  | None ->
+                      Hashtbl.add m.lexes key toks;
+                      toks))
   in
   if Pdt_util.Trace.on () then
     Pdt_util.Trace.span ~cat:"lex"

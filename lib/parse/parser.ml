@@ -38,6 +38,7 @@ type t = {
   limits : Limits.t;
   mutable speculative : int;  (* > 0 inside a tentative parse: recovery off *)
   mutable recovered : int;    (* syntax errors recovered so far (vs max_errors) *)
+  mutable past_end : bool;    (* some read fell off the end of [toks] *)
   (* registries for disambiguation; values are reference counts so scoped
      registration can push/pop *)
   type_names : (string, int) Hashtbl.t;
@@ -49,8 +50,8 @@ let eof_tok : Token.tok =
 
 let create ?(limits = Limits.default ()) ~diags toks =
   let t =
-    { toks = Array.of_list toks; pos = 0; undo = []; undo_len = 0; no_gt = false;
-      diags; limits; speculative = 0; recovered = 0;
+    { toks; pos = 0; undo = []; undo_len = 0; no_gt = false;
+      diags; limits; speculative = 0; recovered = 0; past_end = false;
       type_names = Hashtbl.create 64; template_names = Hashtbl.create 64 }
   in
   (* built-in library type names that behave like types even without a
@@ -62,11 +63,21 @@ let create ?(limits = Limits.default ()) ~diags toks =
 (* Cursor                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Every read goes through [cur] or [peek_at], so [past_end] tells
+   whether a parse looked beyond its last token. *)
 let cur t : Token.tok =
-  if t.pos < Array.length t.toks then t.toks.(t.pos) else eof_tok
+  if t.pos < Array.length t.toks then t.toks.(t.pos)
+  else begin
+    t.past_end <- true;
+    eof_tok
+  end
 
 let peek_at t n : Token.tok =
-  if t.pos + n + 1 < Array.length t.toks then t.toks.(t.pos + n + 1) else eof_tok
+  if t.pos + n + 1 < Array.length t.toks then t.toks.(t.pos + n + 1)
+  else begin
+    t.past_end <- true;
+    eof_tok
+  end
 
 let advance t = t.pos <- t.pos + 1
 
@@ -1818,10 +1829,12 @@ and parse_toplevel_decl_body t : decl =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let parse_translation_unit_inner ?limits ~diags ~file toks : translation_unit =
-  let t = create ?limits ~diags toks in
+(* The top-level loop from [t.pos]; [acc] holds the declarations before
+   it, newest first. *)
+let toplevel t acc : decl list =
   let rec go acc =
-    match (cur t).tok with
+    (* the end is tested without [cur]: reaching it is not reading past it *)
+    match if t.pos < Array.length t.toks then (cur t).tok else Token.Eof with
     | Token.Eof -> List.rev acc
     | _ -> (
         match parse_toplevel_decl t with
@@ -1840,15 +1853,104 @@ let parse_translation_unit_inner ?limits ~diags ~file toks : translation_unit =
         | exception Bail -> List.rev acc
         | exception (Limits.Exceeded _ as e) ->
             (* budget breach: record once and return what parsed so far *)
-            Diag.fatal_note diags (loc t) "%s" (Limits.describe e);
+            Diag.fatal_note t.diags (loc t) "%s" (Limits.describe e);
             List.rev acc)
   in
-  { tu_file = file; tu_decls = go [] }
+  go acc
 
-let parse_translation_unit ?limits ~diags ~file toks : translation_unit =
-  let parse () = parse_translation_unit_inner ?limits ~diags ~file toks in
-  if Pdt_util.Trace.on () then
-    Pdt_util.Trace.span ~cat:"parse"
-      ~args:[ ("file", Pdt_util.Trace.Str file) ]
-      "parse.tu" parse
-  else parse ()
+(* ------------------------------------------------------------------ *)
+(* Prefix memo                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A unit's leading run of tokens from other files, parsed alone under
+   [budgets].  [key] holds the run's token records.  [state] is what the
+   parse left: the array with its '>>' splits, the declarations newest
+   first and the two registries.  It is [None] when the run cannot stand
+   alone, i.e. its parse recorded a diagnostic, raised, or read past the
+   run's last token. *)
+type prefix = {
+  key : Token.tok array;
+  budgets : Limits.budgets;
+  state :
+    (Token.tok array * decl list * (string, int) Hashtbl.t
+    * (string, int) Hashtbl.t)
+    option;
+}
+
+(** The prefixes parsed in one build, newest first, shared under [lock]. *)
+type memo = { lock : Mutex.t; mutable prefixes : prefix list }
+
+let memo ~lock = { lock; prefixes = [] }
+
+(* entries a memo keeps: units that each open with a different header run
+   never hit, and must not hold one parse each until the build ends *)
+let max_prefixes = 64
+
+(* [t] and the declarations before its [pos] once the leading run of
+   tokens from files other than [file] is parsed: taken from [m] when an
+   entry holds these very token records under the same budgets, else
+   parsed alone and stored.  A hit is sound because the run parsed alone
+   read only its own tokens and recorded nothing, so the unit's own parse
+   would make the same moves on the same records and end in the same
+   state. *)
+let resume m t ~file : t * decl list =
+  let len = Array.length t.toks in
+  let rec run i =
+    if i < len && t.toks.(i).loc.Srcloc.file <> file then run (i + 1) else i
+  in
+  let n = run 0 in
+  let budgets = t.limits.Limits.budgets in
+  let same p =
+    Array.length p.key = n && p.budgets = budgets
+    && (let rec eq i = i >= n || (p.key.(i) == t.toks.(i) && eq (i + 1)) in eq 0)
+  in
+  let state =
+    if n = 0 then None
+    else
+      match Mutex.protect m.lock (fun () -> List.find_opt same m.prefixes) with
+      | Some p ->
+          if Option.is_some p.state then
+            Trace.count ~cat:"parse" "parse.prefix_hit" 0;
+          p.state
+      | None ->
+          let alone =
+            create ~limits:(Limits.create ~budgets ()) ~diags:(Diag.create ())
+              (Array.sub t.toks 0 n)
+          in
+          let state =
+            (* whatever the run raises alone, the unit's own parse meets
+               and reports *)
+            match toplevel alone [] with
+            | decls when alone.diags.Diag.diags = [] && not alone.past_end ->
+                Some (alone.toks, List.rev decls, alone.type_names,
+                      alone.template_names)
+            | _ | (exception _) -> None
+          in
+          let p = { key = Array.sub t.toks 0 n; budgets; state } in
+          Mutex.protect m.lock (fun () ->
+              m.prefixes <-
+                p :: List.filteri (fun i _ -> i < max_prefixes - 1) m.prefixes);
+          state
+  in
+  match state with
+  | None -> (t, [])
+  | Some (toks, decls, types, templates) ->
+      Array.blit toks 0 t.toks 0 n;
+      t.pos <- n;
+      ( { t with
+          type_names = Hashtbl.copy types;
+          template_names = Hashtbl.copy templates },
+        decls )
+
+(** Parse one preprocessed translation unit.  With [memo], a leading run
+    of header tokens that the build has parsed before is not parsed
+    again (see {!resume}). *)
+let parse_translation_unit ?memo ?limits ~diags ~file toks : translation_unit =
+  let parse () =
+    let t = create ?limits ~diags (Array.of_list toks) in
+    let t, acc = match memo with None -> (t, []) | Some m -> resume m t ~file in
+    { tu_file = file; tu_decls = toplevel t acc }
+  in
+  Trace.timed ~cat:"parse"
+    ~args:(if Trace.on () then [ ("file", Trace.Str file) ] else [])
+    "parse.tu" parse

@@ -273,6 +273,8 @@ let of_string (src : string) : t =
   (* once [deferred] is set we keep scanning structure only; [in_block]
      replaces [cur] as the attribute-placement state *)
   let in_block = ref false in
+  (* input with no "<PDB" line is not a PDB, even when it is empty *)
+  let seen_header = ref false in
   let finalize () =
     (match !cur with
      | None -> ()
@@ -707,8 +709,10 @@ let of_string (src : string) : t =
     while !e > !s && is_space (String.unsafe_get src (!e - 1)) do decr e done;
     let s = !s and e = !e in
     if s >= e then finalize ()
-    else if e - s > 5 && word_is src s (s + 5) "<PDB " then
-      set_header t (sub src (s + 5) (e - 1))
+    else if e - s > 5 && word_is src s (s + 5) "<PDB " then begin
+      set_header t (sub src (s + 5) (e - 1));
+      seen_header := true
+    end
     else begin
       (* key = up to the first space; value = the rest of the line *)
       let rec sp i = if i >= e || String.unsafe_get src i = ' ' then i else sp (i + 1) in
@@ -744,6 +748,7 @@ let of_string (src : string) : t =
     end
   done;
   (match !deferred with Some err -> raise err | None -> ());
+  if not !seen_header then fail 1 "no <PDB header line";
   finalize ();
   t.files <- List.rev !files;
   t.types <- List.rev !types;

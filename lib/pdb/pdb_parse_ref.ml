@@ -78,9 +78,9 @@ type block = {
   b_attrs : (int * string * string) list;  (* lineno, key, rest-of-line *)
 }
 
-let split_blocks (src : string) : string * block list =
+let split_blocks (src : string) : string option * block list =
   let lines = String.split_on_char '\n' src in
-  let header = ref "1.0" in
+  let header = ref None in
   let blocks = ref [] in
   let cur : block option ref = ref None in
   let flush () =
@@ -96,7 +96,7 @@ let split_blocks (src : string) : string * block list =
       let line = String.trim line in
       if line = "" then flush ()
       else if String.length line > 5 && String.sub line 0 5 = "<PDB " then
-        header := String.sub line 5 (String.length line - 6)
+        header := Some (String.sub line 5 (String.length line - 6))
       else begin
         let key, rest =
           match String.index_opt line ' ' with
@@ -122,7 +122,7 @@ let split_blocks (src : string) : string * block list =
 let of_string (src : string) : t =
   let header, blocks = split_blocks src in
   let t = create () in
-  set_header t header;
+  Option.iter (set_header t) header;
   let files = ref [] and types = ref [] and classes = ref [] in
   let routines = ref [] and templates = ref [] and namespaces = ref [] in
   let macros = ref [] in
@@ -424,6 +424,7 @@ let of_string (src : string) : t =
           macros := m :: !macros
       | p -> fail ln "unknown item prefix '%s'" p)
     blocks;
+  if header = None then fail 1 "no <PDB header line";
   t.files <- List.rev !files;
   t.types <- List.rev !types;
   t.classes <- List.rev !classes;

@@ -53,14 +53,16 @@ type t = {
   mutable depth_exceeded : bool;           (* an #include was skipped because
                                               the nesting budget was hit: the
                                               include cone is truncated *)
+  memo : Lexer.memo option;                (* the build's lexes of headers *)
 }
 
-let create ?(predefined = []) ?(limits = Limits.default ()) ~vfs ~diags () =
+let create ?(predefined = []) ?(limits = Limits.default ()) ?memo ~vfs ~diags ()
+    =
   let t =
     { vfs; diags; limits; macros = Hashtbl.create 64; macro_log = [];
       files = Hashtbl.create 16; file_order = []; pragma_once = SS.empty;
       include_stack = []; out = []; reported_limits = SS.empty;
-      depth_exceeded = false }
+      depth_exceeded = false; memo }
   in
   List.iter
     (fun (name, text) ->
@@ -513,8 +515,11 @@ let rec process_file t path : unit =
       match Vfs.read_raw t.vfs path with
       | None -> Diag.fatal t.diags Srcloc.dummy "cannot open source file %s" path
       | Some src ->
+          (* only headers go through the memo: the unit's own file is
+             lexed once per build anyway *)
+          let memo = if t.include_stack = [] then None else t.memo in
           t.include_stack <- path :: t.include_stack;
-          let toks = Lexer.tokenize ~diags:t.diags ~file:path src in
+          let toks = Lexer.tokenize ?memo ~diags:t.diags ~file:path src in
           let lines = split_lines toks in
           let conds : cond_state list ref = ref [] in
           let currently_active () =
@@ -640,10 +645,12 @@ type result = {
 (* The only exception [run] lets escape is [Diag.Error] for an unreadable
    file (an I/O failure, surfaced by [Vfs.read_raw]) — user-input problems
    (lexical errors, missing includes, [#error], budget breaches) are
-   recorded in [diags] and yield a partial token stream instead. *)
-let run ?(predefined = []) ?limits ~vfs ~diags path : result =
+   recorded in [diags] and yield a partial token stream instead.  [memo]
+   shares the build's header lexes ({!Lexer.tokenize}); every directive,
+   read and budget charge still happens in this unit. *)
+let run ?(predefined = []) ?limits ?memo ~vfs ~diags path : result =
   let limits = match limits with Some l -> l | None -> Limits.default () in
-  let t = create ~predefined ~limits ~vfs ~diags () in
+  let t = create ~predefined ~limits ?memo ~vfs ~diags () in
   (try process_file t path
    with Limits.Exceeded _ as e -> report_limit t Srcloc.dummy e);
   {

@@ -2247,8 +2247,8 @@ let macro_entities t (pp : Pdt_pp.Preproc.result) : unit =
 (** Analyze one preprocessed translation unit, producing its IL. *)
 let analyze ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.result)
     (tu : Ast.translation_unit) : Il.program =
-  Trace.span ~cat:"sema"
-    ~args:[ ("file", Trace.Str tu.Ast.tu_file) ]
+  Trace.timed ~cat:"sema"
+    ~args:(if Trace.on () then [ ("file", Trace.Str tu.Ast.tu_file) ] else [])
     "sema.analyze"
   @@ fun () ->
   let t = create ~opts ?limits ~diags () in
@@ -2262,8 +2262,8 @@ let analyze ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.result
     need scopes or the instantiation log, e.g. the prelink simulator). *)
 let analyze_full ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.result)
     (tu : Ast.translation_unit) : t =
-  Trace.span ~cat:"sema"
-    ~args:[ ("file", Trace.Str tu.Ast.tu_file) ]
+  Trace.timed ~cat:"sema"
+    ~args:(if Trace.on () then [ ("file", Trace.Str tu.Ast.tu_file) ] else [])
     "sema.analyze"
   @@ fun () ->
   let t = create ~opts ?limits ~diags () in

@@ -692,6 +692,152 @@ let test_rebuild_replaces_output () =
   Alcotest.(check (list string)) "no temp file left beside the output" []
     leftovers
 
+(* ---------------- front-end memo ---------------- *)
+
+(* Headers that a per-build memo must not short-circuit wrongly: an
+   [#ifdef] a unit flips before its [#include], a macro the header
+   expands, a last declaration the unit completes, a lexical error and a
+   recoverable syntax error. *)
+let memo_files =
+  [ ("flip.h",
+     "#ifndef FLIP_H\n#define FLIP_H\n#ifdef WIDE\ntypedef long num;\n\
+      #else\ntypedef int num;\n#endif\n\
+      class Box {\npublic:\n  num v;\n  num get() const { return v; }\n};\n\
+      #endif\n");
+    ("flip_a.cpp", "#include \"flip.h\"\nint fa() { Box b; b.v = 1; return b.get(); }\n");
+    ("flip_b.cpp",
+     "#define WIDE 1\n#include \"flip.h\"\n\
+      int fb() { Box b; b.v = 2; return (int) b.get(); }\n");
+    ("flip_c.cpp", "#include \"flip.h\"\nint fc() { Box b; b.v = 3; return b.get(); }\n");
+    ("cell.h", "class Cell {\npublic:\n  ELEM v;\n  ELEM get() const { return v; }\n};\n");
+    ("cell_a.cpp", "#define ELEM int\n#include \"cell.h\"\nint ca() { Cell c; c.v = 1; return c.get(); }\n");
+    ("cell_b.cpp",
+     "#define ELEM double\n#include \"cell.h\"\n\
+      double cb() { Cell c; c.v = 1.5; return c.get(); }\n");
+    ("partial.h", "int x\n");
+    ("partial_a.cpp", "#include \"partial.h\"\n= 3;\nint pa() { return x; }\n");
+    ("partial_b.cpp", "#include \"partial.h\"\n= 4;\nint pb() { return x + 1; }\n");
+    ("lexbad.h", "int bad = 09;\nclass L {\npublic:\n  int v;\n};\n");
+    ("lexbad_a.cpp", "#include \"lexbad.h\"\nint la() { L l; l.v = 1; return l.v; }\n");
+    ("lexbad_b.cpp", "#include \"lexbad.h\"\nint lb() { L l; l.v = 2; return l.v; }\n");
+    ("synbad.h", "class S {\npublic:\n  int v;\n};\nint oops( ;\nint ok() { return 1; }\n");
+    ("synbad_a.cpp", "#include \"synbad.h\"\nint sa() { S s; s.v = 1; return s.v + ok(); }\n");
+    ("synbad_b.cpp", "#include \"synbad.h\"\nint sb() { S s; s.v = 2; return s.v; }\n") ]
+
+let memo_vfs () =
+  let vfs = Pdt_util.Vfs.create () in
+  List.iter (fun (p, c) -> Pdt_util.Vfs.add_file vfs p c) memo_files;
+  vfs
+
+let memo_sources prefix =
+  List.filter
+    (fun (p, _) ->
+      String.starts_with ~prefix p && Filename.check_suffix p ".cpp")
+    memo_files
+  |> List.map fst
+
+let status_string = function
+  | B.Compiled -> "compiled"
+  | B.Cached -> "cached"
+  | B.Degraded m -> "degraded: " ^ m
+  | B.Failed m -> "failed: " ^ m
+  | B.Skipped -> "skipped"
+
+(* what a compile without the memo gives a unit: the PDB bytes, the
+   status Build would report, and the full diagnostics text *)
+let memo_free vfs source =
+  let c = Pdt.compile ~vfs source in
+  let pdb = Pdt_analyzer.Analyzer.run c.Pdt.program in
+  let text = Pdt_util.Diag.to_string c.Pdt.diags in
+  if Pdt_util.Diag.has_errors c.Pdt.diags then begin
+    pdb.P.incomplete <- true;
+    pdb.P.diag_count <- Pdt_util.Diag.error_count c.Pdt.diags;
+    (pdb_string pdb, B.Degraded text, text)
+  end
+  else (pdb_string pdb, B.Compiled, text)
+
+let test_memo_matches_memo_free () =
+  let vfs = memo_vfs () in
+  let sources = memo_sources "" in
+  let expected = List.map (memo_free vfs) sources in
+  List.iter
+    (fun domains ->
+      let r = build ~domains (vfs, sources) in
+      List.iter2
+        (fun (u : B.unit_result) (bytes, status, _) ->
+          let what = Printf.sprintf "%s at %d domains" u.B.source domains in
+          Alcotest.(check string) (what ^ ": status") (status_string status)
+            (status_string u.B.status);
+          Alcotest.(check string) (what ^ ": PDB") bytes
+            (match u.B.pdb with Some p -> pdb_string p | None -> "<none>"))
+        r.B.units expected)
+    [ 1; 2 ];
+  (* warnings too: the diagnostics text of each compile, twice round one
+     memo so the second pass meets every entry the first one stored *)
+  let memo = Pdt.memo () in
+  List.iter
+    (fun pass ->
+      List.iter2
+        (fun source (bytes, _, text) ->
+          let c = Pdt.compile ~memo ~vfs source in
+          let what = Printf.sprintf "%s, pass %d" source pass in
+          Alcotest.(check string) (what ^ ": diagnostics") text
+            (Pdt_util.Diag.to_string c.Pdt.diags);
+          let pdb = Pdt_analyzer.Analyzer.run c.Pdt.program in
+          if Pdt_util.Diag.has_errors c.Pdt.diags then begin
+            pdb.P.incomplete <- true;
+            pdb.P.diag_count <- Pdt_util.Diag.error_count c.Pdt.diags
+          end;
+          Alcotest.(check string) (what ^ ": PDB") bytes (pdb_string pdb))
+        sources expected)
+    [ 1; 2 ]
+
+(* calls of the counter [name] since the last reset *)
+let counter name =
+  match
+    List.find_opt (fun (n, _, _) -> n = name) (Pdt_util.Trace.counters ())
+  with
+  | Some (_, calls, _) -> calls
+  | None -> 0
+
+(* lex and parse hits of a 1-domain build of the units named [prefix]* *)
+let memo_hits prefix =
+  Pdt_util.Trace.reset_counters ();
+  ignore (build ~domains:1 (memo_vfs (), memo_sources prefix));
+  (counter "lex.memo_hit", counter "parse.prefix_hit")
+
+let test_memo_hits_only_where_sound () =
+  let check prefix (lex, parse) =
+    Alcotest.(check (pair int int)) (prefix ^ ".h: lex and parse hits")
+      (lex, parse) (memo_hits prefix)
+  in
+  (* flip_c reuses flip_a's parse; flip_b's tokens differ *)
+  check "flip" (2, 1);
+  (* every unit's ELEM expands to new token records *)
+  check "cell" (1, 0);
+  (* "int x" alone is cut off mid-declaration *)
+  check "partial" (1, 0);
+  (* a lex with an error is not stored *)
+  check "lexbad" (0, 0);
+  (* a parse with an error is not reused *)
+  check "synbad" (1, 0)
+
+let test_memo_hit_counts () =
+  let vfs, sources = G.project_vfs ~n_tus:24 () in
+  let hits domains =
+    Pdt_util.Trace.reset_counters ();
+    let r = build ~domains (vfs, sources) in
+    Alcotest.(check int) "clean build" 0 (r.B.failed + r.B.degraded);
+    (counter "parse.prefix_hit", pdb_string r.B.merged)
+  in
+  let seq, seq_bytes = hits 1 in
+  Alcotest.(check int) "every unit after the first reuses the header parse" 24
+    seq;
+  let par, par_bytes = hits 2 in
+  Alcotest.(check bool) "at most one extra miss at 2 domains" true (par >= 23);
+  Alcotest.(check string) "merged bytes equal across domain counts" seq_bytes
+    par_bytes
+
 let suite =
   [ Alcotest.test_case "scheduler: map preserves order" `Quick test_scheduler_map;
     Alcotest.test_case "scheduler: exceptions stay per-slot" `Quick
@@ -745,5 +891,11 @@ let suite =
       test_degraded_unit_still_merges;
     Alcotest.test_case "mixed C++/Fortran/Java project" `Quick
       test_mixed_language_project;
+    Alcotest.test_case "front-end memo: units match memo-free compiles" `Quick
+      test_memo_matches_memo_free;
+    Alcotest.test_case "front-end memo: hits only where sound" `Quick
+      test_memo_hits_only_where_sound;
+    Alcotest.test_case "front-end memo: one header parse per build" `Quick
+      test_memo_hit_counts;
     Alcotest.test_case "rebuild replaces output, never rewrites" `Quick
       test_rebuild_replaces_output ]

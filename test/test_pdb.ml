@@ -47,6 +47,26 @@ let test_parse_error_reporting () =
   | exception R.Parse_error (2, _) -> ()
   | _ -> Alcotest.fail "expected parse error on bad typeref"
 
+(* a PDB opens with its "<PDB" line: input without one, even empty or
+   all blank, is rejected at line 1 by both parsers and by the tools *)
+let test_no_header_rejected () =
+  List.iter
+    (fun src ->
+      (match R.of_string src with
+       | exception R.Parse_error (1, _) -> ()
+       | _ -> Alcotest.failf "%S parsed as a PDB" src);
+      match Ref.of_string src with
+      | exception Ref.Parse_error (1, _) -> ()
+      | _ -> Alcotest.failf "%S parsed as a PDB by the reference parser" src)
+    [ ""; "\n"; "  \n\t\n\n"; "so#1 a.cpp\n" ];
+  let path = Filename.temp_file "pdt-empty" ".pdb" in
+  let rc =
+    Pdt_pdb.Pdb_io.with_loaded ~prog:"test" Pdt_pdb.Pdb_io.of_file path
+      (fun _ -> 0)
+  in
+  Sys.remove path;
+  Alcotest.(check int) "a 0-byte file is unreadable" 1 rc
+
 let test_null_locations () =
   let pdb = P.create () in
   pdb.P.routines <-
@@ -288,6 +308,7 @@ let suite =
     Alcotest.test_case "krylov roundtrip" `Quick test_krylov_roundtrip;
     Alcotest.test_case "text escaping" `Quick test_text_escaping;
     Alcotest.test_case "parse error reporting" `Quick test_parse_error_reporting;
+    Alcotest.test_case "no <PDB header is not a PDB" `Quick test_no_header_rejected;
     Alcotest.test_case "null locations" `Quick test_null_locations;
     Alcotest.test_case "integer widths" `Quick test_integer_widths;
     Alcotest.test_case "typeref names" `Quick test_typeref_names;
