@@ -18,9 +18,9 @@
       output is byte-identical across domain counts, to a [--farm] or
       [--incremental] build, and to a single-TU + pdbmerge build.
 
-    A build makes one {!Pdt.memo} and compiles every unit with it, so a
-    header the units share is lexed once and, when it opens each unit,
-    parsed once.
+    A build makes one {!Pdt.memo} and compiles every unit with it: the
+    second unit to include a header keeps its lex for the units after it,
+    and the second to open with the same header tokens keeps their parse.
 
     The pipeline phases report wall time into {!Pdt_util.Trace} counters
     ([compile], with [pp.run], [parse.tu], [sema.analyze] and

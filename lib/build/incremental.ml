@@ -309,15 +309,9 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
                List.mapi (fun i p -> (p, slots, i)) members)
          groups states)
   in
-  (* the front-end memo pays only when two compiles share it: for one
-     re-analyzed unit it would only hold that unit's header parse *)
-  let memo =
-    if List.length (List.filter (fun (p, _, _) -> not p.p_reuse) work) > 1
-    then Some (Pdt.memo ())
-    else None
-  in
+  let memo = Pdt.memo () in
   let task (p, (slots : Build.unit_result option array), i) =
-    let u = Build.build_unit ?memo o (Some cache) ~vfs p.p_source in
+    let u = Build.build_unit ~memo o (Some cache) ~vfs p.p_source in
     slots.(i) <- Some u;
     u
   in

@@ -20,8 +20,9 @@ exception Compile_error of string
 
 (** The front-end work one build shares between its units, under one
     mutex: each header's tokens ({!Pdt_lex.Lexer.memo}) and the parse of
-    a unit's leading header tokens ({!Pdt_parse.Parser.memo}).  A build
-    makes one and drops it when it returns. *)
+    a unit's leading header tokens ({!Pdt_parse.Parser.memo}), each kept
+    once a second unit needs it.  A build makes one and drops it when it
+    returns. *)
 type memo = { lexes : Pdt_lex.Lexer.memo; prefixes : Pdt_parse.Parser.memo }
 
 let memo () =

@@ -345,20 +345,21 @@ let rest_of_line ~diags src pos =
   go []
 
 (** Clean lexes shared by the units of one build, keyed by path and
-    bytes, under [lock].  Every unit that includes a header then holds the
-    same token records for it, which is what {!Pdt_parse.Parser}'s prefix
-    memo recognises. *)
+    bytes, under [lock].  A file's tokens are kept on its second request
+    ([None] marks the first), so the units after that hold the same token
+    records for it, which {!Pdt_parse.Parser}'s prefix memo recognises,
+    and a header that only one unit includes costs the memo its key. *)
 type memo = {
   lock : Mutex.t;
-  lexes : (string * string, Token.tok list) Hashtbl.t;
+  lexes : (string * string, Token.tok list option) Hashtbl.t;
 }
 
 let memo ~lock = { lock; lexes = Hashtbl.create 16 }
 
 (** Lex an entire file to a token list (without the trailing [Eof]).
-    With [memo], a file lexed before under the same path with the same
-    bytes gets that lex's tokens back.  A lex that recorded a diagnostic
-    is never stored, so a hit has none to replay. *)
+    With [memo], a file lexed and kept before under the same path with
+    the same bytes gets that lex's tokens back.  A lex that recorded a
+    diagnostic is never kept, so a hit has none to replay. *)
 let tokenize ?memo ~diags ~file src =
   let lex () =
     let st = create ~diags ~file src in
@@ -373,22 +374,28 @@ let tokenize ?memo ~diags ~file src =
     | None -> lex ()
     | Some m -> (
         let key = (file, src) in
-        match Mutex.protect m.lock (fun () -> Hashtbl.find_opt m.lexes key) with
-        | Some toks ->
+        let sighting () =
+          let kept = Hashtbl.find_opt m.lexes key in
+          if Option.is_none kept then Hashtbl.add m.lexes key None;
+          kept
+        in
+        match Mutex.protect m.lock sighting with
+        | Some (Some toks) ->
             Pdt_util.Trace.count ~cat:"lex" "lex.memo_hit" 0;
             toks
-        | None ->
+        | None -> lex ()
+        | Some None ->
             let before = diags.Diag.diags in
             let toks = lex () in
             if diags.Diag.diags != before then toks
             else
-              (* a domain that lexed the same file meanwhile stored first:
-                 share its records *)
+              (* a domain that lexed the same file meanwhile kept its lex
+                 first: share its records *)
               Mutex.protect m.lock (fun () ->
-                  match Hashtbl.find_opt m.lexes key with
+                  match Hashtbl.find m.lexes key with
                   | Some first -> first
                   | None ->
-                      Hashtbl.add m.lexes key toks;
+                      Hashtbl.replace m.lexes key (Some toks);
                       toks))
   in
   if Pdt_util.Trace.on () then

@@ -1862,37 +1862,37 @@ let toplevel t acc : decl list =
 (* Prefix memo                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A unit's leading run of tokens from other files, parsed alone under
-   [budgets].  [key] holds the run's token records.  [state] is what the
-   parse left: the array with its '>>' splits, the declarations newest
-   first and the two registries.  It is [None] when the run cannot stand
-   alone, i.e. its parse recorded a diagnostic, raised, or read past the
-   run's last token. *)
+(* A unit's leading run of tokens from other files, as one build met it
+   under [budgets].  Units share token records only through the lexer's
+   memo.  The first unit to meet a run leaves it [Seen], holding its
+   length and end records.  The second parses it alone and leaves it
+   [Parsed] (the run's records, that parser with its '>>' splits and
+   registries, the declarations newest first) or [Unusable] (the parse
+   recorded a diagnostic, raised, or read past the run's end).  A run
+   with those ends but other records between them is parsed in place. *)
 type prefix = {
-  key : Token.tok array;
+  n : int; first : Token.tok; last : Token.tok;
   budgets : Limits.budgets;
-  state :
-    (Token.tok array * decl list * (string, int) Hashtbl.t
-    * (string, int) Hashtbl.t)
-    option;
+  mutable state : state;
 }
 
-(** The prefixes parsed in one build, newest first, shared under [lock]. *)
+and state = Seen | Unusable | Parsed of Token.tok array * t * decl list
+
+(** The prefixes met in one build, newest first, shared under [lock]. *)
 type memo = { lock : Mutex.t; mutable prefixes : prefix list }
 
 let memo ~lock = { lock; prefixes = [] }
 
-(* entries a memo keeps: units that each open with a different header run
-   never hit, and must not hold one parse each until the build ends *)
+(* entries a memo keeps, so that looking one up stays cheap *)
 let max_prefixes = 64
 
 (* [t] and the declarations before its [pos] once the leading run of
    tokens from files other than [file] is parsed: taken from [m] when an
    entry holds these very token records under the same budgets, else
-   parsed alone and stored.  A hit is sound because the run parsed alone
-   read only its own tokens and recorded nothing, so the unit's own parse
-   would make the same moves on the same records and end in the same
-   state. *)
+   parsed alone on the run's second sighting and kept.  A hit is sound
+   because the run parsed alone read only its own tokens and recorded
+   nothing, so the unit's own parse would make the same moves on the same
+   records and end in the same state. *)
 let resume m t ~file : t * decl list =
   let len = Array.length t.toks in
   let rec run i =
@@ -1901,45 +1901,49 @@ let resume m t ~file : t * decl list =
   let n = run 0 in
   let budgets = t.limits.Limits.budgets in
   let same p =
-    Array.length p.key = n && p.budgets = budgets
-    && (let rec eq i = i >= n || (p.key.(i) == t.toks.(i) && eq (i + 1)) in eq 0)
+    p.n = n && p.first == t.toks.(0) && p.last == t.toks.(n - 1)
+    && p.budgets = budgets
   in
+  let sighting () =
+    match List.find_opt same m.prefixes with
+    | Some p -> Some (p, p.state)
+    | None ->
+        m.prefixes <-
+          { n; first = t.toks.(0); last = t.toks.(n - 1); budgets; state = Seen }
+          :: List.filteri (fun i _ -> i < max_prefixes - 1) m.prefixes;
+        None
+  in
+  let identical key = Array.for_all2 ( == ) key (Array.sub t.toks 0 n) in
   let state =
-    if n = 0 then None
-    else
-      match Mutex.protect m.lock (fun () -> List.find_opt same m.prefixes) with
-      | Some p ->
-          if Option.is_some p.state then
-            Trace.count ~cat:"parse" "parse.prefix_hit" 0;
-          p.state
-      | None ->
-          let alone =
-            create ~limits:(Limits.create ~budgets ()) ~diags:(Diag.create ())
-              (Array.sub t.toks 0 n)
-          in
-          let state =
-            (* whatever the run raises alone, the unit's own parse meets
-               and reports *)
-            match toplevel alone [] with
-            | decls when alone.diags.Diag.diags = [] && not alone.past_end ->
-                Some (alone.toks, List.rev decls, alone.type_names,
-                      alone.template_names)
-            | _ | (exception _) -> None
-          in
-          let p = { key = Array.sub t.toks 0 n; budgets; state } in
-          Mutex.protect m.lock (fun () ->
-              m.prefixes <-
-                p :: List.filteri (fun i _ -> i < max_prefixes - 1) m.prefixes);
-          state
+    match if n = 0 then None else Mutex.protect m.lock sighting with
+    | Some (_, (Parsed (key, _, _) as state)) when identical key ->
+        Trace.count ~cat:"parse" "parse.prefix_hit" 0;
+        state
+    | None | Some (_, (Unusable | Parsed _)) -> Unusable
+    | Some (p, Seen) ->
+        let alone =
+          create ~limits:(Limits.create ~budgets ()) ~diags:(Diag.create ())
+            (Array.sub t.toks 0 n)
+        in
+        let state =
+          (* whatever the run raises alone, the unit's own parse meets and
+             reports *)
+          match toplevel alone [] with
+          | decls when alone.diags.Diag.diags = [] && not alone.past_end ->
+              Parsed (Array.sub t.toks 0 n, alone, List.rev decls)
+          | _ | (exception _) -> Unusable
+        in
+        Mutex.protect m.lock (fun () -> p.state <- state);
+        state
   in
   match state with
-  | None -> (t, [])
-  | Some (toks, decls, types, templates) ->
-      Array.blit toks 0 t.toks 0 n;
+  | Seen | Unusable -> (t, [])
+  | Parsed (_, alone, decls) ->
+      Array.blit alone.toks 0 t.toks 0 n;
       t.pos <- n;
       ( { t with
-          type_names = Hashtbl.copy types;
-          template_names = Hashtbl.copy templates },
+          type_names = Hashtbl.copy alone.type_names;
+          template_names = Hashtbl.copy alone.template_names },
         decls )
 
 (** Parse one preprocessed translation unit.  With [memo], a leading run
