@@ -10,22 +10,6 @@
 
 open Cmdliner
 
-let resolve_budgets max_errors limit_specs =
-  let b = Pdt_util.Limits.default_budgets in
-  let b =
-    match max_errors with
-    | Some n -> { b with Pdt_util.Limits.max_errors = n }
-    | None -> b
-  in
-  List.fold_left
-    (fun b spec ->
-      match Pdt_util.Limits.set_budget b spec with
-      | Ok b -> b
-      | Error msg ->
-          Printf.eprintf "pdbbuild: %s\n" msg;
-          exit 124)
-    b limit_specs
-
 let write_file path content =
   let oc = open_out path in
   output_string oc content;
@@ -54,6 +38,13 @@ let write_pprof path =
 let run sources includes output jobs farm cache_dir no_cache incremental
     retries fail_fast verbose stats trace trace_pprof max_errors limit_specs
     pdb_format =
+  let limits =
+    match Pdt_util.Limits.of_flags ?max_errors limit_specs with
+    | Ok b -> b
+    | Error msg ->
+        Printf.eprintf "pdbbuild: %s\n" msg;
+        exit 124
+  in
   let vfs = Pdt_util.Vfs.create ~include_paths:includes () in
   Pdt_util.Vfs.set_disk_fallback vfs true;
   let tracing = trace <> None || trace_pprof <> None in
@@ -64,7 +55,7 @@ let run sources includes output jobs farm cache_dir no_cache incremental
       cache_dir = (if no_cache then None else Some cache_dir);
       retries;
       fail_fast;
-      limits = resolve_budgets max_errors limit_specs }
+      limits }
   in
   (* --farm N: supervised worker processes instead of in-process domains.
      Incompatible with --incremental (the delta driver is
@@ -114,7 +105,8 @@ let run sources includes output jobs farm cache_dir no_cache incremental
                | I.Loaded -> "loaded"
                | I.Recompiled -> "compiled"
                | I.Degraded _ -> "DEGRADED"
-               | I.Failed _ -> "FAILED")
+               | I.Failed _ -> "FAILED"
+               | I.Skipped -> "skipped")
               u.seconds u.reason)
           r.I.units;
       let count p = List.length (List.filter p r.I.units) in
@@ -125,12 +117,14 @@ let run sources includes output jobs farm cache_dir no_cache incremental
       in
       ( r.I.merged,
         [ I.stats_line r;
-          Printf.sprintf "%d reanalyzed, %d reused, %d failed%s | %.3fs wall"
+          Printf.sprintf "%d reanalyzed, %d reused, %d failed%s%s | %.3fs wall"
             r.I.reanalyzed r.I.reused failed
             (if degraded > 0 then Printf.sprintf ", %d degraded" degraded else "")
+            (if r.I.skipped > 0 then Printf.sprintf ", %d skipped" r.I.skipped
+             else "")
             r.I.wall_seconds ],
-        failed, degraded, 0,
-        List.length r.I.units - failed )
+        failed, degraded, r.I.skipped,
+        List.length r.I.units - failed - r.I.skipped )
     end
     else begin
       let r =

@@ -84,44 +84,33 @@ let wedge () =
    than we deliver, then the process exits.  The driver's assembler never
    completes the frame; EOF lands first → crash path. *)
 let torn_result (payload : string) =
-  let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr (n land 0xff));
-  Bytes.set hdr 1 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 2 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 3 (Char.chr ((n lsr 24) land 0xff));
-  let half = Bytes.cat hdr (Bytes.of_string (String.sub payload 0 (n / 2))) in
   Mutex.lock write_mutex;
-  (try
-     let rec w off len =
-       if len > 0 then
-         let k = Unix.write out_fd half off len in
-         w (off + k) (len - k)
-     in
-     w 0 (Bytes.length half)
+  (try P.write_all out_fd (P.frame payload) 0 (4 + (String.length payload / 2))
    with Unix.Unix_error _ -> ());
   exit 2
 
 let () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   ignore (Fault.arm_from_env ());
-  let config =
+  let options, vfs, heartbeat_ms =
     match P.read_frame in_fd with
     | Some payload -> (
         match P.decode payload with
-        | P.Config c -> c
+        | P.Config
+            { options; include_paths; disk_fallback; files; heartbeat_ms } ->
+            ( options,
+              P.vfs_of_files ~include_paths ~disk_fallback files,
+              heartbeat_ms )
         | _ -> die "first frame is not Config")
     | None -> exit 0
     | exception P.Proto_error msg -> die "bad Config frame: %s" msg
   in
-  let options = P.options_of_config config in
-  let vfs = P.vfs_of_config config in
   let cache =
     Option.map (fun dir -> Pdt_build.Cache.create ~dir ()) options.B.cache_dir
   in
   (* one front-end memo for every unit this worker compiles *)
   let memo = Pdt.memo () in
-  let period_s = float_of_int (max 1 config.P.c_heartbeat_ms) /. 1000.0 in
+  let period_s = float_of_int (max 1 heartbeat_ms) /. 1000.0 in
   ignore (Thread.create heartbeat_loop period_s);
   (try send (P.Hello { version = P.version; pid = Unix.getpid () })
    with Unix.Unix_error _ | Sys_error _ -> exit 0);
@@ -142,18 +131,17 @@ let () =
             let u = B.build_unit ~memo options cache ~vfs source in
             (* second half: work done, result not yet delivered *)
             if Fault.should "farm.worker.kill" then self_kill ();
-            let status, message =
-              match u.B.status with
-              | B.Compiled -> (P.S_compiled, "")
-              | B.Cached -> (P.S_cached, "")
-              | B.Degraded m -> (P.S_degraded, m)
-              | B.Failed m -> (P.S_failed, m)
-              | B.Skipped -> (P.S_failed, "worker: unit skipped unexpectedly")
+            (* ship the bytes the unit was stored or loaded as; only a
+               unit without them (no cache, degraded, cone-truncated) is
+               serialized here *)
+            let pdb =
+              match u.B.bytes with
+              | Some _ as bytes -> bytes
+              | None -> Option.map Pdt_pdb.Pdb_write.to_string u.B.pdb
             in
-            let pdb = Option.map Pdt_pdb.Pdb_write.to_string u.B.pdb in
             let result =
               P.Result
-                { id; status; message; pdb; seconds = u.B.seconds;
+                { id; status = u.B.status; pdb; seconds = u.B.seconds;
                   deps = u.B.deps; cone_truncated = u.B.cone_truncated }
             in
             if Fault.should "farm.worker.torn" then

@@ -1,76 +1,32 @@
-(* pdtc: the PDT compiler driver — C++ source in, program database out.
-   Plays the role of "C++ Front End + IL Analyzer" in Figure 2. *)
+(* pdtc: the PDT compiler driver — one C++, Fortran 90 or Java source in,
+   program database out.  Plays the role of "C++ Front End + IL Analyzer"
+   in Figure 2, through the same compile as every unit of a project build
+   (pdbbuild). *)
 
 open Cmdliner
 
-let language_of source =
-  match String.lowercase_ascii (Filename.extension source) with
-  | ".f90" | ".f95" | ".f" -> `Fortran
-  | ".java" -> `Java
-  | _ -> `Cpp
+module B = Pdt_build.Build
 
-(* Fold --max-errors and every --limit name=value override into the
-   front-end budget record; usage errors exit like other CLI mistakes. *)
-let resolve_budgets ~tool max_errors limit_specs =
-  let b = Pdt_util.Limits.default_budgets in
-  let b =
-    match max_errors with
-    | Some n -> { b with Pdt_util.Limits.max_errors = n }
-    | None -> b
-  in
-  List.fold_left
-    (fun b spec ->
-      match Pdt_util.Limits.set_budget b spec with
-      | Ok b -> b
-      | Error msg ->
-          Printf.eprintf "%s: %s\n" tool msg;
-          exit 124)
-    b limit_specs
-
-let run_single source includes output mapping no_used fixed_spec budgets =
-  match language_of source with
-  | (`Fortran | `Java) as lang -> begin
-    (* the Fortran 90 / Java IL Analyzers (paper §6) feed the same PDB *)
-    match
-      let ic = open_in_bin source in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      src
-    with
-    | exception Sys_error msg ->
-        Printf.eprintf "pdtc: %s\n" msg;
-        1
-    | src ->
-    let diags = Pdt_util.Diag.create () in
-    let prog =
-      match lang with
-      | `Fortran -> Pdt_f90.F90_sema.compile_string ~file:source ~diags src
-      | `Java -> Pdt_java.Java_sema.compile_string ~file:source ~diags src
-    in
-    let diag_text = Pdt_util.Diag.to_string diags in
-    if diag_text <> "" then prerr_endline diag_text;
-    if Pdt_util.Diag.has_errors diags then 1
-    else begin
-      let pdb = Pdt_analyzer.Analyzer.run prog in
-      let out =
-        match output with
-        | Some o -> o
-        | None -> Filename.remove_extension (Filename.basename source) ^ ".pdb"
-      in
-      Pdt_pdb.Pdb_write.to_file pdb out;
-      Printf.printf "wrote %s (%d items)\n" out (Pdt_pdb.Pdb.item_count pdb);
-      0
-    end
-  end
-  | `Cpp -> begin
+(* One unit through the build's own compile ({!B.compile_unit}): its
+   diagnostics go to stderr, its PDB — a partial one marked incomplete
+   when the C++ front end recovered from errors — to [output]. *)
+let run_single source includes output mapping no_used fixed_spec limits =
   let vfs = Pdt_util.Vfs.create ~include_paths:includes () in
   Pdt_util.Vfs.set_disk_fallback vfs true;
-  let opts =
-    { Pdt_sema.Sema.instantiate_used = not no_used;
-      map_specializations = fixed_spec }
+  let options =
+    { B.default_options with
+      sema =
+        { Pdt_sema.Sema.instantiate_used = not no_used;
+          map_specializations = fixed_spec };
+      mapping =
+        (if mapping = "ids" then Pdt_analyzer.Analyzer.Il_ids
+         else Pdt_analyzer.Analyzer.Location_based);
+      limits }
   in
-  let limits = Pdt_util.Limits.create ~budgets () in
-  match Pdt.compile ~opts ~limits ~vfs source with
+  match B.compile_unit options ~vfs source with
+  | exception B.Unit_error diags ->
+      prerr_endline diags;
+      1
   | exception Pdt_util.Diag.Error d ->
       Printf.eprintf "pdtc: %s\n"
         (Format.asprintf "%a" Pdt_util.Diag.pp_diagnostic d);
@@ -79,41 +35,33 @@ let run_single source includes output mapping no_used fixed_spec budgets =
       Printf.eprintf "pdtc: %s\n" msg;
       1
   | c ->
-    let diag_text = Pdt_util.Diag.to_string c.Pdt.diags in
-    if diag_text <> "" then prerr_endline diag_text;
-    let aopts =
-      { Pdt_analyzer.Analyzer.default_options with
-        mapping =
-          (if mapping = "ids" then Pdt_analyzer.Analyzer.Il_ids
-           else Pdt_analyzer.Analyzer.Location_based) }
-    in
-    let pdb = Pdt_analyzer.Analyzer.run ~opts:aopts c.Pdt.program in
-    let degraded = Pdt_util.Diag.has_errors c.Pdt.diags in
-    if degraded then begin
-      (* degraded compilation: the partial PDB is still written, marked
-         incomplete so downstream tools and merges can tell *)
-      pdb.Pdt_pdb.Pdb.incomplete <- true;
-      pdb.Pdt_pdb.Pdb.diag_count <- Pdt_util.Diag.error_count c.Pdt.diags
-    end;
-    let out =
-      match output with
-      | Some o -> o
-      | None -> Filename.remove_extension (Filename.basename source) ^ ".pdb"
-    in
-    Pdt_pdb.Pdb_write.to_file pdb out;
-    Printf.printf "wrote %s (%d items%s)\n" out (Pdt_pdb.Pdb.item_count pdb)
-      (if degraded then ", incomplete" else "");
-    if degraded then 1 else 0
-  end
+      if c.B.c_diags <> "" then prerr_endline c.B.c_diags;
+      let out =
+        match output with
+        | Some o -> o
+        | None -> Filename.remove_extension (Filename.basename source) ^ ".pdb"
+      in
+      Pdt_pdb.Pdb_write.to_file c.B.c_pdb out;
+      let degraded = c.B.c_degraded <> None in
+      Printf.printf "wrote %s (%d items%s)\n" out
+        (Pdt_pdb.Pdb.item_count c.B.c_pdb)
+        (if degraded then ", incomplete" else "");
+      if degraded then 1 else 0
 
 let run sources includes output mapping no_used fixed_spec trace max_errors
     limit_specs =
-  let budgets = resolve_budgets ~tool:"pdtc" max_errors limit_specs in
+  let limits =
+    match Pdt_util.Limits.of_flags ?max_errors limit_specs with
+    | Ok b -> b
+    | Error msg ->
+        Printf.eprintf "pdtc: %s\n" msg;
+        exit 124
+  in
   if trace <> None then Pdt_util.Trace.start ();
   let code =
     match sources with
     | [ source ] ->
-        run_single source includes output mapping no_used fixed_spec budgets
+        run_single source includes output mapping no_used fixed_spec limits
     | [] -> prerr_endline "pdtc: missing SOURCE argument"; 124
     | _ :: _ :: _ ->
         prerr_endline

@@ -18,6 +18,12 @@
       output is byte-identical across domain counts, to a [--farm] or
       [--incremental] build, and to a single-TU + pdbmerge build.
 
+    This module is the one place a translation unit is compiled
+    ({!compile_unit}, which [pdtc] runs too), built through the cache
+    ({!build_unit}, which each farm worker runs) and scheduled
+    ({!run_units}, the pool under both [build] and
+    {!Incremental.delta_build}).
+
     A build makes one {!Pdt.memo} and compiles every unit with it: the
     second unit to include a header keeps its lex for the units after it,
     and the second to open with the same header tokens keeps their parse.
@@ -107,19 +113,21 @@ type unit_result = {
       (** the preprocessor hit the include-depth budget: [deps] misses the
           skipped subtree, so the unit must never be treated as reusable
           by dependency fingerprint *)
+  bytes : string option;
+      (** the canonical ASCII of [pdb] ({!Pdt_pdb.Pdb_write}) when the
+          driver already holds it: the body it just stored in or loaded
+          from the cache, or a farm Result payload.  [None] when no bytes
+          were made — no cache, a degraded or cone-truncated unit, no PDB *)
   digest : string option;
-      (** {!Pdt_pdb.Pdb_digest} of [pdb], the MD5 of the canonical ASCII
-          bytes the driver already holds for it: the body it just stored
-          in or loaded from the cache, or a farm Result payload.  [None]
-          when no bytes were made — no cache, a degraded or cone-truncated
-          unit, no PDB — and {!merge_inputs} digests the PDB itself *)
+      (** {!Pdt_pdb.Pdb_digest} of [pdb], the MD5 of [bytes]; [None] iff
+          [bytes] is, and then {!merge_inputs} digests the PDB itself *)
 }
 
 (** The result of a unit that produced no PDB: [Failed] or [Skipped]
     before any work was timed. *)
 let no_pdb source status =
   { source; status; pdb = None; seconds = 0.0; deps = [];
-    cone_truncated = false; digest = None }
+    cone_truncated = false; bytes = None; digest = None }
 
 type result = {
   merged : Pdt_pdb.Pdb.t;      (** merge of every successful unit *)
@@ -136,23 +144,30 @@ type result = {
 exception Unit_error of string
 (** A translation unit's front end reported errors. *)
 
-(* What one fresh compile produced: the PDB, the degradation report
-   ([Some diags_text] when the C++ front end recovered from errors and the
-   PDB is partial — keep-going mode only; under [fail_fast] recoverable
-   errors raise [Unit_error]), the recorded dependency set and whether the
-   include cone was truncated by the depth budget. *)
+(** What one fresh compile produced: the PDB, the degradation report
+    ([Some diags_text] when the C++ front end recovered from errors and
+    the PDB is partial — keep-going mode only; under [fail_fast]
+    recoverable errors raise [Unit_error]), the unit's whole diagnostic
+    text, warnings included ([""] when there is none), the recorded
+    dependency set and whether the include cone was truncated by the depth
+    budget. *)
 type compiled = {
   c_pdb : Pdt_pdb.Pdb.t;
   c_degraded : string option;
+  c_diags : string;
   c_deps : string list;
   c_truncated : bool;
 }
 
-(* Compile one unit against a private VFS copy (domains must not share the
-   mutable Hashtbl inside Vfs.t) and run the IL Analyzer.  A read recorder
-   on the private copy captures the unit's true dependency set — every
-   file the preprocessor actually opened — for incremental rebuilds.
-   [memo] is the build's {!Pdt.memo}. *)
+(** Compile one unit, C++, Fortran 90 or Java by its extension, against a
+    private VFS copy (domains must not share the mutable Hashtbl inside
+    Vfs.t) and run the IL Analyzer: Figure 2's front end and IL Analyzer,
+    for [pdtc] and every project driver.  A read recorder on the private
+    copy captures the unit's true dependency set — every file the
+    preprocessor actually opened — for incremental rebuilds.  [memo] is
+    the build's {!Pdt.memo}.  Raises [Unit_error] with the diagnostic
+    text when the unit cannot yield a PDB, and lets the front end's
+    {!Diag.Error} (a source it cannot open) through. *)
 let compile_unit ?memo (o : options) ~vfs source : compiled =
   let vfs = Vfs.copy vfs in
   let seen = Hashtbl.create 16 in
@@ -180,28 +195,27 @@ let compile_unit ?memo (o : options) ~vfs source : compiled =
             | Fortran -> Pdt_f90.F90_sema.compile_string ~file:source ~diags src
             | _ -> Pdt_java.Java_sema.compile_string ~file:source ~diags src
           in
-          if Diag.has_errors diags then raise (Unit_error (Diag.to_string diags));
-          { c_pdb = analyze prog; c_degraded = None;
+          let text = Diag.to_string diags in
+          if Diag.has_errors diags then raise (Unit_error text);
+          { c_pdb = analyze prog; c_degraded = None; c_diags = text;
             c_deps = deps (); c_truncated = false })
   | Cpp ->
       let limits = Limits.create ~budgets:o.limits () in
       let c = Pdt.compile ~opts:o.sema ~limits ?memo ~vfs source in
-      if o.fail_fast && Diag.has_errors c.Pdt.diags then
-        raise (Unit_error (Diag.to_string c.Pdt.diags));
+      let text = Diag.to_string c.Pdt.diags in
+      let degraded = Diag.has_errors c.Pdt.diags in
+      if o.fail_fast && degraded then raise (Unit_error text);
       let aopts =
         { Pdt_analyzer.Analyzer.default_options with mapping = o.mapping }
       in
       let pdb = analyze ~opts:aopts c.Pdt.program in
-      let truncated = c.Pdt.pp.Pdt_pp.Preproc.include_depth_exceeded in
-      if Diag.has_errors c.Pdt.diags then begin
+      if degraded then begin
         pdb.Pdt_pdb.Pdb.incomplete <- true;
-        pdb.Pdt_pdb.Pdb.diag_count <- Diag.error_count c.Pdt.diags;
-        { c_pdb = pdb; c_degraded = Some (Diag.to_string c.Pdt.diags);
-          c_deps = deps (); c_truncated = truncated }
-      end
-      else
-        { c_pdb = pdb; c_degraded = None; c_deps = deps ();
-          c_truncated = truncated }
+        pdb.Pdt_pdb.Pdb.diag_count <- Diag.error_count c.Pdt.diags
+      end;
+      { c_pdb = pdb; c_degraded = (if degraded then Some text else None);
+        c_diags = text; c_deps = deps ();
+        c_truncated = c.Pdt.pp.Pdt_pp.Preproc.include_depth_exceeded }
 
 (* One scheduler task: cache lookup, else compile and fill the cache.
    Never raises — failure is data here, not control flow.
@@ -215,14 +229,16 @@ let build_unit ?memo (o : options) (cache : Cache.t option) ~vfs source :
     unit_result =
   let run () =
   let t0 = Unix.gettimeofday () in
-  let finish ?(deps = []) ?(cone_truncated = false) ?digest status pdb =
+  let finish ?(deps = []) ?(cone_truncated = false) ?bytes ?digest status pdb =
     { source; status; pdb; seconds = Unix.gettimeofday () -. t0;
-      deps; cone_truncated; digest }
+      deps; cone_truncated; bytes; digest }
   in
   (* a failed store never sinks the unit — the PDB is in hand and the next
      build simply misses; count the loss so --stats surfaces it *)
-  let store_entry c k body =
-    try Trace.timed ~cat:"cache" "cache.store" (fun () -> Cache.store_serialized c k body)
+  let store_entry c k ~digest body =
+    try
+      Trace.timed ~cat:"cache" "cache.store" (fun () ->
+          Cache.store_serialized ~digest c k body)
     with e when Fault.is_transient e -> Trace.count ~cat:"cache" "cache.store_failed" 0
   in
   let attempt () =
@@ -236,38 +252,36 @@ let build_unit ?memo (o : options) (cache : Cache.t option) ~vfs source :
         match
           Trace.timed ~cat:"cache" "cache.load" (fun () -> Cache.load c k)
         with
-        | Some (pdb, digest) ->
+        | Some (pdb, bytes, digest) ->
             Trace.count ~cat:"cache" "cache.hit" 0;
-            finish ~digest Cached (Some pdb)
+            finish ~bytes ~digest Cached (Some pdb)
         | None -> (
             Trace.count ~cat:"cache" "cache.miss" 0;
             match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit ?memo o ~vfs source) with
-            | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
-                (* serialize once; the entry body and the merge digest
-                   reuse the bytes.  A truncated-cone unit is never
-                   stored: its key misses the skipped include subtree, so
-                   a later edit to that subtree could not invalidate the
-                   entry *)
-                let digest =
-                  if c_truncated then None
-                  else begin
-                    let body = Pdt_pdb.Pdb_write.to_string pdb in
-                    store_entry c k body;
-                    Some (Pdt_pdb.Pdb_digest.of_string body)
-                  end
-                in
-                finish ~deps:c_deps ~cone_truncated:c_truncated ?digest Compiled
-                  (Some pdb)
-            | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated } ->
+            | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated; _ } ->
+                (* serialize and hash once; the entry, its header, the
+                   merge digest and a farm Result reuse them.  A
+                   truncated-cone unit is never stored: its key misses the
+                   skipped include subtree, so a later edit to that
+                   subtree could not invalidate the entry *)
+                if c_truncated then
+                  finish ~deps:c_deps ~cone_truncated:true Compiled (Some pdb)
+                else begin
+                  let bytes = Pdt_pdb.Pdb_write.to_string pdb in
+                  let digest = Pdt_pdb.Pdb_digest.of_string bytes in
+                  store_entry c k ~digest bytes;
+                  finish ~deps:c_deps ~bytes ~digest Compiled (Some pdb)
+                end
+            | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated; _ } ->
                 (* a partial PDB never enters the cache: fixing the source
                    must recompile, not replay the degraded artifact *)
                 finish ~deps:c_deps ~cone_truncated:c_truncated
                   (Degraded msg) (Some pdb)))
     | _ -> (
         match Trace.timed ~cat:"build" "compile" (fun () -> compile_unit ?memo o ~vfs source) with
-        | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated } ->
+        | { c_pdb = pdb; c_degraded = None; c_deps; c_truncated; _ } ->
             finish ~deps:c_deps ~cone_truncated:c_truncated Compiled (Some pdb)
-        | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated } ->
+        | { c_pdb = pdb; c_degraded = Some msg; c_deps; c_truncated; _ } ->
             finish ~deps:c_deps ~cone_truncated:c_truncated (Degraded msg)
               (Some pdb))
   in
@@ -320,43 +334,43 @@ let result_of_units ~t0 (units : unit_result list) : result =
     wall_seconds = Unix.gettimeofday () -. t0;
     cpu_seconds = List.fold_left (fun a u -> a +. u.seconds) 0.0 units }
 
+(** The unit runner under every in-process build: [build_unit] over
+    [sources] on a pool of [o.domains] {!Scheduler} domains sharing one
+    {!Pdt.memo}, results in input order.  Under [o.fail_fast] the first
+    failure stops the pool, and the units it never started are [Skipped].
+    A unit whose worker faulted before it ran (flaky-worker injection, a
+    lost job) gets one sequential redo, which brings [build_unit]'s own
+    retry budget with it. *)
+let run_units (o : options) (cache : Cache.t option) ~vfs
+    (sources : string array) : unit_result array =
+  let aborted = Atomic.make false in
+  let memo = Pdt.memo () in
+  let task source =
+    let u = build_unit ~memo o cache ~vfs source in
+    (match u.status with
+     | Failed _ when o.fail_fast -> Atomic.set aborted true
+     | _ -> ());
+    u
+  in
+  Scheduler.parallel_map ~domains:o.domains
+    ~should_stop:(fun () -> Atomic.get aborted)
+    task sources
+  |> Array.mapi (fun i -> function
+       | Ok u -> u
+       | Error Scheduler.Cancelled -> no_pdb sources.(i) Skipped
+       | Error e when Fault.is_transient e && o.retries > 0 ->
+           Trace.count ~cat:"build" "build.retry" 0;
+           task sources.(i)
+       | Error e -> no_pdb sources.(i) (Failed (Printexc.to_string e)))
+
 (** Build a project: compile every source to a PDB (in parallel, through
     the cache) and merge the survivors.  Sources are deduplicated nowhere —
     the caller's list is the build plan. *)
 let build ?(options = default_options) ~vfs (sources : string list) : result =
   let t0 = Unix.gettimeofday () in
   let cache = Option.map (fun dir -> Cache.create ~dir ()) options.cache_dir in
-  let tasks = Array.of_list sources in
-  let aborted = Atomic.make false in
-  let memo = Pdt.memo () in
-  let task source =
-    let u = build_unit ~memo options cache ~vfs source in
-    (match u.status with
-     | Failed _ when options.fail_fast -> Atomic.set aborted true
-     | _ -> ());
-    u
-  in
-  let results =
-    Scheduler.parallel_map ~domains:options.domains
-      ~should_stop:(fun () -> Atomic.get aborted)
-      task tasks
-  in
-  let units =
-    Array.to_list
-      (Array.mapi
-         (fun i -> function
-           | Ok u -> u
-           | Error Scheduler.Cancelled -> no_pdb tasks.(i) Skipped
-           | Error e when Fault.is_transient e && options.retries > 0 ->
-               (* the worker faulted before the task ran (flaky-worker
-                  injection, lost job): one sequential redo, which brings
-                  build_unit's own retry budget with it *)
-               Trace.count ~cat:"build" "build.retry" 0;
-               task tasks.(i)
-           | Error e -> no_pdb tasks.(i) (Failed (Printexc.to_string e)))
-         results)
-  in
-  result_of_units ~t0 units
+  result_of_units ~t0
+    (Array.to_list (run_units options cache ~vfs (Array.of_list sources)))
 
 (** The one-line build report: [N compiled, M cached, K failed, wall time,
     speedup] — speedup is summed per-unit time over wall time, i.e. the

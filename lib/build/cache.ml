@@ -430,11 +430,12 @@ let quarantine_if t key (still_bad : string -> bool) : unit =
     the entry so the next build stores a fresh one instead of re-probing
     the same corrupt file.
 
-    With the PDB comes its {!Pdt_pdb.Pdb_digest}: verification has just
-    taken the body's MD5, and the body is the canonical serialization of
-    the PDB it parses to, so the merge need not serialize the PDB again to
-    digest it. *)
-let load t key : (Pdt_pdb.Pdb.t * string) option =
+    With the PDB come the body it parsed from and the body's
+    {!Pdt_pdb.Pdb_digest}: verification has just taken the body's MD5, and
+    the body is the canonical serialization of the PDB it parses to, so
+    neither the merge nor a farm worker's Result frame need serialize the
+    PDB again. *)
+let load t key : (Pdt_pdb.Pdb.t * string * string) option =
   match read_file (entry_path t key) with
   | None -> None
   | Some content -> (
@@ -452,7 +453,7 @@ let load t key : (Pdt_pdb.Pdb.t * string) option =
              don't, that's corruption too — quarantine, never crash.
              Transient injections from the parser's own site propagate
              so the driver's retry policy sees them. *)
-          try Some (Pdt_pdb.Pdb_parse.of_string body, body_digest) with
+          try Some (Pdt_pdb.Pdb_parse.of_string body, body, body_digest) with
           | Fault.Injected _ as e -> raise e
           | _ ->
               (* still_bad = verifies but still won't parse.  A transient
@@ -470,15 +471,20 @@ let load t key : (Pdt_pdb.Pdb.t * string) option =
               None))
 
 (** Store a PDB body, its {!Pdt_pdb.Pdb_write} bytes: callers serialize
-    once and reuse the string for the entry and its merge digest.  The
-    write goes through {!write_atomic}, so concurrent domains {e and}
-    concurrent pdbbuild processes sharing a cache dir never expose a
-    half-written entry. *)
-let store_serialized t key (body : string) : unit =
+    once and reuse the string for the entry and its merge digest.
+    [digest] is that merge digest, the body's MD5 ({!Hashutil.string}, as
+    {!Pdt_pdb.Pdb_digest.of_string} takes it), when the caller holds it:
+    the header reuses it instead of hashing the body again.  The write
+    goes through {!write_atomic}, so concurrent domains {e and} concurrent
+    pdbbuild processes sharing a cache dir never expose a half-written
+    entry. *)
+let store_serialized ?digest t key (body : string) : unit =
+  let hdr =
+    header key (match digest with Some d -> d | None -> Hashutil.string body)
+  in
   let final = entry_path t key in
   mkdir_p (Filename.dirname final);
   write_atomic final (fun oc ->
-      let hdr = header key (Hashutil.string body) in
       if Fault.should "cache.write.torn" then begin
         (* a torn write that still reached the final path: half the
            entry, then rename.  load must catch it by digest. *)

@@ -134,34 +134,20 @@ exception Farm_unavailable of string
 let unit_result_of_result ~source (r : Farm_proto.msg) : Build.unit_result =
   match r with
   | Farm_proto.Result
-      { status = wire_status; message; pdb = wire_pdb; seconds; deps;
-        cone_truncated; _ } ->
-      let status =
-        match wire_status with
-        | Farm_proto.S_compiled -> Build.Compiled
-        | Farm_proto.S_cached -> Build.Cached
-        | Farm_proto.S_degraded -> Build.Degraded message
-        | Farm_proto.S_failed -> Build.Failed message
-      in
+      { status; pdb = wire_pdb; seconds; deps; cone_truncated; _ } ->
       (* the payload is the canonical ASCII of the PDB the worker built,
-         so the merge digest comes from the bytes in hand.  A parse
-         failure means the Result frame body was corrupted in transit —
-         treat as a failed unit, not a crash *)
-      let pdb, digest =
-        match wire_pdb with
-        | None -> (None, None)
-        | Some s -> (
-            match Pdt_pdb.Pdb_parse.of_string s with
-            | pdb -> (Some pdb, Some (Pdt_pdb.Pdb_digest.of_string s))
-            | exception _ -> (None, None))
+         so the unit keeps those bytes and the merge digest comes from
+         them.  A parse failure means the Result frame body was corrupted
+         in transit — treat as a failed unit, not a crash *)
+      let unit ?pdb ?bytes ?digest status =
+        { Build.source; status; pdb; seconds; deps; cone_truncated; bytes; digest }
       in
-      let status =
-        match (status, pdb, wire_pdb) with
-        | (Build.Compiled | Build.Cached | Build.Degraded _), None, Some _ ->
-            Build.Failed "farm: undecodable PDB in result frame"
-        | s, _, _ -> s
-      in
-      { Build.source; status; pdb; seconds; deps; cone_truncated; digest }
+      (match wire_pdb with
+       | None -> unit status
+       | Some s -> (
+           match Pdt_pdb.Pdb_parse.of_string s with
+           | pdb -> unit ~pdb ~bytes:s ~digest:(Pdt_pdb.Pdb_digest.of_string s) status
+           | exception _ -> unit (Build.Failed "farm: undecodable PDB in result frame")))
   | _ -> invalid_arg "unit_result_of_result"
 
 let backoff_delay (c : config) (respawns : int) : float =
@@ -208,9 +194,7 @@ let build ?(config = default_config) ?(options = Build.default_options) ~vfs
   let respawn_budget = ref config.max_respawns in
   let config_frame =
     Farm_proto.encode
-      (Farm_proto.Config
-         (Farm_proto.config_of_options options ~vfs
-            ~heartbeat_ms:config.heartbeat_ms))
+      (Farm_proto.config options ~vfs ~heartbeat_ms:config.heartbeat_ms)
   in
   let slots =
     Array.init n_workers (fun index ->

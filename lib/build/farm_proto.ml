@@ -12,17 +12,16 @@
     Messages:
 
     - ['C'] {e Config} (driver → worker, once): everything a fresh worker
-      process needs to run {!Build.build_unit} — build options, resource
-      budgets, and the full VFS file table (workers share no memory with
-      the driver; the VFS of a project workload is a few hundred KB and
-      ships once per worker lifetime).
+      process needs to run {!Build.build_unit} — the {!Build.options} and
+      the full VFS file table (workers share no memory with the driver;
+      the VFS of a project workload is a few hundred KB and ships once per
+      worker lifetime).
     - ['H'] {e Hello} (worker → driver, once): protocol version + pid,
       sent after the Config is applied; the driver treats a version
       mismatch as a permanently-failed worker, not a retry.
     - ['U'] {e Unit} (driver → worker): one translation unit to build.
-    - ['R'] {e Result} (worker → driver): the unit's outcome, mirroring
-      {!Build.unit_result} (status, the PDB's canonical ASCII, timings,
-      deps).
+    - ['R'] {e Result} (worker → driver): the unit's outcome — its
+      {!Build.status}, the canonical ASCII of its PDB, timing and deps.
     - ['B'] {e Heartbeat} (worker → driver): sent every [heartbeat_ms]
       by a worker-side thread, carrying the id of the unit in flight (or
       {!no_unit} when idle).  Silence past the driver's liveness window
@@ -50,12 +49,7 @@ let frame_max = 256 * 1024 * 1024
 (* Payload encoding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let put_u32 b n =
-  let n = n land 0xFFFF_FFFF in
-  Buffer.add_char b (Char.chr (n land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xff))
+let put_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
 
 let put_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
@@ -74,8 +68,7 @@ let need c n =
 
 let get_u32 c =
   need c 4;
-  let at i = Char.code c.s.[c.pos + i] in
-  let v = at 0 lor (at 1 lsl 8) lor (at 2 lsl 16) lor (at 3 lsl 24) in
+  let v = Int32.to_int (String.get_int32_le c.s c.pos) land 0xFFFF_FFFF in
   c.pos <- c.pos + 4;
   v
 
@@ -101,33 +94,21 @@ let get_list c get =
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type config = {
-  c_cache_dir : string option;
-  c_retries : int;
-  c_fail_fast : bool;
-  c_sema_used : bool;
-  c_sema_spec : bool;
-  c_mapping : Pdt_analyzer.Analyzer.mapping;
-  c_limits : Pdt_util.Limits.budgets;
-  c_include_paths : string list;
-  c_disk_fallback : bool;
-  c_files : (string * string) list;  (** the full VFS table, path → bytes *)
-  c_heartbeat_ms : int;
-}
-
-(** Worker-side unit outcome.  [Degraded]/[Failed] payloads travel in the
-    Result's message field; the driver rebuilds {!Build.status} from the
-    pair. *)
-type unit_status = S_compiled | S_cached | S_degraded | S_failed
-
 type msg =
-  | Config of config
+  | Config of {
+      options : Build.options;
+          (** [domains] does not travel: a worker is one process running
+              one unit at a time, so it decodes as 1 *)
+      include_paths : string list;
+      disk_fallback : bool;
+      files : (string * string) list;  (** the full VFS table, path → bytes *)
+      heartbeat_ms : int;
+    }
   | Hello of { version : int; pid : int }
   | Unit of { id : int; source : string }
   | Result of {
       id : int;
-      status : unit_status;
-      message : string;         (** Degraded/Failed detail; else "" *)
+      status : Build.status;
       pdb : string option;      (** the PDB's canonical ASCII *)
       seconds : float;
       deps : string list;
@@ -136,43 +117,25 @@ type msg =
   | Heartbeat of { unit_id : int }
   | Quit
 
-let config_of_options (o : Build.options) ~(vfs : Pdt_util.Vfs.t)
-    ~(heartbeat_ms : int) : config =
-  { c_cache_dir = o.Build.cache_dir;
-    c_retries = o.Build.retries;
-    c_fail_fast = o.Build.fail_fast;
-    c_sema_used = o.Build.sema.Pdt_sema.Sema.instantiate_used;
-    c_sema_spec = o.Build.sema.Pdt_sema.Sema.map_specializations;
-    c_mapping = o.Build.mapping;
-    c_limits = o.Build.limits;
-    c_include_paths = vfs.Pdt_util.Vfs.include_paths;
-    c_disk_fallback = vfs.Pdt_util.Vfs.disk_fallback;
-    c_files =
-      List.map
-        (fun p ->
-          match Pdt_util.Vfs.read_raw vfs p with
-          | Some contents -> (p, contents)
-          | None -> (p, ""))
-        (Pdt_util.Vfs.files vfs);
-    c_heartbeat_ms = heartbeat_ms }
+(** The Config that lets a worker build like an in-process domain:
+    [options] and [vfs]'s search path and whole file table. *)
+let config (options : Build.options) ~(vfs : Pdt_util.Vfs.t)
+    ~(heartbeat_ms : int) : msg =
+  Config
+    { options;
+      include_paths = vfs.Pdt_util.Vfs.include_paths;
+      disk_fallback = vfs.Pdt_util.Vfs.disk_fallback;
+      files =
+        List.map
+          (fun p -> (p, Option.value (Pdt_util.Vfs.read_raw vfs p) ~default:""))
+          (Pdt_util.Vfs.files vfs);
+      heartbeat_ms }
 
-(** Reconstruct build options in the worker: always one domain (the farm's
-    parallelism is processes, not domains-within-workers). *)
-let options_of_config (c : config) : Build.options =
-  { Build.domains = 1;
-    cache_dir = c.c_cache_dir;
-    retries = c.c_retries;
-    fail_fast = c.c_fail_fast;
-    sema =
-      { Pdt_sema.Sema.instantiate_used = c.c_sema_used;
-        map_specializations = c.c_sema_spec };
-    mapping = c.c_mapping;
-    limits = c.c_limits }
-
-let vfs_of_config (c : config) : Pdt_util.Vfs.t =
-  let vfs = Pdt_util.Vfs.create ~include_paths:c.c_include_paths () in
-  Pdt_util.Vfs.set_disk_fallback vfs c.c_disk_fallback;
-  List.iter (fun (p, s) -> Pdt_util.Vfs.add_file vfs p s) c.c_files;
+(** The worker's copy of the driver's VFS. *)
+let vfs_of_files ~include_paths ~disk_fallback files : Pdt_util.Vfs.t =
+  let vfs = Pdt_util.Vfs.create ~include_paths () in
+  Pdt_util.Vfs.set_disk_fallback vfs disk_fallback;
+  List.iter (fun (p, s) -> Pdt_util.Vfs.add_file vfs p s) files;
   vfs
 
 (* ------------------------------------------------------------------ *)
@@ -188,47 +151,59 @@ let mapping_of_code = function
   | 1 -> Pdt_analyzer.Analyzer.Il_ids
   | n -> raise (Proto_error (Printf.sprintf "bad mapping code %d" n))
 
-let status_code = function
-  | S_compiled -> 0
-  | S_cached -> 1
-  | S_degraded -> 2
-  | S_failed -> 3
+(* A status travels as a code and a message, "" unless the status
+   carries one.  No worker sends 4: {!Build.build_unit} never skips. *)
+let put_status b (s : Build.status) =
+  let code, message =
+    match s with
+    | Build.Compiled -> (0, "")
+    | Build.Cached -> (1, "")
+    | Build.Degraded m -> (2, m)
+    | Build.Failed m -> (3, m)
+    | Build.Skipped -> (4, "")
+  in
+  put_u32 b code;
+  put_str b message
 
-let status_of_code = function
-  | 0 -> S_compiled
-  | 1 -> S_cached
-  | 2 -> S_degraded
-  | 3 -> S_failed
+let get_status c : Build.status =
+  let code = get_u32 c in
+  let message = get_str c in
+  match code with
+  | 0 -> Build.Compiled
+  | 1 -> Build.Cached
+  | 2 -> Build.Degraded message
+  | 3 -> Build.Failed message
+  | 4 -> Build.Skipped
   | n -> raise (Proto_error (Printf.sprintf "bad status code %d" n))
 
 let encode (m : msg) : string =
   let b = Buffer.create 256 in
   (match m with
-  | Config c ->
+  | Config { options = o; include_paths; disk_fallback; files; heartbeat_ms } ->
       Buffer.add_char b 'C';
       put_u32 b version;
-      put_str b (Option.value c.c_cache_dir ~default:"");
-      put_bool b (c.c_cache_dir <> None);
-      put_u32 b c.c_retries;
-      put_bool b c.c_fail_fast;
-      put_bool b c.c_sema_used;
-      put_bool b c.c_sema_spec;
-      put_u32 b (mapping_code c.c_mapping);
-      let l = c.c_limits in
+      put_str b (Option.value o.Build.cache_dir ~default:"");
+      put_bool b (o.Build.cache_dir <> None);
+      put_u32 b o.Build.retries;
+      put_bool b o.Build.fail_fast;
+      put_bool b o.Build.sema.Pdt_sema.Sema.instantiate_used;
+      put_bool b o.Build.sema.Pdt_sema.Sema.map_specializations;
+      put_u32 b (mapping_code o.Build.mapping);
+      let l = o.Build.limits in
       put_u32 b l.Pdt_util.Limits.max_include_depth;
       put_u32 b l.Pdt_util.Limits.max_macro_depth;
       put_u32 b l.Pdt_util.Limits.max_tokens;
       put_u32 b l.Pdt_util.Limits.max_parse_depth;
       put_u32 b l.Pdt_util.Limits.max_instantiation_depth;
       put_u32 b l.Pdt_util.Limits.max_errors;
-      put_list b put_str c.c_include_paths;
-      put_bool b c.c_disk_fallback;
+      put_list b put_str include_paths;
+      put_bool b disk_fallback;
       put_list b
         (fun b (p, s) ->
           put_str b p;
           put_str b s)
-        c.c_files;
-      put_u32 b c.c_heartbeat_ms
+        files;
+      put_u32 b heartbeat_ms
   | Hello { version; pid } ->
       Buffer.add_char b 'H';
       put_u32 b version;
@@ -240,8 +215,7 @@ let encode (m : msg) : string =
   | Result r ->
       Buffer.add_char b 'R';
       put_u32 b r.id;
-      put_u32 b (status_code r.status);
-      put_str b r.message;
+      put_status b r.status;
       put_bool b (r.pdb <> None);
       put_str b (Option.value r.pdb ~default:"");
       (* %h hex floats round-trip exactly *)
@@ -267,8 +241,8 @@ let decode (payload : string) : msg =
         let cache_dir_some = get_bool c in
         let retries = get_u32 c in
         let fail_fast = get_bool c in
-        let sema_used = get_bool c in
-        let sema_spec = get_bool c in
+        let instantiate_used = get_bool c in
+        let map_specializations = get_bool c in
         let mapping = mapping_of_code (get_u32 c) in
         let max_include_depth = get_u32 c in
         let max_macro_depth = get_u32 c in
@@ -276,6 +250,21 @@ let decode (payload : string) : msg =
         let max_parse_depth = get_u32 c in
         let max_instantiation_depth = get_u32 c in
         let max_errors = get_u32 c in
+        let options =
+          { Build.domains = 1;
+            cache_dir = (if cache_dir_some then Some cache_dir_s else None);
+            retries;
+            fail_fast;
+            sema = { Pdt_sema.Sema.instantiate_used; map_specializations };
+            mapping;
+            limits =
+              { Pdt_util.Limits.max_include_depth;
+                max_macro_depth;
+                max_tokens;
+                max_parse_depth;
+                max_instantiation_depth;
+                max_errors } }
+        in
         let include_paths = get_list c get_str in
         let disk_fallback = get_bool c in
         let files =
@@ -285,24 +274,7 @@ let decode (payload : string) : msg =
               (p, s))
         in
         let heartbeat_ms = get_u32 c in
-        Config
-          { c_cache_dir = (if cache_dir_some then Some cache_dir_s else None);
-            c_retries = retries;
-            c_fail_fast = fail_fast;
-            c_sema_used = sema_used;
-            c_sema_spec = sema_spec;
-            c_mapping = mapping;
-            c_limits =
-              { Pdt_util.Limits.max_include_depth;
-                max_macro_depth;
-                max_tokens;
-                max_parse_depth;
-                max_instantiation_depth;
-                max_errors };
-            c_include_paths = include_paths;
-            c_disk_fallback = disk_fallback;
-            c_files = files;
-            c_heartbeat_ms = heartbeat_ms }
+        Config { options; include_paths; disk_fallback; files; heartbeat_ms }
     | 'H' ->
         let version = get_u32 c in
         let pid = get_u32 c in
@@ -313,8 +285,7 @@ let decode (payload : string) : msg =
         Unit { id; source }
     | 'R' ->
         let id = get_u32 c in
-        let status = status_of_code (get_u32 c) in
-        let message = get_str c in
+        let status = get_status c in
         let has_pdb = get_bool c in
         let pdb_s = get_str c in
         let seconds =
@@ -326,7 +297,7 @@ let decode (payload : string) : msg =
         let deps = get_list c get_str in
         let cone_truncated = get_bool c in
         Result
-          { id; status; message;
+          { id; status;
             pdb = (if has_pdb then Some pdb_s else None);
             seconds; deps; cone_truncated }
     | 'B' -> Heartbeat { unit_id = get_u32 c }
@@ -347,19 +318,28 @@ let rec write_all fd buf off len =
     | n -> write_all fd buf (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf off len
 
-(** Write one frame: 4-byte LE length + payload, as a single buffer so a
-    scheduler preemption can't interleave two writers' headers.  (The
-    worker still serializes Result and Heartbeat writes with a mutex; this
-    just keeps the syscall count down.) *)
-let write_frame fd (payload : string) : unit =
+(** One frame's bytes: the 4-byte LE length, then [payload]. *)
+let frame (payload : string) : Bytes.t =
   let n = String.length payload in
   let buf = Bytes.create (4 + n) in
-  Bytes.set buf 0 (Char.chr (n land 0xff));
-  Bytes.set buf 1 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set buf 2 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set buf 3 (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set_int32_le buf 0 (Int32.of_int n);
   Bytes.blit_string payload 0 buf 4 n;
-  write_all fd buf 0 (4 + n)
+  buf
+
+(** Write one frame as a single buffer so a scheduler preemption can't
+    interleave two writers' headers.  (The worker still serializes Result
+    and Heartbeat writes with a mutex; this just keeps the syscall count
+    down.) *)
+let write_frame fd (payload : string) : unit =
+  let buf = frame payload in
+  write_all fd buf 0 (Bytes.length buf)
+
+(* The payload length the frame header at the start of [b] announces. *)
+let frame_length (b : Bytes.t) : int =
+  let n = Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFF_FFFF in
+  if n > frame_max then
+    raise (Proto_error (Printf.sprintf "frame length %d exceeds bound" n));
+  n
 
 (* [false] = EOF before any byte; EOF mid-buffer is a torn frame. *)
 let really_read fd buf off len : bool =
@@ -379,10 +359,7 @@ let read_frame fd : string option =
   let hdr = Bytes.create 4 in
   if not (really_read fd hdr 0 4) then None
   else begin
-    let at i = Char.code (Bytes.get hdr i) in
-    let n = at 0 lor (at 1 lsl 8) lor (at 2 lsl 16) lor (at 3 lsl 24) in
-    if n > frame_max then
-      raise (Proto_error (Printf.sprintf "frame length %d exceeds bound" n));
+    let n = frame_length hdr in
     let buf = Bytes.create n in
     if n > 0 && not (really_read fd buf 0 n) then
       raise (Proto_error "eof inside frame");
@@ -415,10 +392,7 @@ module Assembler = struct
   let next t : string option =
     if t.len < 4 then None
     else begin
-      let at i = Char.code (Bytes.get t.buf i) in
-      let n = at 0 lor (at 1 lsl 8) lor (at 2 lsl 16) lor (at 3 lsl 24) in
-      if n > frame_max then
-        raise (Proto_error (Printf.sprintf "frame length %d exceeds bound" n));
+      let n = frame_length t.buf in
       if t.len < 4 + n then None
       else begin
         let payload = Bytes.sub_string t.buf 4 n in

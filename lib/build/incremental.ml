@@ -165,6 +165,7 @@ type disposition =
   | Recompiled        (** compiled this run *)
   | Degraded of string
   | Failed of string
+  | Skipped           (** never started: [fail_fast] stopped the build *)
 
 (* [reused]: the plan classified the unit as fingerprint-unchanged, so a
    unit-cache hit is reuse rather than a reload into a re-merged group *)
@@ -173,7 +174,7 @@ let disposition_of_status ~reused : Build.status -> disposition = function
   | Build.Cached -> if reused then Reused else Loaded
   | Build.Degraded m -> Degraded m
   | Build.Failed m -> Failed m
-  | Build.Skipped -> Failed "skipped"
+  | Build.Skipped -> Skipped
 
 type unit_info = {
   source : string;
@@ -187,8 +188,10 @@ type result = {
   units : unit_info list;      (** in input order *)
   reanalyzed : int;            (** units recompiled: [Recompiled] +
                                    [Degraded] + [Failed] *)
-  reused : int;                (** [Reused] + [Loaded]; always
-                                   [reanalyzed + reused = total units] *)
+  reused : int;                (** [Reused] + [Loaded] *)
+  skipped : int;               (** [Skipped], only under [fail_fast];
+                                   always [reanalyzed + reused + skipped =
+                                   total units] *)
   fallback : bool;             (** the delta path was abandoned and a full
                                    {!Build.build} ran instead *)
   groups_reused : int;         (** partial merges served from the cache *)
@@ -250,10 +253,8 @@ let classify ~cache ~vfs ~(o : Build.options)
         p_reason = "fingerprint unchanged"; p_prev = Some e }
 
 (* A group either splices its cached partial merge (members untouched),
-   held as a merge input, or re-merges from member unit results. *)
-type group_state =
-  | Ready of (string * P.t)
-  | Need of Build.unit_result option array  (* filled by the scheduler *)
+   held as a merge input, or re-merges from its members' unit results. *)
+type group_state = Ready of (string * P.t) | Need
 
 let delta_build ~(options : options) ~vfs (sources : string list) : result =
   let o = options.build in
@@ -274,151 +275,104 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
     List.map (classify ~cache ~vfs ~o prev ~had_state) sources
   in
   let groups = chunk (max 1 options.group_size) plan in
+  let gkey members = group_key (List.map (fun p -> p.p_key) members) in
   (* probe the partial-merge cache for groups with no re-analyzed member;
      a transient read fault is a miss here — the delta path must degrade,
      not die *)
   let probe members =
-    if not (List.for_all (fun p -> p.p_reuse) members) then
-      Need (Array.make (List.length members) None)
+    if not (List.for_all (fun p -> p.p_reuse) members) then Need
     else
-      let gkey = group_key (List.map (fun p -> p.p_key) members) in
       match
-        (try Cache.load cache gkey
+        (try Cache.load cache (gkey members)
          with e when Fault.is_transient e -> None)
       with
-      | Some (pdb, digest) ->
+      | Some (pdb, _, digest) ->
           Trace.count ~cat:"incr" "incr.group_hit" 0;
           Ready (digest, pdb)
       | None ->
           Trace.count ~cat:"incr" "incr.group_miss" 0;
-          Need (Array.make (List.length members) None)
+          Need
   in
-  let states =
-    Trace.timed ~cat:"incr" "incr.probe" @@ fun () -> List.map probe groups
+  let groups =
+    Trace.timed ~cat:"incr" "incr.probe" @@ fun () ->
+    List.map (fun members -> (members, probe members)) groups
   in
-  (* every member of a dirty (or unprobed) group goes through
-     Build.build_unit: it serves reusable units from the unit cache and
-     compiles the rest, with the standard retry policy *)
-  let work =
-    List.concat
-      (List.map2
-         (fun members state ->
-           match state with
-           | Ready _ -> []
-           | Need slots ->
-               List.mapi (fun i p -> (p, slots, i)) members)
-         groups states)
-  in
-  let memo = Pdt.memo () in
-  let task (p, (slots : Build.unit_result option array), i) =
-    let u = Build.build_unit ~memo o (Some cache) ~vfs p.p_source in
-    slots.(i) <- Some u;
-    u
-  in
+  (* every member of a dirty (or unprobed) group goes through Build's unit
+     runner: it serves reusable units from the unit cache and compiles the
+     rest, under the standard retry and fail-fast policy *)
   let results =
-    Scheduler.parallel_map ~domains:o.Build.domains task
-      (Array.of_list work)
+    List.concat_map (function _, Ready _ -> [] | members, Need -> members) groups
+    |> List.map (fun p -> p.p_source)
+    |> Array.of_list
+    |> Build.run_units o (Some cache) ~vfs
   in
-  Array.iteri
-    (fun idx r ->
-      let p, slots, i = List.nth work idx in
-      match r with
-      | Ok _ -> ()
-      | Error e when Fault.is_transient e && o.Build.retries > 0 ->
-          (* worker faulted before the task ran: one sequential redo *)
-          Trace.count ~cat:"build" "build.retry" 0;
-          ignore (task (p, slots, i))
-      | Error e ->
-          slots.(i) <-
-            Some (Build.no_pdb p.p_source (Build.Failed (Printexc.to_string e))))
-    results;
-  (* assemble group partials, each with its merge digest; freshly merged
-     clean groups go back into the content-addressed cache for the next
-     edit, and their digest comes from the serialization made for it *)
-  let group_pdbs =
+  (* a dirty group's merge input, with its digest; a freshly merged clean
+     group goes back into the content-addressed cache for the next edit,
+     under the digest taken for the merge *)
+  let group_partial members (us : Build.unit_result list) =
     Trace.timed ~cat:"incr" "incr.group_merge" @@ fun () ->
-    List.map2
-      (fun members state ->
+    match Build.merge_inputs us with
+    | [] -> None
+    | survivors ->
+        let pdb = Pdt_ductape.Ductape.merge_digested survivors in
+        let body = Pdt_pdb.Pdb_write.to_string pdb in
+        let digest = Pdt_pdb.Pdb_digest.of_string body in
+        if
+          List.for_all
+            (fun (u : Build.unit_result) ->
+              (not u.Build.cone_truncated)
+              &&
+              match u.Build.status with
+              | Build.Compiled | Build.Cached -> true
+              | _ -> false)
+            us
+        then begin
+          try Cache.store_serialized ~digest cache (gkey members) body
+          with e when Fault.is_transient e ->
+            Trace.count ~cat:"incr" "incr.group_store_failed" 0
+        end;
+        Some (digest, pdb)
+  in
+  (* one walk over the groups, a dirty group's results being the next
+     [List.length members] of [results]: each group's merge input, and
+     each member with its unit result, [None] in a spliced group *)
+  let _, walked =
+    List.fold_left_map
+      (fun first (members, state) ->
         match state with
-        | Ready input -> Some input
-        | Need slots ->
-            let us = Array.to_list slots |> List.filter_map Fun.id in
-            let survivors = Build.merge_inputs us in
-            if survivors = [] then None
-            else begin
-              let pdb = Pdt_ductape.Ductape.merge_digested survivors in
-              let body = Pdt_pdb.Pdb_write.to_string pdb in
-              let clean =
-                List.length us = List.length members
-                && List.for_all
-                     (fun (u : Build.unit_result) ->
-                       (not u.Build.cone_truncated)
-                       &&
-                       match u.Build.status with
-                       | Build.Compiled | Build.Cached -> true
-                       | _ -> false)
-                     us
-              in
-              if clean then begin
-                let gkey = group_key (List.map (fun p -> p.p_key) members) in
-                try Cache.store_serialized cache gkey body
-                with e when Fault.is_transient e ->
-                  Trace.count ~cat:"incr" "incr.group_store_failed" 0
-              end;
-              Some (Pdt_pdb.Pdb_digest.of_string body, pdb)
-            end)
-      groups states
-    |> List.filter_map Fun.id
+        | Ready input -> (first, (Some input, List.map (fun p -> (p, None)) members))
+        | Need ->
+            let us = List.mapi (fun i p -> (p, results.(first + i))) members in
+            ( first + List.length us,
+              ( group_partial members (List.map snd us),
+                List.map (fun (p, u) -> (p, Some u)) us ) ))
+      0 groups
   in
   let merged =
     Trace.timed ~cat:"incr" "incr.merge" @@ fun () ->
-    Pdt_ductape.Ductape.merge_digested group_pdbs
+    Pdt_ductape.Ductape.merge_digested (List.filter_map fst walked)
   in
-  (* per-unit report, state entries, and the reanalyzed/reused stats *)
+  let members = List.concat_map snd walked in
   let units =
-    List.concat
-      (List.map2
-         (fun members state ->
-           match state with
-           | Ready _ ->
-               List.map
-                 (fun p ->
-                   { source = p.p_source; disposition = Reused;
-                     reason = "group partial merge reused"; seconds = 0.0 })
-                 members
-           | Need slots ->
-               List.mapi
-                 (fun i p ->
-                   match slots.(i) with
-                   | None ->
-                       { source = p.p_source;
-                         disposition = Failed "not scheduled";
-                         reason = p.p_reason; seconds = 0.0 }
-                   | Some u ->
-                       { source = p.p_source;
-                         disposition =
-                           disposition_of_status ~reused:p.p_reuse
-                             u.Build.status;
-                         reason = p.p_reason; seconds = u.Build.seconds })
-                 members)
-         groups states)
+    List.map
+      (fun (p, u) ->
+        match u with
+        | None ->
+            { source = p.p_source; disposition = Reused;
+              reason = "group partial merge reused"; seconds = 0.0 }
+        | Some (u : Build.unit_result) ->
+            { source = p.p_source;
+              disposition = disposition_of_status ~reused:p.p_reuse u.Build.status;
+              reason = p.p_reason; seconds = u.Build.seconds })
+      members
   in
-  let entries =
-    List.concat
-      (List.map2
-         (fun members state ->
-           match state with
-           | Ready _ -> List.filter_map (fun p -> p.p_prev) members
-           | Need slots ->
-               List.mapi
-                 (fun i p ->
-                   Option.bind slots.(i)
-                     (state_entry ~cache ~vfs ~key:p.p_key ~prev:p.p_prev))
-                 members
-               |> List.filter_map Fun.id)
-         groups states)
-  in
-  save_state state_path entries;
+  save_state state_path
+    (List.filter_map
+       (fun (p, u) ->
+         match u with
+         | None -> p.p_prev
+         | Some u -> state_entry ~cache ~vfs ~key:p.p_key ~prev:p.p_prev u)
+       members);
   let count f = List.length (List.filter f units) in
   let reanalyzed =
     count (fun u ->
@@ -431,12 +385,14 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
         match u.disposition with Reused | Loaded -> true | _ -> false)
   in
   let groups_reused =
-    List.length (List.filter (function Ready _ -> true | _ -> false) states)
+    List.length (List.filter (function _, Ready _ -> true | _ -> false) groups)
   in
   Trace.count ~cat:"incr" "incr.reanalyzed" reanalyzed;
   Trace.count ~cat:"incr" "incr.reused" reused;
-  { merged; units; reanalyzed; reused; fallback = false; groups_reused;
-    groups_remerged = List.length states - groups_reused;
+  { merged; units; reanalyzed; reused;
+    skipped = count (fun u -> u.disposition = Skipped);
+    fallback = false; groups_reused;
+    groups_remerged = List.length groups - groups_reused;
     wall_seconds = Unix.gettimeofday () -. t0 }
 
 (* ------------------------------------------------------------------ *)
@@ -444,7 +400,8 @@ let delta_build ~(options : options) ~vfs (sources : string list) : result =
 (* ------------------------------------------------------------------ *)
 
 (* A plain Build.build presented as an incremental result: everything the
-   unit cache served counts as reused, everything compiled as reanalyzed. *)
+   unit cache served counts as reused, everything fail-fast skipped as
+   skipped, everything else as reanalyzed. *)
 let full_build ~(options : options) ~vfs (sources : string list)
     ~(reason : string) : result =
   let t0 = Unix.gettimeofday () in
@@ -479,11 +436,11 @@ let full_build ~(options : options) ~vfs (sources : string list)
            r.Build.units
        in
        save_state (state_path dir) entries);
-  let reused = r.Build.cached in
-  let total = List.length r.Build.units in
-  Trace.count ~cat:"incr" "incr.reanalyzed" (total - reused);
+  let reused = r.Build.cached and skipped = r.Build.skipped in
+  let reanalyzed = List.length r.Build.units - reused - skipped in
+  Trace.count ~cat:"incr" "incr.reanalyzed" reanalyzed;
   Trace.count ~cat:"incr" "incr.reused" reused;
-  { merged = r.Build.merged; units; reanalyzed = total - reused; reused;
+  { merged = r.Build.merged; units; reanalyzed; reused; skipped;
     fallback = true; groups_reused = 0; groups_remerged = 0;
     wall_seconds = Unix.gettimeofday () -. t0 }
 

@@ -122,3 +122,14 @@ let set_budget (b : budgets) (spec : string) : (budgets, string) result =
               Result.Error
                 (Printf.sprintf "unknown limit '%s' (known: %s)" name
                    (String.concat ", " budget_names))))
+
+(** The budgets [pdtc]'s and [pdbbuild]'s [--max-errors N] and repeated
+    [--limit name=value] flags ask for: the defaults, then [max_errors],
+    then each override in order.  [Error msg] names the first bad one. *)
+let of_flags ?max_errors (specs : string list) : (budgets, string) result =
+  let b =
+    match max_errors with
+    | Some n -> { default_budgets with max_errors = n }
+    | None -> default_budgets
+  in
+  List.fold_left (fun b spec -> Result.bind b (fun b -> set_budget b spec)) (Ok b) specs

@@ -33,4 +33,5 @@ let () =
       ("pdb-bin", Test_pdb_bin.suite);
       ("incremental", Test_incremental.suite);
       ("json", Test_json.suite);
-      ("pdbd", Test_pdbd.suite) ]
+      ("pdbd", Test_pdbd.suite);
+      ("pdtc", Test_pdtc.suite) ]

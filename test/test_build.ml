@@ -336,7 +336,7 @@ let test_cache_load_rejects_stale_version () =
   let key = C.key ~vfs ~options:"opts" source in
   C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
-   | Some (loaded, _) ->
+   | Some (loaded, _, _) ->
        Alcotest.(check string) "store/load roundtrip" (pdb_string pdb)
          (pdb_string loaded)
    | None -> Alcotest.fail "freshly stored entry must load");
@@ -566,7 +566,7 @@ let test_merge_digests_incremental () =
   List.iter
     (fun key ->
       match C.load cache key with
-      | Some (p, d) ->
+      | Some (p, _, d) ->
           if d <> Pdt_pdb.Pdb_digest.of_pdb p then
             Alcotest.failf "entry %s: digest is not its PDB's" key
       | None -> Alcotest.failf "entry %s did not load" key)

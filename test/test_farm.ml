@@ -132,39 +132,90 @@ let pdbbuild_exe () =
 
 let sample_config () =
   let vfs, _ = project () in
-  FP.config_of_options
+  FP.config
     { B.default_options with cache_dir = Some "/tmp/x"; retries = 3 }
     ~vfs ~heartbeat_ms:40
+
+let result ?(id = 0) ?pdb ?(seconds = 0.0) ?(deps = [])
+    ?(cone_truncated = false) status =
+  FP.Result { id; status; pdb; seconds; deps; cone_truncated }
 
 let test_proto_roundtrip () =
   let check m =
     if FP.decode (FP.encode m) <> m then
       Alcotest.fail "message did not round-trip"
   in
-  check (FP.Config (sample_config ()));
+  check (sample_config ());
   check (FP.Hello { version = FP.version; pid = 12345 });
   check (FP.Unit { id = 7; source = "tu1.cpp" });
   check
-    (FP.Result
-       { id = 7; status = FP.S_compiled; message = ""; pdb = Some "PDB 1.0\n";
-         seconds = 0.03125; deps = [ "tu1.cpp"; "generated.h" ];
-         cone_truncated = false });
+    (result ~id:7 ~pdb:"PDB 1.0\n" ~seconds:0.03125
+       ~deps:[ "tu1.cpp"; "generated.h" ] B.Compiled);
   check
-    (FP.Result
-       { id = 9; status = FP.S_failed; message = "it broke"; pdb = None;
-         seconds = 1.5e-3; deps = []; cone_truncated = true });
+    (result ~id:9 ~seconds:1.5e-3 ~cone_truncated:true (B.Failed "it broke"));
   check (FP.Heartbeat { unit_id = FP.no_unit });
   check FP.Quit;
   (* hex-float seconds survive exactly, including awkward values *)
   List.iter
     (fun s ->
-      match FP.decode (FP.encode (FP.Result
-        { id = 0; status = FP.S_cached; message = ""; pdb = None;
-          seconds = s; deps = []; cone_truncated = false })) with
+      match FP.decode (FP.encode (result ~seconds:s B.Cached)) with
       | FP.Result { seconds; _ } ->
           Alcotest.(check (float 0.0)) "seconds exact" s seconds
       | _ -> Alcotest.fail "wrong tag back")
     [ 0.0; 0.1; 1.0 /. 3.0; 12.345678901234567 ]
+
+let test_proto_status_roundtrip () =
+  List.iter
+    (fun status ->
+      match FP.decode (FP.encode (result status)) with
+      | FP.Result r when r.status = status -> ()
+      | _ -> Alcotest.fail "a Build.status did not round-trip")
+    [ B.Compiled; B.Cached; B.Degraded "a.cpp:2:10: error: expected type";
+      B.Failed "it broke"; B.Skipped ]
+
+(* MD5s of encoded frames, computed when Config and Result still had
+   their own copies of the build options and statuses: carrying Build's
+   types moved no byte of protocol version 2. *)
+let test_proto_bytes_pinned () =
+  let md5 m = Digest.to_hex (Digest.string (FP.encode m)) in
+  let config =
+    FP.Config
+      { options =
+          { B.default_options with
+            cache_dir = Some "/tmp/pdt-cache";
+            retries = 3;
+            fail_fast = true;
+            sema =
+              { Pdt_sema.Sema.instantiate_used = false;
+                map_specializations = true };
+            mapping = Pdt_analyzer.Analyzer.Il_ids;
+            limits =
+              { Pdt_util.Limits.default_budgets with
+                max_errors = 7;
+                max_include_depth = 9 } };
+        include_paths = [ "inc"; "/usr/include/x" ];
+        disk_fallback = true;
+        files =
+          [ ("a.cpp", "#include \"a.h\"\nint main() { return a(); }\n");
+            ("inc/a.h", "int a() { return 1; }\n") ];
+        heartbeat_ms = 40 }
+  in
+  Alcotest.(check string) "Config frame" "74fdc79dc5cbe221b5b5f7cbd49b836d"
+    (md5 config);
+  Alcotest.(check string) "Result frame" "509792e1fff4069b9a58030dce59f14f"
+    (md5
+       (result ~id:7
+          ~pdb:"<PDB 1.1 incomplete 1>\n\nso#1 a.cpp\n"
+          ~seconds:0.03125 ~deps:[ "a.cpp"; "inc/a.h" ] ~cone_truncated:true
+          (B.Degraded "a.cpp:2:10: error: expected type but found '{'")));
+  List.iter
+    (fun (status, pinned) ->
+      Alcotest.(check string) "Result frame per status" pinned
+        (md5 (result ~id:3 ~seconds:1.5 ~deps:[ "b.cpp" ] status)))
+    [ (B.Compiled, "b5e4f8e74daf0537168e047b1fe33889");
+      (B.Cached, "0ea85a6b9089293f541963c317bcb89a");
+      (B.Degraded "degraded", "c3c53b13afccefbd6bbdf728afcd00bb");
+      (B.Failed "failed", "556d0b80e5afaeaebbd4517e36cc492c") ]
 
 let test_proto_rejects_malformed () =
   let rejects what payload =
@@ -178,7 +229,7 @@ let test_proto_rejects_malformed () =
   let unit_frame = FP.encode (FP.Unit { id = 3; source = "a.cpp" }) in
   rejects "truncated body" (String.sub unit_frame 0 (String.length unit_frame - 2));
   (* a Config from a different protocol version is refused outright *)
-  let cfg = FP.encode (FP.Config (sample_config ())) in
+  let cfg = FP.encode (sample_config ()) in
   let skewed = Bytes.of_string cfg in
   Bytes.set skewed 1 (Char.chr (FP.version + 1));
   rejects "version skew" (Bytes.to_string skewed)
@@ -197,10 +248,7 @@ let test_assembler_reassembles_byte_stream () =
   let payloads =
     [ FP.encode (FP.Hello { version = 1; pid = 1 });
       FP.encode (FP.Heartbeat { unit_id = 2 });
-      FP.encode
-        (FP.Result
-           { id = 2; status = FP.S_compiled; message = ""; pdb = Some "x";
-             seconds = 0.5; deps = []; cone_truncated = false }) ]
+      FP.encode (result ~id:2 ~pdb:"x" ~seconds:0.5 B.Compiled) ]
   in
   let stream = String.concat "" (List.map frame payloads) in
   let asm = FP.Assembler.create () in
@@ -287,6 +335,34 @@ let test_farm_merge_digests () =
         (Lazy.force reference) (pdb_string r.B.merged);
       Test_build.check_merge_digests what r)
     [ ("cold", cold); ("warm", warm) ]
+
+(* A unit the cache served reaches the driver with its cache entry's
+   body: the worker ships the bytes Cache.load verified. *)
+let test_cached_unit_ships_entry_body () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let vfs, sources = project () in
+  let options = { B.default_options with cache_dir = Some dir } in
+  let build () = Farm.build ~config:(farm_config ()) ~options ~vfs sources in
+  ignore (build ());
+  let warm = build () in
+  Alcotest.(check int) "warm: all cached" (n_tus + 1) warm.B.cached;
+  let cache = C.create ~dir () in
+  List.iter
+    (fun (u : B.unit_result) ->
+      let key =
+        C.key ~vfs ~options:(B.options_fingerprint options u.B.source)
+          u.B.source
+      in
+      let body =
+        Option.bind (C.read_file (C.entry_path cache key)) (C.verify_content key)
+      in
+      Alcotest.(check bool) (u.B.source ^ ": entry present") true (body <> None);
+      Alcotest.(check (option string)) (u.B.source ^ ": bytes = entry body")
+        body u.B.bytes;
+      Alcotest.(check (option string)) (u.B.source ^ ": digest of the bytes")
+        (Option.map Pdt_util.Hashutil.string body) u.B.digest)
+    warm.B.units
 
 let test_farm_unavailable () =
   let config =
@@ -653,6 +729,10 @@ let suite =
         f ())
   in
   [ Alcotest.test_case "proto: messages round-trip" `Quick test_proto_roundtrip;
+    Alcotest.test_case "proto: every Build.status round-trips" `Quick
+      test_proto_status_roundtrip;
+    Alcotest.test_case "proto: Config and Result bytes pinned" `Quick
+      test_proto_bytes_pinned;
     Alcotest.test_case "proto: malformed frames are errors" `Quick
       test_proto_rejects_malformed;
     Alcotest.test_case "proto: assembler survives 1-byte chunking" `Quick
@@ -665,6 +745,8 @@ let suite =
     farm_gated "farm without a cache dir" `Quick test_farm_without_cache;
     farm_gated "farm merge digests are the PDBs' own" `Quick
       test_farm_merge_digests;
+    farm_gated "farm: a cached unit ships its entry body" `Quick
+      test_cached_unit_ships_entry_body;
     Alcotest.test_case "missing worker binary raises Farm_unavailable" `Quick
       test_farm_unavailable;
     farm_gated "SIGKILL mid-unit: retried, bytes identical" `Quick

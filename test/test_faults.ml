@@ -451,6 +451,73 @@ let test_fail_fast_skips_rest () =
       | _ -> ())
     r.B.units
 
+(* --incremental --fail-fast stops like the pool: after a broken first
+   unit the three good ones are skipped, not compiled.  They get no state
+   entry, the result counts them as skipped, and pdbbuild exits 3. *)
+let test_incremental_fail_fast_skips_rest () =
+  let module I = Pdt_build.Incremental in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sources = G.write_project ~n_tus:2 ~dir () in
+  let broken = Filename.concat dir "broken.cpp" in
+  let oc = open_out_bin broken in
+  output_string oc (G.broken_unit ~tu_index:9);
+  close_out oc;
+  let vfs = Pdt_util.Vfs.create () in
+  Pdt_util.Vfs.set_disk_fallback vfs true;
+  let cache = Filename.concat dir "cache" in
+  let options =
+    { I.default_options with
+      build =
+        { B.default_options with domains = 1; cache_dir = Some cache;
+          fail_fast = true } }
+  in
+  let r = I.build ~options ~vfs (broken :: sources) in
+  Alcotest.(check bool) "delta path taken" false r.I.fallback;
+  Alcotest.(check (list string)) "first failed, the rest skipped"
+    [ "failed"; "skipped"; "skipped"; "skipped" ]
+    (List.map
+       (fun (u : I.unit_info) ->
+         match u.I.disposition with
+         | I.Failed _ -> "failed"
+         | I.Skipped -> "skipped"
+         | _ -> "built")
+       r.I.units);
+  Alcotest.(check (list int)) "reanalyzed, reused, skipped" [ 1; 0; 3 ]
+    [ r.I.reanalyzed; r.I.reused; r.I.skipped ];
+  Alcotest.(check int) "no state entries" 0
+    (List.length (I.load_state (I.state_path cache)));
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "pdbbuild.exe")
+  in
+  let log = Filename.concat dir "pdbbuild.log" in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process exe
+      (Array.of_list
+         ((exe :: broken :: sources)
+         @ [ "--incremental"; "--fail-fast"; "-j"; "1"; "--cache-dir";
+             Filename.concat dir "cli-cache"; "-o"; Filename.concat dir "m.pdb" ]))
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  (match snd (Unix.waitpid [] pid) with
+   | Unix.WEXITED c -> Alcotest.(check int) "pdbbuild exits 3" 3 c
+   | _ -> Alcotest.fail "pdbbuild did not exit normally");
+  let ic = open_in_bin log in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) "summary counts the skips" true
+    (List.mem "1 reanalyzed, 0 reused, 1 failed, 3 skipped"
+       (List.map
+          (fun l ->
+            match String.index_opt l '|' with
+            | Some i -> String.trim (String.sub l 0 i)
+            | None -> l)
+          (String.split_on_char '\n' out)))
+
 let test_keep_going_merges_survivors () =
   let vfs, sources = project () in
   Pdt_util.Vfs.add_file vfs "broken.cpp" (G.broken_unit ~tu_index:9);
@@ -494,7 +561,7 @@ let corruption_case name mutate () =
        (Filename.concat (C.quarantine_dir cache) (Filename.basename path)));
   C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
-  | Some (loaded, _) ->
+  | Some (loaded, _, _) ->
       Alcotest.(check string) (name ^ ": rebuilt entry loads cleanly")
         (pdb_string pdb) (pdb_string loaded)
   | None -> Alcotest.fail (name ^ ": rebuilt entry must load"));
@@ -598,7 +665,7 @@ let test_binary_body_quarantined () =
     [ 1; 2; 4; 16 ];
   C.store_serialized cache key (pdb_string pdb);
   (match C.load cache key with
-  | Some (loaded, digest) ->
+  | Some (loaded, _, digest) ->
       Alcotest.(check string) "ASCII entry stored over it loads"
         (pdb_string pdb) (pdb_string loaded);
       Alcotest.(check string) "with its PDB's digest"
@@ -1000,6 +1067,8 @@ let suite =
       test_deterministic_failure_never_retries;
     Alcotest.test_case "fail-fast skips the rest" `Quick
       test_fail_fast_skips_rest;
+    Alcotest.test_case "incremental fail-fast skips the rest" `Quick
+      test_incremental_fail_fast_skips_rest;
     Alcotest.test_case "keep-going merges the survivors" `Quick
       test_keep_going_merges_survivors;
     Alcotest.test_case "truncated entry quarantined and rebuilt" `Quick
