@@ -114,13 +114,15 @@ type unit_result = {
           skipped subtree, so the unit must never be treated as reusable
           by dependency fingerprint *)
   bytes : string option;
-      (** the canonical ASCII of [pdb] ({!Pdt_pdb.Pdb_write}) when the
-          driver already holds it: the body it just stored in or loaded
-          from the cache, or a farm Result payload.  [None] when no bytes
-          were made — no cache, a degraded or cone-truncated unit, no PDB *)
+      (** the canonical ASCII of [pdb] ({!Pdt_pdb.Pdb_write}) as
+          {!build_unit} stored or loaded it, for [pdbworker] to ship, or a
+          farm Result payload.  [None] when no bytes were made — no cache,
+          a degraded or cone-truncated unit, no PDB — and in process:
+          {!run_units} drops them, since the merge needs only [digest] *)
   digest : string option;
-      (** {!Pdt_pdb.Pdb_digest} of [pdb], the MD5 of [bytes]; [None] iff
-          [bytes] is, and then {!merge_inputs} digests the PDB itself *)
+      (** {!Pdt_pdb.Pdb_digest} of [pdb], the MD5 of its canonical ASCII;
+          [None] when no bytes were made, and then {!merge_inputs}
+          digests the PDB itself *)
 }
 
 (** The result of a unit that produced no PDB: [Failed] or [Skipped]
@@ -336,8 +338,9 @@ let result_of_units ~t0 (units : unit_result list) : result =
 
 (** The unit runner under every in-process build: [build_unit] over
     [sources] on a pool of [o.domains] {!Scheduler} domains sharing one
-    {!Pdt.memo}, results in input order.  Under [o.fail_fast] the first
-    failure stops the pool, and the units it never started are [Skipped].
+    {!Pdt.memo}, results in input order and without [bytes].  Under
+    [o.fail_fast] the first failure stops the pool, and the units it
+    never started are [Skipped].
     A unit whose worker faulted before it ran (flaky-worker injection, a
     lost job) gets one sequential redo, which brings [build_unit]'s own
     retry budget with it. *)
@@ -346,7 +349,7 @@ let run_units (o : options) (cache : Cache.t option) ~vfs
   let aborted = Atomic.make false in
   let memo = Pdt.memo () in
   let task source =
-    let u = build_unit ~memo o cache ~vfs source in
+    let u = { (build_unit ~memo o cache ~vfs source) with bytes = None } in
     (match u.status with
      | Failed _ when o.fail_fast -> Atomic.set aborted true
      | _ -> ());

@@ -379,6 +379,30 @@ let routine_key (pdb : P.t) (r : P.routine_item) =
 let type_key (pdb : P.t) (ty : P.type_item) =
   P.ykind_string ty.P.ty_info ^ "\x00" ^ P.typeref_name pdb (P.Tyref ty.P.ty_id)
 
+(* Local id -> output id, for one kind of one input: open addressing over
+   two int arrays sized from the input's item count, so an id costs one
+   slot however large it is.  0 reads as absent: output ids start at 1. *)
+type idmap = { ids : int array; outs : int array; bits : int }
+
+let idmap n =
+  let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
+  let bits = bits 3 in
+  { ids = Array.make (1 lsl bits) 0; outs = Array.make (1 lsl bits) 0; bits }
+
+let rec probe m mask id i =
+  if m.outs.(i) = 0 || m.ids.(i) = id then i else probe m mask id ((i + 1) land mask)
+
+(* the id's slot, or the empty slot it would take (Fibonacci hashing) *)
+let slot m id = probe m ((1 lsl m.bits) - 1) id ((id * 0x2545F4914F6CDD1D) lsr (63 - m.bits))
+
+let idmap_add m id out =
+  let i = slot m id in
+  m.ids.(i) <- id;
+  m.outs.(i) <- out
+
+let find m id = m.outs.(slot m id)
+let find_opt m id = match find m id with 0 -> None | out -> Some out
+
 (** Merge several PDBs into one, eliminating duplicate entities (notably
     duplicate template instantiations).  Later occurrences contribute
     definitions that earlier ones lacked: an undefined routine merged with a
@@ -428,18 +452,31 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
      keys; returns one empty slot per output id and, per input, the map
      from its local ids to output ids *)
   let rank items id key =
-    let keyed = List.map (fun p -> List.map (fun x -> (id x, key p x)) (items p)) pdbs in
-    let ranks = Hashtbl.create 256 in
-    List.iter (List.iter (fun (_, k) -> Hashtbl.replace ranks k 0)) keyed;
-    Hashtbl.fold (fun k _ acc -> k :: acc) ranks []
-    |> List.sort String.compare
-    |> List.iteri (fun i k -> Hashtbl.replace ranks k (i + 1));
+    (* each distinct key gets a slot on first sight, each item its key's slot *)
+    let slots = Hashtbl.create 256 and keys = ref [] in
+    let slot k =
+      match Hashtbl.find_opt slots k with
+      | Some s -> s
+      | None ->
+          let s = Hashtbl.length slots in
+          Hashtbl.add slots k s;
+          keys := k :: !keys;
+          s
+    in
+    let keyed =
+      List.map (fun p -> List.map (fun x -> (id x, slot (key p x))) (items p)) pdbs
+    in
+    let keys = Array.of_list (List.rev !keys) in
+    let by_key = Array.init (Array.length keys) Fun.id in
+    Array.sort (fun a b -> String.compare keys.(a) keys.(b)) by_key;
+    let ranks = Array.make (Array.length keys) 0 in
+    Array.iteri (fun r s -> ranks.(s) <- r + 1) by_key;
     let local l =
-      let map = Hashtbl.create 64 in
-      List.iter (fun (i, k) -> Hashtbl.replace map i (Hashtbl.find ranks k)) l;
+      let map = idmap (List.length l) in
+      List.iter (fun (i, s) -> idmap_add map i ranks.(s)) l;
       map
     in
-    (Array.make (Hashtbl.length ranks + 1) None, Array.of_list (List.map local keyed))
+    (Array.make (Array.length keys + 1) None, Array.of_list (List.map local keyed))
   in
   let mfiles, fmaps = rank (fun p -> p.P.files) (fun f -> f.P.so_id) (fun _ -> file_key) in
   let mnamespaces, nmaps =
@@ -463,27 +500,27 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
       let remap_loc (l : P.loc) =
         if l.P.lfile = 0 then l
         else
-          match Hashtbl.find_opt fmap l.P.lfile with
-          | Some f -> { l with P.lfile = f }
-          | None -> P.null_loc
+          match find fmap l.P.lfile with
+          | 0 -> P.null_loc
+          | f -> { l with P.lfile = f }
       in
       let remap_extent (e : P.extent) =
         { P.hstart = remap_loc e.P.hstart; hstop = remap_loc e.P.hstop;
           bstart = remap_loc e.P.bstart; bstop = remap_loc e.P.bstop }
       in
       let remap_typeref = function
-        | P.Tyref id -> P.Tyref (Option.value ~default:0 (Hashtbl.find_opt tymap id))
-        | P.Clref id -> P.Clref (Option.value ~default:0 (Hashtbl.find_opt cmap id))
+        | P.Tyref id -> P.Tyref (find tymap id)
+        | P.Clref id -> P.Clref (find cmap id)
       in
       let remap_parent = function
-        | P.Pcl id -> P.Pcl (Option.value ~default:0 (Hashtbl.find_opt cmap id))
-        | P.Pna id -> P.Pna (Option.value ~default:0 (Hashtbl.find_opt nmap id))
+        | P.Pcl id -> P.Pcl (find cmap id)
+        | P.Pna id -> P.Pna (find nmap id)
         | P.Pnone -> P.Pnone
       in
       List.iter
         (fun (f : P.source_file) ->
-          let newid = Hashtbl.find fmap f.P.so_id in
-          let includes = List.filter_map (Hashtbl.find_opt fmap) f.P.so_includes in
+          let newid = find fmap f.P.so_id in
+          let includes = List.filter_map (find_opt fmap) f.P.so_includes in
           match mfiles.(newid) with
           | None ->
               mfiles.(newid) <-
@@ -497,18 +534,18 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         pdb.P.files;
       List.iter
         (fun (n : P.namespace_item) ->
-          let newid = Hashtbl.find nmap n.P.na_id in
+          let newid = find nmap n.P.na_id in
           let members =
             List.filter_map
               (fun (r : P.itemref) ->
                 match r with
-                | P.Rcl i -> Option.map (fun i -> P.Rcl i) (Hashtbl.find_opt cmap i)
-                | P.Rro i -> Option.map (fun i -> P.Rro i) (Hashtbl.find_opt rmap i)
-                | P.Rna i -> Option.map (fun i -> P.Rna i) (Hashtbl.find_opt nmap i)
-                | P.Rty i -> Option.map (fun i -> P.Rty i) (Hashtbl.find_opt tymap i)
-                | P.Rte i -> Option.map (fun i -> P.Rte i) (Hashtbl.find_opt temap i)
-                | P.Rso i -> Option.map (fun i -> P.Rso i) (Hashtbl.find_opt fmap i)
-                | P.Rma i -> Option.map (fun i -> P.Rma i) (Hashtbl.find_opt mmap i))
+                | P.Rcl i -> Option.map (fun i -> P.Rcl i) (find_opt cmap i)
+                | P.Rro i -> Option.map (fun i -> P.Rro i) (find_opt rmap i)
+                | P.Rna i -> Option.map (fun i -> P.Rna i) (find_opt nmap i)
+                | P.Rty i -> Option.map (fun i -> P.Rty i) (find_opt tymap i)
+                | P.Rte i -> Option.map (fun i -> P.Rte i) (find_opt temap i)
+                | P.Rso i -> Option.map (fun i -> P.Rso i) (find_opt fmap i)
+                | P.Rma i -> Option.map (fun i -> P.Rma i) (find_opt mmap i))
               n.P.na_members
           in
           match mnamespaces.(newid) with
@@ -525,7 +562,7 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         pdb.P.namespaces;
       List.iter
         (fun (te : P.template_item) ->
-          let newid = Hashtbl.find temap te.P.te_id in
+          let newid = find temap te.P.te_id in
           if Option.is_none mtemplates.(newid) then
             mtemplates.(newid) <-
               Some { te with P.te_id = newid; te_loc = remap_loc te.P.te_loc;
@@ -534,102 +571,109 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         pdb.P.templates;
       List.iter
         (fun (c : P.class_item) ->
-          let newid = Hashtbl.find cmap c.P.cl_id in
-          let rewritten =
-            { c with P.cl_id = newid; cl_loc = remap_loc c.P.cl_loc;
-              cl_parent = remap_parent c.P.cl_parent;
-              cl_templ = Option.bind c.P.cl_templ (Hashtbl.find_opt temap);
-              cl_stempl = Option.bind c.P.cl_stempl (Hashtbl.find_opt temap);
-              cl_bases =
-                List.filter_map
-                  (fun (a, v, b) ->
-                    Option.map (fun b -> (a, v, b)) (Hashtbl.find_opt cmap b))
-                  c.P.cl_bases;
-              cl_friends =
-                List.filter_map
-                  (function
-                    | `Cl i -> Option.map (fun i -> `Cl i) (Hashtbl.find_opt cmap i)
-                    | `Ro i -> Option.map (fun i -> `Ro i) (Hashtbl.find_opt rmap i))
-                  c.P.cl_friends;
-              cl_funcs =
-                List.filter_map
-                  (fun (ro, l) ->
-                    Option.map (fun ro -> (ro, remap_loc l)) (Hashtbl.find_opt rmap ro))
-                  c.P.cl_funcs;
-              cl_members =
-                List.map
-                  (fun (m : P.member) ->
-                    { m with P.m_loc = remap_loc m.P.m_loc;
-                      m_type = remap_typeref m.P.m_type })
-                  c.P.cl_members;
-              cl_pos = remap_extent c.P.cl_pos }
+          let newid = find cmap c.P.cl_id in
+          let rewrite () =
+            mclasses.(newid) <-
+              Some
+                { c with P.cl_id = newid; cl_loc = remap_loc c.P.cl_loc;
+                  cl_parent = remap_parent c.P.cl_parent;
+                  cl_templ = Option.bind c.P.cl_templ (find_opt temap);
+                  cl_stempl = Option.bind c.P.cl_stempl (find_opt temap);
+                  cl_bases =
+                    List.filter_map
+                      (fun (a, v, b) -> Option.map (fun b -> (a, v, b)) (find_opt cmap b))
+                      c.P.cl_bases;
+                  cl_friends =
+                    List.filter_map
+                      (function
+                        | `Cl i -> Option.map (fun i -> `Cl i) (find_opt cmap i)
+                        | `Ro i -> Option.map (fun i -> `Ro i) (find_opt rmap i))
+                      c.P.cl_friends;
+                  cl_funcs =
+                    List.filter_map
+                      (fun (ro, l) ->
+                        Option.map (fun ro -> (ro, remap_loc l)) (find_opt rmap ro))
+                      c.P.cl_funcs;
+                  cl_members =
+                    List.map
+                      (fun (m : P.member) ->
+                        { m with P.m_loc = remap_loc m.P.m_loc;
+                          m_type = remap_typeref m.P.m_type })
+                      c.P.cl_members;
+                  cl_pos = remap_extent c.P.cl_pos }
           in
           match mclasses.(newid) with
-          | None -> mclasses.(newid) <- Some rewritten
+          | None -> rewrite ()
           | Some existing ->
               (* a definition beats a forward declaration: it has an extent
                  (a bare [class X;] has none, even [class X { };] has one) or
                  data members.  Otherwise merge the member-function lists of
-                 partial (used-mode) instantiations. *)
-              if (existing.P.cl_pos = P.null_extent && rewritten.P.cl_pos <> P.null_extent)
-                 || (existing.P.cl_members = [] && rewritten.P.cl_members <> [])
-              then
-                mclasses.(newid) <- Some rewritten
+                 partial (used-mode) instantiations: a losing class adds only
+                 its remapped member functions. *)
+              if (existing.P.cl_pos = P.null_extent
+                  && remap_extent c.P.cl_pos <> P.null_extent)
+                 || (existing.P.cl_members = [] && c.P.cl_members <> [])
+              then rewrite ()
               else
                 List.iter
                   (fun (ro, l) ->
-                    if not (List.mem_assoc ro existing.P.cl_funcs) then
-                      existing.P.cl_funcs <- existing.P.cl_funcs @ [ (ro, l) ])
-                  rewritten.P.cl_funcs)
+                    match find rmap ro with
+                    | 0 -> ()
+                    | ro ->
+                        if not (List.mem_assoc ro existing.P.cl_funcs) then
+                          existing.P.cl_funcs <- existing.P.cl_funcs @ [ (ro, remap_loc l) ])
+                  c.P.cl_funcs)
         pdb.P.classes;
       List.iter
         (fun (r : P.routine_item) ->
-          let newid = Hashtbl.find rmap r.P.ro_id in
-          let rewritten =
-            { r with P.ro_id = newid; ro_loc = remap_loc r.P.ro_loc;
-              ro_parent = remap_parent r.P.ro_parent;
-              ro_sig = remap_typeref r.P.ro_sig;
-              ro_templ = Option.bind r.P.ro_templ (Hashtbl.find_opt temap);
-              ro_calls =
-                List.filter_map
-                  (fun (c : P.call) ->
-                    Option.map
-                      (fun callee ->
-                        { c with P.c_callee = callee; c_loc = remap_loc c.P.c_loc })
-                      (Hashtbl.find_opt rmap c.P.c_callee))
-                  r.P.ro_calls;
-              ro_spawns =
-                List.filter_map
-                  (fun (s : P.spawn) ->
-                    Option.map
-                      (fun callee ->
-                        { P.sp_callee = callee; sp_loc = remap_loc s.P.sp_loc;
-                          sp_join = Option.map remap_loc s.P.sp_join })
-                      (Hashtbl.find_opt rmap s.P.sp_callee))
-                  r.P.ro_spawns;
-              ro_du =
-                List.map
-                  (fun (v : P.du_var) ->
-                    { v with
-                      P.v_defs = List.map remap_loc v.P.v_defs;
-                      v_uses =
-                        List.map
-                          (fun (u : P.du_use) ->
-                            { u with P.u_loc = remap_loc u.P.u_loc })
-                          v.P.v_uses })
-                  r.P.ro_du;
-              ro_pos = remap_extent r.P.ro_pos }
+          let newid = find rmap r.P.ro_id in
+          (* a definition from a later TU completes a declaration; an item
+             that is not kept is not rewritten *)
+          let keep =
+            match mroutines.(newid) with
+            | None -> true
+            | Some existing -> r.P.ro_defined && not existing.P.ro_defined
           in
-          match mroutines.(newid) with
-          | None -> mroutines.(newid) <- Some rewritten
-          | Some existing ->
-              (* a definition from a later TU completes a declaration *)
-              if rewritten.P.ro_defined && not existing.P.ro_defined then
-                mroutines.(newid) <- Some rewritten)
+          if keep then
+            mroutines.(newid) <-
+              Some
+                { r with P.ro_id = newid; ro_loc = remap_loc r.P.ro_loc;
+                  ro_parent = remap_parent r.P.ro_parent;
+                  ro_sig = remap_typeref r.P.ro_sig;
+                  ro_templ = Option.bind r.P.ro_templ (find_opt temap);
+                  ro_calls =
+                    List.filter_map
+                      (fun (c : P.call) ->
+                        Option.map
+                          (fun callee ->
+                            { c with P.c_callee = callee; c_loc = remap_loc c.P.c_loc })
+                          (find_opt rmap c.P.c_callee))
+                      r.P.ro_calls;
+                  ro_spawns =
+                    List.filter_map
+                      (fun (s : P.spawn) ->
+                        Option.map
+                          (fun callee ->
+                            { P.sp_callee = callee; sp_loc = remap_loc s.P.sp_loc;
+                              sp_join = Option.map remap_loc s.P.sp_join })
+                          (find_opt rmap s.P.sp_callee))
+                      r.P.ro_spawns;
+                  ro_du =
+                    List.map
+                      (fun (v : P.du_var) ->
+                        { v with
+                          P.v_defs = List.map remap_loc v.P.v_defs;
+                          v_uses =
+                            List.map
+                              (fun (u : P.du_use) ->
+                                { u with P.u_loc = remap_loc u.P.u_loc })
+                              v.P.v_uses })
+                      r.P.ro_du;
+                  ro_pos = remap_extent r.P.ro_pos })
         pdb.P.routines;
       List.iter
         (fun (ty : P.type_item) ->
-          let newid = Hashtbl.find tymap ty.P.ty_id in
+          let newid = find tymap ty.P.ty_id in
           if Option.is_none mtypes.(newid) then
             mtypes.(newid) <-
               Some { ty with P.ty_id = newid; ty_loc = remap_loc ty.P.ty_loc;
@@ -652,7 +696,7 @@ let merge_digested (inputs : (string * P.t) list) : P.t =
         pdb.P.types;
       List.iter
         (fun (m : P.macro_item) ->
-          let newid = Hashtbl.find mmap m.P.ma_id in
+          let newid = find mmap m.P.ma_id in
           if Option.is_none mmacros.(newid) then
             mmacros.(newid) <-
               Some { m with P.ma_id = newid; ma_loc = remap_loc m.P.ma_loc })

@@ -1,22 +1,35 @@
 (** PDB deserialization: parses the ASCII format written by {!Pdb_write}.
 
-    This is a single-pass cursor parser: it walks the raw source string
-    once, tracking a position and a line number, and builds items in place
-    as their attribute lines stream by.  Compared to the reference parser
-    ({!Pdb_parse_ref}, the original implementation) it allocates no line
-    list, no per-line trimmed copies and no intermediate block structures;
-    item names and enumerated attribute values are routed through the
-    global {!Pdt_util.Intern} pool so the many repeats across a project's
-    PDBs are physically shared.
+    The parser walks the source once, line by line, building each item in
+    place as its attribute lines stream by, on one of two paths:
 
-    Compatibility: the parse result is structurally identical to the
-    reference parser's, and [Parse_error] line numbers match it, including
-    its two-pass error ordering — the reference parser validates structure
-    (item-id syntax, attributes inside blocks) over the whole file before
-    it interprets any attribute, so a structural error on a late line wins
-    over a semantic error on an early one.  This parser emulates that by
-    deferring the first semantic error and continuing in a structure-only
-    scan; tests in [test_pdb.ml] pin the behavior against the reference. *)
+    - {e canonical}: a line spelled as {!Pdb_write} spells it (a lowercase
+      key, one blank before each field, plain decimal numbers of at most
+      18 digits, nothing blank at either end) is read in one pass.  The
+      key is scanned once and dispatched on, and a per-parse cursor reads
+      the value straight into the item under construction: ids,
+      locations, extents, the [rcall]/[cfunc]/[cbase]/[yargt] fields and
+      [rduuse] reach specs without a substring, a template or macro text
+      with no backslash copied whole.  The path writes nothing into the
+      item before it has read the whole line.
+    - {e general}: any other line (a CR, a tab, extra blanks, a signed,
+      hex, underscored or over-long integer, a missing or extra field, a
+      rare key, an error) is re-read from its start: trimmed, split into
+      fields on blanks, accepted as the reference parser accepts it.
+
+    Names and enumerated values ([rlink C++]) are interned in
+    {!Pdt_util.Intern}, so the repeats across a project's PDBs are
+    shared.  No state outlives a call: the build pool parses cache
+    entries on several domains.
+
+    The result is structurally identical to the reference parser's
+    ({!Pdb_parse_ref}), and so are [Parse_error] lines and messages,
+    including its two-pass order: it validates structure (item-id syntax,
+    attributes inside blocks) over the whole file before it interprets any
+    attribute, so a structural error on a late line wins over a semantic
+    error on an early one.  This parser defers the first semantic error
+    and continues with a structure-only scan; [test_pdb.ml] pins both
+    behaviors against the reference. *)
 
 open Pdb
 
@@ -27,45 +40,32 @@ exception Parse_error of int * string
    errors further down the file keep winning, as in the reference parser. *)
 exception Pass2 of exn
 
+(* A line the canonical path does not read; the general path re-reads it. *)
+exception Slow
+
 let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
 let fail2 lineno fmt = Printf.ksprintf (fun m -> raise (Pass2 (Parse_error (lineno, m)))) fmt
 
 let sub src s e = String.sub src s (e - s)
 
-let is_digit c = c >= '0' && c <= '9'
+let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
-(* Digits-only value of src[s,e): -1 when empty, over-long (possible
-   overflow) or any non-digit.  The callers fall back to the general
-   (allocating) [int_of_sub] path on -1, so values this rejects still
-   parse exactly as int_of_string would. *)
-let digits src s e =
-  if s >= e || e - s > 18 then -1
-  else begin
-    let rec go i acc =
-      if i >= e then acc
-      else
-        let c = String.unsafe_get src i in
-        if is_digit c then go (i + 1) ((acc * 10) + (Char.code c - 48)) else -1
-    in
-    go s 0
-  end
+(* int_of_string_opt over src[s,e): signs, 0x/0o/0b and underscores
+   included *)
+let int_of_sub src s e = int_of_string_opt (sub src s e)
 
-(* int_of_string_opt over src[s,e), without allocating in the all-digit
-   case; the fallback keeps the exotic forms int_of_string accepts
-   (sign, 0x/0o/0b, underscores). *)
-let int_of_sub src s e =
-  match digits src s e with
-  | -1 -> if s >= e then None else int_of_string_opt (sub src s e)
-  | n -> Some n
+let rec same_from src s lit i n =
+  i >= n
+  || (String.unsafe_get src (s + i) = String.unsafe_get lit i && same_from src s lit (i + 1) n)
 
 (* does src[s,e) equal lit? *)
 let word_is src s e lit =
   let n = String.length lit in
-  e - s = n
-  && (let rec go i =
-        i >= n || (String.unsafe_get src (s + i) = String.unsafe_get lit i && go (i + 1))
-      in
-      go 0)
+  e - s = n && same_from src s lit 0 n
+
+(* ------------------------------------------------------------------ *)
+(* The general path: fields split on blanks                            *)
+(* ------------------------------------------------------------------ *)
 
 (* split "so#12" at src[s,e) into the '#' position and the numeric id.
    [structural] selects immediate vs deferred failure (header lines are
@@ -86,42 +86,17 @@ let split_id_at ~structural src lineno s e =
       | Some n -> (h, n)
       | None -> bad ())
 
-(* The reference fast path: a two-letter prefix, '#', then plain digits —
-   the only shape the writer emits.  Returns -1 when the slice doesn't
-   match [pq#<digits>], sending the caller to the general path (which
-   also produces the errors). *)
-let ref_fast src s e p q =
-  if
-    e - s > 3
-    && String.unsafe_get src s = p
-    && String.unsafe_get src (s + 1) = q
-    && String.unsafe_get src (s + 2) = '#'
-  then digits src (s + 3) e
-  else -1
-
 let parse_typeref src ln s e =
-  match ref_fast src s e 't' 'y' with
-  | -1 -> (
-      match ref_fast src s e 'c' 'l' with
-      | -1 ->
-          let h, n = split_id_at ~structural:false src ln s e in
-          if word_is src s h "ty" then Tyref n
-          else if word_is src s h "cl" then Clref n
-          else fail2 ln "expected type reference, got '%s#'" (sub src s h)
-      | n -> Clref n)
-  | n -> Tyref n
+  let h, n = split_id_at ~structural:false src ln s e in
+  if word_is src s h "ty" then Tyref n
+  else if word_is src s h "cl" then Clref n
+  else fail2 ln "expected type reference, got '%s#'" (sub src s h)
 
 let parse_parentref src ln s e =
-  match ref_fast src s e 'c' 'l' with
-  | -1 -> (
-      match ref_fast src s e 'n' 'a' with
-      | -1 ->
-          let h, n = split_id_at ~structural:false src ln s e in
-          if word_is src s h "cl" then Pcl n
-          else if word_is src s h "na" then Pna n
-          else fail2 ln "expected parent reference, got '%s#'" (sub src s h)
-      | n -> Pna n)
-  | n -> Pcl n
+  let h, n = split_id_at ~structural:false src ln s e in
+  if word_is src s h "cl" then Pcl n
+  else if word_is src s h "na" then Pna n
+  else fail2 ln "expected parent reference, got '%s#'" (sub src s h)
 
 let parse_itemref src ln s e =
   let h, n = split_id_at ~structural:false src ln s e in
@@ -164,33 +139,22 @@ let next_field f =
     true
   end
 
-(* A location from its three field ranges: "so#3 12 7" or "NULL 0 0".
-   The fast path covers exactly what the writer emits — [so#<digits>] and
-   two plain numbers — without allocating; anything else (negative or
-   exotic integer spellings, malformed ids) drops to the general path,
-   which also produces the errors. *)
-let loc_slow src ln a a' b b' c c' =
-  let h, fid = split_id_at ~structural:false src ln a a' in
-  if word_is src a h "so" then
-    match (int_of_sub src b b', int_of_sub src c c') with
-    | Some l, Some col -> { lfile = fid; lline = l; lcol = col }
-    | _ -> fail2 ln "malformed location"
-  else fail2 ln "malformed location"
-
+(* A location from its three field ranges: "so#3 12 7", or "NULL" and
+   any two fields. *)
 let loc_of_ranges src ln a a' b b' c c' =
   if word_is src a a' "NULL" then null_loc
   else
-    let fid = ref_fast src a a' 's' 'o' in
-    if fid >= 0 then begin
-      let l = digits src b b' in
-      let col = digits src c c' in
-      if l >= 0 && col >= 0 then { lfile = fid; lline = l; lcol = col }
-      else loc_slow src ln a a' b b' c c'
-    end
-    else loc_slow src ln a a' b b' c c'
+    let h, fid = split_id_at ~structural:false src ln a a' in
+    if word_is src a h "so" then
+      match (int_of_sub src b b', int_of_sub src c c') with
+      | Some l, Some col -> { lfile = fid; lline = l; lcol = col }
+      | _ -> fail2 ln "malformed location"
+    else fail2 ln "malformed location"
 
 (* "so#3 12 7" or "NULL 0 0" from a field stream: consumes exactly three
-   fields; fewer is "truncated location". *)
+   fields; fewer is "truncated location".  Extra fields after a
+   single-location value are ignored, as the reference parser ignores
+   them. *)
 let parse_loc_fields src ln fl =
   if not (next_field fl) then fail2 ln "truncated location";
   let a = fl.fs and a' = fl.fe in
@@ -200,23 +164,7 @@ let parse_loc_fields src ln fl =
   let c = fl.fs and c' = fl.fe in
   loc_of_ranges src ln a a' b b' c c'
 
-(* Single-location attribute values (rloc, cloc, yloc, ...) are the most
-   frequent value shape by far; this specialization scans the three fields
-   directly, without a [fields] stream.  Trailing extra fields are ignored,
-   as the stream version (and the reference parser) ignores them. *)
-let parse_loc_value src ln s e =
-  let rec stop i =
-    if i >= e || String.unsafe_get src i = ' ' then i else stop (i + 1)
-  in
-  let a = s in
-  let a' = stop a in
-  if a' >= e then fail2 ln "truncated location";
-  let b = a' + 1 in
-  let b' = stop b in
-  if b' >= e then fail2 ln "truncated location";
-  let c = b' + 1 in
-  let c' = stop c in
-  loc_of_ranges src ln a a' b b' c c'
+let parse_loc_value src ln s e = parse_loc_fields src ln (fields src s e)
 
 let parse_extent_value src ln s e =
   let fl = fields src s e in
@@ -225,6 +173,121 @@ let parse_extent_value src ln s e =
   let bstart = parse_loc_fields src ln fl in
   let bstop = parse_loc_fields src ln fl in
   { hstart; hstop; bstart; bstop }
+
+(* ------------------------------------------------------------------ *)
+(* The canonical path: a cursor over the writer's spelling             *)
+(* ------------------------------------------------------------------ *)
+
+(* One per parse.  Every reader raises [Slow] at the first byte the
+   writer would not have put there. *)
+type cursor = { s : string; n : int; mutable p : int }
+
+(* the byte under the cursor; the end of input reads as a line end *)
+let peek c = if c.p < c.n then String.unsafe_get c.s c.p else '\n'
+let skip c ch = if peek c = ch then c.p <- c.p + 1 else raise Slow
+let eol c = if peek c <> '\n' then raise Slow
+
+(* [x], once the line has ended right after it *)
+let fin c x = eol c; x
+
+let lit c w =
+  let k = String.length w in
+  if c.p + k <= c.n && word_is c.s c.p (c.p + k) w then c.p <- c.p + k
+  else raise Slow
+
+let rec digits c s i acc =
+  match if i < c.n && i - s < 18 then String.unsafe_get c.s i else ' ' with
+  | '0' .. '9' as ch -> digits c s (i + 1) ((acc * 10) + Char.code ch - 48)
+  | _ -> if i = s then raise Slow else (c.p <- i; acc)
+
+(* 1 to 18 plain digits: no sign, base prefix or '_', and too few to
+   overflow, so int_of_string would read the same value *)
+let uint c = digits c c.p c.p 0
+
+(* "pq#<uint>" *)
+let id c p q = skip c p; skip c q; skip c '#'; uint c
+
+let loc c =
+  if peek c = 'N' then (lit c "NULL 0 0"; null_loc)
+  else begin
+    let lfile = id c 's' 'o' in
+    skip c ' ';
+    let lline = uint c in
+    skip c ' ';
+    let lcol = uint c in
+    { lfile; lline; lcol }
+  end
+
+let extent c =
+  let hstart = loc c in
+  skip c ' ';
+  let hstop = loc c in
+  skip c ' ';
+  let bstart = loc c in
+  skip c ' ';
+  let bstop = loc c in
+  { hstart; hstop; bstart; bstop }
+
+let typeref c =
+  match peek c with
+  | 't' -> Tyref (id c 't' 'y')
+  | 'c' -> Clref (id c 'c' 'l')
+  | _ -> raise Slow
+
+let parentref c =
+  match peek c with
+  | 'c' -> Pcl (id c 'c' 'l')
+  | 'n' -> Pna (id c 'n' 'a')
+  | _ -> raise Slow
+
+(* the call and base-class flag: "virt" or "no" *)
+let virt c = if peek c = 'v' then (lit c "virt"; true) else (lit c "no"; false)
+
+let rec line_end src n i =
+  if i < n && String.unsafe_get src i <> '\n' then line_end src n (i + 1) else i
+
+let rec key_end src n i =
+  if i < n && (match String.unsafe_get src i with 'a' .. 'z' -> true | _ -> false)
+  then key_end src n (i + 1)
+  else i
+
+(* a field up to the next blank: returns its start *)
+let token c =
+  let s = c.p in
+  while c.p < c.n && (match String.unsafe_get c.s c.p with ' ' | '\n' -> false | _ -> true) do
+    c.p <- c.p + 1
+  done;
+  if c.p = s then raise Slow;
+  s
+
+(* The rest of the line, which must not end in a blank: returns its
+   start and leaves the cursor at its end.  The key before it is never
+   empty, so the byte before the end is the line's. *)
+let rest c =
+  let s = c.p in
+  c.p <- line_end c.s c.n s;
+  if is_space (String.unsafe_get c.s (c.p - 1)) then raise Slow;
+  s
+
+let rec has_backslash src i e =
+  i < e && (String.unsafe_get src i = '\\' || has_backslash src (i + 1) e)
+
+(* an rduuse reach spec, as du_use_of_spec reads it: "-", or definition
+   indices and "u" joined by ',' *)
+let rec reach c l acc uninit =
+  let u = peek c = 'u' in
+  let acc = if u then (c.p <- c.p + 1; acc) else uint c :: acc in
+  let uninit = uninit || u in
+  if peek c = ',' then (c.p <- c.p + 1; reach c l acc uninit)
+  else { u_loc = l; u_reach = List.rev acc; u_uninit = uninit }
+
+let use c l =
+  if peek c = '-' then (c.p <- c.p + 1; { u_loc = l; u_reach = []; u_uninit = false })
+  else reach c l [] false
+
+(* ------------------------------------------------------------------ *)
+(* Items under construction                                            *)
+(* ------------------------------------------------------------------ *)
 
 (* Accumulator for a ty item's kind-dependent attributes; ty_info is
    assembled when the block ends, as the reference parser does. *)
@@ -244,16 +307,109 @@ type ty_acc = {
   mutable a_names : string list;           (* reversed *)
 }
 
+(* A routine's pending [rdu] variable and a class's pending [cmem]
+   member, filled in place line by line and made records when the next
+   one opens or the item ends. *)
+type du_acc = {
+  mutable du_open : bool;
+  mutable du_name : string;
+  mutable du_defs : loc list;     (* reversed *)
+  mutable du_uses : du_use list;  (* reversed *)
+}
+
+type mem_acc = {
+  mutable mem_open : bool;
+  mutable mem_name : string;
+  mutable mem_loc : loc;
+  mutable mem_acs : string;
+  mutable mem_kind : string;
+  mutable mem_type : typeref;
+  mutable mem_static : bool;
+  mutable mem_mutable : bool;
+}
+
+let flush_du r d =
+  if d.du_open then begin
+    r.ro_du <-
+      { v_name = d.du_name; v_defs = List.rev d.du_defs; v_uses = List.rev d.du_uses }
+      :: r.ro_du;
+    d.du_open <- false;
+    d.du_defs <- [];
+    d.du_uses <- []
+  end
+
+let open_du r d name =
+  flush_du r d;
+  d.du_open <- true;
+  d.du_name <- name
+
+let flush_mem c m =
+  if m.mem_open then begin
+    c.cl_members <-
+      { m_name = m.mem_name; m_loc = m.mem_loc; m_acs = m.mem_acs; m_kind = m.mem_kind;
+        m_type = m.mem_type; m_static = m.mem_static; m_mutable = m.mem_mutable }
+      :: c.cl_members;
+    m.mem_open <- false
+  end
+
+let open_mem c m name =
+  flush_mem c m;
+  m.mem_open <- true;
+  m.mem_name <- name;
+  m.mem_loc <- null_loc;
+  m.mem_acs <- "NA";
+  m.mem_kind <- "var";
+  m.mem_type <- Tyref 0;
+  m.mem_static <- false;
+  m.mem_mutable <- false
+
 (* The item under construction.  List-valued fields accumulate reversed
    (constant-time prepend) and are reversed once when the block ends. *)
 type building =
   | Bso of source_file
   | Bna of namespace_item
   | Bte of template_item
-  | Bro of routine_item * du_var option ref  (* the pending rdu variable *)
-  | Bcl of class_item * member option ref  (* the pending cmem member *)
+  | Bro of routine_item * du_acc
+  | Bcl of class_item * mem_acc
   | Bty of type_item * ty_acc
   | Bma of macro_item
+
+(* the item a "prefix#id name" header opens; the prefix is src[hs,h) *)
+let new_item src ln hs h id nm =
+  if word_is src hs h "so" then Bso { so_id = id; so_name = nm; so_includes = [] }
+  else if word_is src hs h "na" then
+    Bna { na_id = id; na_name = nm; na_loc = null_loc; na_parent = Pnone;
+          na_members = []; na_alias = None }
+  else if word_is src hs h "te" then
+    Bte { te_id = id; te_name = nm; te_loc = null_loc; te_parent = Pnone;
+          te_acs = "NA"; te_kind = "class"; te_text = ""; te_pos = null_extent }
+  else if word_is src hs h "ro" then
+    Bro
+      ({ ro_id = id; ro_name = nm; ro_loc = null_loc; ro_parent = Pnone;
+         ro_acs = "NA"; ro_sig = Tyref 0; ro_link = "C++"; ro_store = "NA";
+         ro_virt = "no"; ro_kind = "NA"; ro_static = false; ro_inline = false;
+         ro_templ = None; ro_calls = []; ro_spawns = []; ro_du = [];
+         ro_pos = null_extent; ro_defined = false },
+       { du_open = false; du_name = ""; du_defs = []; du_uses = [] })
+  else if word_is src hs h "cl" then
+    Bcl
+      ({ cl_id = id; cl_name = nm; cl_loc = null_loc; cl_kind = "class";
+         cl_parent = Pnone; cl_acs = "NA"; cl_templ = None; cl_stempl = None;
+         cl_bases = []; cl_friends = []; cl_funcs = []; cl_members = [];
+         cl_pos = null_extent },
+       { mem_open = false; mem_name = ""; mem_loc = null_loc; mem_acs = "NA";
+         mem_kind = "var"; mem_type = Tyref 0; mem_static = false; mem_mutable = false })
+  else if word_is src hs h "ty" then
+    Bty
+      ({ ty_id = id; ty_name = nm; ty_loc = null_loc; ty_parent = Pnone;
+         ty_acs = "NA"; ty_info = Yerror; ty_names = [] },
+       { a_kind = ""; a_ikind = ""; a_target = Tyref 0; a_const = false;
+         a_vol = false; a_elem = Tyref 0; a_size = None; a_rett = Tyref 0;
+         a_args = []; a_ellip = false; a_excep = None; a_cons = [];
+         a_names = [] })
+  else if word_is src hs h "ma" then
+    Bma { ma_id = id; ma_name = nm; ma_kind = "def"; ma_text = ""; ma_loc = null_loc }
+  else fail2 ln "unknown item prefix '%s'" (sub src hs h)
 
 let of_string (src : string) : t =
   (* injection site for parse-time corruption drills: raising (rather than
@@ -287,24 +443,14 @@ let of_string (src : string) : t =
               n.na_members <- List.rev n.na_members;
               namespaces := n :: !namespaces
           | Bte te -> templates := te :: !templates
-          | Bro (r, pv) ->
-              (match !pv with
-               | Some v ->
-                   r.ro_du <-
-                     { v with v_defs = List.rev v.v_defs;
-                              v_uses = List.rev v.v_uses }
-                     :: r.ro_du
-               | None -> ());
-              pv := None;
+          | Bro (r, d) ->
+              flush_du r d;
               r.ro_calls <- List.rev r.ro_calls;
               r.ro_spawns <- List.rev r.ro_spawns;
               r.ro_du <- List.rev r.ro_du;
               routines := r :: !routines
-          | Bcl (c, pm) ->
-              (match !pm with
-               | Some m -> c.cl_members <- m :: c.cl_members
-               | None -> ());
-              pm := None;
+          | Bcl (c, m) ->
+              flush_mem c m;
               c.cl_bases <- List.rev c.cl_bases;
               c.cl_friends <- List.rev c.cl_friends;
               c.cl_funcs <- List.rev c.cl_funcs;
@@ -332,73 +478,115 @@ let of_string (src : string) : t =
          cur := None);
     in_block := false
   in
-  (* one attribute line, dispatched against the current item.
-     key = src[ks,ke), value = src[vs,ve).  For the high-volume kinds
-     (ro/cl/ty) the key's second character narrows the linear [key]
-     chain to one or two candidates; [key] still verifies the whole
-     word, so near-misses fall through to [unknown] exactly as before. *)
-  let attribute ln ks ke vs ve =
-    let unknown what = fail2 ln "unknown %s attribute '%s'" what (sub src ks ke) in
-    let key lit = word_is src ks ke lit in
+  (* The line under way.  On the canonical path ([fast]) the cursor [c]
+     reads its value; on the general path the value is src[vs,ve). *)
+  let c = { s = src; n = len; p = 0 } in
+  let fast = ref false and lnr = ref 0 and vs = ref 0 and ve = ref 0 in
+  (* Value readers, one per shape: the canonical reader, else the
+     general one.  [slow ()] hands a line the canonical path does not
+     read to the general path. *)
+  let slow () = if !fast then raise Slow in
+  let value () = if !fast then (vs := rest c; ve := c.p) in
+  let name_v () = value (); intern_sub !vs !ve in
+  let text_v () =
+    value ();
+    let v = sub src !vs !ve in
+    if has_backslash src !vs !ve then Pdb_write.unescape_text v else v
+  in
+  let flag_v () = if !fast then eol c in
+  let loc_v () = if !fast then fin c (loc c) else parse_loc_value src !lnr !vs !ve in
+  let extent_v () =
+    if !fast then fin c (extent c) else parse_extent_value src !lnr !vs !ve
+  in
+  let typeref_v () = if !fast then fin c (typeref c) else parse_typeref src !lnr !vs !ve in
+  let parent_v () = if !fast then fin c (parentref c) else parse_parentref src !lnr !vs !ve in
+  (* "te#7" and the like: the id after the prefix [p][q], else [what] *)
+  let id_v p q what =
+    if !fast then fin c (id c p q)
+    else
+      let h, n = split_id_at ~structural:false src !lnr !vs !ve in
+      if h - !vs = 2 && src.[!vs] = p && src.[!vs + 1] = q then n else fail2 !lnr "%s" what
+  in
+  (* one attribute line, dispatched against the current item; the key is
+     src[ks,ke).  For the high-volume kinds (ro/cl/ty) the key's second
+     character narrows the linear [key] chain to one or two candidates;
+     [key] still verifies the whole word, so near-misses fall through to
+     [unknown]. *)
+  let key_s = ref 0 and key_e = ref 0 in
+  let key lit = word_is src !key_s !key_e lit in
+  let unknown what =
+    slow ();
+    fail2 !lnr "unknown %s attribute '%s'" what (sub src !key_s !key_e)
+  in
+  let attribute ks ke =
+    key_s := ks;
+    key_e := ke;
+    let ln = !lnr in
     let c2 = if ke - ks >= 2 then String.unsafe_get src (ks + 1) else '\000' in
     match !cur with
-    | None -> fail ln "attribute '%s' outside of an item block" (sub src ks ke)
+    | None -> slow (); fail ln "attribute '%s' outside of an item block" (sub src ks ke)
     | Some (Bso f) ->
-        if key "sinc" then begin
-          let h, n = split_id_at ~structural:false src ln vs ve in
-          if word_is src vs h "so" then f.so_includes <- n :: f.so_includes
-          else fail2 ln "sinc expects so# reference"
-        end
+        if key "sinc" then
+          f.so_includes <- id_v 's' 'o' "sinc expects so# reference" :: f.so_includes
         else unknown "so"
     | Some (Bna n) ->
-        if key "nloc" then n.na_loc <- parse_loc_value src ln vs ve
-        else if key "nparent" then n.na_parent <- parse_parentref src ln vs ve
-        else if key "nmem" then n.na_members <- parse_itemref src ln vs ve :: n.na_members
-        else if key "nalias" then n.na_alias <- Some (intern_sub vs ve)
+        if key "nloc" then n.na_loc <- loc_v ()
+        else if key "nparent" then n.na_parent <- parent_v ()
+        else if key "nmem" then (
+          slow ();
+          n.na_members <- parse_itemref src ln !vs !ve :: n.na_members)
+        else if key "nalias" then n.na_alias <- Some (name_v ())
         else unknown "na"
     | Some (Bte te) ->
-        if key "tloc" then te.te_loc <- parse_loc_value src ln vs ve
-        else if key "tparent" then te.te_parent <- parse_parentref src ln vs ve
-        else if key "tacs" then te.te_acs <- intern_sub vs ve
-        else if key "tkind" then te.te_kind <- intern_sub vs ve
-        else if key "ttext" then te.te_text <- Pdb_write.unescape_text (sub src vs ve)
-        else if key "tpos" then te.te_pos <- parse_extent_value src ln vs ve
+        if key "tloc" then te.te_loc <- loc_v ()
+        else if key "tparent" then te.te_parent <- parent_v ()
+        else if key "tacs" then te.te_acs <- name_v ()
+        else if key "tkind" then te.te_kind <- name_v ()
+        else if key "ttext" then te.te_text <- text_v ()
+        else if key "tpos" then te.te_pos <- extent_v ()
         else unknown "te"
-    | Some (Bro (r, pv)) -> (
+    | Some (Bro (r, d)) -> (
         match c2 with
         | 'l' ->
-            if key "rloc" then r.ro_loc <- parse_loc_value src ln vs ve
-            else if key "rlink" then r.ro_link <- intern_sub vs ve
+            if key "rloc" then r.ro_loc <- loc_v ()
+            else if key "rlink" then r.ro_link <- name_v ()
             else unknown "ro"
         | 'c' ->
-            if key "rclass" then r.ro_parent <- parse_parentref src ln vs ve
-            else if key "rcall" then begin
-              let fl = fields src vs ve in
-              if not (next_field fl) then fail2 ln "malformed rcall";
-              let a = fl.fs and a' = fl.fe in
-              if not (next_field fl) then fail2 ln "malformed rcall";
-              let b = fl.fs and b' = fl.fe in
-              let h, callee = split_id_at ~structural:false src ln a a' in
-              if word_is src a h "ro" then begin
-                let l = parse_loc_fields src ln fl in
-                r.ro_calls <-
-                  { c_callee = callee; c_virt = word_is src b b' "virt"; c_loc = l }
-                  :: r.ro_calls
+            if key "rclass" then r.ro_parent <- parent_v ()
+            else if key "rcall" then
+              if !fast then begin
+                let c_callee = id c 'r' 'o' in
+                skip c ' ';
+                let c_virt = virt c in
+                skip c ' ';
+                let c_loc = fin c (loc c) in
+                r.ro_calls <- { c_callee; c_virt; c_loc } :: r.ro_calls
               end
-              else fail2 ln "rcall expects ro# reference"
-            end
+              else begin
+                let fl = fields src !vs !ve in
+                if not (next_field fl) then fail2 ln "malformed rcall";
+                let a = fl.fs and a' = fl.fe in
+                if not (next_field fl) then fail2 ln "malformed rcall";
+                let b = fl.fs and b' = fl.fe in
+                let h, callee = split_id_at ~structural:false src ln a a' in
+                if word_is src a h "ro" then begin
+                  let l = parse_loc_fields src ln fl in
+                  r.ro_calls <-
+                    { c_callee = callee; c_virt = word_is src b b' "virt"; c_loc = l }
+                    :: r.ro_calls
+                end
+                else fail2 ln "rcall expects ro# reference"
+              end
             else unknown "ro"
-        | 'n' ->
-            if key "rnspace" then r.ro_parent <- parse_parentref src ln vs ve
-            else unknown "ro"
-        | 'a' ->
-            if key "racs" then r.ro_acs <- intern_sub vs ve else unknown "ro"
+        | 'n' -> if key "rnspace" then r.ro_parent <- parent_v () else unknown "ro"
+        | 'a' -> if key "racs" then r.ro_acs <- name_v () else unknown "ro"
         | 's' ->
-            if key "rsig" then r.ro_sig <- parse_typeref src ln vs ve
-            else if key "rstore" then r.ro_store <- intern_sub vs ve
-            else if key "rstatic" then r.ro_static <- true
+            if key "rsig" then r.ro_sig <- typeref_v ()
+            else if key "rstore" then r.ro_store <- name_v ()
+            else if key "rstatic" then (flag_v (); r.ro_static <- true)
             else if key "rspawn" then begin
-              let fl = fields src vs ve in
+              slow ();
+              let fl = fields src !vs !ve in
               if not (next_field fl) then fail2 ln "malformed rspawn";
               let a = fl.fs and a' = fl.fe in
               let h, callee = split_id_at ~structural:false src ln a a' in
@@ -416,195 +604,175 @@ let of_string (src : string) : t =
                 { sp_callee = callee; sp_loc = l; sp_join = j } :: r.ro_spawns
             end
             else unknown "ro"
-        | 'v' ->
-            if key "rvirt" then r.ro_virt <- intern_sub vs ve else unknown "ro"
-        | 'k' ->
-            if key "rkind" then r.ro_kind <- intern_sub vs ve else unknown "ro"
-        | 'i' ->
-            if key "rinline" then r.ro_inline <- true else unknown "ro"
+        | 'v' -> if key "rvirt" then r.ro_virt <- name_v () else unknown "ro"
+        | 'k' -> if key "rkind" then r.ro_kind <- name_v () else unknown "ro"
+        | 'i' -> if key "rinline" then (flag_v (); r.ro_inline <- true) else unknown "ro"
         | 't' ->
-            if key "rtempl" then begin
-              let h, n = split_id_at ~structural:false src ln vs ve in
-              if word_is src vs h "te" then r.ro_templ <- Some n
-              else fail2 ln "rtempl expects te# reference"
-            end
+            if key "rtempl" then
+              r.ro_templ <- Some (id_v 't' 'e' "rtempl expects te# reference")
             else unknown "ro"
         | 'd' ->
-            if key "rdef" then r.ro_defined <- true
-            else if key "rdu" then begin
-              (match !pv with
-               | Some v ->
-                   r.ro_du <-
-                     { v with v_defs = List.rev v.v_defs;
-                              v_uses = List.rev v.v_uses }
-                     :: r.ro_du
-               | None -> ());
-              pv := Some { v_name = intern_sub vs ve; v_defs = []; v_uses = [] }
-            end
+            if key "rdef" then (flag_v (); r.ro_defined <- true)
+            else if key "rdu" then open_du r d (name_v ())
             else if key "rdudef" || key "rduuse" then begin
-              match !pv with
-              | None -> fail2 ln "define-use attribute without rdu"
-              | Some v ->
-                  if key "rdudef" then
-                    pv :=
-                      Some { v with v_defs = parse_loc_value src ln vs ve :: v.v_defs }
-                  else begin
-                    let fl = fields src vs ve in
-                    let l = parse_loc_fields src ln fl in
-                    if not (next_field fl) then fail2 ln "malformed rduuse";
-                    match du_use_of_spec (sub src fl.fs fl.fe) with
-                    | None -> fail2 ln "malformed rduuse reach spec"
-                    | Some (reach, uninit) ->
-                        pv :=
-                          Some
-                            { v with
-                              v_uses =
-                                { u_loc = l; u_reach = reach; u_uninit = uninit }
-                                :: v.v_uses }
-                  end
+              if not d.du_open then (slow (); fail2 ln "define-use attribute without rdu");
+              if key "rdudef" then d.du_defs <- loc_v () :: d.du_defs
+              else if !fast then begin
+                let l = loc c in
+                skip c ' ';
+                d.du_uses <- fin c (use c l) :: d.du_uses
+              end
+              else begin
+                let fl = fields src !vs !ve in
+                let l = parse_loc_fields src ln fl in
+                if not (next_field fl) then fail2 ln "malformed rduuse";
+                match du_use_of_spec (sub src fl.fs fl.fe) with
+                | None -> fail2 ln "malformed rduuse reach spec"
+                | Some (reach, uninit) ->
+                    d.du_uses <- { u_loc = l; u_reach = reach; u_uninit = uninit } :: d.du_uses
+              end
             end
             else unknown "ro"
-        | 'p' ->
-            if key "rpos" then r.ro_pos <- parse_extent_value src ln vs ve
-            else unknown "ro"
+        | 'p' -> if key "rpos" then r.ro_pos <- extent_v () else unknown "ro"
         | _ -> unknown "ro")
-    | Some (Bcl (c, pm)) -> (
+    | Some (Bcl (cl, m)) -> (
         match c2 with
-        | 'l' ->
-            if key "cloc" then c.cl_loc <- parse_loc_value src ln vs ve
-            else unknown "cl"
-        | 'k' ->
-            if key "ckind" then c.cl_kind <- intern_sub vs ve else unknown "cl"
+        | 'l' -> if key "cloc" then cl.cl_loc <- loc_v () else unknown "cl"
+        | 'k' -> if key "ckind" then cl.cl_kind <- name_v () else unknown "cl"
         | 'p' ->
-            if key "cparent" then c.cl_parent <- parse_parentref src ln vs ve
-            else if key "cpos" then c.cl_pos <- parse_extent_value src ln vs ve
+            if key "cparent" then cl.cl_parent <- parent_v ()
+            else if key "cpos" then cl.cl_pos <- extent_v ()
             else unknown "cl"
-        | 'a' ->
-            if key "cacs" then c.cl_acs <- intern_sub vs ve else unknown "cl"
+        | 'a' -> if key "cacs" then cl.cl_acs <- name_v () else unknown "cl"
         | 't' ->
-            if key "ctempl" then begin
-              let h, n = split_id_at ~structural:false src ln vs ve in
-              if word_is src vs h "te" then c.cl_templ <- Some n
-              else fail2 ln "ctempl expects te# reference"
-            end
+            if key "ctempl" then
+              cl.cl_templ <- Some (id_v 't' 'e' "ctempl expects te# reference")
             else unknown "cl"
         | 's' ->
-            if key "cstempl" then begin
-              let h, n = split_id_at ~structural:false src ln vs ve in
-              if word_is src vs h "te" then c.cl_stempl <- Some n
-              else fail2 ln "cstempl expects te# reference"
-            end
+            if key "cstempl" then
+              cl.cl_stempl <- Some (id_v 't' 'e' "cstempl expects te# reference")
             else unknown "cl"
         | 'b' ->
-            if key "cbase" then begin
-              let fl = fields src vs ve in
-              if not (next_field fl) then fail2 ln "malformed cbase";
-              let a = fl.fs and a' = fl.fe in
-              if not (next_field fl) then fail2 ln "malformed cbase";
-              let b = fl.fs and b' = fl.fe in
-              if not (next_field fl) then fail2 ln "malformed cbase";
-              let g = fl.fs and g' = fl.fe in
-              if next_field fl then fail2 ln "malformed cbase";
-              let h, base = split_id_at ~structural:false src ln g g' in
-              if word_is src g h "cl" then
-                c.cl_bases <-
-                  (intern_sub a a', word_is src b b' "virt", base) :: c.cl_bases
-              else fail2 ln "cbase expects cl# reference"
-            end
+            if key "cbase" then
+              if !fast then begin
+                let s = token c in
+                let acs = intern_sub s c.p in
+                skip c ' ';
+                let v = virt c in
+                skip c ' ';
+                let b = fin c (id c 'c' 'l') in
+                cl.cl_bases <- (acs, v, b) :: cl.cl_bases
+              end
+              else begin
+                let fl = fields src !vs !ve in
+                if not (next_field fl) then fail2 ln "malformed cbase";
+                let a = fl.fs and a' = fl.fe in
+                if not (next_field fl) then fail2 ln "malformed cbase";
+                let b = fl.fs and b' = fl.fe in
+                if not (next_field fl) then fail2 ln "malformed cbase";
+                let g = fl.fs and g' = fl.fe in
+                if next_field fl then fail2 ln "malformed cbase";
+                let h, base = split_id_at ~structural:false src ln g g' in
+                if word_is src g h "cl" then
+                  cl.cl_bases <-
+                    (intern_sub a a', word_is src b b' "virt", base) :: cl.cl_bases
+                else fail2 ln "cbase expects cl# reference"
+              end
             else unknown "cl"
         | 'f' ->
             if key "cfriend" then begin
-              let h, n = split_id_at ~structural:false src ln vs ve in
-              if word_is src vs h "cl" then c.cl_friends <- `Cl n :: c.cl_friends
-              else if word_is src vs h "ro" then c.cl_friends <- `Ro n :: c.cl_friends
+              slow ();
+              let h, n = split_id_at ~structural:false src ln !vs !ve in
+              if word_is src !vs h "cl" then cl.cl_friends <- `Cl n :: cl.cl_friends
+              else if word_is src !vs h "ro" then cl.cl_friends <- `Ro n :: cl.cl_friends
               else fail2 ln "cfriend expects cl# or ro#"
             end
-            else if key "cfunc" then begin
-              let fl = fields src vs ve in
-              if not (next_field fl) then fail2 ln "malformed cfunc";
-              let a = fl.fs and a' = fl.fe in
-              let h, ro = split_id_at ~structural:false src ln a a' in
-              if word_is src a h "ro" then begin
-                let l = parse_loc_fields src ln fl in
-                c.cl_funcs <- (ro, l) :: c.cl_funcs
+            else if key "cfunc" then
+              if !fast then begin
+                let ro = id c 'r' 'o' in
+                skip c ' ';
+                let l = fin c (loc c) in
+                cl.cl_funcs <- (ro, l) :: cl.cl_funcs
               end
-              else fail2 ln "cfunc expects ro# reference"
-            end
+              else begin
+                let fl = fields src !vs !ve in
+                if not (next_field fl) then fail2 ln "malformed cfunc";
+                let a = fl.fs and a' = fl.fe in
+                let h, ro = split_id_at ~structural:false src ln a a' in
+                if word_is src a h "ro" then begin
+                  let l = parse_loc_fields src ln fl in
+                  cl.cl_funcs <- (ro, l) :: cl.cl_funcs
+                end
+                else fail2 ln "cfunc expects ro# reference"
+              end
             else unknown "cl"
         | 'm' ->
-            if key "cmem" then begin
-              (match !pm with
-               | Some m -> c.cl_members <- m :: c.cl_members
-               | None -> ());
-              pm :=
-                Some { m_name = intern_sub vs ve; m_loc = null_loc; m_acs = "NA";
-                       m_kind = "var"; m_type = Tyref 0; m_static = false;
-                       m_mutable = false }
-            end
+            if key "cmem" then open_mem cl m (name_v ())
             else if key "cmloc" || key "cmacs" || key "cmkind" || key "cmtype"
                     || key "cmstatic" || key "cmmutable" then begin
-              match !pm with
-              | None -> fail2 ln "member attribute without cmem"
-              | Some m ->
-                  let m' =
-                    if key "cmloc" then { m with m_loc = parse_loc_value src ln vs ve }
-                    else if key "cmacs" then { m with m_acs = intern_sub vs ve }
-                    else if key "cmkind" then { m with m_kind = intern_sub vs ve }
-                    else if key "cmtype" then { m with m_type = parse_typeref src ln vs ve }
-                    else if key "cmstatic" then { m with m_static = true }
-                    else { m with m_mutable = true }
-                  in
-                  pm := Some m'
+              if not m.mem_open then (slow (); fail2 ln "member attribute without cmem");
+              if key "cmloc" then m.mem_loc <- loc_v ()
+              else if key "cmacs" then m.mem_acs <- name_v ()
+              else if key "cmkind" then m.mem_kind <- name_v ()
+              else if key "cmtype" then m.mem_type <- typeref_v ()
+              else if key "cmstatic" then (flag_v (); m.mem_static <- true)
+              else (flag_v (); m.mem_mutable <- true)
             end
             else unknown "cl"
         | _ -> unknown "cl")
     | Some (Bty (ty, a)) -> (
         match c2 with
-        | 'l' ->
-            if key "yloc" then ty.ty_loc <- parse_loc_value src ln vs ve
-            else unknown "ty"
+        | 'l' -> if key "yloc" then ty.ty_loc <- loc_v () else unknown "ty"
         | 'p' ->
-            if key "yparent" then ty.ty_parent <- parse_parentref src ln vs ve
-            else if key "yptr" then a.a_target <- parse_typeref src ln vs ve
+            if key "yparent" then ty.ty_parent <- parent_v ()
+            else if key "yptr" then a.a_target <- typeref_v ()
             else unknown "ty"
         | 'a' ->
-            if key "yacs" then ty.ty_acs <- intern_sub vs ve
-            else if key "yargt" then begin
-              let fl = fields src vs ve in
-              if not (next_field fl) then fail2 ln "malformed yargt";
-              let r = fl.fs and r' = fl.fe in
-              if not (next_field fl) then
-                a.a_args <- (parse_typeref src ln r r', false) :: a.a_args
-              else begin
-                let d = fl.fs and d' = fl.fe in
-                if next_field fl then fail2 ln "malformed yargt";
-                let tr = parse_typeref src ln r r' in
-                a.a_args <- (tr, word_is src d d' "T") :: a.a_args
+            if key "yacs" then ty.ty_acs <- name_v ()
+            else if key "yargt" then
+              if !fast then begin
+                let r = typeref c in
+                let d =
+                  peek c = ' '
+                  && (c.p <- c.p + 1;
+                      if peek c = 'T' then (lit c "T"; true) else (lit c "F"; false))
+                in
+                a.a_args <- (r, fin c d) :: a.a_args
               end
-            end
+              else begin
+                let fl = fields src !vs !ve in
+                if not (next_field fl) then fail2 ln "malformed yargt";
+                let r = fl.fs and r' = fl.fe in
+                if not (next_field fl) then
+                  a.a_args <- (parse_typeref src ln r r', false) :: a.a_args
+                else begin
+                  let d = fl.fs and d' = fl.fe in
+                  if next_field fl then fail2 ln "malformed yargt";
+                  let tr = parse_typeref src ln r r' in
+                  a.a_args <- (tr, word_is src d d' "T") :: a.a_args
+                end
+              end
             else unknown "ty"
-        | 'k' ->
-            if key "ykind" then a.a_kind <- intern_sub vs ve else unknown "ty"
-        | 'i' ->
-            if key "yikind" then a.a_ikind <- intern_sub vs ve else unknown "ty"
+        | 'k' -> if key "ykind" then a.a_kind <- name_v () else unknown "ty"
+        | 'i' -> if key "yikind" then a.a_ikind <- name_v () else unknown "ty"
         | 'r' ->
-            if key "yref" then a.a_target <- parse_typeref src ln vs ve
-            else if key "yrett" then a.a_rett <- parse_typeref src ln vs ve
+            if key "yref" then a.a_target <- typeref_v ()
+            else if key "yrett" then a.a_rett <- typeref_v ()
             else unknown "ty"
-        | 't' ->
-            if key "ytref" then a.a_target <- parse_typeref src ln vs ve
-            else unknown "ty"
+        | 't' -> if key "ytref" then a.a_target <- typeref_v () else unknown "ty"
         | 'q' ->
             if key "yqual" then begin
-              if word_is src vs ve "const" then a.a_const <- true
-              else if word_is src vs ve "volatile" then a.a_vol <- true
+              value ();
+              if word_is src !vs !ve "const" then a.a_const <- true
+              else if word_is src !vs !ve "volatile" then a.a_vol <- true
             end
             else unknown "ty"
         | 'e' ->
-            if key "yelem" then a.a_elem <- parse_typeref src ln vs ve
-            else if key "yellip" then a.a_ellip <- true
+            if key "yelem" then a.a_elem <- typeref_v ()
+            else if key "yellip" then (flag_v (); a.a_ellip <- true)
             else if key "yexcep" then begin
-              let fl = fields src vs ve in
+              slow ();
+              let fl = fields src !vs !ve in
               let refs = ref [] in
               let rec go () =
                 if next_field fl then begin
@@ -618,81 +786,35 @@ let of_string (src : string) : t =
             end
             else unknown "ty"
         | 's' ->
-            if key "ysize" then a.a_size <- int_of_sub src vs ve
+            if key "ysize" then
+              a.a_size <- (if !fast then Some (fin c (uint c)) else int_of_sub src !vs !ve)
             else unknown "ty"
         | 'c' ->
             if key "ycon" then begin
-              let fl = fields src vs ve in
+              slow ();
+              let fl = fields src !vs !ve in
               if not (next_field fl) then fail2 ln "malformed ycon";
               let n = fl.fs and n' = fl.fe in
               if not (next_field fl) then fail2 ln "malformed ycon";
               let v = fl.fs and v' = fl.fe in
               if next_field fl then fail2 ln "malformed ycon";
-              let value =
-                try Int64.of_string (sub src v v') with e -> raise (Pass2 e)
-              in
-              a.a_cons <- (intern_sub n n', value) :: a.a_cons
+              match Int64.of_string_opt (sub src v v') with
+              | Some value -> a.a_cons <- (intern_sub n n', value) :: a.a_cons
+              | None -> fail2 ln "malformed ycon value"
             end
             else unknown "ty"
-        | 'n' ->
-            if key "yname" then a.a_names <- intern_sub vs ve :: a.a_names
-            else unknown "ty"
+        | 'n' -> if key "yname" then a.a_names <- name_v () :: a.a_names else unknown "ty"
         | _ -> unknown "ty")
     | Some (Bma m) ->
-        if key "makind" then m.ma_kind <- intern_sub vs ve
-        else if key "matext" then m.ma_text <- Pdb_write.unescape_text (sub src vs ve)
-        else if key "maloc" then m.ma_loc <- parse_loc_value src ln vs ve
+        if key "makind" then m.ma_kind <- name_v ()
+        else if key "matext" then m.ma_text <- text_v ()
+        else if key "maloc" then m.ma_loc <- loc_v ()
         else unknown "ma"
   in
-  (* a header line "prefix#id name": start building the new item *)
-  let header ln hs he name_s name_e =
-    let h, id = split_id_at ~structural:true src ln hs he in
-    let nm = if name_s < name_e then intern_sub name_s name_e else "" in
-    let b =
-      if word_is src hs h "so" then Bso { so_id = id; so_name = nm; so_includes = [] }
-      else if word_is src hs h "na" then
-        Bna { na_id = id; na_name = nm; na_loc = null_loc; na_parent = Pnone;
-              na_members = []; na_alias = None }
-      else if word_is src hs h "te" then
-        Bte { te_id = id; te_name = nm; te_loc = null_loc; te_parent = Pnone;
-              te_acs = "NA"; te_kind = "class"; te_text = ""; te_pos = null_extent }
-      else if word_is src hs h "ro" then
-        Bro
-          ({ ro_id = id; ro_name = nm; ro_loc = null_loc; ro_parent = Pnone;
-             ro_acs = "NA"; ro_sig = Tyref 0; ro_link = "C++"; ro_store = "NA";
-             ro_virt = "no"; ro_kind = "NA"; ro_static = false; ro_inline = false;
-             ro_templ = None; ro_calls = []; ro_spawns = []; ro_du = [];
-             ro_pos = null_extent; ro_defined = false },
-           ref None)
-      else if word_is src hs h "cl" then
-        Bcl
-          ({ cl_id = id; cl_name = nm; cl_loc = null_loc; cl_kind = "class";
-             cl_parent = Pnone; cl_acs = "NA"; cl_templ = None; cl_stempl = None;
-             cl_bases = []; cl_friends = []; cl_funcs = []; cl_members = [];
-             cl_pos = null_extent },
-           ref None)
-      else if word_is src hs h "ty" then
-        Bty
-          ({ ty_id = id; ty_name = nm; ty_loc = null_loc; ty_parent = Pnone;
-             ty_acs = "NA"; ty_info = Yerror; ty_names = [] },
-           { a_kind = ""; a_ikind = ""; a_target = Tyref 0; a_const = false;
-             a_vol = false; a_elem = Tyref 0; a_size = None; a_rett = Tyref 0;
-             a_args = []; a_ellip = false; a_excep = None; a_cons = [];
-             a_names = [] })
-      else if word_is src hs h "ma" then
-        Bma { ma_id = id; ma_name = nm; ma_kind = "def"; ma_text = "";
-              ma_loc = null_loc }
-      else fail2 ln "unknown item prefix '%s'" (sub src hs h)
-    in
-    cur := Some b;
-    in_block := true
-  in
-  let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012' in
-  let pos = ref 0 and lineno = ref 0 in
-  while !pos <= len do
-    incr lineno;
-    let ln = !lineno in
-    let ls = !pos in
+  (* The general path for the line starting at [ls]: trim it, split off
+     the key, and validate structure only once a semantic error is
+     pending.  Returns the line's end. *)
+  let general ln ls =
     let nl =
       (* index_from, not index_from_opt: memchr speed without the
          per-line [Some] allocation *)
@@ -702,7 +824,6 @@ let of_string (src : string) : t =
         | i -> i
         | exception Not_found -> len
     in
-    pos := nl + 1;
     (* trim the line in place *)
     let s = ref ls and e = ref nl in
     while !s < !e && is_space (String.unsafe_get src !s) do incr s done;
@@ -721,6 +842,10 @@ let of_string (src : string) : t =
         if i >= ke then -1 else if String.unsafe_get src i = '#' then i else hash (i + 1)
       in
       let is_header = hash s >= 0 in
+      fast := false;
+      lnr := ln;
+      vs := (if ke < e then ke + 1 else e);
+      ve := e;
       match !deferred with
       | Some _ ->
           (* structure-only continuation: validate ids and placement, as
@@ -735,17 +860,55 @@ let of_string (src : string) : t =
           try
             if is_header then begin
               finalize ();
-              header ln s ke (if ke < e then ke + 1 else e) e
+              let h, id = split_id_at ~structural:true src ln s ke in
+              cur := Some (new_item src ln s h id (if !vs < e then intern_sub !vs e else ""));
+              in_block := true
             end
-            else begin
-              let vs = if ke < e then ke + 1 else e in
-              attribute ln s ke vs e
-            end
+            else attribute s ke
           with Pass2 err ->
             deferred := Some err;
             cur := None;
             in_block := true)
-    end
+    end;
+    nl
+  in
+  (* The canonical path for the line starting at [ls]: a blank line, or a
+     key of lowercase letters then '#' (an item header), a blank or the
+     line end.  Returns the line's end; raises [Slow] (or an unknown
+     prefix's [Pass2]) having changed no item. *)
+  let canonical ln ls =
+    let ke = key_end src len ls in
+    c.p <- ke;
+    fast := true;
+    lnr := ln;
+    (match peek c with
+     | '\n' when ke = ls -> finalize ()
+     | _ when ke = ls -> raise Slow
+     | '#' ->
+         c.p <- ke + 1;
+         let id = uint c in
+         let nm = if peek c = ' ' then (c.p <- c.p + 1; name_v ()) else fin c "" in
+         let b = new_item src ln ls ke id nm in
+         finalize ();
+         cur := Some b;
+         in_block := true
+     | ' ' ->
+         c.p <- ke + 1;
+         attribute ls ke
+     | '\n' -> attribute ls ke
+     | _ -> raise Slow);
+    c.p
+  in
+  let pos = ref 0 and lineno = ref 0 in
+  while !pos <= len do
+    incr lineno;
+    let ln = !lineno and ls = !pos in
+    let nl =
+      match !deferred with
+      | None -> ( try canonical ln ls with Slow | Pass2 _ -> general ln ls)
+      | Some _ -> general ln ls
+    in
+    pos := nl + 1
   done;
   (match !deferred with Some err -> raise err | None -> ());
   if not !seen_header then fail 1 "no <PDB header line";

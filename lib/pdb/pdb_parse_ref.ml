@@ -386,7 +386,10 @@ let of_string (src : string) : t =
                          (List.filter (fun s -> s <> "") (String.split_on_char ' ' v)))
               | "ycon" -> (
                   match String.split_on_char ' ' v with
-                  | [ n; value ] -> constants := !constants @ [ (n, Int64.of_string value) ]
+                  | [ n; value ] -> (
+                      match Int64.of_string_opt value with
+                      | Some x -> constants := !constants @ [ (n, x) ]
+                      | None -> fail ln "malformed ycon value")
                   | _ -> fail ln "malformed ycon")
               | "yname" -> names := !names @ [ v ]
               | _ -> fail ln "unknown ty attribute '%s'" k)

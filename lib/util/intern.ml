@@ -52,14 +52,13 @@ let hash_sub (src : string) pos len =
   done;
   !h land max_int
 
+let rec eq_from (src : string) pos len (canonical : string) i =
+  i >= len
+  || (String.unsafe_get canonical i = String.unsafe_get src (pos + i)
+      && eq_from src pos len canonical (i + 1))
+
 let eq_sub (src : string) pos len (canonical : string) =
-  String.length canonical = len
-  && (let rec go i =
-        i >= len
-        || (String.unsafe_get canonical i = String.unsafe_get src (pos + i)
-            && go (i + 1))
-      in
-      go 0)
+  String.length canonical = len && eq_from src pos len canonical 0
 
 let rec find_sub bucket src pos len =
   match bucket with

@@ -572,6 +572,39 @@ let test_merge_digests_incremental () =
       | None -> Alcotest.failf "entry %s did not load" key)
     keys
 
+(* In process a unit keeps no bytes: only a farm worker ships them, and
+   the merge needs just the digest, which must still be its PDB's.
+   Checked on a cached build and on the unit runner an incremental
+   rebuild goes through, after an edit (one unit stored, the rest
+   loaded). *)
+let test_units_drop_bytes () =
+  let module I = Pdt_build.Incremental in
+  let cache_dir = fresh_dir () in
+  let o = { B.default_options with domains = 2; cache_dir = Some cache_dir } in
+  let check what (units : B.unit_result list) =
+    List.iter
+      (fun (u : B.unit_result) ->
+        Alcotest.(check bool) (what ^ ": no bytes held: " ^ u.B.source) true
+          (u.B.bytes = None);
+        Alcotest.(check (option string)) (what ^ ": digest of the PDB: " ^ u.B.source)
+          (Option.map Pdt_pdb.Pdb_digest.of_pdb u.B.pdb) u.B.digest)
+      units
+  in
+  let vfs, sources = project () in
+  ignore (B.build ~options:o ~vfs sources);
+  let warm = B.build ~options:o ~vfs sources in
+  Alcotest.(check int) "warm: all cached" (n_tus + 1) warm.B.cached;
+  check "cached build" warm.B.units;
+  ignore (I.build ~options:{ I.default_options with I.build = o } ~vfs sources);
+  Pdt_util.Vfs.add_file vfs "tu1.cpp"
+    (G.translation_unit G.default_config ~tu_index:1 ^ "\nint tu1_extra( ) { return 41; }\n");
+  let us = B.run_units o (Some (C.create ~dir:cache_dir ())) ~vfs (Array.of_list sources) in
+  Alcotest.(check int) "one unit stored" 1
+    (Array.fold_left
+       (fun n (u : B.unit_result) -> if u.B.status = B.Compiled then n + 1 else n)
+       0 us);
+  check "unit runner" (Array.to_list us)
+
 (* ---------------- failure isolation ---------------- *)
 
 let test_failed_unit_does_not_sink_build () =
@@ -911,6 +944,7 @@ let suite =
       test_merge_digests_pool;
     Alcotest.test_case "merge digests: incremental edit-rebuild" `Quick
       test_merge_digests_incremental;
+    Alcotest.test_case "in-process units drop their bytes" `Quick test_units_drop_bytes;
     Alcotest.test_case "failed unit does not sink the build" `Quick
       test_failed_unit_does_not_sink_build;
     Alcotest.test_case "degraded unit still merges" `Quick

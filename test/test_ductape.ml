@@ -153,6 +153,46 @@ let test_merge_idempotent () =
   Alcotest.(check int) "merge with self adds nothing" (P.item_count m1)
     (P.item_count m2)
 
+(* Ids are labels.  Rewrite every "pp#N" field of the seed-31 Generator
+   project's unit PDBs by an injective map, ids up to 2^40 and beyond
+   included: parsed and merged, they give the bytes of the unrelabeled
+   merge. *)
+let relabel f text =
+  let n = String.length text in
+  let b = Buffer.create (2 * n) in
+  let lower i = i < n && text.[i] >= 'a' && text.[i] <= 'z' in
+  let digit i = i < n && text.[i] >= '0' && text.[i] <= '9' in
+  let rec go i =
+    if i >= n then Buffer.contents b
+    else if (i = 0 || text.[i - 1] = ' ' || text.[i - 1] = '\n')
+            && lower i && lower (i + 1) && i + 2 < n && text.[i + 2] = '#' && digit (i + 3)
+    then begin
+      let j = ref (i + 3) in
+      while digit !j do incr j done;
+      Buffer.add_string b (String.sub text i 3);
+      let id = int_of_string (String.sub text (i + 3) (!j - i - 3)) in
+      Buffer.add_string b (string_of_int (f id));
+      go !j
+    end
+    else (Buffer.add_char b text.[i]; go (i + 1))
+  in
+  go 0
+
+let test_merge_relabeled_ids () =
+  let cfg = { Pdt_workloads.Generator.default_config with seed = 31 } in
+  let vfs, files = Pdt_workloads.Generator.project_vfs ~cfg ~n_tus:24 () in
+  let texts = List.map (fun f -> Pdt_pdb.Pdb_write.to_string (compile_pdb vfs f)) files in
+  let merged texts =
+    Pdt_pdb.Pdb_write.to_string (D.merge (List.map Pdt_pdb.Pdb_parse.of_string texts))
+  in
+  let want = merged texts in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check string) what want (merged (List.map (relabel f) texts)))
+    [ ("N * 1000003 + 2^40", fun n -> (n * 1_000_003) + (1 lsl 40));
+      ("reversed", fun n -> 1_000_000 - n);
+      ("10^9 stride", fun n -> n * 1_000_000_000) ]
+
 let suite =
   [ Alcotest.test_case "Figure 4 hierarchy predicates" `Quick test_hierarchy_predicates;
     Alcotest.test_case "template item list" `Quick test_template_item_list;
@@ -164,4 +204,6 @@ let suite =
     Alcotest.test_case "merge decl + def" `Quick test_merge_declaration_definition;
     Alcotest.test_case "merge reference consistency" `Quick test_merge_consistency;
     Alcotest.test_case "merge output roundtrips" `Quick test_merge_roundtrip;
-    Alcotest.test_case "merge idempotent" `Quick test_merge_idempotent ]
+    Alcotest.test_case "merge idempotent" `Quick test_merge_idempotent;
+    Alcotest.test_case "merge of relabeled ids writes the same bytes" `Quick
+      test_merge_relabeled_ids ]

@@ -218,9 +218,9 @@ let gen_pdb : P.t QCheck.Gen.t =
 (* Cursor parser vs the seed reference parser                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each parser raises its own [Parse_error]; fold both (plus the raw
-   [Failure] that ycon's Int64.of_string produces) into one comparable,
-   printable outcome. *)
+(* Each parser raises its own [Parse_error]; fold both (and any
+   [Failure] either lets escape) into one comparable, printable
+   outcome. *)
 let outcome (parse : string -> P.t) (src : string) : string =
   match parse src with
   | _ -> "parsed"
@@ -249,7 +249,7 @@ let malformed_cases =
     "cl#1 C\ncbase pub  no cl#2\n";         (* empty field: 4 cbase fields *)
     "cl#1 C\ncmloc so#1 1 1\n";             (* member attr without cmem *)
     "te#1 T\ntpos so#1 1 1 so#1 1 1 so#1 1\n"; (* truncated extent *)
-    "ty#1 E\nykind enum\nycon a xyz\n";     (* Int64.of_string failure *)
+    "ty#1 E\nykind enum\nycon a xyz\n";     (* malformed ycon value *)
     "ro#1 f\nrsig banana\nxx#zz nm\n";      (* late structural error wins *)
     "ro#1 f\nrsig banana\n\nrloc so#1 1 1\n"; (* ...so does late placement *)
     "ro#1 f\nrloc so#1 -2 0x10\n";          (* exotic ints: accepted *)
@@ -264,6 +264,129 @@ let test_malformed_matches_reference () =
         (String.concat "; " (String.split_on_char '\n' src))
         (outcome Ref.of_string src) (outcome R.of_string src))
     malformed_cases
+
+(* A malformed ycon value is a deferred Parse_error at its line in both
+   parsers, not an escaping [Failure "Int64.of_string"], so the tools
+   report it like any other; what Int64.of_string reads still parses. *)
+let test_ycon_value () =
+  let src = "<PDB 1.1>\n\nty#1 E\nykind enum\nycon a xyz\n" in
+  let want = "Parse_error line 5: malformed ycon value" in
+  Alcotest.(check string) "cursor parser" want (outcome R.of_string src);
+  Alcotest.(check string) "reference parser" want (outcome Ref.of_string src);
+  Alcotest.(check string) "a later structural error wins"
+    "Parse_error line 7: malformed item id 'xx#zz'"
+    (outcome R.of_string (src ^ "\nxx#zz n\n"));
+  let exotic = "<PDB 1.1>\n\nty#1 E\nykind enum\nycon a -0x10\nycon b 1_000\n" in
+  (match (R.of_string exotic).P.types with
+   | [ { P.ty_info = P.Yenum { constants }; _ } ] ->
+       Alcotest.(check bool) "exotic spellings read" true
+         (constants = [ ("a", -16L); ("b", 1000L) ])
+   | _ -> Alcotest.fail "one enum type");
+  let path = Filename.temp_file "pdt-ycon" ".pdb" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  let rc = Pdt_pdb.Pdb_io.with_loaded ~prog:"test" Pdt_pdb.Pdb_io.of_file path (fun _ -> 0) in
+  Sys.remove path;
+  Alcotest.(check int) "the tools' handler reports it" 1 rc
+
+(* Both parsers on [src]: the same PDB, or the same error at the same
+   line. *)
+let agree src =
+  match (R.of_string src, Ref.of_string src) with
+  | p, q -> p = q
+  | exception _ -> outcome R.of_string src = outcome Ref.of_string src
+
+let golden_texts () =
+  let dir = Test_golden.golden_dir () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pdb")
+  |> List.sort compare
+  |> List.map (fun f -> (f, Test_golden.read_file (Filename.concat dir f)))
+
+(* Every line spelling the canonical path must hand to the general one:
+   for a line's blanks, a trailing blank or field, a doubled blank, a tab
+   and a CR; for each field (the key included), emptied, suffixed,
+   signed, 0x-prefixed, '_'-suffixed, over-long (19 zeros appended,
+   past the int range), stripped of '#', retyped to ty#, replaced by
+   NULL or dropped.  A field's number is what follows its '#', if it
+   has one. *)
+let perturbations line =
+  let blank sep =
+    match String.index_opt line ' ' with
+    | Some i ->
+        String.sub line 0 i ^ sep ^ String.sub line (i + 1) (String.length line - i - 1)
+    | None -> line ^ sep
+  in
+  let fields = String.split_on_char ' ' line in
+  let variants f =
+    let h = match String.index_opt f '#' with Some i -> i + 1 | None -> 0 in
+    let pre = String.sub f 0 h and num = String.sub f h (String.length f - h) in
+    [ Some ""; Some (f ^ "x"); Some (pre ^ "-" ^ num); Some (pre ^ "0x" ^ num);
+      Some (f ^ "_"); Some (f ^ String.make 19 '0');
+      Some (String.concat "" (String.split_on_char '#' f)); Some ("ty#" ^ num);
+      Some "NULL"; None ]
+  in
+  [ line ^ " "; line ^ " x"; blank "  "; blank "\t"; line ^ "\r" ]
+  @ List.concat
+      (List.mapi
+         (fun i f ->
+           List.map
+             (fun v ->
+               String.concat " "
+                 (List.concat
+                    (List.mapi
+                       (fun j g -> if j <> i then [ g ] else Option.to_list v)
+                       fields)))
+             (variants f))
+         fields)
+
+(* The first line of each attribute key and item prefix in the golden
+   corpus, perturbed under the lines of its item block before it. *)
+let test_perturbed_lines_match_reference () =
+  let seen = Hashtbl.create 64 and docs = ref 0 in
+  List.iter
+    (fun (_, text) ->
+      let block = ref [] in
+      List.iter
+        (fun line ->
+          if line = "" || line.[0] = '<' then block := []
+          else begin
+            let key = List.hd (String.split_on_char ' ' line) in
+            let kind =
+              match String.index_opt key '#' with Some i -> String.sub key 0 i | None -> key
+            in
+            if not (Hashtbl.mem seen kind) then begin
+              Hashtbl.replace seen kind ();
+              List.iter
+                (fun l ->
+                  let src =
+                    String.concat "\n" ("<PDB 1.1>" :: "" :: List.rev (l :: !block)) ^ "\n"
+                  in
+                  incr docs;
+                  if not (agree src) then
+                    Alcotest.failf "%S: parsers disagree: %s / %s" src
+                      (outcome R.of_string src) (outcome Ref.of_string src))
+                (line :: perturbations line)
+            end;
+            block := line :: !block
+          end)
+        (String.split_on_char '\n' text))
+    (golden_texts ());
+  Alcotest.(check int) "49 attribute keys and 7 item prefixes" 56 (Hashtbl.length seen);
+  Alcotest.(check bool) "thousands of documents" true (!docs > 3000)
+
+(* The general path reads what the canonical one would: every golden
+   parses to the same PDB with CRLF line ends, and with every line
+   indented and followed by a blank and a tab. *)
+let test_goldens_any_line_spelling () =
+  List.iter
+    (fun (name, text) ->
+      let pdb = R.of_string text in
+      let respell f = String.concat "\n" (List.map f (String.split_on_char '\n' text)) in
+      Alcotest.(check bool) (name ^ ": CRLF") true
+        (R.of_string (respell (fun l -> l ^ "\r")) = pdb);
+      Alcotest.(check bool) (name ^ ": indented, blank and tab") true
+        (R.of_string (respell (fun l -> "  " ^ l ^ " \t")) = pdb))
+    (golden_texts ())
 
 let test_cursor_matches_reference_stack () =
   let vfs = Pdt_workloads.Stack.vfs () in
@@ -314,6 +437,11 @@ let suite =
     Alcotest.test_case "typeref names" `Quick test_typeref_names;
     Alcotest.test_case "malformed input matches reference parser" `Quick
       test_malformed_matches_reference;
+    Alcotest.test_case "malformed ycon value is a Parse_error" `Quick test_ycon_value;
+    Alcotest.test_case "perturbed golden lines match reference parser" `Quick
+      test_perturbed_lines_match_reference;
+    Alcotest.test_case "goldens parse under CRLF, indent, trailing tab" `Quick
+      test_goldens_any_line_spelling;
     Alcotest.test_case "cursor parser matches reference on stack" `Quick
       test_cursor_matches_reference_stack;
     Alcotest.test_case "interning shares parsed names" `Quick
