@@ -169,7 +169,7 @@ let run sources includes output jobs farm cache_dir no_cache incremental
   in
   if tracing then begin
     Pdt_util.Trace.stop ();
-    Option.iter (fun p -> write_file p (Pdt_util.Trace.chrome_json ())) trace;
+    Option.iter Pdt_util.Trace.write_chrome trace;
     Option.iter write_pprof trace_pprof
   end;
   (* replace, never rewrite in place: pdbd re-reads this path on reload,

@@ -28,13 +28,7 @@ let run pdb_file check to_binary to_ascii out trace =
   else begin
     if trace <> None then Pdt_util.Trace.start ();
     let finish code =
-      (match trace with
-      | None -> ()
-      | Some path ->
-          Pdt_util.Trace.stop ();
-          let oc = open_out_bin path in
-          output_string oc (Pdt_util.Trace.chrome_json ());
-          close_out oc);
+      Option.iter Pdt_util.Trace.write_chrome trace;
       code
     in
     finish

@@ -27,62 +27,55 @@ let run inputs socket domains max_line max_conns includes jobs cache_dir
     2
   end
   else begin
-    let tracing = trace <> None in
-    if tracing then Pdt_util.Trace.start ();
-    let source =
-      match inputs with
-      | [ one ] when is_pdb_path one -> Pdt_serve.Snapshot.Pdb_file one
-      | sources ->
-          let vfs = Pdt_util.Vfs.create ~include_paths:includes () in
-          Pdt_util.Vfs.set_disk_fallback vfs true;
-          let build_options =
-            { Pdt_build.Build.default_options with
-              domains = jobs;
-              cache_dir = (if no_cache then None else Some cache_dir) }
-          in
-          Pdt_serve.Snapshot.Project
-            { vfs; sources;
-              options =
-                { Pdt_build.Incremental.default_options with
-                  build = build_options } }
+    if trace <> None then Pdt_util.Trace.start ();
+    let serve holder =
+      let config =
+        { Pdt_serve.Daemon.socket_path = socket; domains; max_line; max_conns }
+      in
+      let t = Pdt_serve.Daemon.create ~config holder in
+      let snap = Pdt_serve.Snapshot.current holder in
+      Printf.eprintf "pdbd: serving %s (%s, gen %d) on %s, %d event loop%s\n%!"
+        snap.Pdt_serve.Snapshot.label snap.Pdt_serve.Snapshot.format
+        snap.Pdt_serve.Snapshot.gen socket domains
+        (if domains = 1 then "" else "s");
+      let on_signal _ = Pdt_serve.Daemon.request_stop t in
+      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+      Pdt_serve.Daemon.serve_foreground t;
+      if stats then prerr_string (Pdt_util.Trace.report ());
+      Option.iter Pdt_util.Trace.write_chrome trace;
+      prerr_endline "pdbd: stopped";
+      0
     in
-    match Pdt_serve.Snapshot.load source with
-    | exception e ->
-        Printf.eprintf "pdbd: cannot load initial snapshot: %s\n"
-          (match e with
-           | Pdt_pdb.Pdb_parse.Parse_error (line, m) ->
-               Printf.sprintf "line %d: %s" line m
-           | Pdt_pdb.Pdb_bin.Format_error m -> m
-           | Sys_error m -> m
-           | e -> Printexc.to_string e);
-        1
-    | holder ->
-        let config =
-          { Pdt_serve.Daemon.socket_path = socket; domains; max_line;
-            max_conns }
+    match inputs with
+    | [ one ] when is_pdb_path one ->
+        (* a file that does not load is reported as the PDB tools report it *)
+        Pdt_pdb.Pdb_io.with_loaded ~prog:"pdbd"
+          (fun path -> Pdt_serve.Snapshot.load (Pdt_serve.Snapshot.Pdb_file path))
+          one serve
+    | sources -> (
+        let vfs = Pdt_util.Vfs.create ~include_paths:includes () in
+        Pdt_util.Vfs.set_disk_fallback vfs true;
+        let build_options =
+          { Pdt_build.Build.default_options with
+            domains = jobs;
+            cache_dir = (if no_cache then None else Some cache_dir) }
         in
-        let t = Pdt_serve.Daemon.create ~config holder in
-        let snap = Pdt_serve.Snapshot.current holder in
-        Printf.eprintf "pdbd: serving %s (%s, gen %d) on %s, %d event loop%s\n%!"
-          snap.Pdt_serve.Snapshot.label snap.Pdt_serve.Snapshot.format
-          snap.Pdt_serve.Snapshot.gen socket domains
-          (if domains = 1 then "" else "s");
-        let on_signal _ = Pdt_serve.Daemon.request_stop t in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-        Pdt_serve.Daemon.serve_foreground t;
-        if stats then prerr_string (Pdt_util.Trace.report ());
-        if tracing then begin
-          Pdt_util.Trace.stop ();
-          Option.iter
-            (fun path ->
-              let oc = open_out_bin path in
-              output_string oc (Pdt_util.Trace.chrome_json ());
-              close_out oc)
-            trace
-        end;
-        prerr_endline "pdbd: stopped";
-        0
+        let options =
+          { Pdt_build.Incremental.default_options with build = build_options }
+        in
+        let source = Pdt_serve.Snapshot.Project { vfs; sources; options } in
+        match Pdt_serve.Snapshot.load source with
+        | exception e ->
+            Printf.eprintf "pdbd: cannot load initial snapshot: %s\n"
+              (match e with
+               | Pdt_pdb.Pdb_parse.Parse_error (line, m) ->
+                   Printf.sprintf "line %d: %s" line m
+               | Pdt_pdb.Pdb_bin.Format_error m -> m
+               | Sys_error m -> m
+               | e -> Printexc.to_string e);
+            1
+        | holder -> serve holder)
   end
 
 let inputs =

@@ -69,13 +69,7 @@ let run sources includes output mapping no_used fixed_spec trace max_errors
            merged PDB";
         124
   in
-  Option.iter
-    (fun path ->
-      Pdt_util.Trace.stop ();
-      let oc = open_out path in
-      output_string oc (Pdt_util.Trace.chrome_json ());
-      close_out oc)
-    trace;
+  Option.iter Pdt_util.Trace.write_chrome trace;
   code
 
 let sources =

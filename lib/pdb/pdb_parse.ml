@@ -1,58 +1,37 @@
 (** PDB deserialization: parses the ASCII format written by {!Pdb_write}.
 
-    The parser walks the source once, line by line, building each item in
-    place as its attribute lines stream by, on one of two paths:
+    A document in the writer's spelling is read here in one pass, line by
+    line, building each item in place as its attribute lines stream by.
+    That spelling is a ["<PDB version[ incomplete N]>"] first line, then
+    lines of a lowercase key and one blank before each field, plain
+    decimal numbers of at most 18 digits (a [ysize] may be negative, a
+    [ycon] value is anything [Int64.to_string] prints) and nothing blank
+    at either end.  The key is scanned once and dispatched on, and a
+    per-parse cursor reads the value straight into the item under
+    construction: ids, locations, extents and the multi-field values
+    without a substring, a template or macro text with no backslash copied
+    whole.
 
-    - {e canonical}: a line spelled as {!Pdb_write} spells it (a lowercase
-      key, one blank before each field, plain decimal numbers of at most
-      18 digits, nothing blank at either end) is read in one pass.  The
-      key is scanned once and dispatched on, and a per-parse cursor reads
-      the value straight into the item under construction: ids,
-      locations, extents, the [rcall]/[cfunc]/[cbase]/[yargt] fields and
-      [rduuse] reach specs without a substring, a template or macro text
-      with no backslash copied whole.  The path writes nothing into the
-      item before it has read the whole line.
-    - {e general}: any other line (a CR, a tab, extra blanks, a signed,
-      hex, underscored or over-long integer, a missing or extra field, a
-      rare key, an error) is re-read from its start: trimmed, split into
-      fields on blanks, accepted as the reference parser accepts it.
+    At the first byte the writer would not have put there (a CR, a tab,
+    an extra blank, a signed, hex, underscored or over-long integer, a
+    missing or extra field, an unknown key, any error) the partial parse
+    is dropped, [pdb.parse_fallback] is counted, and the whole document is
+    read by {!Pdb_parse_ref}, which reads any spelling.  So the result,
+    and every [Parse_error] line and message, is the reference's.
 
     Names and enumerated values ([rlink C++]) are interned in
     {!Pdt_util.Intern}, so the repeats across a project's PDBs are
     shared.  No state outlives a call: the build pool parses cache
-    entries on several domains.
-
-    The result is structurally identical to the reference parser's
-    ({!Pdb_parse_ref}), and so are [Parse_error] lines and messages,
-    including its two-pass order: it validates structure (item-id syntax,
-    attributes inside blocks) over the whole file before it interprets any
-    attribute, so a structural error on a late line wins over a semantic
-    error on an early one.  This parser defers the first semantic error
-    and continues with a structure-only scan; [test_pdb.ml] pins both
-    behaviors against the reference. *)
+    entries on several domains. *)
 
 open Pdb
 
 exception Parse_error of int * string
 (** line number, message *)
 
-(* A semantic ("pass 2") error, deferred so that structural ("pass 1")
-   errors further down the file keep winning, as in the reference parser. *)
-exception Pass2 of exn
-
-(* A line the canonical path does not read; the general path re-reads it. *)
+(* A byte the writer would not have written; the document goes to
+   Pdb_parse_ref. *)
 exception Slow
-
-let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
-let fail2 lineno fmt = Printf.ksprintf (fun m -> raise (Pass2 (Parse_error (lineno, m)))) fmt
-
-let sub src s e = String.sub src s (e - s)
-
-let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
-
-(* int_of_string_opt over src[s,e): signs, 0x/0o/0b and underscores
-   included *)
-let int_of_sub src s e = int_of_string_opt (sub src s e)
 
 let rec same_from src s lit i n =
   i >= n
@@ -64,118 +43,7 @@ let word_is src s e lit =
   e - s = n && same_from src s lit 0 n
 
 (* ------------------------------------------------------------------ *)
-(* The general path: fields split on blanks                            *)
-(* ------------------------------------------------------------------ *)
-
-(* split "so#12" at src[s,e) into the '#' position and the numeric id.
-   [structural] selects immediate vs deferred failure (header lines are
-   validated structurally; ids inside attribute values are semantic). *)
-let split_id_at ~structural src lineno s e =
-  let bad () =
-    let m = Printf.sprintf "malformed item id '%s'" (sub src s e) in
-    if structural then raise (Parse_error (lineno, m))
-    else raise (Pass2 (Parse_error (lineno, m)))
-  in
-  let rec hash i =
-    if i >= e then -1 else if String.unsafe_get src i = '#' then i else hash (i + 1)
-  in
-  match hash s with
-  | -1 -> bad ()
-  | h -> (
-      match int_of_sub src (h + 1) e with
-      | Some n -> (h, n)
-      | None -> bad ())
-
-let parse_typeref src ln s e =
-  let h, n = split_id_at ~structural:false src ln s e in
-  if word_is src s h "ty" then Tyref n
-  else if word_is src s h "cl" then Clref n
-  else fail2 ln "expected type reference, got '%s#'" (sub src s h)
-
-let parse_parentref src ln s e =
-  let h, n = split_id_at ~structural:false src ln s e in
-  if word_is src s h "cl" then Pcl n
-  else if word_is src s h "na" then Pna n
-  else fail2 ln "expected parent reference, got '%s#'" (sub src s h)
-
-let parse_itemref src ln s e =
-  let h, n = split_id_at ~structural:false src ln s e in
-  if word_is src s h "so" then Rso n
-  else if word_is src s h "ro" then Rro n
-  else if word_is src s h "cl" then Rcl n
-  else if word_is src s h "ty" then Rty n
-  else if word_is src s h "te" then Rte n
-  else if word_is src s h "na" then Rna n
-  else if word_is src s h "ma" then Rma n
-  else fail2 ln "unknown item prefix '%s'" (sub src s h)
-
-(* Space-separated fields of src[s,e), with String.split_on_char
-   semantics: consecutive separators yield empty fields, and an empty
-   region yields one empty field.  [next_field] reports the field bounds
-   through the mutable [fs]/[fe] slots rather than an option so the
-   per-field cost is zero allocations. *)
-type fields = {
-  fsrc : string;
-  mutable fpos : int;
-  flim : int;
-  mutable fdone : bool;
-  mutable fs : int;  (* start of the field just read *)
-  mutable fe : int;  (* end of the field just read *)
-}
-
-let fields src s e = { fsrc = src; fpos = s; flim = e; fdone = false; fs = 0; fe = 0 }
-
-let next_field f =
-  if f.fdone then false
-  else begin
-    let s = f.fpos in
-    let rec stop i =
-      if i >= f.flim || String.unsafe_get f.fsrc i = ' ' then i else stop (i + 1)
-    in
-    let e = stop s in
-    if e >= f.flim then f.fdone <- true else f.fpos <- e + 1;
-    f.fs <- s;
-    f.fe <- e;
-    true
-  end
-
-(* A location from its three field ranges: "so#3 12 7", or "NULL" and
-   any two fields. *)
-let loc_of_ranges src ln a a' b b' c c' =
-  if word_is src a a' "NULL" then null_loc
-  else
-    let h, fid = split_id_at ~structural:false src ln a a' in
-    if word_is src a h "so" then
-      match (int_of_sub src b b', int_of_sub src c c') with
-      | Some l, Some col -> { lfile = fid; lline = l; lcol = col }
-      | _ -> fail2 ln "malformed location"
-    else fail2 ln "malformed location"
-
-(* "so#3 12 7" or "NULL 0 0" from a field stream: consumes exactly three
-   fields; fewer is "truncated location".  Extra fields after a
-   single-location value are ignored, as the reference parser ignores
-   them. *)
-let parse_loc_fields src ln fl =
-  if not (next_field fl) then fail2 ln "truncated location";
-  let a = fl.fs and a' = fl.fe in
-  if not (next_field fl) then fail2 ln "truncated location";
-  let b = fl.fs and b' = fl.fe in
-  if not (next_field fl) then fail2 ln "truncated location";
-  let c = fl.fs and c' = fl.fe in
-  loc_of_ranges src ln a a' b b' c c'
-
-let parse_loc_value src ln s e = parse_loc_fields src ln (fields src s e)
-
-let parse_extent_value src ln s e =
-  let fl = fields src s e in
-  let hstart = parse_loc_fields src ln fl in
-  let hstop = parse_loc_fields src ln fl in
-  let bstart = parse_loc_fields src ln fl in
-  let bstop = parse_loc_fields src ln fl in
-  { hstart; hstop; bstart; bstop }
-
-(* ------------------------------------------------------------------ *)
-(* The canonical path: a cursor over the writer's spelling             *)
+(* A cursor over the writer's spelling                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* One per parse.  Every reader raises [Slow] at the first byte the
@@ -240,8 +108,36 @@ let parentref c =
   | 'n' -> Pna (id c 'n' 'a')
   | _ -> raise Slow
 
+(* an [nmem] member: any item kind *)
+let itemref c =
+  match peek c with
+  | 's' -> Rso (id c 's' 'o')
+  | 'r' -> Rro (id c 'r' 'o')
+  | 'c' -> Rcl (id c 'c' 'l')
+  | 't' ->
+      if c.p + 1 < c.n && c.s.[c.p + 1] = 'e' then Rte (id c 't' 'e')
+      else Rty (id c 't' 'y')
+  | 'n' -> Rna (id c 'n' 'a')
+  | 'm' -> Rma (id c 'm' 'a')
+  | _ -> raise Slow
+
 (* the call and base-class flag: "virt" or "no" *)
 let virt c = if peek c = 'v' then (lit c "virt"; true) else (lit c "no"; false)
+
+(* a [ysize]: the writer's only signed integer *)
+let signed c = if peek c = '-' then (c.p <- c.p + 1; - uint c) else uint c
+
+(* an enum constant as Int64.to_string prints it: an optional '-', then
+   digits that Int64.of_string reads without overflow *)
+let int64 c =
+  let s = c.p in
+  if peek c = '-' then c.p <- c.p + 1;
+  let d = c.p in
+  while (match peek c with '0' .. '9' -> true | _ -> false) do c.p <- c.p + 1 done;
+  if c.p = d then raise Slow;
+  match Int64.of_string_opt (String.sub c.s s (c.p - s)) with
+  | Some v -> v
+  | None -> raise Slow
 
 let rec line_end src n i =
   if i < n && String.unsafe_get src i <> '\n' then line_end src n (i + 1) else i
@@ -261,12 +157,16 @@ let token c =
   s
 
 (* The rest of the line, which must not end in a blank: returns its
-   start and leaves the cursor at its end.  The key before it is never
-   empty, so the byte before the end is the line's. *)
+   start and leaves the cursor at its end.  An empty rest is the empty
+   value the writer spells "key " (a trimmed line "key" means the same). *)
 let rest c =
   let s = c.p in
   c.p <- line_end c.s c.n s;
-  if is_space (String.unsafe_get c.s (c.p - 1)) then raise Slow;
+  if c.p > s
+     && (match String.unsafe_get c.s (c.p - 1) with
+         | ' ' | '\t' | '\r' | '\012' -> true
+         | _ -> false)
+  then raise Slow;
   s
 
 let rec has_backslash src i e =
@@ -284,6 +184,21 @@ let rec reach c l acc uninit =
 let use c l =
   if peek c = '-' then (c.p <- c.p + 1; { u_loc = l; u_reach = []; u_uninit = false })
   else reach c l [] false
+
+(* "<PDB 1.1>" or "<PDB 1.1 incomplete 3>", as set_header reads it *)
+let header c t =
+  lit c "<PDB ";
+  let s = c.p in
+  while (match peek c with ' ' | '>' | '\n' -> false | _ -> true) do c.p <- c.p + 1 done;
+  if c.p = s then raise Slow;
+  t.version <- String.sub c.s s (c.p - s);
+  if peek c = ' ' then begin
+    lit c " incomplete ";
+    t.incomplete <- true;
+    t.diag_count <- uint c
+  end;
+  skip c '>';
+  eol c
 
 (* ------------------------------------------------------------------ *)
 (* Items under construction                                            *)
@@ -363,8 +278,8 @@ let open_mem c m name =
   m.mem_static <- false;
   m.mem_mutable <- false
 
-(* The item under construction.  List-valued fields accumulate reversed
-   (constant-time prepend) and are reversed once when the block ends. *)
+(* The item under construction.  A list-valued field accumulates reversed
+   (constant-time prepend) and is reversed once when the block ends. *)
 type building =
   | Bso of source_file
   | Bna of namespace_item
@@ -375,7 +290,7 @@ type building =
   | Bma of macro_item
 
 (* the item a "prefix#id name" header opens; the prefix is src[hs,h) *)
-let new_item src ln hs h id nm =
+let new_item src hs h id nm =
   if word_is src hs h "so" then Bso { so_id = id; so_name = nm; so_includes = [] }
   else if word_is src hs h "na" then
     Bna { na_id = id; na_name = nm; na_loc = null_loc; na_parent = Pnone;
@@ -409,14 +324,10 @@ let new_item src ln hs h id nm =
          a_names = [] })
   else if word_is src hs h "ma" then
     Bma { ma_id = id; ma_name = nm; ma_kind = "def"; ma_text = ""; ma_loc = null_loc }
-  else fail2 ln "unknown item prefix '%s'" (sub src hs h)
+  else raise Slow
 
-let of_string (src : string) : t =
-  (* injection site for parse-time corruption drills: raising (rather than
-     mangling [src], which could yield a silently-wrong parse) keeps the
-     fault visible as a transient the cache/build layers must absorb *)
-  Pdt_util.Fault.check "pdb.parse";
-  Pdt_util.Trace.timed ~cat:"pdb" "pdb.parse" @@ fun () ->
+(* The whole document in the writer's spelling, or [Slow]. *)
+let read (src : string) : t =
   (* canonical copy of src[s,e); allocation-free when already pooled *)
   let intern_sub s e = Pdt_util.Intern.intern_sub src s (e - s) in
   let len = String.length src in
@@ -425,118 +336,83 @@ let of_string (src : string) : t =
   let routines = ref [] and templates = ref [] and namespaces = ref [] in
   let macros = ref [] in
   let cur : building option ref = ref None in
-  let deferred : exn option ref = ref None in
-  (* once [deferred] is set we keep scanning structure only; [in_block]
-     replaces [cur] as the attribute-placement state *)
-  let in_block = ref false in
-  (* input with no "<PDB" line is not a PDB, even when it is empty *)
-  let seen_header = ref false in
   let finalize () =
-    (match !cur with
-     | None -> ()
-     | Some b ->
-         (match b with
-          | Bso f ->
-              f.so_includes <- List.rev f.so_includes;
-              files := f :: !files
-          | Bna n ->
-              n.na_members <- List.rev n.na_members;
-              namespaces := n :: !namespaces
-          | Bte te -> templates := te :: !templates
-          | Bro (r, d) ->
-              flush_du r d;
-              r.ro_calls <- List.rev r.ro_calls;
-              r.ro_spawns <- List.rev r.ro_spawns;
-              r.ro_du <- List.rev r.ro_du;
-              routines := r :: !routines
-          | Bcl (c, m) ->
-              flush_mem c m;
-              c.cl_bases <- List.rev c.cl_bases;
-              c.cl_friends <- List.rev c.cl_friends;
-              c.cl_funcs <- List.rev c.cl_funcs;
-              c.cl_members <- List.rev c.cl_members;
-              classes := c :: !classes
-          | Bty (ty, a) ->
-              ty.ty_info <-
-                (match a.a_kind with
-                 | "ptr" -> Yptr a.a_target
-                 | "ref" -> Yref a.a_target
-                 | "tref" ->
-                     Ytref { target = a.a_target; yconst = a.a_const; yvolatile = a.a_vol }
-                 | "array" -> Yarray { elem = a.a_elem; size = a.a_size }
-                 | "func" ->
-                     Yfunc { rett = a.a_rett; args = List.rev a.a_args;
-                             ellipsis = a.a_ellip; cqual = a.a_const;
-                             exceptions = a.a_excep }
-                 | "enum" -> Yenum { constants = List.rev a.a_cons }
-                 | "tparam" -> Ytparam
-                 | "error" -> Yerror
-                 | _ -> Ybuiltin { yikind = a.a_ikind });
-              ty.ty_names <- List.rev a.a_names;
-              types := ty :: !types
-          | Bma m -> macros := m :: !macros);
-         cur := None);
-    in_block := false
+    match !cur with
+    | None -> ()
+    | Some b ->
+        (match b with
+         | Bso f ->
+             f.so_includes <- List.rev f.so_includes;
+             files := f :: !files
+         | Bna n ->
+             n.na_members <- List.rev n.na_members;
+             namespaces := n :: !namespaces
+         | Bte te -> templates := te :: !templates
+         | Bro (r, d) ->
+             flush_du r d;
+             r.ro_calls <- List.rev r.ro_calls;
+             r.ro_spawns <- List.rev r.ro_spawns;
+             r.ro_du <- List.rev r.ro_du;
+             routines := r :: !routines
+         | Bcl (c, m) ->
+             flush_mem c m;
+             c.cl_bases <- List.rev c.cl_bases;
+             c.cl_friends <- List.rev c.cl_friends;
+             c.cl_funcs <- List.rev c.cl_funcs;
+             c.cl_members <- List.rev c.cl_members;
+             classes := c :: !classes
+         | Bty (ty, a) ->
+             ty.ty_info <-
+               (match a.a_kind with
+                | "ptr" -> Yptr a.a_target
+                | "ref" -> Yref a.a_target
+                | "tref" ->
+                    Ytref { target = a.a_target; yconst = a.a_const; yvolatile = a.a_vol }
+                | "array" -> Yarray { elem = a.a_elem; size = a.a_size }
+                | "func" ->
+                    Yfunc { rett = a.a_rett; args = List.rev a.a_args;
+                            ellipsis = a.a_ellip; cqual = a.a_const;
+                            exceptions = a.a_excep }
+                | "enum" -> Yenum { constants = List.rev a.a_cons }
+                | "tparam" -> Ytparam
+                | "error" -> Yerror
+                | _ -> Ybuiltin { yikind = a.a_ikind });
+             ty.ty_names <- List.rev a.a_names;
+             types := ty :: !types
+         | Bma m -> macros := m :: !macros);
+        cur := None
   in
-  (* The line under way.  On the canonical path ([fast]) the cursor [c]
-     reads its value; on the general path the value is src[vs,ve). *)
   let c = { s = src; n = len; p = 0 } in
-  let fast = ref false and lnr = ref 0 and vs = ref 0 and ve = ref 0 in
-  (* Value readers, one per shape: the canonical reader, else the
-     general one.  [slow ()] hands a line the canonical path does not
-     read to the general path. *)
-  let slow () = if !fast then raise Slow in
-  let value () = if !fast then (vs := rest c; ve := c.p) in
-  let name_v () = value (); intern_sub !vs !ve in
+  (* value readers: each leaves the cursor at the line's end *)
+  let name_v () = let s = rest c in intern_sub s c.p in
   let text_v () =
-    value ();
-    let v = sub src !vs !ve in
-    if has_backslash src !vs !ve then Pdb_write.unescape_text v else v
+    let s = rest c in
+    let v = String.sub src s (c.p - s) in
+    if has_backslash src s c.p then Pdb_write.unescape_text v else v
   in
-  let flag_v () = if !fast then eol c in
-  let loc_v () = if !fast then fin c (loc c) else parse_loc_value src !lnr !vs !ve in
-  let extent_v () =
-    if !fast then fin c (extent c) else parse_extent_value src !lnr !vs !ve
-  in
-  let typeref_v () = if !fast then fin c (typeref c) else parse_typeref src !lnr !vs !ve in
-  let parent_v () = if !fast then fin c (parentref c) else parse_parentref src !lnr !vs !ve in
-  (* "te#7" and the like: the id after the prefix [p][q], else [what] *)
-  let id_v p q what =
-    if !fast then fin c (id c p q)
-    else
-      let h, n = split_id_at ~structural:false src !lnr !vs !ve in
-      if h - !vs = 2 && src.[!vs] = p && src.[!vs + 1] = q then n else fail2 !lnr "%s" what
-  in
+  let loc_v () = fin c (loc c) in
+  let extent_v () = fin c (extent c) in
+  let typeref_v () = fin c (typeref c) in
+  let parent_v () = fin c (parentref c) in
   (* one attribute line, dispatched against the current item; the key is
      src[ks,ke).  For the high-volume kinds (ro/cl/ty) the key's second
      character narrows the linear [key] chain to one or two candidates;
-     [key] still verifies the whole word, so near-misses fall through to
-     [unknown]. *)
-  let key_s = ref 0 and key_e = ref 0 in
-  let key lit = word_is src !key_s !key_e lit in
-  let unknown what =
-    slow ();
-    fail2 !lnr "unknown %s attribute '%s'" what (sub src !key_s !key_e)
-  in
-  let attribute ks ke =
-    key_s := ks;
-    key_e := ke;
-    let ln = !lnr in
-    let c2 = if ke - ks >= 2 then String.unsafe_get src (ks + 1) else '\000' in
+     [key] still verifies the whole word, so near-misses are [Slow]. *)
+  let ks = ref 0 and ke = ref 0 in
+  let key lit = word_is src !ks !ke lit in
+  let attribute () =
+    let c2 = if !ke - !ks >= 2 then String.unsafe_get src (!ks + 1) else '\000' in
     match !cur with
-    | None -> slow (); fail ln "attribute '%s' outside of an item block" (sub src ks ke)
+    | None -> raise Slow
     | Some (Bso f) ->
-        if key "sinc" then
-          f.so_includes <- id_v 's' 'o' "sinc expects so# reference" :: f.so_includes
-        else unknown "so"
+        if key "sinc" then f.so_includes <- fin c (id c 's' 'o') :: f.so_includes
+        else raise Slow
     | Some (Bna n) ->
         if key "nloc" then n.na_loc <- loc_v ()
         else if key "nparent" then n.na_parent <- parent_v ()
-        else if key "nmem" then (
-          slow ();
-          n.na_members <- parse_itemref src ln !vs !ve :: n.na_members)
+        else if key "nmem" then n.na_members <- fin c (itemref c) :: n.na_members
         else if key "nalias" then n.na_alias <- Some (name_v ())
-        else unknown "na"
+        else raise Slow
     | Some (Bte te) ->
         if key "tloc" then te.te_loc <- loc_v ()
         else if key "tparent" then te.te_parent <- parent_v ()
@@ -544,374 +420,198 @@ let of_string (src : string) : t =
         else if key "tkind" then te.te_kind <- name_v ()
         else if key "ttext" then te.te_text <- text_v ()
         else if key "tpos" then te.te_pos <- extent_v ()
-        else unknown "te"
+        else raise Slow
     | Some (Bro (r, d)) -> (
         match c2 with
         | 'l' ->
             if key "rloc" then r.ro_loc <- loc_v ()
             else if key "rlink" then r.ro_link <- name_v ()
-            else unknown "ro"
+            else raise Slow
         | 'c' ->
             if key "rclass" then r.ro_parent <- parent_v ()
-            else if key "rcall" then
-              if !fast then begin
-                let c_callee = id c 'r' 'o' in
-                skip c ' ';
-                let c_virt = virt c in
-                skip c ' ';
-                let c_loc = fin c (loc c) in
-                r.ro_calls <- { c_callee; c_virt; c_loc } :: r.ro_calls
-              end
-              else begin
-                let fl = fields src !vs !ve in
-                if not (next_field fl) then fail2 ln "malformed rcall";
-                let a = fl.fs and a' = fl.fe in
-                if not (next_field fl) then fail2 ln "malformed rcall";
-                let b = fl.fs and b' = fl.fe in
-                let h, callee = split_id_at ~structural:false src ln a a' in
-                if word_is src a h "ro" then begin
-                  let l = parse_loc_fields src ln fl in
-                  r.ro_calls <-
-                    { c_callee = callee; c_virt = word_is src b b' "virt"; c_loc = l }
-                    :: r.ro_calls
-                end
-                else fail2 ln "rcall expects ro# reference"
-              end
-            else unknown "ro"
-        | 'n' -> if key "rnspace" then r.ro_parent <- parent_v () else unknown "ro"
-        | 'a' -> if key "racs" then r.ro_acs <- name_v () else unknown "ro"
+            else if key "rcall" then begin
+              let c_callee = id c 'r' 'o' in
+              skip c ' ';
+              let c_virt = virt c in
+              skip c ' ';
+              let c_loc = fin c (loc c) in
+              r.ro_calls <- { c_callee; c_virt; c_loc } :: r.ro_calls
+            end
+            else raise Slow
+        | 'n' -> if key "rnspace" then r.ro_parent <- parent_v () else raise Slow
+        | 'a' -> if key "racs" then r.ro_acs <- name_v () else raise Slow
         | 's' ->
             if key "rsig" then r.ro_sig <- typeref_v ()
             else if key "rstore" then r.ro_store <- name_v ()
-            else if key "rstatic" then (flag_v (); r.ro_static <- true)
+            else if key "rstatic" then (eol c; r.ro_static <- true)
             else if key "rspawn" then begin
-              slow ();
-              let fl = fields src !vs !ve in
-              if not (next_field fl) then fail2 ln "malformed rspawn";
-              let a = fl.fs and a' = fl.fe in
-              let h, callee = split_id_at ~structural:false src ln a a' in
-              if not (word_is src a h "ro") then
-                fail2 ln "rspawn expects ro# reference";
-              let l = parse_loc_fields src ln fl in
-              if not (next_field fl) then fail2 ln "malformed rspawn";
-              let j =
-                if word_is src fl.fs fl.fe "joined" then
-                  Some (parse_loc_fields src ln fl)
-                else if word_is src fl.fs fl.fe "live" then None
-                else fail2 ln "rspawn expects 'joined <loc>' or 'live'"
+              let sp_callee = id c 'r' 'o' in
+              skip c ' ';
+              let sp_loc = loc c in
+              skip c ' ';
+              let sp_join =
+                if peek c = 'j' then (lit c "joined "; Some (loc c))
+                else (lit c "live"; None)
               in
-              r.ro_spawns <-
-                { sp_callee = callee; sp_loc = l; sp_join = j } :: r.ro_spawns
+              r.ro_spawns <- fin c { sp_callee; sp_loc; sp_join } :: r.ro_spawns
             end
-            else unknown "ro"
-        | 'v' -> if key "rvirt" then r.ro_virt <- name_v () else unknown "ro"
-        | 'k' -> if key "rkind" then r.ro_kind <- name_v () else unknown "ro"
-        | 'i' -> if key "rinline" then (flag_v (); r.ro_inline <- true) else unknown "ro"
+            else raise Slow
+        | 'v' -> if key "rvirt" then r.ro_virt <- name_v () else raise Slow
+        | 'k' -> if key "rkind" then r.ro_kind <- name_v () else raise Slow
+        | 'i' -> if key "rinline" then (eol c; r.ro_inline <- true) else raise Slow
         | 't' ->
-            if key "rtempl" then
-              r.ro_templ <- Some (id_v 't' 'e' "rtempl expects te# reference")
-            else unknown "ro"
+            if key "rtempl" then r.ro_templ <- Some (fin c (id c 't' 'e')) else raise Slow
         | 'd' ->
-            if key "rdef" then (flag_v (); r.ro_defined <- true)
+            if key "rdef" then (eol c; r.ro_defined <- true)
             else if key "rdu" then open_du r d (name_v ())
-            else if key "rdudef" || key "rduuse" then begin
-              if not d.du_open then (slow (); fail2 ln "define-use attribute without rdu");
-              if key "rdudef" then d.du_defs <- loc_v () :: d.du_defs
-              else if !fast then begin
-                let l = loc c in
-                skip c ' ';
-                d.du_uses <- fin c (use c l) :: d.du_uses
-              end
-              else begin
-                let fl = fields src !vs !ve in
-                let l = parse_loc_fields src ln fl in
-                if not (next_field fl) then fail2 ln "malformed rduuse";
-                match du_use_of_spec (sub src fl.fs fl.fe) with
-                | None -> fail2 ln "malformed rduuse reach spec"
-                | Some (reach, uninit) ->
-                    d.du_uses <- { u_loc = l; u_reach = reach; u_uninit = uninit } :: d.du_uses
-              end
+            else if key "rdudef" && d.du_open then d.du_defs <- loc_v () :: d.du_defs
+            else if key "rduuse" && d.du_open then begin
+              let l = loc c in
+              skip c ' ';
+              d.du_uses <- fin c (use c l) :: d.du_uses
             end
-            else unknown "ro"
-        | 'p' -> if key "rpos" then r.ro_pos <- extent_v () else unknown "ro"
-        | _ -> unknown "ro")
+            else raise Slow
+        | 'p' -> if key "rpos" then r.ro_pos <- extent_v () else raise Slow
+        | _ -> raise Slow)
     | Some (Bcl (cl, m)) -> (
         match c2 with
-        | 'l' -> if key "cloc" then cl.cl_loc <- loc_v () else unknown "cl"
-        | 'k' -> if key "ckind" then cl.cl_kind <- name_v () else unknown "cl"
+        | 'l' -> if key "cloc" then cl.cl_loc <- loc_v () else raise Slow
+        | 'k' -> if key "ckind" then cl.cl_kind <- name_v () else raise Slow
         | 'p' ->
             if key "cparent" then cl.cl_parent <- parent_v ()
             else if key "cpos" then cl.cl_pos <- extent_v ()
-            else unknown "cl"
-        | 'a' -> if key "cacs" then cl.cl_acs <- name_v () else unknown "cl"
+            else raise Slow
+        | 'a' -> if key "cacs" then cl.cl_acs <- name_v () else raise Slow
         | 't' ->
-            if key "ctempl" then
-              cl.cl_templ <- Some (id_v 't' 'e' "ctempl expects te# reference")
-            else unknown "cl"
+            if key "ctempl" then cl.cl_templ <- Some (fin c (id c 't' 'e')) else raise Slow
         | 's' ->
-            if key "cstempl" then
-              cl.cl_stempl <- Some (id_v 't' 'e' "cstempl expects te# reference")
-            else unknown "cl"
+            if key "cstempl" then cl.cl_stempl <- Some (fin c (id c 't' 'e'))
+            else raise Slow
         | 'b' ->
-            if key "cbase" then
-              if !fast then begin
-                let s = token c in
-                let acs = intern_sub s c.p in
-                skip c ' ';
-                let v = virt c in
-                skip c ' ';
-                let b = fin c (id c 'c' 'l') in
-                cl.cl_bases <- (acs, v, b) :: cl.cl_bases
-              end
-              else begin
-                let fl = fields src !vs !ve in
-                if not (next_field fl) then fail2 ln "malformed cbase";
-                let a = fl.fs and a' = fl.fe in
-                if not (next_field fl) then fail2 ln "malformed cbase";
-                let b = fl.fs and b' = fl.fe in
-                if not (next_field fl) then fail2 ln "malformed cbase";
-                let g = fl.fs and g' = fl.fe in
-                if next_field fl then fail2 ln "malformed cbase";
-                let h, base = split_id_at ~structural:false src ln g g' in
-                if word_is src g h "cl" then
-                  cl.cl_bases <-
-                    (intern_sub a a', word_is src b b' "virt", base) :: cl.cl_bases
-                else fail2 ln "cbase expects cl# reference"
-              end
-            else unknown "cl"
+            if key "cbase" then begin
+              let s = token c in
+              let acs = intern_sub s c.p in
+              skip c ' ';
+              let v = virt c in
+              skip c ' ';
+              let b = fin c (id c 'c' 'l') in
+              cl.cl_bases <- (acs, v, b) :: cl.cl_bases
+            end
+            else raise Slow
         | 'f' ->
             if key "cfriend" then begin
-              slow ();
-              let h, n = split_id_at ~structural:false src ln !vs !ve in
-              if word_is src !vs h "cl" then cl.cl_friends <- `Cl n :: cl.cl_friends
-              else if word_is src !vs h "ro" then cl.cl_friends <- `Ro n :: cl.cl_friends
-              else fail2 ln "cfriend expects cl# or ro#"
+              let f =
+                match peek c with
+                | 'c' -> `Cl (id c 'c' 'l')
+                | 'r' -> `Ro (id c 'r' 'o')
+                | _ -> raise Slow
+              in
+              cl.cl_friends <- fin c f :: cl.cl_friends
             end
-            else if key "cfunc" then
-              if !fast then begin
-                let ro = id c 'r' 'o' in
-                skip c ' ';
-                let l = fin c (loc c) in
-                cl.cl_funcs <- (ro, l) :: cl.cl_funcs
-              end
-              else begin
-                let fl = fields src !vs !ve in
-                if not (next_field fl) then fail2 ln "malformed cfunc";
-                let a = fl.fs and a' = fl.fe in
-                let h, ro = split_id_at ~structural:false src ln a a' in
-                if word_is src a h "ro" then begin
-                  let l = parse_loc_fields src ln fl in
-                  cl.cl_funcs <- (ro, l) :: cl.cl_funcs
-                end
-                else fail2 ln "cfunc expects ro# reference"
-              end
-            else unknown "cl"
+            else if key "cfunc" then begin
+              let ro = id c 'r' 'o' in
+              skip c ' ';
+              let l = fin c (loc c) in
+              cl.cl_funcs <- (ro, l) :: cl.cl_funcs
+            end
+            else raise Slow
         | 'm' ->
             if key "cmem" then open_mem cl m (name_v ())
-            else if key "cmloc" || key "cmacs" || key "cmkind" || key "cmtype"
-                    || key "cmstatic" || key "cmmutable" then begin
-              if not m.mem_open then (slow (); fail2 ln "member attribute without cmem");
-              if key "cmloc" then m.mem_loc <- loc_v ()
-              else if key "cmacs" then m.mem_acs <- name_v ()
-              else if key "cmkind" then m.mem_kind <- name_v ()
-              else if key "cmtype" then m.mem_type <- typeref_v ()
-              else if key "cmstatic" then (flag_v (); m.mem_static <- true)
-              else (flag_v (); m.mem_mutable <- true)
-            end
-            else unknown "cl"
-        | _ -> unknown "cl")
+            else if not m.mem_open then raise Slow
+            else if key "cmloc" then m.mem_loc <- loc_v ()
+            else if key "cmacs" then m.mem_acs <- name_v ()
+            else if key "cmkind" then m.mem_kind <- name_v ()
+            else if key "cmtype" then m.mem_type <- typeref_v ()
+            else if key "cmstatic" then (eol c; m.mem_static <- true)
+            else if key "cmmutable" then (eol c; m.mem_mutable <- true)
+            else raise Slow
+        | _ -> raise Slow)
     | Some (Bty (ty, a)) -> (
         match c2 with
-        | 'l' -> if key "yloc" then ty.ty_loc <- loc_v () else unknown "ty"
+        | 'l' -> if key "yloc" then ty.ty_loc <- loc_v () else raise Slow
         | 'p' ->
             if key "yparent" then ty.ty_parent <- parent_v ()
             else if key "yptr" then a.a_target <- typeref_v ()
-            else unknown "ty"
+            else raise Slow
         | 'a' ->
             if key "yacs" then ty.ty_acs <- name_v ()
-            else if key "yargt" then
-              if !fast then begin
-                let r = typeref c in
-                let d =
-                  peek c = ' '
-                  && (c.p <- c.p + 1;
-                      if peek c = 'T' then (lit c "T"; true) else (lit c "F"; false))
-                in
-                a.a_args <- (r, fin c d) :: a.a_args
-              end
-              else begin
-                let fl = fields src !vs !ve in
-                if not (next_field fl) then fail2 ln "malformed yargt";
-                let r = fl.fs and r' = fl.fe in
-                if not (next_field fl) then
-                  a.a_args <- (parse_typeref src ln r r', false) :: a.a_args
-                else begin
-                  let d = fl.fs and d' = fl.fe in
-                  if next_field fl then fail2 ln "malformed yargt";
-                  let tr = parse_typeref src ln r r' in
-                  a.a_args <- (tr, word_is src d d' "T") :: a.a_args
-                end
-              end
-            else unknown "ty"
-        | 'k' -> if key "ykind" then a.a_kind <- name_v () else unknown "ty"
-        | 'i' -> if key "yikind" then a.a_ikind <- name_v () else unknown "ty"
+            else if key "yargt" then begin
+              let r = typeref c in
+              let d =
+                peek c = ' '
+                && (c.p <- c.p + 1;
+                    if peek c = 'T' then (lit c "T"; true) else (lit c "F"; false))
+              in
+              a.a_args <- (r, fin c d) :: a.a_args
+            end
+            else raise Slow
+        | 'k' -> if key "ykind" then a.a_kind <- name_v () else raise Slow
+        | 'i' -> if key "yikind" then a.a_ikind <- name_v () else raise Slow
         | 'r' ->
             if key "yref" then a.a_target <- typeref_v ()
             else if key "yrett" then a.a_rett <- typeref_v ()
-            else unknown "ty"
-        | 't' -> if key "ytref" then a.a_target <- typeref_v () else unknown "ty"
+            else raise Slow
+        | 't' -> if key "ytref" then a.a_target <- typeref_v () else raise Slow
         | 'q' ->
             if key "yqual" then begin
-              value ();
-              if word_is src !vs !ve "const" then a.a_const <- true
-              else if word_is src !vs !ve "volatile" then a.a_vol <- true
+              let s = rest c in
+              if word_is src s c.p "const" then a.a_const <- true
+              else if word_is src s c.p "volatile" then a.a_vol <- true
             end
-            else unknown "ty"
+            else raise Slow
         | 'e' ->
             if key "yelem" then a.a_elem <- typeref_v ()
-            else if key "yellip" then (flag_v (); a.a_ellip <- true)
+            else if key "yellip" then (eol c; a.a_ellip <- true)
             else if key "yexcep" then begin
-              slow ();
-              let fl = fields src !vs !ve in
-              let refs = ref [] in
-              let rec go () =
-                if next_field fl then begin
-                  if fl.fe > fl.fs then
-                    refs := parse_typeref src ln fl.fs fl.fe :: !refs;
-                  go ()
-                end
+              (* "yexcep" and "yexcep " are the empty list *)
+              let rec refs acc =
+                let acc = typeref c :: acc in
+                if peek c = ' ' then (c.p <- c.p + 1; refs acc) else fin c (List.rev acc)
               in
-              go ();
-              a.a_excep <- Some (List.rev !refs)
+              a.a_excep <- Some (if peek c = '\n' then [] else refs [])
             end
-            else unknown "ty"
-        | 's' ->
-            if key "ysize" then
-              a.a_size <- (if !fast then Some (fin c (uint c)) else int_of_sub src !vs !ve)
-            else unknown "ty"
+            else raise Slow
+        | 's' -> if key "ysize" then a.a_size <- Some (fin c (signed c)) else raise Slow
         | 'c' ->
             if key "ycon" then begin
-              slow ();
-              let fl = fields src !vs !ve in
-              if not (next_field fl) then fail2 ln "malformed ycon";
-              let n = fl.fs and n' = fl.fe in
-              if not (next_field fl) then fail2 ln "malformed ycon";
-              let v = fl.fs and v' = fl.fe in
-              if next_field fl then fail2 ln "malformed ycon";
-              match Int64.of_string_opt (sub src v v') with
-              | Some value -> a.a_cons <- (intern_sub n n', value) :: a.a_cons
-              | None -> fail2 ln "malformed ycon value"
+              let s = token c in
+              let name = intern_sub s c.p in
+              skip c ' ';
+              a.a_cons <- (name, fin c (int64 c)) :: a.a_cons
             end
-            else unknown "ty"
-        | 'n' -> if key "yname" then a.a_names <- name_v () :: a.a_names else unknown "ty"
-        | _ -> unknown "ty")
+            else raise Slow
+        | 'n' -> if key "yname" then a.a_names <- name_v () :: a.a_names else raise Slow
+        | _ -> raise Slow)
     | Some (Bma m) ->
         if key "makind" then m.ma_kind <- name_v ()
         else if key "matext" then m.ma_text <- text_v ()
         else if key "maloc" then m.ma_loc <- loc_v ()
-        else unknown "ma"
+        else raise Slow
   in
-  (* The general path for the line starting at [ls]: trim it, split off
-     the key, and validate structure only once a semantic error is
-     pending.  Returns the line's end. *)
-  let general ln ls =
-    let nl =
-      (* index_from, not index_from_opt: memchr speed without the
-         per-line [Some] allocation *)
-      if ls >= len then len
-      else
-        match String.index_from src ls '\n' with
-        | i -> i
-        | exception Not_found -> len
-    in
-    (* trim the line in place *)
-    let s = ref ls and e = ref nl in
-    while !s < !e && is_space (String.unsafe_get src !s) do incr s done;
-    while !e > !s && is_space (String.unsafe_get src (!e - 1)) do decr e done;
-    let s = !s and e = !e in
-    if s >= e then finalize ()
-    else if e - s > 5 && word_is src s (s + 5) "<PDB " then begin
-      set_header t (sub src (s + 5) (e - 1));
-      seen_header := true
-    end
-    else begin
-      (* key = up to the first space; value = the rest of the line *)
-      let rec sp i = if i >= e || String.unsafe_get src i = ' ' then i else sp (i + 1) in
-      let ke = sp s in
-      let rec hash i =
-        if i >= ke then -1 else if String.unsafe_get src i = '#' then i else hash (i + 1)
-      in
-      let is_header = hash s >= 0 in
-      fast := false;
-      lnr := ln;
-      vs := (if ke < e then ke + 1 else e);
-      ve := e;
-      match !deferred with
-      | Some _ ->
-          (* structure-only continuation: validate ids and placement, as
-             the reference parser's first pass does *)
-          if is_header then begin
-            ignore (split_id_at ~structural:true src ln s ke);
-            in_block := true
-          end
-          else if not !in_block then
-            fail ln "attribute '%s' outside of an item block" (sub src s ke)
-      | None -> (
-          try
-            if is_header then begin
-              finalize ();
-              let h, id = split_id_at ~structural:true src ln s ke in
-              cur := Some (new_item src ln s h id (if !vs < e then intern_sub !vs e else ""));
-              in_block := true
-            end
-            else attribute s ke
-          with Pass2 err ->
-            deferred := Some err;
-            cur := None;
-            in_block := true)
-    end;
-    nl
-  in
-  (* The canonical path for the line starting at [ls]: a blank line, or a
-     key of lowercase letters then '#' (an item header), a blank or the
-     line end.  Returns the line's end; raises [Slow] (or an unknown
-     prefix's [Pass2]) having changed no item. *)
-  let canonical ln ls =
-    let ke = key_end src len ls in
-    c.p <- ke;
-    fast := true;
-    lnr := ln;
-    (match peek c with
-     | '\n' when ke = ls -> finalize ()
-     | _ when ke = ls -> raise Slow
-     | '#' ->
-         c.p <- ke + 1;
-         let id = uint c in
-         let nm = if peek c = ' ' then (c.p <- c.p + 1; name_v ()) else fin c "" in
-         let b = new_item src ln ls ke id nm in
-         finalize ();
-         cur := Some b;
-         in_block := true
-     | ' ' ->
-         c.p <- ke + 1;
-         attribute ls ke
-     | '\n' -> attribute ls ke
-     | _ -> raise Slow);
-    c.p
-  in
-  let pos = ref 0 and lineno = ref 0 in
-  while !pos <= len do
-    incr lineno;
-    let ln = !lineno and ls = !pos in
-    let nl =
-      match !deferred with
-      | None -> ( try canonical ln ls with Slow | Pass2 _ -> general ln ls)
-      | Some _ -> general ln ls
-    in
-    pos := nl + 1
+  header c t;
+  (* each line after the header: a blank line, or a key of lowercase
+     letters then '#' (an item header), a blank or the line end *)
+  while c.p < len do
+    let ls = c.p + 1 in
+    ks := ls;
+    ke := key_end src len ls;
+    c.p <- !ke;
+    match peek c with
+    | '\n' when !ke = ls -> finalize ()
+    | _ when !ke = ls -> raise Slow
+    | '#' ->
+        c.p <- !ke + 1;
+        let id = uint c in
+        let nm = if peek c = ' ' then (c.p <- c.p + 1; name_v ()) else fin c "" in
+        let b = new_item src ls !ke id nm in
+        finalize ();
+        cur := Some b
+    | ' ' ->
+        c.p <- !ke + 1;
+        attribute ()
+    | '\n' -> attribute ()
+    | _ -> raise Slow
   done;
-  (match !deferred with Some err -> raise err | None -> ());
-  if not !seen_header then fail 1 "no <PDB header line";
   finalize ();
   t.files <- List.rev !files;
   t.types <- List.rev !types;
@@ -921,6 +621,18 @@ let of_string (src : string) : t =
   t.namespaces <- List.rev !namespaces;
   t.pdb_macros <- List.rev !macros;
   t
+
+let of_string (src : string) : t =
+  (* injection site for parse-time corruption drills: raising (rather than
+     mangling [src], which could yield a silently-wrong parse) keeps the
+     fault visible as a transient the cache/build layers must absorb *)
+  Pdt_util.Fault.check "pdb.parse";
+  Pdt_util.Trace.timed ~cat:"pdb" "pdb.parse" @@ fun () ->
+  try read src
+  with Slow -> (
+    Pdt_util.Trace.count ~cat:"pdb" "pdb.parse_fallback" 0;
+    try Pdb_parse_ref.of_string src
+    with Pdb_parse_ref.Parse_error (line, msg) -> raise (Parse_error (line, msg)))
 
 let of_file path : t =
   let ic = open_in_bin path in

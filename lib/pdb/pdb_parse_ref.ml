@@ -1,12 +1,18 @@
-(** The seed PDB parser, kept as a reference implementation.
+(** The general PDB reader, and the reference the tests hold
+    {!Pdb_parse} to.
 
-    This is the original multi-pass parser ([String.split_on_char] into
-    lines, list-of-blocks intermediate, per-line [String.trim]).  The hot
-    path now runs through the single-pass cursor parser in {!Pdb_parse};
-    this module stays so that tests ([test_pdb], [test_fuzz], [test_mhp],
-    [test_duchains]) can cross-check that {!Pdb_parse} reports the same
-    [Parse_error] line numbers on malformed input, and parses well-formed
-    input to the same structure. *)
+    This is the seed multi-pass parser ([String.split_on_char] into
+    lines, a list-of-blocks intermediate, per-line [String.trim]).  It
+    reads any spelling of the format: CR line ends, tabs and extra
+    blanks, signed, hex or underscored numbers, fields the format ignores.
+    It also defines every [Parse_error] line and message, in two passes:
+    structure (item ids, attributes inside a block) is checked over the
+    whole document before any attribute is read, so a structural error on
+    a late line wins over a semantic error on an early one.
+
+    {!Pdb_parse} reads a document in the writer's spelling itself and
+    hands any other document here.  [test_pdb], [test_fuzz], [test_mhp]
+    and [test_duchains] compare the two readers. *)
 
 open Pdb
 
@@ -436,10 +442,3 @@ let of_string (src : string) : t =
   t.namespaces <- List.rev !namespaces;
   t.pdb_macros <- List.rev !macros;
   t
-
-let of_file path : t =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_string s

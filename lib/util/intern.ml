@@ -9,19 +9,19 @@
     equalities downstream.
 
     The pool is shared by {!Pdt_pdb.Pdb_parse} (every name and enumerated
-    attribute it produces) and available to writers and mergers for their
-    own literals.  The table is hand-rolled (power-of-two bucket array,
-    FNV-1a hash) rather than a [Hashtbl] so {!intern_sub} can look a
-    substring up directly in its source buffer: on a hit — the
-    overwhelmingly common case for a parser streaming a fixed vocabulary —
-    no substring is ever allocated.
+    attribute it reads in the writer's spelling) and available to writers
+    and mergers for their own literals.  The table is hand-rolled
+    (power-of-two bucket array, FNV-1a hash) rather than a [Hashtbl] so
+    {!intern_sub} can look a substring up directly in its source buffer:
+    on a hit — the overwhelmingly common case for a parser streaming a
+    fixed vocabulary — no substring is ever allocated.
 
     Concurrency: lookups are optimistic and lock-free; only insertions
-    (and [clear]) take the mutex.  This is sound under the OCaml 5 memory
-    model because the structure is add-only between [clear]s and every
-    reachable value is immutable: a racing reader sees the bucket list
-    either with or without a concurrent insertion, and in the miss case it
-    falls through to the locked path, which re-checks before inserting.
+    take the mutex.  This is sound under the OCaml 5 memory model because
+    the structure is add-only and every reachable value is immutable: a
+    racing reader sees the bucket list either with or without a
+    concurrent insertion, and in the miss case it falls through to the
+    locked path, which re-checks before inserting.
     Hit/miss counters are atomics, so the stats stay coherent without
     putting a lock on the hit path.
 
@@ -139,12 +139,3 @@ let hit_rate () : float =
   let s = stats () in
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-(** Empty the pool and zero the counters (benchmarks isolate phases). *)
-let clear () =
-  Mutex.lock mutex;
-  buckets := Array.make initial_buckets [];
-  entry_count := 0;
-  Atomic.set hit_count 0;
-  Atomic.set miss_count 0;
-  Mutex.unlock mutex

@@ -49,7 +49,6 @@ type dbuf = {
   gen : int;
   mutable evs : event list;  (* newest first *)
   mutable n : int;
-  mutable dropped : int;
 }
 
 let enabled : bool Atomic.t = Atomic.make false
@@ -69,9 +68,7 @@ let buffer () : dbuf =
   match !cell with
   | Some b when b.gen = g -> b
   | _ ->
-      let b =
-        { tid = (Domain.self () :> int); gen = g; evs = []; n = 0; dropped = 0 }
-      in
+      let b = { tid = (Domain.self () :> int); gen = g; evs = []; n = 0 } in
       Mutex.lock reg_mutex;
       registry := b :: !registry;
       Mutex.unlock reg_mutex;
@@ -84,7 +81,6 @@ let emit (ev : event) : unit =
     b.evs <- ev :: b.evs;
     b.n <- b.n + 1
   end
-  else b.dropped <- b.dropped + 1
 
 (* --- counters (what --stats reports) -------------------------------- *)
 
@@ -202,12 +198,6 @@ let tracks () : (int * event list) list =
   |> List.map (fun b -> (b.tid, List.rev b.evs))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let dropped_events () : int =
-  Mutex.lock reg_mutex;
-  let n = List.fold_left (fun acc b -> acc + b.dropped) 0 !registry in
-  Mutex.unlock reg_mutex;
-  n
-
 (* --- Chrome trace_event export ------------------------------------- *)
 
 let add_args_json (b : Buffer.t) (args : (string * arg) list) : unit =
@@ -272,6 +262,12 @@ let chrome_json () : string =
     tracks;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
+
+(** Stop the trace and write {!chrome_json} to [path], in binary mode so
+    the file holds the same bytes on every platform. *)
+let write_chrome (path : string) : unit =
+  stop ();
+  Out_channel.with_open_bin path (fun oc -> output_string oc (chrome_json ()))
 
 (* --- flat profile (TAU pprof dogfood) ------------------------------ *)
 

@@ -302,8 +302,8 @@ let golden_texts () =
   |> List.sort compare
   |> List.map (fun f -> (f, Test_golden.read_file (Filename.concat dir f)))
 
-(* Every line spelling the canonical path must hand to the general one:
-   for a line's blanks, a trailing blank or field, a doubled blank, a tab
+(* Every line spelling the cursor path must hand to the reference: for
+   a line's blanks, a trailing blank or field, a doubled blank, a tab
    and a CR; for each field (the key included), emptied, suffixed,
    signed, 0x-prefixed, '_'-suffixed, over-long (19 zeros appended,
    past the int range), stripped of '#', retyped to ty#, replaced by
@@ -374,9 +374,9 @@ let test_perturbed_lines_match_reference () =
   Alcotest.(check int) "49 attribute keys and 7 item prefixes" 56 (Hashtbl.length seen);
   Alcotest.(check bool) "thousands of documents" true (!docs > 3000)
 
-(* The general path reads what the canonical one would: every golden
-   parses to the same PDB with CRLF line ends, and with every line
-   indented and followed by a blank and a tab. *)
+(* The reference reads what the cursor path would: every golden parses
+   to the same PDB with CRLF line ends, and with every line indented and
+   followed by a blank and a tab. *)
 let test_goldens_any_line_spelling () =
   List.iter
     (fun (name, text) ->
@@ -386,6 +386,98 @@ let test_goldens_any_line_spelling () =
         (R.of_string (respell (fun l -> l ^ "\r")) = pdb);
       Alcotest.(check bool) (name ^ ": indented, blank and tab") true
         (R.of_string (respell (fun l -> "  " ^ l ^ " \t")) = pdb))
+    (golden_texts ())
+
+(* The documents [Pdb_parse] hands to the reference so far *)
+let fallbacks () =
+  match
+    List.find_opt (fun (n, _, _) -> n = "pdb.parse_fallback") (Pdt_util.Trace.counters ())
+  with
+  | Some (_, calls, _) -> calls
+  | None -> 0
+
+(* One PDB with each writer spelling the golden and generated PDBs lack:
+   an empty name, a negative ysize, an empty and a two-entry yexcep,
+   ycon at the Int64 extremes, a class and a routine as friends, a
+   joined and a live rspawn, nmem of every item kind, an incomplete
+   header, and texts with backslashes. *)
+let rare_spellings () =
+  let at l = { P.lfile = 1; lline = l; lcol = 2 } in
+  let pdb = P.create () in
+  pdb.P.incomplete <- true;
+  pdb.P.diag_count <- 3;
+  pdb.P.files <- [ { P.so_id = 1; so_name = "a.cpp"; so_includes = [] } ];
+  pdb.P.namespaces <-
+    [ { P.na_id = 1; na_name = "N"; na_loc = at 1; na_parent = P.Pnone;
+        na_members = [ P.Rso 1; Rro 2; Rcl 3; Rty 4; Rte 5; Rna 6; Rma 7 ];
+        na_alias = None } ];
+  pdb.P.templates <-
+    [ { P.te_id = 5; te_name = "T"; te_loc = at 2; te_parent = P.Pna 1; te_acs = "NA";
+        te_kind = "class"; te_text = "template <class T>\nclass T { char c = '\\\\'; };";
+        te_pos = P.null_extent } ];
+  let routine id name spawns =
+    { P.ro_id = id; ro_name = name; ro_loc = at id; ro_parent = P.Pnone; ro_acs = "NA";
+      ro_sig = P.Tyref 2; ro_link = "C++"; ro_store = "NA"; ro_virt = "no"; ro_kind = "NA";
+      ro_static = false; ro_inline = false; ro_templ = None; ro_calls = [];
+      ro_spawns = spawns; ro_du = []; ro_pos = P.null_extent; ro_defined = true }
+  in
+  pdb.P.routines <-
+    [ routine 1 ""
+        [ { P.sp_callee = 2; sp_loc = at 3; sp_join = Some (at 4) };
+          { P.sp_callee = 2; sp_loc = at 5; sp_join = None } ];
+      routine 2 "g" [] ];
+  pdb.P.classes <-
+    [ { P.cl_id = 3; cl_name = "C"; cl_loc = at 6; cl_kind = "class"; cl_parent = P.Pnone;
+        cl_acs = "NA"; cl_templ = None; cl_stempl = None; cl_bases = [];
+        cl_friends = [ `Cl 3; `Ro 2 ]; cl_funcs = []; cl_members = [];
+        cl_pos = P.null_extent } ];
+  let ty id name info =
+    { P.ty_id = id; ty_name = name; ty_loc = P.null_loc; ty_parent = P.Pnone;
+      ty_acs = "NA"; ty_info = info; ty_names = [] }
+  in
+  pdb.P.types <-
+    [ ty 1 "" (P.Yarray { elem = P.Tyref 4; size = Some (-1) });
+      ty 2 "void ()"
+        (P.Yfunc { rett = P.Tyref 4; args = []; ellipsis = false; cqual = false;
+                   exceptions = Some [] });
+      ty 3 "void (int)"
+        (P.Yfunc { rett = P.Tyref 4; args = [ (P.Tyref 4, true) ]; ellipsis = true;
+                   cqual = true; exceptions = Some [ P.Tyref 1; P.Clref 3 ] });
+      ty 4 "E" (P.Yenum { constants = [ ("lo", Int64.min_int); ("hi", Int64.max_int) ] }) ];
+  pdb.P.pdb_macros <-
+    [ { P.ma_id = 7; ma_name = "M"; ma_kind = "def"; ma_text = "a \\\n b\\n";
+        ma_loc = at 7 } ];
+  pdb
+
+(* Everything the system writes reads on the cursor path, to what the
+   reference reads; a CRLF copy goes to the reference once, to the
+   same PDB. *)
+let test_writer_output_on_cursor_path () =
+  let module G = Pdt_workloads.Generator in
+  let cfg = { G.default_config with seed = 31 } in
+  let project = Test_golden.unit_pdbs (G.project_vfs ~cfg ~n_tus:3 ()) in
+  let mixed = Test_golden.unit_pdbs (G.mixed_project_vfs ~n_tus:1 ()) in
+  let written =
+    List.map
+      (fun (name, p) -> (name, W.to_string p))
+      ([ ("merged project", Pdt_ductape.Ductape.merge project);
+         ("rare spellings", rare_spellings ()) ]
+      @ List.mapi (fun i p -> (Printf.sprintf "unit %d" i, p)) (project @ mixed))
+  in
+  List.iter
+    (fun (name, text) ->
+      let before = fallbacks () in
+      Alcotest.(check bool) (name ^ ": the reference's PDB") true
+        (R.of_string text = Ref.of_string text);
+      Alcotest.(check int) (name ^ ": no fallback") before (fallbacks ()))
+    (golden_texts () @ written);
+  List.iter
+    (fun (name, text) ->
+      let crlf = String.concat "\r\n" (String.split_on_char '\n' text) in
+      let before = fallbacks () in
+      Alcotest.(check bool) (name ^ ": CRLF") true
+        (R.of_string crlf = R.of_string text);
+      Alcotest.(check int) (name ^ ": one fallback") (before + 1) (fallbacks ()))
     (golden_texts ())
 
 let test_cursor_matches_reference_stack () =
@@ -442,6 +534,8 @@ let suite =
       test_perturbed_lines_match_reference;
     Alcotest.test_case "goldens parse under CRLF, indent, trailing tab" `Quick
       test_goldens_any_line_spelling;
+    Alcotest.test_case "writer output reads on the cursor path" `Quick
+      test_writer_output_on_cursor_path;
     Alcotest.test_case "cursor parser matches reference on stack" `Quick
       test_cursor_matches_reference_stack;
     Alcotest.test_case "interning shares parsed names" `Quick
