@@ -227,6 +227,226 @@ let test_tau_profiles_golden () =
   Test_golden.check_text_golden ~suite:"tau" ~what:"interpreter cost model"
     ~name:"tau_profiles.txt" (tau_profiles_text ())
 
+(* Hand-written programs for the constructs the workloads and the
+   generated programs do not reach: exceptions across timed frames,
+   switch and the loop forms, compound assignment, arrays and pointers,
+   strings, operator overloads, qualified names, the address of a loop
+   local, field and local shadowing, and the two ends of a run that
+   [Interp.run] reports by exception. *)
+let fingerprint_snippets =
+  [ ( "exceptions",
+      "#include <iostream.h>\n\
+       class Err { public: Err(int c) : code(c) { } int code; };\n\
+       class Sub : public Err { public: Sub() : Err(7) { } };\n\
+       int depth(int n) { if (n == 0) throw Sub(); return depth(n - 1) + 1; }\n\
+       int guarded(int n) {\n\
+      \  try { return depth(n); } catch (Err & e) { return e.code * 10 + n; }\n\
+      \  return -1;\n}\n\
+       int main() {\n\
+      \  int s = 0;\n\
+      \  for (int i = 0; i < 4; i++) s += guarded(i);\n\
+      \  try { throw 3; } catch (int k) { s += k; }\n\
+      \  try { throw 2.5; } catch (double d) { s += (int)(d * 2.0); }\n\
+      \  try { throw \"text\"; } catch (const char * m) { s += 100; }\n\
+      \  try { try { throw Err(4); } catch (int k) { s += 1000; } }\n\
+      \  catch (...) { s += 40; }\n\
+      \  cout << s << endl;\n\
+      \  return s % 256;\n}\n" );
+    ( "control",
+      "int classify(int x) {\n\
+      \  switch (x % 5) {\n\
+      \    case 0: return 10;\n\
+      \    case 1: x += 3;\n\
+      \    case 2: x *= 2; break;\n\
+      \    case 3: { int y = x; x = y - 1; } break;\n\
+      \    default: x = -x;\n\
+      \  }\n\
+      \  return x;\n}\n\
+       int main() {\n\
+      \  int s = 0, n = 0;\n\
+      \  for (int i = 0; i < 12; i++) { if (i == 10) break; if (i % 4 == 3) continue; s += classify(i); }\n\
+      \  do { n++; s -= n; } while (n < 5);\n\
+      \  while (true) { n--; if (n < 2) break; }\n\
+      \  int a = 100; a -= 7; a /= 3; a %= 7; a <<= 2; a >>= 1; a |= 16; a &= 29; a ^= 5;\n\
+      \  int t = (s > 0) ? s : -s;\n\
+      \  t = (t, t + a);\n\
+      \  bool f = !(t < 3) && (a != 0 || s == 1);\n\
+      \  return (t + a + n + (f ? 1 : 0) + ~a + -(-a) + +a) % 256;\n}\n" );
+    ( "arrays",
+      "class Cell { public: Cell() : v(1) { } int v; };\n\
+       int sum(int * p, int n) { int s = 0; for (int i = 0; i < n; i++) s += p[i]; return s; }\n\
+       int main() {\n\
+      \  int a[6];\n\
+      \  for (int i = 0; i < 6; i++) a[i] = i * i;\n\
+      \  int m[3][4];\n\
+      \  for (int i = 0; i < 3; i++) for (int j = 0; j < 4; j++) m[i][j] = i + j;\n\
+      \  int * h = new int[5];\n\
+      \  for (int i = 0; i < 5; i++) h[i] = 2 * i;\n\
+      \  Cell * cs = new Cell[3];\n\
+      \  cs[1].v = 9;\n\
+      \  int x = 4; int * px = &x; int y = *px + 3;\n\
+      \  Cell c; Cell * pc = &c; pc->v = 5;\n\
+      \  int r = a[5] + m[2][3] + sum(h, 5) + cs[0].v + cs[1].v + y + c.v + pc->v + sizeof(int);\n\
+      \  delete [] h;\n\
+      \  return r % 256;\n}\n" );
+    ( "strings",
+      "#include <iostream.h>\n#include <string.h>\n\
+       int main() {\n\
+      \  string a(\"ab\");\n\
+      \  string b(\"cd\");\n\
+      \  string c = a + b;\n\
+      \  const char * p = \"xyz\";\n\
+      \  char ch = p[1];\n\
+      \  cout << c.c_str() << ' ' << c.length() << ' ' << ch << ' ' << 1.25 << ' ' << (3 < 4) << endl;\n\
+      \  int r = c.size() + (c == a + b ? 10 : 0) + (a < b ? 20 : 0) + c[2];\n\
+      \  if (c.empty()) r = 0;\n\
+      \  return r % 256;\n}\n" );
+    ( "operators",
+      "class V {\npublic:\n\
+      \  V(int x) : x_(x) { }\n\
+      \  V operator+(const V & o) const { return V(x_ + o.x_); }\n\
+      \  V & operator+=(const V & o) { x_ = x_ + o.x_; return *this; }\n\
+      \  int operator[](int i) const { return x_ * i; }\n\
+      \  bool operator<(const V & o) const { return x_ < o.x_; }\n\
+      \  int get() const { return x_; }\n\
+       private:\n  int x_;\n};\n\
+       V operator*(int k, const V & v) { return V(k * v.get()); }\n\
+       template <class T> T biggest(T a, T b) { if (a < b) return b; return a; }\n\
+       int main() {\n\
+      \  V a(3); V b(4);\n\
+      \  V c = a + b;\n\
+      \  c += V(10);\n\
+      \  V e = 2 * a;\n\
+      \  V f = biggest(a, b);\n\
+      \  return (c.get() + e.get() + f.get() + c[2]) % 256;\n}\n" );
+    ( "names",
+      "enum Mode { OFF, ON, AUTO };\n\
+       int counter = 5;\n\
+       int twice = counter * 2;\n\
+       class Util {\npublic:\n\
+      \  static int scale(int x) { return x * 3; }\n\
+      \  static int scale(double x) { return 1; }\n};\n\
+       class Box {\npublic:\n\
+      \  Box(int v) : v(v), w(v + 1) { }\n\
+      \  int shadow(int w) { int v = 100; return v + w + this->v; }\n\
+      \  int fields() { return v + w; }\n\
+      \  int v;\n  int w;\n};\n\
+       int bump(int & r, int k = 2) { r = r + k; return r; }\n\
+       int & pick(int & a, int & b, bool first) { if (first) return a; return b; }\n\
+       int main() {\n\
+      \  Mode m = AUTO;\n\
+      \  int s = m + ON + Util::scale(4) + Util::scale(0.5) + twice;\n\
+      \  Box bx(7);\n\
+      \  s += bx.shadow(1) + bx.fields();\n\
+      \  int x = 1; int y = 2;\n\
+      \  bump(x); bump(x, 5);\n\
+      \  pick(x, y, false) = 40;\n\
+      \  int & ry = y; ry += 1;\n\
+      \  counter += 1;\n\
+      \  return (s + x + y + counter) % 256;\n}\n" );
+    ( "loop_cells",
+      "int main() {\n\
+      \  int * keep[4];\n\
+      \  for (int i = 0; i < 4; i++) { int x = i * 10; keep[i] = &x; }\n\
+      \  int s = 0;\n\
+      \  for (int i = 0; i < 4; i++) s = s * 3 + *keep[i];\n\
+      \  int j = 0;\n\
+      \  while (j < 3) { int y = j; y++; j = y; }\n\
+      \  return s % 256;\n}\n" );
+    ( "virtuals",
+      "#include <vector.h>\n\
+       class Shape {\npublic:\n\
+      \  Shape(int s) : side(s) { }\n\
+      \  virtual ~Shape() { }\n\
+      \  virtual int area() const { return 0; }\n\
+      \  int twice() const { return 2 * area(); }\n\
+      \  int side;\n};\n\
+       class Sq : public Shape {\npublic:\n\
+      \  Sq(int s) : Shape(s) { }\n\
+      \  int area() const { return side * side; }\n};\n\
+       class Tri : public Shape {\npublic:\n\
+      \  Tri(int s) : Shape(s) { }\n\
+      \  int area() const { return side * side / 2; }\n};\n\
+       int main() {\n\
+      \  vector<Shape *> v;\n\
+      \  for (int i = 1; i < 7; i++) {\n\
+      \    if (i % 2 == 0) v.push_back(new Sq(i)); else v.push_back(new Tri(i));\n\
+      \  }\n\
+      \  int s = 0;\n\
+      \  for (int i = 0; i < v.size(); i++) s += v[i]->twice();\n\
+      \  v.pop_back();\n\
+      \  return (s + v.size()) % 256;\n}\n" );
+    ("uncaught", "int main() { int x = 2; x = x * 3; throw x; return 0; }\n");
+    ( "deep_recursion",
+      "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n" ) ]
+
+(* Differential fingerprints of the interpreter: every C++ workload with a
+   main, the snippets above and 300 generated programs, each run
+   uninstrumented and instrumented in five TAU modes.  A run's line holds
+   its exit code, cycles and steps and the MD5s of its output and its pprof
+   text, so any change in what the interpreter computes or charges shows up
+   here.  Regenerate with
+   PDT_GOLDEN_REGEN=1 dune exec test/main.exe -- test tau *)
+let interp_fingerprints_text () =
+  let b = Buffer.create 262144 in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let fingerprint name vfs main =
+    let c, d = compile_d vfs main in
+    let vfs2, _ = I.instrument_vfs vfs (I.plan d) in
+    let prog = (Pdt.compile_exn ~vfs:vfs2 main).Pdt.program in
+    let line mode run =
+      let show (r : Pdt_tau.Interp.result) =
+        Printf.sprintf "exit %d, cycles %Ld, steps %Ld, output %s, profile %s, events %d"
+          r.exit_code r.cycles r.steps (md5 r.output)
+          (md5 (Pdt_tau.Pprof.format r.profile))
+          (List.length (Pdt_tau.Runtime.events r.profile))
+      in
+      let text =
+        match run () with
+        | r -> show r
+        | exception Pdt_tau.Interp.Uncaught (msg, r) -> show r ^ ", " ^ msg
+        | exception Pdt_tau.Interp.Runtime_error msg -> "runtime error: " ^ msg
+      in
+      Printf.bprintf b "%s %s: %s\n" name mode text
+    in
+    let module R = Pdt_tau.Interp in
+    line "plain" (fun () -> R.run c.Pdt.program);
+    line "flat" (fun () -> R.run prog);
+    line "callpath" (fun () -> R.run ~callpath:true prog);
+    line "tracing" (fun () -> R.run ~tracing:true prog);
+    line "throttle" (fun () -> R.run ~throttle:(100, 20L) prog);
+    line "mpi" (fun () -> R.run ~mpi:(2, 8) prog)
+  in
+  let module W = Pdt_workloads in
+  (* the instrumented sources include tau.h from the mini-STL *)
+  let with_stl vfs = W.Ministl.mount vfs; vfs in
+  fingerprint "stack" (W.Stack.vfs ()) W.Stack.main_file;
+  fingerprint "pooma_like" (W.Pooma_like.vfs ()) W.Pooma_like.main_file;
+  fingerprint "parallel_stencil" (W.Parallel_stencil.vfs ()) W.Parallel_stencil.main_file;
+  fingerprint "duchain_demo" (with_stl (W.Duchain_demo.vfs ())) W.Duchain_demo.main_file;
+  fingerprint "parallel_spawn" (with_stl (W.Parallel_spawn.vfs ())) W.Parallel_spawn.main_file;
+  List.iter
+    (fun (name, src) ->
+      let vfs = with_stl (Pdt_util.Vfs.create ()) in
+      Pdt_util.Vfs.add_file vfs "snippet.cpp" src;
+      fingerprint name vfs "snippet.cpp")
+    fingerprint_snippets;
+  for seed = 1 to 300 do
+    let cfg =
+      { W.Generator.default_config with
+        seed; n_class_templates = 2 + (seed mod 4); methods_per_class = 1 + (seed mod 3);
+        chain_depth = seed mod 4; n_instantiation_types = 1 + (seed mod 5) }
+    in
+    let vfs = with_stl (Pdt_util.Vfs.create ()) in
+    Pdt_util.Vfs.add_file vfs "gen.cpp" (W.Generator.single_file_program ~cfg ());
+    fingerprint (Printf.sprintf "gen%03d" seed) vfs "gen.cpp"
+  done;
+  Buffer.contents b
+
+let test_interp_fingerprints_golden () =
+  Test_golden.check_text_golden ~suite:"tau" ~what:"interpreter fingerprints"
+    ~name:"interp_fingerprints.txt" (interp_fingerprints_text ())
+
 let suite =
   [ Alcotest.test_case "Figure 6 plan filter" `Quick test_plan_figure6_filter;
     Alcotest.test_case "static/free: no CT(*this)" `Quick test_plan_static_members_no_ct;
@@ -241,4 +461,6 @@ let suite =
     Alcotest.test_case "event tracing" `Quick test_tracing;
     Alcotest.test_case "uninstrumented: empty profile" `Quick
       test_uninstrumented_profile_empty;
-    Alcotest.test_case "golden: tau profiles" `Quick test_tau_profiles_golden ]
+    Alcotest.test_case "golden: tau profiles" `Quick test_tau_profiles_golden;
+    Alcotest.test_case "golden: interp fingerprints" `Quick
+      test_interp_fingerprints_golden ]
