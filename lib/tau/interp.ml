@@ -517,6 +517,9 @@ let rec arith_binop op (a : value) (b : value) : value =
 (* Builtin class methods                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* explicit reference dereference used where a value (not a cell) is needed *)
+let deref = function Vptr cell -> !cell | v -> v
+
 let vector_grow store size n =
   if n > Array.length !store then begin
     let bigger = Array.init (max n (2 * Array.length !store + 1)) (fun i ->
@@ -532,21 +535,22 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value optio
       match (name, args) with
       | "vector", [] -> Some Vunit
       | "vector", [ n ] ->
-          vector_grow store size (Int64.to_int (to_int n));
+          vector_grow store size (Int64.to_int (to_int (deref n)));
           Some Vunit
       | "~vector", _ -> Some Vunit
       | "size", [] -> Some (Vint (Int64.of_int !size))
       | "capacity", [] -> Some (Vint (Int64.of_int (Array.length !store)))
       | "empty", [] -> Some (Vbool (!size = 0))
       | "push_back", [ v ] ->
+          (* an lvalue argument arrives as a reference: store its value *)
           vector_grow store size (!size + 1);
-          !store.(!size - 1) := copy_value v;
+          !store.(!size - 1) := copy_value (deref v);
           Some Vunit
       | "pop_back", [] ->
           if !size > 0 then size := !size - 1;
           Some Vunit
       | "operator[]", [ i ] ->
-          let i = Int64.to_int (to_int i) in
+          let i = Int64.to_int (to_int (deref i)) in
           if i < 0 then raise (Cpp_exception (Vstr "vector index negative"))
           else begin
             vector_grow store size (i + 1);
@@ -558,12 +562,12 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value optio
           size := 0;
           Some Vunit
       | "resize", [ n ] ->
-          let n = Int64.to_int (to_int n) in
+          let n = Int64.to_int (to_int (deref n)) in
           vector_grow store size n;
           size := n;
           Some Vunit
       | "reserve", [ n ] ->
-          vector_grow store (ref !size) (Int64.to_int (to_int n));
+          vector_grow store (ref !size) (Int64.to_int (to_int (deref n)));
           Some Vunit
       | _ -> None)
   | Some Bostream, "operator<<" -> (
@@ -620,9 +624,6 @@ and rvalue_cell cell orig =
      through [deref_ref] at use sites, so keep pointers intact here *)
   ignore cell;
   orig
-
-(* explicit reference dereference used where a value (not a cell) is needed *)
-let deref = function Vptr cell -> !cell | v -> v
 
 let rec eval t (f : frame) (e : Ast.expr) : value =
   tick t cost_expr;

@@ -211,6 +211,19 @@ let test_dispatch_tables () =
      int main() { int s = 0; for (int i = 0; i < 3; i++) s = s + BLUE; return s; }"
     6
 
+(* regression: the builtin vector stored the reference an lvalue argument
+   arrives as, so the element aliased the variable; g++ gives 0 and 3 *)
+let test_push_back_copies_lvalue () =
+  check_exit "loop variable pushed"
+    "#include <vector.h>\nint main() { vector<int> v; for (int i = 0; i < 5; i++) v.push_back(i); return v[0]; }"
+    0;
+  check_exit "variable changed after the push"
+    "#include <vector.h>\nint main() { vector<int> v; int a = 3; v.push_back(a); a = 9; return v[0]; }"
+    3;
+  check_exit "size from a variable"
+    "#include <vector.h>\nint main() { vector<int> v; int n = 4; v.resize(n); v.reserve(n); return v.size(); }"
+    4
+
 let suite =
   [ Alcotest.test_case "casts convert" `Quick test_casts_convert;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -232,4 +245,5 @@ let suite =
     Alcotest.test_case "operator overloading at runtime" `Quick test_operator_overloading_runtime;
     Alcotest.test_case "function templates at runtime" `Quick test_function_template_runtime;
     Alcotest.test_case "call arguments evaluated once" `Quick test_call_args_evaluated_once;
-    Alcotest.test_case "dispatch tables" `Quick test_dispatch_tables ]
+    Alcotest.test_case "dispatch tables" `Quick test_dispatch_tables;
+    Alcotest.test_case "push_back copies an lvalue" `Quick test_push_back_copies_lvalue ]
