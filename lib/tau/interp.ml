@@ -61,11 +61,23 @@ exception Continue_exc
 exception Cpp_exception of value
 
 type frame = {
-  mutable scope : (string * value ref) list;  (** innermost binding first *)
+  slots : value ref array;  (** each local's current cell, by slot *)
   f_this : obj option;
   mutable f_timers : int;  (** TAU timers opened in this frame *)
-  f_ret_ref : bool;  (** the routine returns a reference (T &) *)
 }
+
+(* A routine translated to closures: its slot count, its parameters (slot,
+   or -1 when unnamed; bound by reference; default argument), its member
+   initializers and its body. *)
+type body = {
+  nslots : int;
+  params : (int * bool * (frame -> value) option) array;
+  inits : (string * (frame -> value) list) list;
+  run : (frame -> unit) option;
+}
+
+(* A routine of the program, translated on its first invoke in a run. *)
+type code = { routine : Il.routine_entity; mutable body : body option }
 
 (* The candidate routines of one kind of call, with the overload picked for
    each list of argument kind tags (see [pick]). *)
@@ -74,7 +86,13 @@ type cands = {
   picks : (int list, Il.routine_entity option) Hashtbl.t;
 }
 
-(* What [invoke] needs to know of a routine on every call. *)
+(* One call site's picks, newest first: the routine chosen for a receiver
+   class (-1 when there is none) and the arguments' kind tags. *)
+type pick_entry = { p_cl : int; p_tags : int array; p_code : code option }
+
+type site = { s_cands : Il.class_id -> cands; mutable picks_at : pick_entry list }
+
+(* What translation needs to know of a routine's signature. *)
 type routine_facts = {
   ret_ref : bool;  (** returns a reference (T &) *)
   params : (Il.param_info * bool) list;  (** with "bound by reference" *)
@@ -98,7 +116,7 @@ type t = {
   members : (Il.class_id * string, cands) Hashtbl.t;
       (** member functions by name, inherited ones included; filled on use *)
   ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
-  facts : (Il.routine_id, routine_facts) Hashtbl.t;  (** filled on use *)
+  codes : (Il.routine_id, code) Hashtbl.t;  (** this run's routines, by id *)
   free_routines : (string, cands) Hashtbl.t;  (** non-members, by name *)
   free_operators : (string, cands) Hashtbl.t;  (** parentless routines, by name *)
   enum_constants : (string, int64) Hashtbl.t;
@@ -111,10 +129,12 @@ type t = {
 let cost_expr = 1
 let cost_call = 5
 
-let tick t c =
+let step_limit () = error "step limit exceeded (infinite loop?)"
+
+let[@inline] tick t c =
   t.cycles <- t.cycles + c;
   t.steps <- t.steps + 1;
-  if t.steps > t.max_steps then error "step limit exceeded (infinite loop?)"
+  if t.steps > t.max_steps then step_limit ()
 
 (* ------------------------------------------------------------------ *)
 (* Helpers over the IL                                                 *)
@@ -244,23 +264,19 @@ let ctor_cands t (cl : Il.class_id) : cands =
     t cl
 
 let routine_facts t (r : Il.routine_entity) : routine_facts =
-  memo t.facts
-    (fun t id ->
-      let r = Il.routine t.prog id in
-      let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
-      let ret_ref =
-        match (Il.type_ t.prog r.ro_sig).ty_kind with
-        | Tfunc { rett; _ } -> is_ref rett
-        | _ -> false
-      in
-      let by_ref (p : Il.param_info) =
-        match (Il.type_ t.prog p.pi_type).ty_kind with
-        | Tref _ -> true
-        | Tqual { base; _ } -> is_ref base
-        | _ -> false
-      in
-      { ret_ref; params = List.map (fun p -> (p, by_ref p)) r.ro_params })
-    t r.ro_id
+  let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
+  let ret_ref =
+    match (Il.type_ t.prog r.ro_sig).ty_kind with
+    | Tfunc { rett; _ } -> is_ref rett
+    | _ -> false
+  in
+  let by_ref (p : Il.param_info) =
+    match (Il.type_ t.prog p.pi_type).ty_kind with
+    | Tref _ -> true
+    | Tqual { base; _ } -> is_ref base
+    | _ -> false
+  in
+  { ret_ref; params = List.map (fun p -> (p, by_ref p)) r.ro_params }
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
@@ -379,7 +395,7 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
     type_classes = Hashtbl.create 16;
-    members = Hashtbl.create 64; ctors = Hashtbl.create 16; facts = Hashtbl.create 64;
+    members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
     free_routines; free_operators; enum_constants }
 
 (* type name of a value, used by the CT() macro *)
@@ -428,90 +444,71 @@ and make_object t (cl : Il.class_id) : obj =
   o
 
 (* ------------------------------------------------------------------ *)
-(* Environment                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* run [k] in a nested block: the bindings it makes are dropped on every
-   exit, normal or exceptional *)
-let in_block (f : frame) k =
-  let saved = f.scope in
-  match k () with
-  | () -> f.scope <- saved
-  | exception e ->
-      f.scope <- saved;
-      raise e
-
-let bind_local (f : frame) name cell = f.scope <- (name, cell) :: f.scope
-
-let rec find_local scope name =
-  match scope with
-  | [] -> None
-  | (n, c) :: rest -> if String.equal n name then Some c else find_local rest name
-
-let lookup_cell t (f : frame) name : value ref option =
-  match find_local f.scope name with
-  | Some c -> Some c
-  | None -> (
-      (* implicit this->field *)
-      match f.f_this with
-      | Some o when Hashtbl.mem o.o_fields name -> Hashtbl.find_opt o.o_fields name
-      | _ -> Hashtbl.find_opt t.globals name)
-
-(* ------------------------------------------------------------------ *)
 (* Binary operations on scalars                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec arith_binop op (a : value) (b : value) : value =
-  let is_float = match (a, b) with Vdouble _, _ | _, Vdouble _ -> true | _ -> false in
-  let bool v = Vbool v in
+let is_float a b = match (a, b) with Vdouble _, _ | _, Vdouble _ -> true | _ -> false
+let vtrue = Vbool true
+let vfalse = Vbool false
+let vbool b = if b then vtrue else vfalse
+
+let equal a b =
+  match (a, b) with
+  | Vint x, Vint y -> Int64.equal x y
+  | Vstr x, Vstr y -> x = y
+  | Vnull, (Vnull | Vptr _) | Vptr _, Vnull -> a = Vnull && b = Vnull
+  | Vptr x, Vptr y -> x == y
+  | _ when is_float a b -> to_float a = to_float b
+  | _ -> to_int a = to_int b
+
+let less a b =
+  match (a, b) with
+  | Vint x, Vint y -> Int64.compare x y < 0
+  | Vstr x, Vstr y -> x < y
+  | _ when is_float a b -> to_float a < to_float b
+  | _ -> to_int a < to_int b
+
+let greater a b = less b a
+
+(* [op] on two scalars, the operator resolved once: the translator calls
+   this when it meets a binary or compound-assignment site *)
+let binop op : value -> value -> value =
+  let arith fi ff a b =
+    match (a, b) with
+    | Vint x, Vint y -> Vint (fi x y)
+    | _ when is_float a b -> Vdouble (ff (to_float a) (to_float b))
+    | _ -> Vint (fi (to_int a) (to_int b))
+  in
+  let integral fi a b = Vint (fi (to_int a) (to_int b)) in
+  let divide fi a b =
+    let d = to_int b in
+    if d = 0L then raise (Cpp_exception (Vstr "division by zero"))
+    else Vint (fi (to_int a) d)
+  in
   match op with
-  | "+" when is_float -> Vdouble (to_float a +. to_float b)
-  | "-" when is_float -> Vdouble (to_float a -. to_float b)
-  | "*" when is_float -> Vdouble (to_float a *. to_float b)
-  | "/" when is_float -> Vdouble (to_float a /. to_float b)
   | "+" -> (
-      match (a, b) with
-      | Vstr x, Vstr y -> Vstr (x ^ y)
-      | _ -> Vint (Int64.add (to_int a) (to_int b)))
-  | "-" -> Vint (Int64.sub (to_int a) (to_int b))
-  | "*" -> Vint (Int64.mul (to_int a) (to_int b))
-  | "/" ->
-      let d = to_int b in
-      if d = 0L then raise (Cpp_exception (Vstr "division by zero"))
-      else Vint (Int64.div (to_int a) d)
-  | "%" ->
-      let d = to_int b in
-      if d = 0L then raise (Cpp_exception (Vstr "division by zero"))
-      else Vint (Int64.rem (to_int a) d)
-  | "<<" -> Vint (Int64.shift_left (to_int a) (Int64.to_int (to_int b)))
-  | ">>" -> Vint (Int64.shift_right (to_int a) (Int64.to_int (to_int b)))
-  | "&" -> Vint (Int64.logand (to_int a) (to_int b))
-  | "|" -> Vint (Int64.logor (to_int a) (to_int b))
-  | "^" -> Vint (Int64.logxor (to_int a) (to_int b))
-  | "==" ->
-      (match (a, b) with
-       | Vstr x, Vstr y -> bool (x = y)
-       | Vnull, (Vnull | Vptr _) | Vptr _, Vnull -> bool (a = Vnull && b = Vnull)
-       | Vptr x, Vptr y -> bool (x == y)
-       | _ when is_float -> bool (to_float a = to_float b)
-       | _ -> bool (to_int a = to_int b))
-  | "!=" -> (
-      match arith_binop "==" a b with Vbool v -> bool (not v) | _ -> assert false)
-  | "<" ->
-      (match (a, b) with
-       | Vstr x, Vstr y -> bool (x < y)
-       | _ when is_float -> bool (to_float a < to_float b)
-       | _ -> bool (to_int a < to_int b))
-  | ">" ->
-      (match (a, b) with
-       | Vstr x, Vstr y -> bool (x > y)
-       | _ when is_float -> bool (to_float a > to_float b)
-       | _ -> bool (to_int a > to_int b))
-  | "<=" -> (
-      match arith_binop ">" a b with Vbool v -> bool (not v) | _ -> assert false)
-  | ">=" -> (
-      match arith_binop "<" a b with Vbool v -> bool (not v) | _ -> assert false)
-  | op -> error "unsupported binary operator '%s'" op
+      fun a b ->
+        match (a, b) with
+        | Vint x, Vint y -> Vint (Int64.add x y)
+        | _ when is_float a b -> Vdouble (to_float a +. to_float b)
+        | Vstr x, Vstr y -> Vstr (x ^ y)
+        | _ -> Vint (Int64.add (to_int a) (to_int b)))
+  | "-" -> arith Int64.sub ( -. )
+  | "*" -> arith Int64.mul ( *. )
+  | "/" -> fun a b -> if is_float a b then Vdouble (to_float a /. to_float b) else divide Int64.div a b
+  | "%" -> divide Int64.rem
+  | "<<" -> integral (fun x y -> Int64.shift_left x (Int64.to_int y))
+  | ">>" -> integral (fun x y -> Int64.shift_right x (Int64.to_int y))
+  | "&" -> integral Int64.logand
+  | "|" -> integral Int64.logor
+  | "^" -> integral Int64.logxor
+  | "==" -> fun a b -> vbool (equal a b)
+  | "!=" -> fun a b -> vbool (not (equal a b))
+  | "<" -> fun a b -> vbool (less a b)
+  | ">" -> fun a b -> vbool (greater a b)
+  | "<=" -> fun a b -> vbool (not (greater a b))
+  | ">=" -> fun a b -> vbool (not (less a b))
+  | op -> fun _ _ -> error "unsupported binary operator '%s'" op
 
 (* ------------------------------------------------------------------ *)
 (* Builtin class methods                                               *)
@@ -612,257 +609,241 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value optio
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
+(* Translation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* rvalue conversion: collapse references *)
-let rec rvalue (v : value) : value =
-  match v with Vptr cell when true -> rvalue_cell cell v | v -> v
+(* A local's slot before its declaration has run in the current block, and
+   the answer "no lvalue" of an expression's [lv]; both are compared by
+   physical equality and never hold a value. *)
+let unbound : value ref = ref Vunit
+let no_cell : value ref = ref Vunit
 
-and rvalue_cell cell orig =
-  (* Vptr doubles as both pointer and reference; references auto-deref only
-     through [deref_ref] at use sites, so keep pointers intact here *)
-  ignore cell;
-  orig
+(* An expression, translated: [rv] evaluates it (the walker's [eval]), [lv]
+   yields the cell it denotes or [no_cell], evaluating exactly the operands
+   the walker's [eval_lval] evaluated. *)
+type cexpr = { rv : frame -> value; lv : frame -> value ref }
 
-let rec eval t (f : frame) (e : Ast.expr) : value =
-  tick t cost_expr;
-  match e.Ast.e with
-  | Ast.IntE n -> Vint n
-  | Ast.FloatE x -> Vdouble x
-  | Ast.CharE c -> Vchar c
-  | Ast.StringE s -> Vstr s
-  | Ast.BoolE b -> Vbool b
-  | Ast.ThisE -> (
-      (* 'this' is a pointer: wrap the receiver so *this and this->f work *)
-      match f.f_this with
-      | Some o -> Vptr (ref (Vobj o))
-      | None -> error "'this' outside of member function")
-  | Ast.IdE q -> deref (eval_name t f q)
-  | Ast.Unary ("&", a) -> (
-      match eval_lval t f a with
-      | Some cell -> Vptr cell
-      | None -> Vptr (ref (eval t f a)))
-  | Ast.Unary ("*", a) -> (
-      match eval t f a with
-      | Vptr cell -> !cell
-      | Vobj o -> (
-          (* operator* on an object *)
-          match call_method t o "operator*" [] with
-          | Some v -> v
-          | None -> error "no operator* on object")
-      | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
-      | v -> v)
-  | Ast.Unary ("!", a) -> Vbool (not (truthy (deref (eval t f a))))
-  | Ast.Unary ("-", a) -> (
-      match deref (eval t f a) with
-      | Vdouble x -> Vdouble (-.x)
-      | v -> Vint (Int64.neg (to_int v)))
-  | Ast.Unary ("+", a) -> deref (eval t f a)
-  | Ast.Unary ("~", a) -> Vint (Int64.lognot (to_int (deref (eval t f a))))
-  | Ast.Unary (("++" | "--") as op, a) -> (
-      match eval_lval t f a with
-      | Some cell ->
-          let dv = if op = "++" then 1L else -1L in
-          (match !cell with
-           | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-           | v -> cell := Vint (Int64.add (to_int v) dv));
-          !cell
-      | None -> (
-          let v = deref (eval t f a) in
-          match v with
-          | Vobj o -> (
-              match call_method t o ("operator" ^ op) [] with
-              | Some r -> r
-              | None -> error "no operator%s" op)
-          | _ -> error "cannot increment non-lvalue"))
-  | Ast.Unary (op, a) -> (
-      match deref (eval t f a) with
-      | Vobj o -> (
-          match call_method t o ("operator" ^ op) [] with
-          | Some v -> v
-          | None -> error "no operator%s on object" op)
-      | _ -> error "unsupported unary '%s'" op)
-  | Ast.Postfix (("++" | "--") as op, a) -> (
-      match eval_lval t f a with
-      | Some cell ->
-          let old = !cell in
-          let dv = if op = "++" then 1L else -1L in
-          (match old with
-           | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-           | v -> cell := Vint (Int64.add (to_int v) dv));
-          old
-      | None -> error "cannot increment non-lvalue")
-  | Ast.Postfix (op, _) -> error "unsupported postfix '%s'" op
-  | Ast.Binary ("&&", a, b) ->
-      Vbool (truthy (deref (eval t f a)) && truthy (deref (eval t f b)))
-  | Ast.Binary ("||", a, b) ->
-      Vbool (truthy (deref (eval t f a)) || truthy (deref (eval t f b)))
-  | Ast.Binary (op, a, b) -> (
-      let va = deref (eval t f a) in
-      match va with
-      | Vobj o -> (
-          let vb = deref (eval t f b) in
-          match call_method t o ("operator" ^ op) [ vb ] with
-          | Some v -> v
-          | None -> (
-              match free_operator t f op [ Vobj o; vb ] with
-              | Some v -> v
-              | None -> error "no operator%s for class %s" op
-                          (Il.class_ t.prog o.o_class).cl_name))
-      | _ ->
-          let vb = deref (eval t f b) in
-          (match vb with
-           | Vobj o2 -> (
-               (* e.g. 1 + obj via free operator *)
-               match free_operator t f op [ va; Vobj o2 ] with
-               | Some v -> v
-               | None -> arith_binop op va vb)
-           | _ -> arith_binop op va vb))
-  | Ast.Assign (op, a, b) -> (
-      let vb = deref (eval t f b) in
-      match eval_lval t f a with
-      | Some cell -> (
-          match (!cell, op) with
-          | Vobj o, _ when (Il.find_member_funcs t.prog (Il.class_ t.prog o.o_class)
-                              ("operator" ^ op)) <> [] -> (
-              match call_method t o ("operator" ^ op) [ vb ] with
-              | Some v -> v
-              | None -> error "operator%s failed" op)
-          | Vobj o, "=" when o.o_builtin <> None -> (
-              (* builtin copy assignment *)
-              match vb with
-              | Vobj src ->
-                  let copy = copy_obj src in
-                  (match (o.o_builtin, copy.o_builtin) with
-                   | Some (Bvector (st, sz)), Some (Bvector (st', sz')) ->
-                       st := !st';
-                       sz := !sz'
-                   | Some (Bstring s), Some (Bstring s') -> s := !s'
-                   | _ -> ());
-                  Vobj o
-              | _ -> error "cannot assign non-object to builtin object")
-          | _, "=" ->
-              cell := copy_value vb;
-              !cell
-          | cur, _ ->
-              let base_op = String.sub op 0 (String.length op - 1) in
-              (match cur with
-               | Vobj o -> (
-                   match call_method t o ("operator" ^ op) [ vb ] with
-                   | Some v -> v
-                   | None -> error "no operator%s" op)
-               | _ ->
-                   cell := arith_binop base_op cur vb;
-                   !cell))
-      | None -> error "cannot assign to non-lvalue")
-  | Ast.Cond (c, a, b) ->
-      if truthy (deref (eval t f c)) then deref (eval t f a) else deref (eval t f b)
-  | Ast.Call (callee, args) -> eval_call t f callee args
-  | Ast.Member (oe, _, m) -> deref (eval_member t f oe m)
-  | Ast.Index (a, i) -> (
-      let va = deref (eval t f a) in
-      let vi = deref (eval t f i) in
-      match va with
-      | Vobj o -> (
-          match call_method t o "operator[]" [ vi ] with
-          | Some v -> deref v
-          | None -> error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name)
-      | Varr cells ->
-          let idx = Int64.to_int (to_int vi) in
-          if idx < 0 || idx >= Array.length cells then
-            raise (Cpp_exception (Vstr "array index out of range"))
-          else !(cells.(idx))
-      | Vptr cell -> (
-          match !cell with
-          | Varr cells ->
-              let idx = Int64.to_int (to_int vi) in
-              if idx < 0 || idx >= Array.length cells then
-                raise (Cpp_exception (Vstr "array index out of range"))
-              else !(cells.(idx))
-          | v when to_int vi = 0L -> v
-          | _ -> error "unsupported pointer indexing")
-      | Vstr s ->
-          let idx = Int64.to_int (to_int vi) in
-          if idx >= 0 && idx < String.length s then Vchar (Char.code s.[idx]) else Vchar 0
-      | _ -> error "cannot index this value")
-  | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) -> (
-      let v = deref (eval t f a) in
-      (* scalar conversions really convert; class/pointer casts pass through *)
-      match Ast.unqual ty with
-      | Ast.TBuiltin { base = `Int; _ } -> Vint (to_int v)
-      | Ast.TBuiltin { base = `Double; _ } | Ast.TBuiltin { base = `Float; _ } ->
-          Vdouble (to_float v)
-      | Ast.TBuiltin { base = `Bool; _ } -> Vbool (truthy v)
-      | Ast.TBuiltin { base = `Char; _ } -> Vchar (Int64.to_int (to_int v) land 0xff)
-      | _ -> v)
-  | Ast.Construct (ty, args) -> construct_from_type t f ty args e.Ast.eloc
-  | Ast.New (ty, args, None) ->
-      let v = construct_from_type t f ty (Option.value args ~default:[]) e.Ast.eloc in
-      Vptr (ref v)
-  | Ast.New (ty, _, Some n) ->
-      let n = Int64.to_int (to_int (deref (eval t f n))) in
-      let elem () =
-        match lookup_class_of_asttype t ty with
-        | Some cl -> Vobj (make_object t cl)
-        | None -> Vint 0L
-      in
-      Vptr (ref (Varr (Array.init (max n 0) (fun _ -> ref (elem ())))))
-  | Ast.Delete (_, a) ->
-      ignore (eval t f a);
-      Vunit
-  | Ast.SizeofE _ | Ast.SizeofT _ -> Vint 8L
-  | Ast.ThrowE (Some a) -> raise (Cpp_exception (deref (eval t f a)))
-  | Ast.ThrowE None -> raise (Cpp_exception Vnull)
-  | Ast.Comma (a, b) ->
-      ignore (eval t f a);
-      deref (eval t f b)
+let no_lv : frame -> value ref = fun _ -> no_cell
+
+(* What translation knows of the routine it is in: the locals visible here,
+   innermost first, with their slots; the slot count so far; the slots of
+   declarations the current block does not own directly (a declaration
+   under an if, a loop or a case), which its entry resets to [unbound]. *)
+type ctx = {
+  t : t;
+  mutable scope : (string * int) list;
+  mutable nslots : int;
+  mutable leaky : int list;
+  ret_ref : bool;
+}
+
+let find_class_by_name t name : Il.class_id option = Hashtbl.find_opt t.class_by_name name
 
 (* find the IL class named by an AST type (display-name based) *)
-and lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
+let lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
   memo t.type_classes
     (fun t ty -> Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty)))
     t ty
 
-and construct_from_type t f (ty : Ast.type_expr) (args : Ast.expr list) loc : value =
-  ignore loc;
-  let vargs = List.map (fun a -> deref (eval t f a)) args in
-  match lookup_class_of_asttype t ty with
-  | Some cl -> construct t cl vargs
-  | None
-    when (match ty with
-          | Ast.TName { parts; _ } -> List.length parts >= 2
-          | _ -> false) -> (
-      (* qualified call parsed as a cast: Class::static_member(args) *)
-      match ty with
-      | Ast.TName { parts; global } -> (
-          let front = List.filteri (fun i _ -> i < List.length parts - 1) parts in
-          let last = List.nth parts (List.length parts - 1) in
-          let cname =
-            Ast.qual_name_to_string { Ast.global; parts = front }
+let code_of t (r : Il.routine_entity) : code =
+  memo t.codes (fun _ _ -> { routine = r; body = None }) t r.ro_id
+
+(* [f cl], recomputed only when [cl] differs from the last call's *)
+let per_class f =
+  let last = ref (-1) and answer = ref None in
+  fun cl ->
+    match !answer with
+    | Some a when cl = !last -> a
+    | _ ->
+        let a = f cl in
+        answer := Some a;
+        last := cl;
+        a
+
+let site s_cands = { s_cands; picks_at = [] }
+
+let rec tags_match tags i = function
+  | [] -> i = Array.length tags
+  | v :: rest ->
+      i < Array.length tags && Array.unsafe_get tags i = kind_tag v && tags_match tags (i + 1) rest
+
+(* the routine [site] calls on a receiver of class [cl] (-1: none) with
+   [args]: [pick]'s answer, kept per site for the pair the pick reads *)
+let site_code t (s : site) cl (args : value list) : code option =
+  let rec find = function
+    | [] ->
+        let code = Option.map (code_of t) (pick t (s.s_cands cl) args) in
+        s.picks_at <-
+          { p_cl = cl; p_tags = Array.of_list (List.map kind_tag args); p_code = code }
+          :: s.picks_at;
+        code
+    | e :: rest -> if e.p_cl = cl && tags_match e.p_tags 0 args then e.p_code else find rest
+  in
+  find s.picks_at
+
+let method_site t name = site (fun cl -> member_cands t cl name)
+
+(* a site over fixed candidates, for free routines and operators *)
+let free_site c = site (fun _ -> c)
+
+(* leave a frame: close the TAU timers it opened *)
+let finish t frame v =
+  for _ = 1 to frame.f_timers do
+    Rt.exit_ t.profiler ~now:(Int64.of_int t.cycles)
+  done;
+  t.depth <- t.depth - 1;
+  v
+
+let bind_params (b : body) frame (args : value list) =
+  let rec go i args =
+    if i < Array.length b.params then begin
+      let slot, by_ref, default = b.params.(i) in
+      match args with
+      | arg :: rest ->
+          if slot >= 0 then
+            frame.slots.(slot) <-
+              (match (arg, by_ref) with
+               | Vptr c, true -> c
+               | v, _ -> ref (copy_value (deref v)));
+          go (i + 1) rest
+      | [] ->
+          (match default with
+           | Some d when slot >= 0 -> frame.slots.(slot) <- ref (deref (d frame))
+           | _ -> ());
+          go (i + 1) []
+    end
+  in
+  go 0 args
+
+(* the slots a block must reset on entry, with the block's scope dropped
+   when [k] returns *)
+let in_scope ctx k =
+  let scope = ctx.scope and leaky = ctx.leaky in
+  ctx.leaky <- [];
+  let r = k () in
+  let own = Array.of_list ctx.leaky in
+  ctx.scope <- scope;
+  ctx.leaky <- leaky;
+  (r, own)
+
+let reset own f = Array.iter (fun s -> f.slots.(s) <- unbound) own
+
+let declare ctx ~direct name =
+  let s = ctx.nslots in
+  ctx.nslots <- s + 1;
+  if not direct then ctx.leaky <- s :: ctx.leaky;
+  ctx.scope <- (name, s) :: ctx.scope;
+  s
+
+(* the cell a one-part name denotes, or [no_cell]: the innermost local of
+   that name whose declaration has run, else a field of [this] (decided
+   once per receiver class), else a global *)
+let name_cell ctx id : frame -> value ref =
+  let t = ctx.t in
+  let global = Option.value (Hashtbl.find_opt t.globals id) ~default:no_cell in
+  (* an object's fields are those of its class, so one probe per class *)
+  let last = ref (-1) and is_field = ref false in
+  let nonlocal f =
+    match f.f_this with
+    | Some o ->
+        if o.o_class <> !last then begin
+          is_field := Hashtbl.mem o.o_fields id;
+          last := o.o_class
+        end;
+        if !is_field then Hashtbl.find o.o_fields id else global
+    | None -> global
+  in
+  match List.filter_map (fun (n, s) -> if n = id then Some s else None) ctx.scope with
+  | [] -> nonlocal
+  | [ s ] ->
+      fun f ->
+        let c = Array.unsafe_get f.slots s in
+        if c != unbound then c else nonlocal f
+  | chain ->
+      fun f ->
+        let rec go = function
+          | [] -> nonlocal f
+          | s :: rest ->
+              let c = f.slots.(s) in
+              if c != unbound then c else go rest
+        in
+        go chain
+
+let rec invoke t (code : code) (this_obj : obj option) (args : value list) : value =
+  tick t cost_call;
+  t.depth <- t.depth + 1;
+  if t.depth > 10_000 then error "call stack overflow";
+  let b =
+    match code.body with
+    | Some b -> b
+    | None ->
+        let b = translate t code.routine in
+        code.body <- Some b;
+        b
+  in
+  let frame = { slots = Array.make b.nslots unbound; f_this = this_obj; f_timers = 0 } in
+  bind_params b frame args;
+  (match this_obj with
+   | Some o when code.routine.ro_kind = Rk_ctor -> run_inits t b o frame
+   | _ -> ());
+  match b.run with
+  | None ->
+      (* undefined routine: builtin or no-op *)
+      finish t frame Vunit
+  | Some run -> (
+      try
+        run frame;
+        finish t frame Vunit
+      with
+      | Return_exc v -> finish t frame v
+      | Cpp_exception _ as ex ->
+          (* unwind this frame's timers, then propagate *)
+          ignore (finish t frame Vunit);
+          raise ex)
+
+and run_inits t b (o : obj) frame =
+  List.iter
+    (fun (name, init_args) ->
+      let vargs = List.map (fun a -> deref (a frame)) init_args in
+      match Hashtbl.find_opt o.o_fields name with
+      | Some cell -> (
+          match (!cell, vargs) with
+          | Vobj fo, _ -> (
+              let c = Il.class_ t.prog fo.o_class in
+              match builtin_method t fo (class_base_name c) vargs with
+              | Some _ -> ()
+              | None -> (
+                  match pick t (ctor_cands t fo.o_class) vargs with
+                  | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
+                  | None -> ()))
+          | _, [ v ] -> cell := copy_value v
+          | _, _ -> ())
+      | None -> (
+          (* base class initializer *)
+          let c = Il.class_ t.prog o.o_class in
+          let base =
+            List.find_opt
+              (fun (b : Il.base_spec) ->
+                class_base_name (Il.class_ t.prog b.ba_class) = name
+                || (Il.class_ t.prog b.ba_class).cl_name = name)
+              c.cl_bases
           in
-          match find_class_by_name t cname with
-          | Some cl -> (
-              let c = member_cands t cl last.Ast.id in
-              if c.routines = [] then error "no member '%s' in %s" last.Ast.id cname;
-              match pick t c vargs with
-              | Some r -> invoke t r None vargs
-              | None -> error "no viable overload for %s::%s" cname last.Ast.id)
-          | None -> error "unknown class '%s'" cname)
-      | _ -> assert false)
+          match base with
+          | Some b -> (
+              match pick t (ctor_cands t b.ba_class) vargs with
+              | Some ctor -> ignore (invoke t (code_of t ctor) (Some o) vargs)
+              | None -> ())
+          | None -> ()))
+    b.inits
+
+(* method call with dynamic dispatch *)
+and call_method t (s : site) (o : obj) name (args : value list) : value option =
+  match builtin_method t o name args with
+  | Some _ as v -> v
   | None -> (
-      (* scalar functional cast *)
-      match (Ast.unqual ty, vargs) with
-      | _, [] -> Vint 0L
-      | Ast.TBuiltin { base = `Double; _ }, [ v ] -> Vdouble (to_float v)
-      | Ast.TBuiltin { base = `Float; _ }, [ v ] -> Vdouble (to_float v)
-      | Ast.TBuiltin { base = `Bool; _ }, [ v ] -> Vbool (truthy v)
-      | Ast.TBuiltin { base = `Char; _ }, [ v ] -> Vchar (Int64.to_int (to_int v))
-      | _, [ v ] -> (
-          match v with
-          | Vdouble _ -> Vint (to_int v)
-          | v -> v)
-      | _, v :: _ -> v)
+      match site_code t s o.o_class args with
+      | Some code -> Some (invoke t code (Some o) args)
+      | None -> None)
 
 (* construct an object of class [cl] with the given argument values *)
 and construct t (cl : Il.class_id) (args : value list) : value =
@@ -924,469 +905,771 @@ and run_ctor t (o : obj) (cl : Il.class_id) (ctor : Il.routine_entity)
     (args : value list) : unit =
   let skip = List.map fst ctor.ro_inits in
   construct_bases_and_fields t o cl ~skip;
-  ignore (invoke t ctor (Some o) args)
+  ignore (invoke t (code_of t ctor) (Some o) args)
 
-(* evaluate a qualified name to a reference cell (wrapped as Vptr) or value *)
-and eval_name t (f : frame) (q : Ast.qual_name) : value =
+(* A routine's parameters, member initializers and body, translated.  The
+   parameters take the first slots, in order. *)
+and translate t (r : Il.routine_entity) : body =
+  let facts = routine_facts t r in
+  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref = facts.ret_ref } in
+  let params =
+    List.map
+      (fun ((p : Il.param_info), by_ref) ->
+        (* a default sees the parameters before it, not its own *)
+        let default = Option.map (fun d -> (expr ctx d).rv) p.pi_default in
+        let slot = match p.pi_name with Some n -> declare ctx ~direct:true n | None -> -1 in
+        (slot, by_ref, default))
+      facts.params
+  in
+  let inits = List.map (fun (name, args) -> (name, List.map (fun a -> (expr ctx a).rv) args)) r.ro_inits in
+  let run = Option.map (stmt ctx ~direct:false) r.ro_body in
+  { nslots = ctx.nslots; params = Array.of_list params; inits; run }
+
+(* ---- expressions: [rv] ticks once, as the walker's [eval] did ---- *)
+
+and expr ctx (e : Ast.expr) : cexpr =
+  let t = ctx.t in
+  let tick t cost_expr = tick t cost_expr in
+  let const v = { rv = (fun _ -> tick t cost_expr; v); lv = no_lv } in
+  let rv rv = { rv; lv = no_lv } in
+  match e.Ast.e with
+  | Ast.IntE n -> const (Vint n)
+  | Ast.FloatE x -> const (Vdouble x)
+  | Ast.CharE c -> const (Vchar c)
+  | Ast.StringE s -> const (Vstr s)
+  | Ast.BoolE b -> const (Vbool b)
+  | Ast.ThisE ->
+      (* 'this' is a pointer: wrap the receiver so *this and this->f work *)
+      rv (fun f -> tick t cost_expr; Vptr (ref (Vobj (this f))))
+  | Ast.IdE q -> ident ctx q
+  | Ast.Unary ("&", a) ->
+      let a = expr ctx a in
+      rv (fun f ->
+          tick t cost_expr;
+          let c = a.lv f in
+          if c != no_cell then Vptr c else Vptr (ref (a.rv f)))
+  | Ast.Unary ("*", { Ast.e = Ast.ThisE; _ }) ->
+      (* *this: the receiver itself, as Vptr (ref (Vobj o)) dereferenced *)
+      { rv = (fun f -> tick t cost_expr; tick t cost_expr; Vobj (this f));
+        lv = (fun f -> tick t cost_expr; ignore (this f); no_cell) }
+  | Ast.Unary ("*", a) ->
+      let a = expr ctx a and s = method_site t "operator*" in
+      { rv =
+          (fun f ->
+            tick t cost_expr;
+            match a.rv f with
+            | Vptr cell -> !cell
+            | Vobj o -> (
+                (* operator* on an object *)
+                match call_method t s o "operator*" [] with
+                | Some v -> v
+                | None -> error "no operator* on object")
+            | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
+            | v -> v);
+        lv = (fun f -> match deref (a.rv f) with Vptr cell -> cell | _ -> no_cell) }
+  | Ast.Unary ("!", a) ->
+      let a = expr ctx a in
+      rv (fun f -> tick t cost_expr; vbool (not (truthy (deref (a.rv f)))))
+  | Ast.Unary ("-", a) ->
+      let a = expr ctx a in
+      rv (fun f ->
+          tick t cost_expr;
+          match deref (a.rv f) with
+          | Vdouble x -> Vdouble (-.x)
+          | v -> Vint (Int64.neg (to_int v)))
+  | Ast.Unary ("+", a) ->
+      let a = expr ctx a in
+      rv (fun f -> tick t cost_expr; deref (a.rv f))
+  | Ast.Unary ("~", a) ->
+      let a = expr ctx a in
+      rv (fun f -> tick t cost_expr; Vint (Int64.lognot (to_int (deref (a.rv f)))))
+  | Ast.Unary (("++" | "--") as op, a) ->
+      let a = expr ctx a and s = method_site t ("operator" ^ op) in
+      let dv = if op = "++" then 1L else -1L in
+      rv (fun f ->
+          tick t cost_expr;
+          let cell = a.lv f in
+          if cell != no_cell then begin
+            (match !cell with
+             | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
+             | v -> cell := Vint (Int64.add (to_int v) dv));
+            !cell
+          end
+          else
+            match deref (a.rv f) with
+            | Vobj o -> (
+                match call_method t s o ("operator" ^ op) [] with
+                | Some r -> r
+                | None -> error "no operator%s" op)
+            | _ -> error "cannot increment non-lvalue")
+  | Ast.Unary (op, a) ->
+      let a = expr ctx a and s = method_site t ("operator" ^ op) in
+      rv (fun f ->
+          tick t cost_expr;
+          match deref (a.rv f) with
+          | Vobj o -> (
+              match call_method t s o ("operator" ^ op) [] with
+              | Some v -> v
+              | None -> error "no operator%s on object" op)
+          | _ -> error "unsupported unary '%s'" op)
+  | Ast.Postfix (("++" | "--") as op, a) ->
+      let a = expr ctx a in
+      let dv = if op = "++" then 1L else -1L in
+      rv (fun f ->
+          tick t cost_expr;
+          let cell = a.lv f in
+          if cell == no_cell then error "cannot increment non-lvalue";
+          let old = !cell in
+          (match old with
+           | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
+           | v -> cell := Vint (Int64.add (to_int v) dv));
+          old)
+  | Ast.Postfix (op, _) -> rv (fun _ -> tick t cost_expr; error "unsupported postfix '%s'" op)
+  | Ast.Binary ("&&", a, b) ->
+      let a = expr ctx a and b = expr ctx b in
+      rv (fun f -> tick t cost_expr; vbool (truthy (deref (a.rv f)) && truthy (deref (b.rv f))))
+  | Ast.Binary ("||", a, b) ->
+      let a = expr ctx a and b = expr ctx b in
+      rv (fun f -> tick t cost_expr; vbool (truthy (deref (a.rv f)) || truthy (deref (b.rv f))))
+  | Ast.Binary (op, a, b) ->
+      let a = expr ctx a and b = expr ctx b in
+      let arith = binop op and opname = "operator" ^ op in
+      let s = method_site t opname in
+      let free_operator =
+        match Hashtbl.find_opt t.free_operators opname with
+        | None -> fun _ -> None
+        | Some c -> (
+            let fs = free_site c in
+            fun args ->
+              match site_code t fs (-1) args with
+              | Some code -> Some (invoke t code None args)
+              | None -> None)
+      in
+      rv (fun f ->
+          tick t cost_expr;
+          match deref (a.rv f) with
+          | Vobj o as va -> (
+              let vb = deref (b.rv f) in
+              match call_method t s o opname [ vb ] with
+              | Some v -> v
+              | None -> (
+                  match free_operator [ va; vb ] with
+                  | Some v -> v
+                  | None -> error "no operator%s for class %s" op
+                              (Il.class_ t.prog o.o_class).cl_name))
+          | va -> (
+              match deref (b.rv f) with
+              | Vobj _ as vb -> (
+                  (* e.g. 1 + obj via free operator *)
+                  match free_operator [ va; vb ] with
+                  | Some v -> v
+                  | None -> arith va vb)
+              | vb -> arith va vb))
+  | Ast.Assign (op, a, b) -> assign ctx op a b
+  | Ast.Cond (c, a, b) ->
+      let c = expr ctx c and a = expr ctx a and b = expr ctx b in
+      rv (fun f -> tick t cost_expr; if truthy (deref (c.rv f)) then deref (a.rv f) else deref (b.rv f))
+  | Ast.Call (callee, args) ->
+      let call = call ctx callee args in
+      { rv = call; lv = (fun f -> match call f with Vptr cell -> cell | _ -> no_cell) }
+  | Ast.Member (oe, _, m) ->
+      let cell = member ctx oe m in
+      { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell }
+  | Ast.Index (a, i) ->
+      let a = expr ctx a and i = expr ctx i and s = method_site t "operator[]" in
+      let range cells vi =
+        let idx = Int64.to_int (to_int vi) in
+        if idx < 0 || idx >= Array.length cells then no_cell else cells.(idx)
+      in
+      let elem cells vi =
+        let c = range cells vi in
+        if c == no_cell then raise (Cpp_exception (Vstr "array index out of range")) else !c
+      in
+      { rv =
+          (fun f ->
+            tick t cost_expr;
+            let va = deref (a.rv f) in
+            let vi = deref (i.rv f) in
+            match va with
+            | Vobj o -> (
+                match call_method t s o "operator[]" [ vi ] with
+                | Some v -> deref v
+                | None -> error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name)
+            | Varr cells -> elem cells vi
+            | Vptr cell -> (
+                match !cell with
+                | Varr cells -> elem cells vi
+                | v when to_int vi = 0L -> v
+                | _ -> error "unsupported pointer indexing")
+            | Vstr s ->
+                let idx = Int64.to_int (to_int vi) in
+                if idx >= 0 && idx < String.length s then Vchar (Char.code s.[idx]) else Vchar 0
+            | _ -> error "cannot index this value");
+        lv =
+          (fun f ->
+            let va = deref (a.rv f) in
+            let vi = deref (i.rv f) in
+            match va with
+            | Vobj o -> (
+                match call_method t s o "operator[]" [ vi ] with
+                | Some (Vptr cell) -> cell
+                | Some v -> ref v
+                | None -> no_cell)
+            | Varr cells -> range cells vi
+            | Vptr cell -> (
+                match !cell with
+                | Varr cells -> range cells vi
+                | _ -> if to_int vi = 0L then cell else no_cell)
+            | _ -> no_cell) }
+  | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
+      let a = expr ctx a in
+      (* scalar conversions really convert; class/pointer casts pass through *)
+      let conv =
+        match Ast.unqual ty with
+        | Ast.TBuiltin { base = `Int; _ } -> fun v -> Vint (to_int v)
+        | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
+        | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
+        | Ast.TBuiltin { base = `Char; _ } -> fun v -> Vchar (Int64.to_int (to_int v) land 0xff)
+        | _ -> Fun.id
+      in
+      rv (fun f -> tick t cost_expr; conv (deref (a.rv f)))
+  | Ast.Construct (ty, args) ->
+      let make = construct_from_type ctx ty args in
+      rv (fun f -> tick t cost_expr; make f)
+  | Ast.New (ty, args, None) ->
+      let make = construct_from_type ctx ty (Option.value args ~default:[]) in
+      rv (fun f -> tick t cost_expr; Vptr (ref (make f)))
+  | Ast.New (ty, _, Some n) ->
+      let n = expr ctx n in
+      let elem =
+        match lookup_class_of_asttype t ty with
+        | Some cl -> fun () -> Vobj (make_object t cl)
+        | None -> fun () -> Vint 0L
+      in
+      rv (fun f ->
+          tick t cost_expr;
+          let n = Int64.to_int (to_int (deref (n.rv f))) in
+          Vptr (ref (Varr (Array.init (max n 0) (fun _ -> ref (elem ()))))))
+  | Ast.Delete (_, a) ->
+      let a = expr ctx a in
+      rv (fun f -> tick t cost_expr; ignore (a.rv f); Vunit)
+  | Ast.SizeofE _ | Ast.SizeofT _ -> const (Vint 8L)
+  | Ast.ThrowE (Some a) ->
+      let a = expr ctx a in
+      rv (fun f -> tick t cost_expr; raise (Cpp_exception (deref (a.rv f))))
+  | Ast.ThrowE None -> rv (fun _ -> tick t cost_expr; raise (Cpp_exception Vnull))
+  | Ast.Comma (a, b) ->
+      let a = expr ctx a and b = expr ctx b in
+      rv (fun f -> tick t cost_expr; ignore (a.rv f); deref (b.rv f))
+
+and this f =
+  match f.f_this with Some o -> o | None -> error "'this' outside of member function"
+
+(* a name: a local's slot, a field of this or a global found once per site;
+   a qualified name is an enum constant or a namespace variable *)
+and ident ctx (q : Ast.qual_name) : cexpr =
+  let t = ctx.t in
+  let tick t cost_expr = tick t cost_expr in
   match q.Ast.parts with
   | [ { id; _ } ] -> (
-      match lookup_cell t f id with
-      | Some cell -> Vptr cell
-      | None -> (
-          (* enum constants resolved by sema are... not in IL bodies; look in
-             IL enums *)
-          match Hashtbl.find_opt t.enum_constants id with
-          | Some v -> Vint v
-          | None -> error "unbound identifier '%s'" id))
+      let cell = name_cell ctx id in
+      (* enum constants resolved by sema are... not in IL bodies; look in
+         IL enums *)
+      match Hashtbl.find_opt t.enum_constants id with
+      | Some v ->
+          let v = Vint v in
+          { rv = (fun f -> tick t cost_expr; let c = cell f in if c != no_cell then !c else v);
+            lv = cell }
+      | None ->
+          let cell f =
+            let c = cell f in
+            if c != no_cell then c else error "unbound identifier '%s'" id
+          in
+          { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell })
   | parts -> (
       (* qualified: try enum constant Class::CONST or namespace variable *)
       let last = (List.nth parts (List.length parts - 1)).Ast.id in
+      let global n = Hashtbl.find_opt t.globals n in
       match Hashtbl.find_opt t.enum_constants last with
-      | Some v -> Vint v
+      | Some v -> { rv = (let v = Vint v in fun _ -> tick t cost_expr; v); lv = no_lv }
       | None -> (
-          match Hashtbl.find_opt t.globals (Ast.qual_name_to_string q) with
-          | Some cell -> Vptr cell
-          | None -> (
-              match Hashtbl.find_opt t.globals last with
-              | Some cell -> Vptr cell
-              | None -> error "unbound name '%s'" (Ast.qual_name_to_string q))))
+          match
+            match global (Ast.qual_name_to_string q) with Some c -> Some c | None -> global last
+          with
+          | Some c -> { rv = (fun _ -> tick t cost_expr; !c); lv = (fun _ -> c) }
+          | None ->
+              let fail _ = error "unbound name '%s'" (Ast.qual_name_to_string q) in
+              { rv = (fun f -> tick t cost_expr; fail f); lv = fail }))
 
-(* lvalue evaluation: a mutable cell *)
-and eval_lval t (f : frame) (e : Ast.expr) : value ref option =
-  match e.Ast.e with
-  | Ast.IdE q -> (
-      match eval_name t f q with
-      | Vptr cell -> Some cell
-      | _ -> None)
-  | Ast.Member (oe, _, m) -> (
-      match eval_member t f oe m with
-      | Vptr cell -> Some cell
-      | _ -> None)
-  | Ast.Index (a, i) -> (
-      let va = deref (eval t f a) in
-      let vi = deref (eval t f i) in
-      match va with
-      | Vobj o -> (
-          match call_method t o "operator[]" [ vi ] with
-          | Some (Vptr cell) -> Some cell
-          | Some v -> Some (ref v)
-          | None -> None)
-      | Varr cells ->
-          let idx = Int64.to_int (to_int vi) in
-          if idx >= 0 && idx < Array.length cells then Some cells.(idx) else None
-      | Vptr cell -> (
-          match !cell with
-          | Varr cells ->
-              let idx = Int64.to_int (to_int vi) in
-              if idx >= 0 && idx < Array.length cells then Some cells.(idx) else None
-          | _ -> if to_int vi = 0L then Some cell else None)
-      | _ -> None)
-  | Ast.Unary ("*", a) -> (
-      match deref (eval t f a) with
-      | Vptr cell -> Some cell
-      | _ -> None)
-  | Ast.Call _ -> (
-      (* calls returning T& yield a reference cell *)
-      match eval t f e with
-      | Vptr cell -> Some cell
-      | _ -> None)
-  | Ast.ThisE -> None
-  | _ -> None
+(* member access: the field's cell *)
+and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
+  let t = ctx.t in
+  let oe = expr ctx oe and name = (Ast.last_part m).Ast.id in
+  fun f ->
+    match deref (oe.rv f) with
+    | Vobj o -> (
+        match Hashtbl.find o.o_fields name with
+        | cell -> cell
+        | exception Not_found ->
+            error "object of class %s has no field '%s'" (Il.class_ t.prog o.o_class).cl_name name)
+    | Vptr cell -> (
+        match !cell with
+        | Vobj o -> (
+            match Hashtbl.find o.o_fields name with
+            | c -> c
+            | exception Not_found -> error "object has no field '%s'" name)
+        | _ -> error "member access through non-object pointer")
+    | Vnull -> raise (Cpp_exception (Vstr "null pointer member access"))
+    | _ -> error "member access on non-object"
 
-(* member access (field or zero-arg accessor reference): returns Vptr cell
-   for fields *)
-and eval_member t (f : frame) (oe : Ast.expr) (m : Ast.qual_name) : value =
-  let recv = deref (eval t f oe) in
-  let name = (Ast.last_part m).Ast.id in
-  match recv with
-  | Vobj o -> (
-      match Hashtbl.find_opt o.o_fields name with
-      | Some cell -> Vptr cell
-      | None -> error "object of class %s has no field '%s'"
-                  (Il.class_ t.prog o.o_class).cl_name name)
-  | Vptr cell -> (
-      match !cell with
-      | Vobj o -> (
-          match Hashtbl.find_opt o.o_fields name with
-          | Some c -> Vptr c
-          | None -> error "object has no field '%s'" name)
-      | _ -> error "member access through non-object pointer")
-  | Vnull -> raise (Cpp_exception (Vstr "null pointer member access"))
-  | _ -> error "member access on non-object"
-
-(* method call with dynamic dispatch *)
-and call_method t (o : obj) (name : string) (args : value list) : value option =
-  match builtin_method t o name args with
-  | Some v -> Some v
-  | None -> (
-      match pick t (member_cands t o.o_class name) args with
-      | Some r -> Some (invoke t r (Some o) args)
-      | None -> None)
-
-and free_operator t (f : frame) op (args : value list) : value option =
-  ignore f;
-  match Hashtbl.find_opt t.free_operators ("operator" ^ op) with
-  | None -> None
-  | Some c -> (
-      match pick t c args with
-      | Some r -> Some (invoke t r None args)
-      | None -> None)
-
-(* function-call expression *)
-and eval_call t (f : frame) (callee : Ast.expr) (args : Ast.expr list) : value =
-  match callee.Ast.e with
-  | Ast.Member (oe, _, m) -> (
-      let name = (Ast.last_part m).Ast.id in
-      let recv = deref (eval t f oe) in
-      let vargs = eval_args t f args in
-      match recv with
-      | Vobj o -> (
-          match call_method t o name vargs with
-          | Some v -> v
-          | None -> error "no method '%s' on class %s" name
-                      (Il.class_ t.prog o.o_class).cl_name)
-      | Vptr cell -> (
-          match !cell with
-          | Vobj o -> (
-              match call_method t o name vargs with
-              | Some v -> v
-              | None -> error "no method '%s'" name)
-          | _ -> error "method call through non-object pointer")
-      | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
-      | _ -> error "method call on non-object (%s)" name)
-  | Ast.IdE q -> (
-      let name = (Ast.last_part q).Ast.id in
-      (* TAU measurement builtins *)
-      match name with
-      | "TAU_PROFILE" -> tau_profile t f args
-      | "mpi_rank" -> Vint (Int64.of_int (fst t.mpi))
-      | "mpi_size" -> Vint (Int64.of_int (snd t.mpi))
-      | "CT" -> (
-          match args with
-          | [ a ] -> Vstr (type_name_of_value t (deref (eval t f a)))
-          | _ -> Vstr "<CT?>")
-      | _ -> (
-          let vargs = eval_args t f args in
-          (* member function of this? *)
-          match f.f_this with
-          | Some o when (member_cands t o.o_class name).routines <> [] -> (
-              match call_method t o name vargs with
-              | Some v -> v
-              | None -> error "member call '%s' failed" name)
-          | _ -> (
-              (* free function by its unqualified name *)
-              match Hashtbl.find_opt t.free_routines name with
-              | None -> (
-                  (* constructor call: Class(args) where parser kept IdE *)
-                  match find_class_by_name t (Ast.qual_name_to_string q) with
-                  | Some cl -> construct t cl vargs
-                  | None -> error "call to unknown function '%s'"
-                              (Ast.qual_name_to_string q))
-              | Some c -> (
-                  match pick t c vargs with
-                  | Some r -> invoke t r None vargs
-                  | None -> error "no viable overload for '%s'" name))))
-  | _ -> (
-      let fv = deref (eval t f callee) in
-      let vargs = eval_args t f args in
-      match fv with
-      | Vobj o -> (
-          match call_method t o "operator()" vargs with
-          | Some v -> v
-          | None -> error "object is not callable")
-      | _ -> error "value is not callable")
+and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
+  let t = ctx.t in
+  let b = expr ctx b and a = expr ctx a in
+  let opname = "operator" ^ op in
+  let s = method_site t opname in
+  let has_op =
+    per_class (fun cl -> Il.find_member_funcs t.prog (Il.class_ t.prog cl) opname <> [])
+  in
+  let update =
+    if op = "=" then fun cell _ vb ->
+      cell := copy_value vb;
+      !cell
+    else
+      let arith = binop (String.sub op 0 (String.length op - 1)) in
+      fun cell cur vb ->
+        match cur with
+        | Vobj o -> (
+            match call_method t s o opname [ vb ] with
+            | Some v -> v
+            | None -> error "no operator%s" op)
+        | _ ->
+            cell := arith cur vb;
+            !cell
+  in
+  { rv =
+      (fun f ->
+        tick t cost_expr;
+        let vb = deref (b.rv f) in
+        let cell = a.lv f in
+        if cell == no_cell then error "cannot assign to non-lvalue";
+        match !cell with
+        | Vobj o when has_op o.o_class -> (
+            match call_method t s o opname [ vb ] with
+            | Some v -> v
+            | None -> error "operator%s failed" op)
+        | Vobj o when op = "=" && o.o_builtin <> None -> (
+            (* builtin copy assignment *)
+            match vb with
+            | Vobj src ->
+                let copy = copy_obj src in
+                (match (o.o_builtin, copy.o_builtin) with
+                 | Some (Bvector (st, sz)), Some (Bvector (st', sz')) ->
+                     st := !st';
+                     sz := !sz'
+                 | Some (Bstring s), Some (Bstring s') -> s := !s'
+                 | _ -> ());
+                Vobj o
+            | _ -> error "cannot assign non-object to builtin object")
+        | cur -> update cell cur vb);
+    lv = no_lv }
 
 (* arguments pass references through so T& parameters can alias; a call
    runs once, its T& result already a Vptr *)
-and eval_args t f args =
-  List.map
-    (fun (a : Ast.expr) ->
-      match a.Ast.e with
-      | Ast.Call _ -> eval t f a
+and arguments ctx (args : Ast.expr list) : frame -> value list =
+  let arg (a : Ast.expr) : frame -> value =
+    let c = expr ctx a in
+    match a.Ast.e with
+    | Ast.Call _ -> c.rv
+    | _ when c.lv == no_lv -> fun f -> deref (c.rv f)
+    | _ ->
+        fun f ->
+          let cell = c.lv f in
+          if cell != no_cell then Vptr cell else deref (c.rv f)
+  in
+  match List.map arg args with
+  | [] -> fun _ -> []
+  | [ a ] -> fun f -> [ a f ]
+  | [ a; b ] ->
+      fun f ->
+        let x = a f in
+        [ x; b f ]
+  | l -> fun f -> List.map (fun a -> a f) l
+
+and values ctx (args : Ast.expr list) : frame -> value list =
+  let args = List.map (fun a -> (expr ctx a).rv) args in
+  fun f -> List.map (fun a -> deref (a f)) args
+
+and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
+  let t = ctx.t in
+  let vargs = values ctx args in
+  match lookup_class_of_asttype t ty with
+  | Some cl -> fun f -> construct t cl (vargs f)
+  | None -> (
+      match ty with
+      | Ast.TName { parts; global } when List.length parts >= 2 -> (
+          (* qualified call parsed as a cast: Class::static_member(args) *)
+          let front = List.filteri (fun i _ -> i < List.length parts - 1) parts in
+          let last = (List.nth parts (List.length parts - 1)).Ast.id in
+          let cname = Ast.qual_name_to_string { Ast.global; parts = front } in
+          let call =
+            match find_class_by_name t cname with
+            | None -> fun _ -> error "unknown class '%s'" cname
+            | Some cl ->
+                let c = member_cands t cl last in
+                if c.routines = [] then fun _ -> error "no member '%s' in %s" last cname
+                else
+                  let s = free_site c in
+                  fun vargs ->
+                    match site_code t s (-1) vargs with
+                    | Some code -> invoke t code None vargs
+                    | None -> error "no viable overload for %s::%s" cname last
+          in
+          fun f -> call (vargs f))
       | _ -> (
-          match eval_lval t f a with
-          | Some cell -> Vptr cell
-          | None -> deref (eval t f a)))
-    args
+          (* scalar functional cast *)
+          let conv =
+            match Ast.unqual ty with
+            | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
+            | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
+            | Ast.TBuiltin { base = `Char; _ } -> fun v -> Vchar (Int64.to_int (to_int v))
+            | _ -> ( function Vdouble _ as v -> Vint (to_int v) | v -> v)
+          in
+          fun f ->
+            match vargs f with
+            | [] -> Vint 0L
+            | [ v ] -> conv v
+            | v :: _ -> v))
 
-and find_class_by_name t name : Il.class_id option =
-  Hashtbl.find_opt t.class_by_name name
+(* function-call expression, the Call node's tick included *)
+and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
+  let t = ctx.t in
+  let tick t cost_expr = tick t cost_expr in
+  match callee.Ast.e with
+  | Ast.Member (oe, _, m) ->
+      let name = (Ast.last_part m).Ast.id in
+      let oe = expr ctx oe and args = arguments ctx cargs and s = method_site t name in
+      fun f ->
+        tick t cost_expr;
+        let recv = deref (oe.rv f) in
+        let vargs = args f in
+        (match recv with
+         | Vobj o -> (
+             match call_method t s o name vargs with
+             | Some v -> v
+             | None -> error "no method '%s' on class %s" name
+                         (Il.class_ t.prog o.o_class).cl_name)
+         | Vptr cell -> (
+             match !cell with
+             | Vobj o -> (
+                 match call_method t s o name vargs with
+                 | Some v -> v
+                 | None -> error "no method '%s'" name)
+             | _ -> error "method call through non-object pointer")
+         | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
+         | _ -> error "method call on non-object (%s)" name)
+  | Ast.IdE q -> (
+      let name = (Ast.last_part q).Ast.id in
+      (* TAU measurement builtins *)
+      match (name, cargs) with
+      | "TAU_PROFILE", _ -> tau_profile ctx cargs
+      | "mpi_rank", _ -> let v = Vint (Int64.of_int (fst t.mpi)) in fun _ -> tick t cost_expr; v
+      | "mpi_size", _ -> let v = Vint (Int64.of_int (snd t.mpi)) in fun _ -> tick t cost_expr; v
+      | "CT", [ { Ast.e = Ast.Unary ("*", { Ast.e = Ast.ThisE; _ }); _ } ] ->
+          (* CT( *this ): the receiver's class name *)
+          let cname = per_class (fun cl -> Vstr (Il.class_ t.prog cl).cl_name) in
+          fun f -> tick t cost_expr; tick t cost_expr; tick t cost_expr; cname (this f).o_class
+      | "CT", [ a ] ->
+          let a = expr ctx a in
+          fun f -> tick t cost_expr; Vstr (type_name_of_value t (deref (a.rv f)))
+      | "CT", _ -> fun _ -> tick t cost_expr; Vstr "<CT?>"
+      | _ ->
+          let args = arguments ctx cargs and s = method_site t name in
+          (* member function of this? *)
+          let is_member = per_class (fun cl -> (member_cands t cl name).routines <> []) in
+          let free =
+            (* free function by its unqualified name *)
+            match Hashtbl.find_opt t.free_routines name with
+            | None -> (
+                (* constructor call: Class(args) where parser kept IdE *)
+                match find_class_by_name t (Ast.qual_name_to_string q) with
+                | Some cl -> construct t cl
+                | None -> fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
+            | Some c -> (
+                let fs = free_site c in
+                fun vargs ->
+                  match site_code t fs (-1) vargs with
+                  | Some code -> invoke t code None vargs
+                  | None -> error "no viable overload for '%s'" name)
+          in
+          fun f ->
+            tick t cost_expr;
+            let vargs = args f in
+            match f.f_this with
+            | Some o when is_member o.o_class -> (
+                match call_method t s o name vargs with
+                | Some v -> v
+                | None -> error "member call '%s' failed" name)
+            | _ -> free vargs)
+  | _ ->
+      let fe = expr ctx callee and args = arguments ctx cargs in
+      let s = method_site t "operator()" in
+      fun f ->
+        tick t cost_expr;
+        let fv = deref (fe.rv f) in
+        let vargs = args f in
+        match fv with
+        | Vobj o -> (
+            match call_method t s o "operator()" vargs with
+            | Some v -> v
+            | None -> error "object is not callable")
+        | _ -> error "value is not callable"
 
-(* the TAU_PROFILE statement: start a timer bound to the current frame *)
-and tau_profile t (f : frame) (args : Ast.expr list) : value =
-  if t.instrumented then begin
-    let name_of a = value_to_display_string (deref (eval t f a)) in
-    let label =
-      match args with
-      | [ n ] -> name_of n
-      | n :: ty :: _ ->
-          let n = name_of n and ty = name_of ty in
-          if ty = "" || ty = "0" then n else String.concat "" [ n; " ["; ty; "]" ]
-      | [] -> "<unnamed>"
-    in
+(* the TAU_PROFILE statement: start a timer bound to the current frame; the
+   label is rebuilt only when its parts are not the last call's strings *)
+and tau_profile ctx (args : Ast.expr list) : frame -> value =
+  let t = ctx.t in
+  let enter f label =
     if Rt.enter t.profiler label ~now:(Int64.of_int t.cycles) then
       f.f_timers <- f.f_timers + 1
-  end;
-  Vunit
+  in
+  let name_of a =
+    let a = expr ctx a in
+    fun f -> value_to_display_string (deref (a.rv f))
+  in
+  let profile =
+    match args with
+    | _ when not t.instrumented -> fun _ -> ()
+    | [ n ] ->
+        let n = name_of n in
+        fun f -> enter f (n f)
+    | n :: ty :: _ ->
+        let n = name_of n and ty = name_of ty in
+        let last_n = ref "" and last_ty = ref "" and last = ref "" in
+        fun f ->
+          let n = n f in
+          let ty = ty f in
+          if n != !last_n || ty != !last_ty then begin
+            last := if ty = "" || ty = "0" then n else String.concat "" [ n; " ["; ty; "]" ];
+            last_n := n;
+            last_ty := ty
+          end;
+          enter f !last
+    | [] -> fun f -> enter f "<unnamed>"
+  in
+  fun f ->
+    tick t cost_expr;
+    profile f;
+    Vunit
 
-(* invoke a routine with an optional receiver *)
-and invoke t (r : Il.routine_entity) (this_obj : obj option) (args : value list) :
-    value =
-  tick t cost_call;
-  t.depth <- t.depth + 1;
-  if t.depth > 10_000 then error "call stack overflow";
-  let facts = routine_facts t r in
-  let frame = { scope = []; f_this = this_obj; f_timers = 0; f_ret_ref = facts.ret_ref } in
-  bind_params t frame facts.params args;
-  (match this_obj with
-   | Some o when r.ro_kind = Rk_ctor ->
-       (* run member initializers *)
-       List.iter
-         (fun (name, init_args) ->
-           let vargs = List.map (fun a -> deref (eval t frame a)) init_args in
-           match Hashtbl.find_opt o.o_fields name with
-           | Some cell -> (
-               match (!cell, vargs) with
-               | Vobj fo, _ -> (
-                   let c = Il.class_ t.prog fo.o_class in
-                   match builtin_method t fo (class_base_name c) vargs with
-                   | Some _ -> ()
-                   | None -> (
-                       match pick t (ctor_cands t fo.o_class) vargs with
-                       | Some ctor -> ignore (invoke t ctor (Some fo) vargs)
-                       | None -> ()))
-               | _, [ v ] -> cell := copy_value v
-               | _, _ -> ())
-           | None -> (
-               (* base class initializer *)
-               let c = Il.class_ t.prog o.o_class in
-               let base =
-                 List.find_opt
-                   (fun (b : Il.base_spec) ->
-                     class_base_name (Il.class_ t.prog b.ba_class) = name
-                     || (Il.class_ t.prog b.ba_class).cl_name = name)
-                   c.cl_bases
-               in
-               match base with
-               | Some b -> (
-                   match pick t (ctor_cands t b.ba_class) vargs with
-                   | Some ctor -> ignore (invoke t ctor (Some o) vargs)
-                   | None -> ())
-               | None -> ()))
-         r.ro_inits
-   | _ -> ());
-  match r.ro_body with
-  | None ->
-      (* undefined routine: builtin or no-op *)
-      finish t frame Vunit
-  | Some body -> (
-      try
-        exec_stmt t frame body;
-        finish t frame Vunit
-      with
-      | Return_exc v -> finish t frame v
-      | Cpp_exception _ as ex ->
-          (* unwind this frame's timers, then propagate *)
-          ignore (finish t frame Vunit);
-          raise ex)
+(* ---- statements: each ticks once, as the walker's [exec_stmt] did ---- *)
 
-(* bind parameters: by-value params copy; reference params alias *)
-and bind_params t frame params (args : value list) =
-  match (params, args) with
-  | [], _ -> ()
-  | ((p : Il.param_info), by_ref) :: ps, arg :: rest ->
-      let cell =
-        match (arg, by_ref) with
-        | Vptr c, true -> c
-        | v, _ -> ref (copy_value (deref v))
-      in
-      (match p.pi_name with
-       | Some n -> bind_local frame n cell
-       | None -> ());
-      bind_params t frame ps rest
-  | (p, _) :: ps, [] ->
-      (* default argument *)
-      (match (p.pi_default, p.pi_name) with
-       | Some d, Some n ->
-           let v = deref (eval t frame d) in
-           bind_local frame n (ref v)
-       | _ -> ());
-      bind_params t frame ps []
-
-(* leave a frame: close the TAU timers it opened *)
-and finish t frame v =
-  for _ = 1 to frame.f_timers do
-    Rt.exit_ t.profiler ~now:(Int64.of_int t.cycles)
-  done;
-  t.depth <- t.depth - 1;
-  v
-
-(* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
-(* ------------------------------------------------------------------ *)
-
-and exec_stmt t (f : frame) (s : Ast.stmt) : unit =
-  tick t cost_expr;
+and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
+  let t = ctx.t in
+  let tick t cost_expr = tick t cost_expr in
+  let cond c = let c = expr ctx c in fun f -> truthy (deref (c.rv f)) in
+  let loop_body body = let body = stmt ctx ~direct:false body in
+    fun f -> try body f with Continue_exc -> () in
   match s.Ast.s with
-  | Ast.SExpr None -> ()
-  | Ast.SExpr (Some e) -> ignore (eval t f e)
-  | Ast.SDecl vds -> List.iter (exec_local_decl t f) vds
-  | Ast.SCompound ss -> in_block f (fun () -> List.iter (exec_stmt t f) ss)
-  | Ast.SIf (c, a, b) ->
-      if truthy (deref (eval t f c)) then exec_stmt t f a
-      else Option.iter (exec_stmt t f) b
-  | Ast.SWhile (c, body) -> (
-      try
-        while truthy (deref (eval t f c)) do
-          try exec_stmt t f body with Continue_exc -> ()
-        done
-      with Break_exc -> ())
-  | Ast.SDoWhile (body, c) -> (
-      try
-        let continue_ = ref true in
-        while !continue_ do
-          (try exec_stmt t f body with Continue_exc -> ());
-          continue_ := truthy (deref (eval t f c))
-        done
-      with Break_exc -> ())
-  | Ast.SFor (init, cond, step, body) -> (
-      in_block f (fun () ->
-          Option.iter (exec_stmt t f) init;
-          try
-            while
-              match cond with
-              | Some c -> truthy (deref (eval t f c))
-              | None -> true
-            do
-              (try exec_stmt t f body with Continue_exc -> ());
-              Option.iter (fun e -> ignore (eval t f e)) step
-            done
-          with Break_exc -> ()))
-  | Ast.SReturn None -> raise (Return_exc Vunit)
-  | Ast.SReturn (Some e) ->
-      if f.f_ret_ref then
-        (* preserve the reference so callers can assign through it *)
-        match eval_lval t f e with
-        | Some cell -> raise (Return_exc (Vptr cell))
-        | None -> raise (Return_exc (eval t f e))
-      else raise (Return_exc (deref (eval t f e)))
-  | Ast.SBreak -> raise Break_exc
-  | Ast.SContinue -> raise Continue_exc
-  | Ast.SSwitch (e, cases) -> (
-      let v = to_int (deref (eval t f e)) in
-      let matching =
-        let rec from = function
-          | [] ->
-              (* run default if present *)
-              (match
-                 List.find_opt (fun (c : Ast.switch_case) -> c.case_guard = None) cases
-               with
-               | Some d -> [ d ]
-               | None -> [])
-          | (c : Ast.switch_case) :: rest -> (
-              match c.case_guard with
-              | Some g when to_int (deref (eval t f g)) = v -> c :: rest
-              | _ -> from rest)
-        in
-        from cases
-      in
-      try
-        List.iter
-          (fun (c : Ast.switch_case) -> List.iter (exec_stmt t f) c.case_body)
-          matching
-      with Break_exc -> ())
-  | Ast.STry (body, handlers) -> (
-      try exec_stmt t f body
-      with Cpp_exception v ->
-        let matches (h : Ast.handler) =
-          match h.h_param with
-          | None -> true
-          | Some p -> (
-              let rec strip = function
-                | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty
-                | ty -> ty
-              in
-              match (v, strip p.Ast.ptype) with
-              | Vobj o, ty -> (
-                  let cname = Ast.type_to_string (Ast.unqual ty) in
-                  let rec class_matches cl =
-                    let c = Il.class_ t.prog cl in
-                    c.cl_name = cname
-                    || class_base_name c = cname
-                    || List.exists
-                         (fun (b : Il.base_spec) -> class_matches b.ba_class)
-                         c.cl_bases
-                  in
-                  class_matches o.o_class)
-              | Vint _, Ast.TBuiltin { base = `Int; _ } -> true
-              | Vdouble _, Ast.TBuiltin { base = `Double; _ } -> true
-              | Vstr _, _ -> (
-                  match p.Ast.ptype with
-                  | Ast.TPtr _ | Ast.TConst _ -> true
-                  | _ -> false)
-              | _ -> false)
-        in
-        (match List.find_opt matches handlers with
-         | Some h ->
-             in_block f (fun () ->
-                 (match h.h_param with
-                  | Some { Ast.pname = Some n; _ } -> bind_local f n (ref v)
-                  | _ -> ());
-                 exec_stmt t f h.h_body)
-         | None -> raise (Cpp_exception v)))
-  | Ast.SSpawn e ->
-      (* deterministic sequential schedule: the spawned call executes
+  | Ast.SExpr None | Ast.SJoin _ -> fun _ -> tick t cost_expr
+  | Ast.SExpr (Some e) | Ast.SSpawn e ->
+      (* spawn: deterministic sequential schedule, the spawned call runs
          eagerly at the spawn site, so join is a no-op *)
-      ignore (eval t f e)
-  | Ast.SJoin _ -> ()
+      let e = expr ctx e in
+      fun f -> tick t cost_expr; ignore (e.rv f)
+  | Ast.SDecl vds ->
+      let ds = List.map (local_decl ctx ~direct) vds in
+      fun f -> tick t cost_expr; List.iter (fun d -> d f) ds
+  | Ast.SCompound ss ->
+      let ss, own = in_scope ctx (fun () -> Array.of_list (List.map (stmt ctx ~direct:true) ss)) in
+      if own = [||] then fun f -> tick t cost_expr; Array.iter (fun s -> s f) ss
+      else fun f -> tick t cost_expr; reset own f; Array.iter (fun s -> s f) ss
+  | Ast.SIf (c, a, b) ->
+      let c = cond c in
+      let a = stmt ctx ~direct:false a in
+      let b = match b with Some b -> stmt ctx ~direct:false b | None -> ignore in
+      fun f -> tick t cost_expr; if c f then a f else b f
+  | Ast.SWhile (c, body) ->
+      let c = cond c in
+      let body = loop_body body in
+      fun f -> tick t cost_expr; (try while c f do body f done with Break_exc -> ())
+  | Ast.SDoWhile (body, c) ->
+      let body = loop_body body in
+      let c = cond c in
+      fun f ->
+        tick t cost_expr;
+        (try
+           let continue_ = ref true in
+           while !continue_ do
+             body f;
+             continue_ := c f
+           done
+         with Break_exc -> ())
+  | Ast.SFor (init, c, step, body) ->
+      let run, own =
+        in_scope ctx (fun () ->
+            let init = match init with Some s -> stmt ctx ~direct:true s | None -> ignore in
+            let c = match c with Some c -> cond c | None -> fun _ -> true in
+            let body = loop_body body in
+            let step = match step with Some e -> (expr ctx e).rv | None -> fun _ -> Vunit in
+            fun f ->
+              init f;
+              try
+                while c f do
+                  body f;
+                  ignore (step f)
+                done
+              with Break_exc -> ())
+      in
+      fun f -> tick t cost_expr; reset own f; run f
+  | Ast.SReturn None -> fun _ -> tick t cost_expr; raise_notrace (Return_exc Vunit)
+  | Ast.SReturn (Some e) ->
+      let e = expr ctx e in
+      if ctx.ret_ref then
+        (* preserve the reference so callers can assign through it *)
+        fun f ->
+          tick t cost_expr;
+          let cell = e.lv f in
+          if cell != no_cell then raise_notrace (Return_exc (Vptr cell))
+          else raise_notrace (Return_exc (e.rv f))
+      else fun f -> tick t cost_expr; raise_notrace (Return_exc (deref (e.rv f)))
+  | Ast.SBreak -> fun _ -> tick t cost_expr; raise_notrace Break_exc
+  | Ast.SContinue -> fun _ -> tick t cost_expr; raise_notrace Continue_exc
+  | Ast.SSwitch (e, cases) ->
+      let e = expr ctx e in
+      let cases =
+        Array.of_list
+          (List.map
+             (fun (c : Ast.switch_case) ->
+               let guard = Option.map (fun g -> (expr ctx g).rv) c.case_guard in
+               (guard, List.map (stmt ctx ~direct:false) c.case_body))
+             cases)
+      in
+      let n = Array.length cases in
+      (* a switch with no matching case runs its default alone *)
+      let default =
+        let rec find i = if i = n then -1 else if fst cases.(i) = None then i else find (i + 1) in
+        find 0
+      in
+      let run i f = List.iter (fun s -> s f) (snd cases.(i)) in
+      fun f ->
+        tick t cost_expr;
+        let v = to_int (deref (e.rv f)) in
+        let rec from i =
+          if i = n then -1
+          else
+            match fst cases.(i) with
+            | Some g when to_int (deref (g f)) = v -> i
+            | _ -> from (i + 1)
+        in
+        let first = from 0 in
+        (try
+           if first >= 0 then for i = first to n - 1 do run i f done
+           else if default >= 0 then run default f
+         with Break_exc -> ())
+  | Ast.STry (body, handlers) ->
+      let body = stmt ctx ~direct:false body in
+      let handlers = List.map (handler ctx) handlers in
+      fun f ->
+        tick t cost_expr;
+        (try body f
+         with Cpp_exception v -> (
+           match List.find_opt (fun (matches, _) -> matches v) handlers with
+           | Some (_, run) -> run f v
+           | None -> raise (Cpp_exception v)))
 
-and exec_local_decl t (f : frame) (vd : Ast.var_decl) : unit =
+and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
+  let t = ctx.t in
+  let matches =
+    match h.h_param with
+    | None -> fun _ -> true
+    | Some p -> (
+        let rec strip = function
+          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty
+          | ty -> ty
+        in
+        let ty = strip p.Ast.ptype in
+        let cname = Ast.type_to_string (Ast.unqual ty) in
+        let rec class_matches cl =
+          let c = Il.class_ t.prog cl in
+          c.cl_name = cname
+          || class_base_name c = cname
+          || List.exists (fun (b : Il.base_spec) -> class_matches b.ba_class) c.cl_bases
+        in
+        let scalar =
+          match ty with Ast.TBuiltin { base = (`Int | `Double) as b; _ } -> Some b | _ -> None
+        in
+        let str = match p.Ast.ptype with Ast.TPtr _ | Ast.TConst _ -> true | _ -> false in
+        function
+        | Vobj o -> class_matches o.o_class
+        | Vint _ -> scalar = Some `Int
+        | Vdouble _ -> scalar = Some `Double
+        | Vstr _ -> str
+        | _ -> false)
+  in
+  let (slot, body), own =
+    in_scope ctx (fun () ->
+        let slot =
+          match h.h_param with
+          | Some { Ast.pname = Some n; _ } -> declare ctx ~direct:true n
+          | _ -> -1
+        in
+        (slot, stmt ctx ~direct:false h.h_body))
+  in
+  ( matches,
+    fun f v ->
+      reset own f;
+      if slot >= 0 then f.slots.(slot) <- ref v;
+      body f )
+
+and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
+  let t = ctx.t in
   (* recursive default for a declared type, handling nested arrays *)
-  let rec default_of_asttype ty =
+  let rec default_of ty : frame -> value =
     match Ast.unqual ty with
-    | Ast.TArray (elem, Some n) -> (
-        match deref (eval t f n) with
-        | Vint len ->
-            Varr (Array.init (Int64.to_int len) (fun _ -> ref (default_of_asttype elem)))
-        | _ -> Vnull)
-    | Ast.TBuiltin { base = `Double; _ } | Ast.TBuiltin { base = `Float; _ } ->
-        Vdouble 0.0
-    | Ast.TBuiltin { base = `Bool; _ } -> Vbool false
-    | Ast.TBuiltin { base = `Char; _ } -> Vchar 0
-    | Ast.TPtr _ -> Vnull
+    | Ast.TArray (elem, Some n) ->
+        let n = expr ctx n and elem = default_of elem in
+        fun f ->
+          (match deref (n.rv f) with
+           | Vint len -> Varr (Array.init (Int64.to_int len) (fun _ -> ref (elem f)))
+           | _ -> Vnull)
+    | Ast.TBuiltin { base = `Double | `Float; _ } -> fun _ -> Vdouble 0.0
+    | Ast.TBuiltin { base = `Bool; _ } -> fun _ -> vfalse
+    | Ast.TBuiltin { base = `Char; _ } -> fun _ -> Vchar 0
+    | Ast.TPtr _ -> fun _ -> Vnull
     | ty -> (
         match lookup_class_of_asttype t ty with
-        | Some cl -> construct t cl []
-        | None -> Vint 0L)
+        | Some cl -> fun _ -> construct t cl []
+        | None -> fun _ -> Vint 0L)
   in
-  let init_value =
+  let cls = lookup_class_of_asttype t vd.Ast.v_type in
+  let init : frame -> value =
     match vd.Ast.v_init with
-    | Ast.NoInit -> default_of_asttype vd.Ast.v_type
+    | Ast.NoInit -> default_of vd.Ast.v_type
     | Ast.EqInit e -> (
-        let v = deref (eval t f e) in
-        match (lookup_class_of_asttype t vd.Ast.v_type, v) with
-        | Some cl, Vobj _ -> (
-            match construct t cl [ v ] with
-            | Vobj _ as res -> res
-            | res -> res)
-        | _ -> copy_value v)
+        let e = expr ctx e in
+        match cls with
+        | Some cl -> (
+            fun f -> match deref (e.rv f) with Vobj _ as v -> construct t cl [ v ] | v -> copy_value v)
+        | None -> fun f -> copy_value (deref (e.rv f)))
     | Ast.CtorInit args -> (
-        let vargs = List.map (fun a -> deref (eval t f a)) args in
-        match lookup_class_of_asttype t vd.Ast.v_type with
-        | Some cl -> construct t cl vargs
-        | None -> ( match vargs with v :: _ -> copy_value v | [] -> Vint 0L))
+        let vargs = values ctx args in
+        match cls with
+        | Some cl -> fun f -> construct t cl (vargs f)
+        | None -> fun f -> (match vargs f with v :: _ -> copy_value v | [] -> Vint 0L))
   in
   (* reference locals alias their initializer *)
-  let is_ref = match vd.Ast.v_type with Ast.TRef _ -> true | _ -> false in
-  let cell =
-    if is_ref then
-      match vd.Ast.v_init with
-      | Ast.EqInit e -> (
-          match eval_lval t f e with Some c -> c | None -> ref init_value)
-      | _ -> ref init_value
-    else ref init_value
+  let cell : frame -> value ref =
+    match (vd.Ast.v_type, vd.Ast.v_init) with
+    | Ast.TRef _, Ast.EqInit e ->
+        let e = expr ctx e in
+        fun f ->
+          let v = init f in
+          let c = e.lv f in
+          if c != no_cell then c else ref v
+    | _ -> fun f -> ref (init f)
   in
-  bind_local f vd.Ast.v_name cell
+  let slot = declare ctx ~direct vd.Ast.v_name in
+  fun f -> f.slots.(slot) <- cell f
 
 (* ------------------------------------------------------------------ *)
 (* Program execution                                                   *)
@@ -1411,14 +1694,15 @@ let init_globals t =
       let v = if gv.gv_name = "endl" then Vstr "\n" else v in
       Hashtbl.replace t.globals gv.gv_name (ref v))
     (Il.globals t.prog);
-  (* frame for global initializers *)
-  let gframe = { scope = []; f_this = None; f_timers = 0; f_ret_ref = false } in
+  (* global initializers run in a frame with no locals and no receiver *)
+  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref = false } in
+  let gframe = { slots = [||]; f_this = None; f_timers = 0 } in
   List.iter
     (fun (gv : Il.global_var) ->
       match gv.gv_init with
       | Ast.EqInit e -> (
           match Hashtbl.find_opt t.globals gv.gv_name with
-          | Some cell -> cell := copy_value (deref (eval t gframe e))
+          | Some cell -> cell := copy_value (deref ((expr ctx e).rv gframe))
           | None -> ())
       | Ast.CtorInit _ | Ast.NoInit -> ())
     (Il.globals t.prog)
@@ -1453,7 +1737,7 @@ let run ?(entry = "main") ?instrumented ?tracing ?callpath ?throttle ?max_steps
           profile = t.profiler }
       in
       try
-        let v = invoke t main None [] in
+        let v = invoke t (code_of t main) None [] in
         Rt.unwind t.profiler ~now:(Int64.of_int t.cycles);
         mk (Int64.to_int (to_int (match v with Vunit -> Vint 0L | v -> v)))
       with Cpp_exception v ->
