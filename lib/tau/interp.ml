@@ -55,7 +55,7 @@ and builtin =
   | Bstring of string ref
 
 (* C++ control flow *)
-exception Return_exc of value
+exception Return  (* the value is in the frame's [f_ret] *)
 exception Break_exc
 exception Continue_exc
 exception Cpp_exception of value
@@ -64,6 +64,7 @@ type frame = {
   slots : value ref array;  (** each local's current cell, by slot *)
   f_this : obj option;
   mutable f_timers : int;  (** TAU timers opened in this frame *)
+  mutable f_ret : value;  (** what a [return] hands back *)
 }
 
 (* A routine translated to closures: its slot count, its parameters (slot,
@@ -447,6 +448,13 @@ and make_object t (cl : Il.class_id) : obj =
 (* Binary operations on scalars                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* the Vint of each integer in [-256, 1023], shared: a value is immutable *)
+let small_ints = Array.init 1280 (fun i -> Vint (Int64.of_int (i - 256)))
+
+let[@inline] vint n =
+  if n >= -256L && n < 1024L then Array.unsafe_get small_ints (Int64.to_int n + 256)
+  else Vint n
+
 let is_float a b = match (a, b) with Vdouble _, _ | _, Vdouble _ -> true | _ -> false
 let vtrue = Vbool true
 let vfalse = Vbool false
@@ -475,24 +483,24 @@ let greater a b = less b a
 let binop op : value -> value -> value =
   let arith fi ff a b =
     match (a, b) with
-    | Vint x, Vint y -> Vint (fi x y)
+    | Vint x, Vint y -> vint (fi x y)
     | _ when is_float a b -> Vdouble (ff (to_float a) (to_float b))
-    | _ -> Vint (fi (to_int a) (to_int b))
+    | _ -> vint (fi (to_int a) (to_int b))
   in
-  let integral fi a b = Vint (fi (to_int a) (to_int b)) in
+  let integral fi a b = vint (fi (to_int a) (to_int b)) in
   let divide fi a b =
     let d = to_int b in
     if d = 0L then raise (Cpp_exception (Vstr "division by zero"))
-    else Vint (fi (to_int a) d)
+    else vint (fi (to_int a) d)
   in
   match op with
   | "+" -> (
       fun a b ->
         match (a, b) with
-        | Vint x, Vint y -> Vint (Int64.add x y)
+        | Vint x, Vint y -> vint (Int64.add x y)
         | _ when is_float a b -> Vdouble (to_float a +. to_float b)
         | Vstr x, Vstr y -> Vstr (x ^ y)
-        | _ -> Vint (Int64.add (to_int a) (to_int b)))
+        | _ -> vint (Int64.add (to_int a) (to_int b)))
   | "-" -> arith Int64.sub ( -. )
   | "*" -> arith Int64.mul ( *. )
   | "/" -> fun a b -> if is_float a b then Vdouble (to_float a /. to_float b) else divide Int64.div a b
@@ -517,6 +525,9 @@ let binop op : value -> value -> value =
 (* explicit reference dereference used where a value (not a cell) is needed *)
 let deref = function Vptr cell -> !cell | v -> v
 
+(* "no such method", compared by physical equality; never a program value *)
+let absent = Vptr (ref Vunit)
+
 let vector_grow store size n =
   if n > Array.length !store then begin
     let bigger = Array.init (max n (2 * Array.length !store + 1)) (fun i ->
@@ -526,65 +537,66 @@ let vector_grow store size n =
   end;
   if n > !size then size := n
 
-let builtin_method t (o : obj) (name : string) (args : value list) : value option =
+(* [name] on a builtin object, or [absent] when the builtin has no such method *)
+let builtin_method t (o : obj) (name : string) (args : value list) : value =
   match (o.o_builtin, name) with
   | Some (Bvector (store, size)), _ -> (
       match (name, args) with
-      | "vector", [] -> Some Vunit
+      | "vector", [] -> Vunit
       | "vector", [ n ] ->
           vector_grow store size (Int64.to_int (to_int (deref n)));
-          Some Vunit
-      | "~vector", _ -> Some Vunit
-      | "size", [] -> Some (Vint (Int64.of_int !size))
-      | "capacity", [] -> Some (Vint (Int64.of_int (Array.length !store)))
-      | "empty", [] -> Some (Vbool (!size = 0))
+          Vunit
+      | "~vector", _ -> Vunit
+      | "size", [] -> vint (Int64.of_int !size)
+      | "capacity", [] -> Vint (Int64.of_int (Array.length !store))
+      | "empty", [] -> vbool (!size = 0)
       | "push_back", [ v ] ->
           (* an lvalue argument arrives as a reference: store its value *)
           vector_grow store size (!size + 1);
           !store.(!size - 1) := copy_value (deref v);
-          Some Vunit
+          Vunit
       | "pop_back", [] ->
           if !size > 0 then size := !size - 1;
-          Some Vunit
+          Vunit
       | "operator[]", [ i ] ->
           let i = Int64.to_int (to_int (deref i)) in
           if i < 0 then raise (Cpp_exception (Vstr "vector index negative"))
           else begin
             vector_grow store size (i + 1);
-            Some (Vptr !store.(i))  (* reference into the vector *)
+            Vptr !store.(i)  (* reference into the vector *)
           end
-      | "front", [] -> if !size > 0 then Some (Vptr !store.(0)) else Some Vnull
-      | "back", [] -> if !size > 0 then Some (Vptr !store.(!size - 1)) else Some Vnull
+      | "front", [] -> if !size > 0 then Vptr !store.(0) else Vnull
+      | "back", [] -> if !size > 0 then Vptr !store.(!size - 1) else Vnull
       | "clear", [] ->
           size := 0;
-          Some Vunit
+          Vunit
       | "resize", [ n ] ->
           let n = Int64.to_int (to_int (deref n)) in
           vector_grow store size n;
           size := n;
-          Some Vunit
+          Vunit
       | "reserve", [ n ] ->
           vector_grow store (ref !size) (Int64.to_int (to_int (deref n)));
-          Some Vunit
-      | _ -> None)
+          Vunit
+      | _ -> absent)
   | Some Bostream, "operator<<" -> (
       match args with
       | [ v ] ->
           Buffer.add_string t.output (value_to_display_string v);
-          Some (Vobj o)
-      | _ -> None)
+          Vobj o
+      | _ -> absent)
   | Some (Bstring s), _ -> (
       match (name, args) with
-      | "string", [] -> Some Vunit
+      | "string", [] -> Vunit
       | "string", [ Vstr x ] ->
           s := x;
-          Some Vunit
-      | ("length" | "size"), [] -> Some (Vint (Int64.of_int (String.length !s)))
-      | "empty", [] -> Some (Vbool (!s = ""))
+          Vunit
+      | ("length" | "size"), [] -> Vint (Int64.of_int (String.length !s))
+      | "empty", [] -> Vbool (!s = "")
       | "operator[]", [ i ] ->
           let i = Int64.to_int (to_int i) in
-          if i >= 0 && i < String.length !s then Some (Vchar (Char.code !s.[i]))
-          else Some (Vchar 0)
+          if i >= 0 && i < String.length !s then Vchar (Char.code !s.[i])
+          else Vchar 0
       | "operator+", [ other ] -> (
           match other with
           | Vobj { o_builtin = Some (Bstring s2); _ } ->
@@ -592,21 +604,21 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value optio
               (match res.o_builtin with
                | Some (Bstring r) -> r := !s ^ !s2
                | _ -> ());
-              Some (Vobj res)
+              Vobj res
           | Vstr x ->
               let res = make_object t o.o_class in
               (match res.o_builtin with
                | Some (Bstring r) -> r := !s ^ x
                | _ -> ());
-              Some (Vobj res)
-          | _ -> None)
+              Vobj res
+          | _ -> absent)
       | "operator==", [ Vobj { o_builtin = Some (Bstring s2); _ } ] ->
-          Some (Vbool (!s = !s2))
+          Vbool (!s = !s2)
       | "operator<", [ Vobj { o_builtin = Some (Bstring s2); _ } ] ->
-          Some (Vbool (!s < !s2))
-      | "c_str", [] -> Some (Vstr !s)
-      | _ -> None)
-  | _ -> None
+          Vbool (!s < !s2)
+      | "c_str", [] -> Vstr !s
+      | _ -> absent)
+  | _ -> absent
 
 (* ------------------------------------------------------------------ *)
 (* Translation                                                         *)
@@ -689,7 +701,7 @@ let free_site c = site (fun _ -> c)
 (* leave a frame: close the TAU timers it opened *)
 let finish t frame v =
   for _ = 1 to frame.f_timers do
-    Rt.exit_ t.profiler ~now:(Int64.of_int t.cycles)
+    Rt.exit_ t.profiler ~now:t.cycles
   done;
   t.depth <- t.depth - 1;
   v
@@ -726,7 +738,16 @@ let in_scope ctx k =
   ctx.leaky <- leaky;
   (r, own)
 
-let reset own f = Array.iter (fun s -> f.slots.(s) <- unbound) own
+let reset own f =
+  for i = 0 to Array.length own - 1 do
+    f.slots.(own.(i)) <- unbound
+  done
+
+let ret f v =
+  f.f_ret <- v;
+  raise_notrace Return
+
+let rec run_all ss f = match ss with [] -> () | s :: rest -> s f; run_all rest f
 
 let declare ctx ~direct name =
   let s = ctx.nslots in
@@ -735,22 +756,31 @@ let declare ctx ~direct name =
   ctx.scope <- (name, s) :: ctx.scope;
   s
 
+(* [name]'s cell in [o], kept for the last object asked about: an object's
+   field cells are fixed once it is made *)
+let field_cell name =
+  let last = ref None and cell = ref no_cell in
+  fun (o : obj) ->
+    match !last with
+    | Some o' when o' == o -> !cell
+    | _ ->
+        let c = match Hashtbl.find_opt o.o_fields name with Some c -> c | None -> no_cell in
+        last := Some o;
+        cell := c;
+        c
+
 (* the cell a one-part name denotes, or [no_cell]: the innermost local of
-   that name whose declaration has run, else a field of [this] (decided
-   once per receiver class), else a global *)
+   that name whose declaration has run, else a field of [this] (an object
+   has its class's fields), else a global *)
 let name_cell ctx id : frame -> value ref =
   let t = ctx.t in
   let global = Option.value (Hashtbl.find_opt t.globals id) ~default:no_cell in
-  (* an object's fields are those of its class, so one probe per class *)
-  let last = ref (-1) and is_field = ref false in
+  let field = field_cell id in
   let nonlocal f =
     match f.f_this with
     | Some o ->
-        if o.o_class <> !last then begin
-          is_field := Hashtbl.mem o.o_fields id;
-          last := o.o_class
-        end;
-        if !is_field then Hashtbl.find o.o_fields id else global
+        let c = field o in
+        if c != no_cell then c else global
     | None -> global
   in
   match List.filter_map (fun (n, s) -> if n = id then Some s else None) ctx.scope with
@@ -781,7 +811,7 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
         code.body <- Some b;
         b
   in
-  let frame = { slots = Array.make b.nslots unbound; f_this = this_obj; f_timers = 0 } in
+  let frame = { slots = Array.make b.nslots unbound; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
   bind_params b frame args;
   (match this_obj with
    | Some o when code.routine.ro_kind = Rk_ctor -> run_inits t b o frame
@@ -795,7 +825,7 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
         run frame;
         finish t frame Vunit
       with
-      | Return_exc v -> finish t frame v
+      | Return -> finish t frame frame.f_ret
       | Cpp_exception _ as ex ->
           (* unwind this frame's timers, then propagate *)
           ignore (finish t frame Vunit);
@@ -810,12 +840,10 @@ and run_inits t b (o : obj) frame =
           match (!cell, vargs) with
           | Vobj fo, _ -> (
               let c = Il.class_ t.prog fo.o_class in
-              match builtin_method t fo (class_base_name c) vargs with
-              | Some _ -> ()
-              | None -> (
-                  match pick t (ctor_cands t fo.o_class) vargs with
-                  | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
-                  | None -> ()))
+              if builtin_method t fo (class_base_name c) vargs == absent then
+                match pick t (ctor_cands t fo.o_class) vargs with
+                | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
+                | None -> ())
           | _, [ v ] -> cell := copy_value v
           | _, _ -> ())
       | None -> (
@@ -836,14 +864,14 @@ and run_inits t b (o : obj) frame =
           | None -> ()))
     b.inits
 
-(* method call with dynamic dispatch *)
-and call_method t (s : site) (o : obj) name (args : value list) : value option =
-  match builtin_method t o name args with
-  | Some _ as v -> v
-  | None -> (
-      match site_code t s o.o_class args with
-      | Some code -> Some (invoke t code (Some o) args)
-      | None -> None)
+(* method call with dynamic dispatch, [absent] when [o] has no such method *)
+and call_method t (s : site) (o : obj) name (args : value list) : value =
+  let v = builtin_method t o name args in
+  if v != absent then v
+  else
+    match site_code t s o.o_class args with
+    | Some code -> invoke t code (Some o) args
+    | None -> absent
 
 (* construct an object of class [cl] with the given argument values *)
 and construct t (cl : Il.class_id) (args : value list) : value =
@@ -859,17 +887,16 @@ and construct t (cl : Il.class_id) (args : value list) : value =
   | _ ->
       let c = Il.class_ t.prog cl in
       let ctor_name = class_base_name c in
-      (match builtin_method t o ctor_name args with
-       | Some _ -> Vobj o
-       | None ->
-           (match pick t (ctor_cands t cl) args with
-            | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
-                run_ctor t o cl ctor args
-            | Some _ | None ->
-                (* implicit / trivial constructor: still construct bases and
-                   class-typed fields *)
-                construct_bases_and_fields t o cl ~skip:[]);
-           Vobj o)
+      if builtin_method t o ctor_name args == absent then begin
+        match pick t (ctor_cands t cl) args with
+        | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
+            run_ctor t o cl ctor args
+        | Some _ | None ->
+            (* implicit / trivial constructor: still construct bases and
+               class-typed fields *)
+            construct_bases_and_fields t o cl ~skip:[]
+      end;
+      Vobj o
 
 (* run base-class and class-typed-field default constructors, except those
    named in [skip] (the explicit mem-initializer list) *)
@@ -893,13 +920,10 @@ and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
 
 and run_default_ctor t (o : obj) (cl : Il.class_id) : unit =
   let c = Il.class_ t.prog cl in
-  match builtin_method t o (class_base_name c) [] with
-  | Some _ -> ()
-  | None -> (
-      match pick t (ctor_cands t cl) [] with
-      | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
-          run_ctor t o cl ctor []
-      | Some _ | None -> construct_bases_and_fields t o cl ~skip:[])
+  if builtin_method t o (class_base_name c) [] == absent then
+    match pick t (ctor_cands t cl) [] with
+    | Some ctor when ctor.ro_defined || ctor.ro_body <> None -> run_ctor t o cl ctor []
+    | Some _ | None -> construct_bases_and_fields t o cl ~skip:[]
 
 and run_ctor t (o : obj) (cl : Il.class_id) (ctor : Il.routine_entity)
     (args : value list) : unit =
@@ -961,9 +985,8 @@ and expr ctx (e : Ast.expr) : cexpr =
             | Vptr cell -> !cell
             | Vobj o -> (
                 (* operator* on an object *)
-                match call_method t s o "operator*" [] with
-                | Some v -> v
-                | None -> error "no operator* on object")
+                let v = call_method t s o "operator*" [] in
+                if v != absent then v else error "no operator* on object")
             | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
             | v -> v);
         lv = (fun f -> match deref (a.rv f) with Vptr cell -> cell | _ -> no_cell) }
@@ -976,7 +999,7 @@ and expr ctx (e : Ast.expr) : cexpr =
           tick t cost_expr;
           match deref (a.rv f) with
           | Vdouble x -> Vdouble (-.x)
-          | v -> Vint (Int64.neg (to_int v)))
+          | v -> vint (Int64.neg (to_int v)))
   | Ast.Unary ("+", a) ->
       let a = expr ctx a in
       rv (fun f -> tick t cost_expr; deref (a.rv f))
@@ -984,7 +1007,8 @@ and expr ctx (e : Ast.expr) : cexpr =
       let a = expr ctx a in
       rv (fun f -> tick t cost_expr; Vint (Int64.lognot (to_int (deref (a.rv f)))))
   | Ast.Unary (("++" | "--") as op, a) ->
-      let a = expr ctx a and s = method_site t ("operator" ^ op) in
+      let opname = "operator" ^ op in
+      let a = expr ctx a and s = method_site t opname in
       let dv = if op = "++" then 1L else -1L in
       rv (fun f ->
           tick t cost_expr;
@@ -992,25 +1016,24 @@ and expr ctx (e : Ast.expr) : cexpr =
           if cell != no_cell then begin
             (match !cell with
              | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-             | v -> cell := Vint (Int64.add (to_int v) dv));
+             | v -> cell := vint (Int64.add (to_int v) dv));
             !cell
           end
           else
             match deref (a.rv f) with
             | Vobj o -> (
-                match call_method t s o ("operator" ^ op) [] with
-                | Some r -> r
-                | None -> error "no operator%s" op)
+                let r = call_method t s o opname [] in
+                if r != absent then r else error "no operator%s" op)
             | _ -> error "cannot increment non-lvalue")
   | Ast.Unary (op, a) ->
-      let a = expr ctx a and s = method_site t ("operator" ^ op) in
+      let opname = "operator" ^ op in
+      let a = expr ctx a and s = method_site t opname in
       rv (fun f ->
           tick t cost_expr;
           match deref (a.rv f) with
           | Vobj o -> (
-              match call_method t s o ("operator" ^ op) [] with
-              | Some v -> v
-              | None -> error "no operator%s on object" op)
+              let v = call_method t s o opname [] in
+              if v != absent then v else error "no operator%s on object" op)
           | _ -> error "unsupported unary '%s'" op)
   | Ast.Postfix (("++" | "--") as op, a) ->
       let a = expr ctx a in
@@ -1022,7 +1045,7 @@ and expr ctx (e : Ast.expr) : cexpr =
           let old = !cell in
           (match old with
            | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-           | v -> cell := Vint (Int64.add (to_int v) dv));
+           | v -> cell := vint (Int64.add (to_int v) dv));
           old)
   | Ast.Postfix (op, _) -> rv (fun _ -> tick t cost_expr; error "unsupported postfix '%s'" op)
   | Ast.Binary ("&&", a, b) ->
@@ -1050,9 +1073,8 @@ and expr ctx (e : Ast.expr) : cexpr =
           match deref (a.rv f) with
           | Vobj o as va -> (
               let vb = deref (b.rv f) in
-              match call_method t s o opname [ vb ] with
-              | Some v -> v
-              | None -> (
+              let v = call_method t s o opname [ vb ] in
+              if v != absent then v else (
                   match free_operator [ va; vb ] with
                   | Some v -> v
                   | None -> error "no operator%s for class %s" op
@@ -1091,10 +1113,10 @@ and expr ctx (e : Ast.expr) : cexpr =
             let va = deref (a.rv f) in
             let vi = deref (i.rv f) in
             match va with
-            | Vobj o -> (
-                match call_method t s o "operator[]" [ vi ] with
-                | Some v -> deref v
-                | None -> error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name)
+            | Vobj o ->
+                let v = call_method t s o "operator[]" [ vi ] in
+                if v != absent then deref v
+                else error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name
             | Varr cells -> elem cells vi
             | Vptr cell -> (
                 match !cell with
@@ -1112,9 +1134,9 @@ and expr ctx (e : Ast.expr) : cexpr =
             match va with
             | Vobj o -> (
                 match call_method t s o "operator[]" [ vi ] with
-                | Some (Vptr cell) -> cell
-                | Some v -> ref v
-                | None -> no_cell)
+                | v when v == absent -> no_cell
+                | Vptr cell -> cell
+                | v -> ref v)
             | Varr cells -> range cells vi
             | Vptr cell -> (
                 match !cell with
@@ -1126,7 +1148,7 @@ and expr ctx (e : Ast.expr) : cexpr =
       (* scalar conversions really convert; class/pointer casts pass through *)
       let conv =
         match Ast.unqual ty with
-        | Ast.TBuiltin { base = `Int; _ } -> fun v -> Vint (to_int v)
+        | Ast.TBuiltin { base = `Int; _ } -> fun v -> vint (to_int v)
         | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
         | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
         | Ast.TBuiltin { base = `Char; _ } -> fun v -> Vchar (Int64.to_int (to_int v) land 0xff)
@@ -1205,19 +1227,18 @@ and ident ctx (q : Ast.qual_name) : cexpr =
 and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
   let t = ctx.t in
   let oe = expr ctx oe and name = (Ast.last_part m).Ast.id in
+  let field = field_cell name in
   fun f ->
     match deref (oe.rv f) with
-    | Vobj o -> (
-        match Hashtbl.find o.o_fields name with
-        | cell -> cell
-        | exception Not_found ->
-            error "object of class %s has no field '%s'" (Il.class_ t.prog o.o_class).cl_name name)
+    | Vobj o ->
+        let c = field o in
+        if c != no_cell then c
+        else error "object of class %s has no field '%s'" (Il.class_ t.prog o.o_class).cl_name name
     | Vptr cell -> (
         match !cell with
-        | Vobj o -> (
-            match Hashtbl.find o.o_fields name with
-            | c -> c
-            | exception Not_found -> error "object has no field '%s'" name)
+        | Vobj o ->
+            let c = field o in
+            if c != no_cell then c else error "object has no field '%s'" name
         | _ -> error "member access through non-object pointer")
     | Vnull -> raise (Cpp_exception (Vstr "null pointer member access"))
     | _ -> error "member access on non-object"
@@ -1239,9 +1260,8 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
       fun cell cur vb ->
         match cur with
         | Vobj o -> (
-            match call_method t s o opname [ vb ] with
-            | Some v -> v
-            | None -> error "no operator%s" op)
+            let v = call_method t s o opname [ vb ] in
+            if v != absent then v else error "no operator%s" op)
         | _ ->
             cell := arith cur vb;
             !cell
@@ -1254,9 +1274,8 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
         if cell == no_cell then error "cannot assign to non-lvalue";
         match !cell with
         | Vobj o when has_op o.o_class -> (
-            match call_method t s o opname [ vb ] with
-            | Some v -> v
-            | None -> error "operator%s failed" op)
+            let v = call_method t s o opname [ vb ] in
+            if v != absent then v else error "operator%s failed" op)
         | Vobj o when op = "=" && o.o_builtin <> None -> (
             (* builtin copy assignment *)
             match vb with
@@ -1293,11 +1312,14 @@ and arguments ctx (args : Ast.expr list) : frame -> value list =
       fun f ->
         let x = a f in
         [ x; b f ]
-  | l -> fun f -> List.map (fun a -> a f) l
+  | l ->
+      let rec go f = function [] -> [] | a :: rest -> let v = a f in v :: go f rest in
+      fun f -> go f l
 
 and values ctx (args : Ast.expr list) : frame -> value list =
   let args = List.map (fun a -> (expr ctx a).rv) args in
-  fun f -> List.map (fun a -> deref (a f)) args
+  let rec go f = function [] -> [] | a :: rest -> let v = deref (a f) in v :: go f rest in
+  fun f -> go f args
 
 and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
@@ -1354,16 +1376,14 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
         let vargs = args f in
         (match recv with
          | Vobj o -> (
-             match call_method t s o name vargs with
-             | Some v -> v
-             | None -> error "no method '%s' on class %s" name
+             let v = call_method t s o name vargs in
+             if v != absent then v else error "no method '%s' on class %s" name
                          (Il.class_ t.prog o.o_class).cl_name)
          | Vptr cell -> (
              match !cell with
              | Vobj o -> (
-                 match call_method t s o name vargs with
-                 | Some v -> v
-                 | None -> error "no method '%s'" name)
+                 let v = call_method t s o name vargs in
+                 if v != absent then v else error "no method '%s'" name)
              | _ -> error "method call through non-object pointer")
          | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
          | _ -> error "method call on non-object (%s)" name)
@@ -1406,9 +1426,8 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
             let vargs = args f in
             match f.f_this with
             | Some o when is_member o.o_class -> (
-                match call_method t s o name vargs with
-                | Some v -> v
-                | None -> error "member call '%s' failed" name)
+                let v = call_method t s o name vargs in
+                if v != absent then v else error "member call '%s' failed" name)
             | _ -> free vargs)
   | _ ->
       let fe = expr ctx callee and args = arguments ctx cargs in
@@ -1419,9 +1438,8 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
         let vargs = args f in
         match fv with
         | Vobj o -> (
-            match call_method t s o "operator()" vargs with
-            | Some v -> v
-            | None -> error "object is not callable")
+            let v = call_method t s o "operator()" vargs in
+            if v != absent then v else error "object is not callable")
         | _ -> error "value is not callable"
 
 (* the TAU_PROFILE statement: start a timer bound to the current frame; the
@@ -1429,7 +1447,7 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
 and tau_profile ctx (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
   let enter f label =
-    if Rt.enter t.profiler label ~now:(Int64.of_int t.cycles) then
+    if Rt.enter t.profiler label ~now:t.cycles then
       f.f_timers <- f.f_timers + 1
   in
   let name_of a =
@@ -1478,11 +1496,11 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
       fun f -> tick t cost_expr; ignore (e.rv f)
   | Ast.SDecl vds ->
       let ds = List.map (local_decl ctx ~direct) vds in
-      fun f -> tick t cost_expr; List.iter (fun d -> d f) ds
+      fun f -> tick t cost_expr; run_all ds f
   | Ast.SCompound ss ->
-      let ss, own = in_scope ctx (fun () -> Array.of_list (List.map (stmt ctx ~direct:true) ss)) in
-      if own = [||] then fun f -> tick t cost_expr; Array.iter (fun s -> s f) ss
-      else fun f -> tick t cost_expr; reset own f; Array.iter (fun s -> s f) ss
+      let ss, own = in_scope ctx (fun () -> List.map (stmt ctx ~direct:true) ss) in
+      if own = [||] then fun f -> tick t cost_expr; run_all ss f
+      else fun f -> tick t cost_expr; reset own f; run_all ss f
   | Ast.SIf (c, a, b) ->
       let c = cond c in
       let a = stmt ctx ~direct:false a in
@@ -1521,7 +1539,7 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
               with Break_exc -> ())
       in
       fun f -> tick t cost_expr; reset own f; run f
-  | Ast.SReturn None -> fun _ -> tick t cost_expr; raise_notrace (Return_exc Vunit)
+  | Ast.SReturn None -> fun f -> tick t cost_expr; ret f Vunit
   | Ast.SReturn (Some e) ->
       let e = expr ctx e in
       if ctx.ret_ref then
@@ -1529,9 +1547,8 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
         fun f ->
           tick t cost_expr;
           let cell = e.lv f in
-          if cell != no_cell then raise_notrace (Return_exc (Vptr cell))
-          else raise_notrace (Return_exc (e.rv f))
-      else fun f -> tick t cost_expr; raise_notrace (Return_exc (deref (e.rv f)))
+          if cell != no_cell then ret f (Vptr cell) else ret f (e.rv f)
+      else fun f -> tick t cost_expr; ret f (deref (e.rv f))
   | Ast.SBreak -> fun _ -> tick t cost_expr; raise_notrace Break_exc
   | Ast.SContinue -> fun _ -> tick t cost_expr; raise_notrace Continue_exc
   | Ast.SSwitch (e, cases) ->
@@ -1550,7 +1567,7 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
         let rec find i = if i = n then -1 else if fst cases.(i) = None then i else find (i + 1) in
         find 0
       in
-      let run i f = List.iter (fun s -> s f) (snd cases.(i)) in
+      let run i f = run_all (snd cases.(i)) f in
       fun f ->
         tick t cost_expr;
         let v = to_int (deref (e.rv f)) in
@@ -1696,7 +1713,7 @@ let init_globals t =
     (Il.globals t.prog);
   (* global initializers run in a frame with no locals and no receiver *)
   let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref = false } in
-  let gframe = { slots = [||]; f_this = None; f_timers = 0 } in
+  let gframe = { slots = [||]; f_this = None; f_timers = 0; f_ret = Vunit } in
   List.iter
     (fun (gv : Il.global_var) ->
       match gv.gv_init with
@@ -1738,10 +1755,10 @@ let run ?(entry = "main") ?instrumented ?tracing ?callpath ?throttle ?max_steps
       in
       try
         let v = invoke t (code_of t main) None [] in
-        Rt.unwind t.profiler ~now:(Int64.of_int t.cycles);
+        Rt.unwind t.profiler ~now:t.cycles;
         mk (Int64.to_int (to_int (match v with Vunit -> Vint 0L | v -> v)))
       with Cpp_exception v ->
-        Rt.unwind t.profiler ~now:(Int64.of_int t.cycles);
+        Rt.unwind t.profiler ~now:t.cycles;
         raise
           (Uncaught
              ( Printf.sprintf "uncaught C++ exception: %s" (type_name_of_value t v),

@@ -16,8 +16,8 @@ type entry = {
 
 type timer = {
   t_entry : entry;  (** the profile row this timer charges *)
-  t_start : int64;
-  mutable t_child : int64;  (** cycles spent in instrumented children *)
+  t_start : int;
+  mutable t_child : int;  (** cycles spent in instrumented children *)
 }
 
 type event = Enter of string * int64 | Exit of string * int64
@@ -40,9 +40,9 @@ let create ?(tracing = false) ?(callpath = false) ?throttle () =
     throttle }
 
 let entry t name =
-  match Hashtbl.find_opt t.table name with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.table name with
+  | e -> e
+  | exception Not_found ->
       let e =
         { e_name = name; e_calls = 0; e_inclusive = 0L; e_exclusive = 0L;
           e_child_calls = 0 }
@@ -50,8 +50,8 @@ let entry t name =
       Hashtbl.replace t.table name e;
       e
 
-(** Start a timer.  Returns [false] when the timer is throttled (the caller
-    must then not expect a matching {!exit_}). *)
+(** Start a timer at cycle [now].  Returns [false] when the timer is
+    throttled (the caller must then not expect a matching {!exit_}). *)
 let enter t name ~now =
   let name =
     if t.callpath then
@@ -74,8 +74,8 @@ let enter t name ~now =
     (match t.stack with
      | parent :: _ -> parent.t_entry.e_child_calls <- parent.t_entry.e_child_calls + 1
      | [] -> ());
-    t.stack <- { t_entry = e; t_start = now; t_child = 0L } :: t.stack;
-    if t.tracing then t.events <- Enter (name, now) :: t.events;
+    t.stack <- { t_entry = e; t_start = now; t_child = 0 } :: t.stack;
+    if t.tracing then t.events <- Enter (name, Int64.of_int now) :: t.events;
     true
   end
 
@@ -83,16 +83,15 @@ let exit_ t ~now =
   match t.stack with
   | [] -> ()
   | timer :: rest ->
-      let inclusive = Int64.sub now timer.t_start in
-      let exclusive = Int64.sub inclusive timer.t_child in
+      let inclusive = now - timer.t_start in
       let e = timer.t_entry in
-      e.e_inclusive <- Int64.add e.e_inclusive inclusive;
-      e.e_exclusive <- Int64.add e.e_exclusive exclusive;
+      e.e_inclusive <- Int64.add e.e_inclusive (Int64.of_int inclusive);
+      e.e_exclusive <- Int64.add e.e_exclusive (Int64.of_int (inclusive - timer.t_child));
       (match rest with
-       | parent :: _ -> parent.t_child <- Int64.add parent.t_child inclusive
+       | parent :: _ -> parent.t_child <- parent.t_child + inclusive
        | [] -> ());
       t.stack <- rest;
-      if t.tracing then t.events <- Exit (e.e_name, now) :: t.events
+      if t.tracing then t.events <- Exit (e.e_name, Int64.of_int now) :: t.events
 
 (** Unwind all open timers (e.g. after an uncaught exception). *)
 let unwind t ~now = while t.stack <> [] do exit_ t ~now done
