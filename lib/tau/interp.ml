@@ -93,12 +93,6 @@ type pick_entry = { p_cl : int; p_tags : int array; p_code : code option }
 
 type site = { s_cands : Il.class_id -> cands; mutable picks_at : pick_entry list }
 
-(* What translation needs to know of a routine's signature. *)
-type routine_facts = {
-  ret_ref : bool;  (** returns a reference (T &) *)
-  params : (Il.param_info * bool) list;  (** with "bound by reference" *)
-}
-
 type t = {
   prog : Il.program;
   globals : (string, value ref) Hashtbl.t;
@@ -112,8 +106,6 @@ type t = {
   mpi : int * int;      (** simulated (rank, size) for mpi_rank()/mpi_size() *)
   (* Lookup tables; the IL is immutable during execution. *)
   class_by_name : (string, Il.class_id) Hashtbl.t;  (** display name -> class *)
-  type_classes : (Ast.type_expr, Il.class_id option) Hashtbl.t;
-      (** the class an AST type names, keyed by structure; filled on use *)
   members : (Il.class_id * string, cands) Hashtbl.t;
       (** member functions by name, inherited ones included; filled on use *)
   ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
@@ -264,21 +256,6 @@ let ctor_cands t (cl : Il.class_id) : cands =
            (List.map (Il.routine t.prog) (Il.class_ t.prog cl).cl_funcs)))
     t cl
 
-let routine_facts t (r : Il.routine_entity) : routine_facts =
-  let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
-  let ret_ref =
-    match (Il.type_ t.prog r.ro_sig).ty_kind with
-    | Tfunc { rett; _ } -> is_ref rett
-    | _ -> false
-  in
-  let by_ref (p : Il.param_info) =
-    match (Il.type_ t.prog p.pi_type).ty_kind with
-    | Tref _ -> true
-    | Tqual { base; _ } -> is_ref base
-    | _ -> false
-  in
-  { ret_ref; params = List.map (fun p -> (p, by_ref p)) r.ro_params }
-
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -330,10 +307,7 @@ let to_int = function
 
 let value_to_display_string = function
   | Vint n -> Int64.to_string n
-  | Vdouble f ->
-      (* C++ iostream default formatting: up to 6 significant digits *)
-      let s = Printf.sprintf "%.6g" f in
-      s
+  | Vdouble f -> Printf.sprintf "%.6g" f  (* iostream's default: 6 significant digits *)
   | Vbool b -> if b then "1" else "0"
   | Vchar c -> String.make 1 (Char.chr (c land 0xff))
   | Vstr s -> s
@@ -395,7 +369,6 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
   { prog; globals = Hashtbl.create 64; output = Buffer.create 256;
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
-    type_classes = Hashtbl.create 16;
     members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
     free_routines; free_operators; enum_constants }
 
@@ -597,21 +570,10 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value =
           let i = Int64.to_int (to_int i) in
           if i >= 0 && i < String.length !s then Vchar (Char.code !s.[i])
           else Vchar 0
-      | "operator+", [ other ] -> (
-          match other with
-          | Vobj { o_builtin = Some (Bstring s2); _ } ->
-              let res = make_object t o.o_class in
-              (match res.o_builtin with
-               | Some (Bstring r) -> r := !s ^ !s2
-               | _ -> ());
-              Vobj res
-          | Vstr x ->
-              let res = make_object t o.o_class in
-              (match res.o_builtin with
-               | Some (Bstring r) -> r := !s ^ x
-               | _ -> ());
-              Vobj res
-          | _ -> absent)
+      | "operator+", [ (Vobj { o_builtin = Some (Bstring { contents = x }); _ } | Vstr x) ] ->
+          let res = make_object t o.o_class in
+          (match res.o_builtin with Some (Bstring r) -> r := !s ^ x | _ -> ());
+          Vobj res
       | "operator==", [ Vobj { o_builtin = Some (Bstring s2); _ } ] ->
           Vbool (!s = !s2)
       | "operator<", [ Vobj { o_builtin = Some (Bstring s2); _ } ] ->
@@ -653,9 +615,7 @@ let find_class_by_name t name : Il.class_id option = Hashtbl.find_opt t.class_by
 
 (* find the IL class named by an AST type (display-name based) *)
 let lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
-  memo t.type_classes
-    (fun t ty -> Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty)))
-    t ty
+  Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty))
 
 let code_of t (r : Il.routine_entity) : code =
   memo t.codes (fun _ _ -> { routine = r; body = None }) t r.ro_id
@@ -666,11 +626,7 @@ let per_class f =
   fun cl ->
     match !answer with
     | Some a when cl = !last -> a
-    | _ ->
-        let a = f cl in
-        answer := Some a;
-        last := cl;
-        a
+    | _ -> let a = f cl in answer := Some a; last := cl; a
 
 let site s_cands = { s_cands; picks_at = [] }
 
@@ -747,7 +703,18 @@ let ret f v =
   f.f_ret <- v;
   raise_notrace Return
 
+(* ++ or -- on a cell *)
+let bump op =
+  let dv = if op = "++" then 1L else -1L in
+  fun cell ->
+    match !cell with
+    | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
+    | v -> cell := vint (Int64.add (to_int v) dv)
+
 let rec run_all ss f = match ss with [] -> () | s :: rest -> s f; run_all rest f
+
+(* the values of [es] in order *)
+let rec eval_each f = function [] -> [] | e :: rest -> let v = e f in v :: eval_each f rest
 
 let declare ctx ~direct name =
   let s = ctx.nslots in
@@ -761,13 +728,10 @@ let declare ctx ~direct name =
 let field_cell name =
   let last = ref None and cell = ref no_cell in
   fun (o : obj) ->
-    match !last with
-    | Some o' when o' == o -> !cell
-    | _ ->
-        let c = match Hashtbl.find_opt o.o_fields name with Some c -> c | None -> no_cell in
-        last := Some o;
-        cell := c;
-        c
+    (match !last with
+     | Some o' when o' == o -> ()
+     | _ -> cell := Option.value (Hashtbl.find_opt o.o_fields name) ~default:no_cell; last := Some o);
+    !cell
 
 (* the cell a one-part name denotes, or [no_cell]: the innermost local of
    that name whose declaration has run, else a field of [this] (an object
@@ -803,14 +767,7 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
   tick t cost_call;
   t.depth <- t.depth + 1;
   if t.depth > 10_000 then error "call stack overflow";
-  let b =
-    match code.body with
-    | Some b -> b
-    | None ->
-        let b = translate t code.routine in
-        code.body <- Some b;
-        b
-  in
+  let b = match code.body with Some b -> b | None -> translate t code in
   let frame = { slots = Array.make b.nslots unbound; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
   bind_params b frame args;
   (match this_obj with
@@ -863,6 +820,11 @@ and run_inits t b (o : obj) frame =
               | None -> ())
           | None -> ()))
     b.inits
+
+(* a call of a free routine or static member through [s], [absent] when no
+   candidate is viable *)
+and call_free t (s : site) (args : value list) : value =
+  match site_code t s (-1) args with Some code -> invoke t code None args | None -> absent
 
 (* method call with dynamic dispatch, [absent] when [o] has no such method *)
 and call_method t (s : site) (o : obj) name (args : value list) : value =
@@ -933,27 +895,38 @@ and run_ctor t (o : obj) (cl : Il.class_id) (ctor : Il.routine_entity)
 
 (* A routine's parameters, member initializers and body, translated.  The
    parameters take the first slots, in order. *)
-and translate t (r : Il.routine_entity) : body =
-  let facts = routine_facts t r in
-  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref = facts.ret_ref } in
+and translate t (code : code) : body =
+  let r = code.routine in
+  let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
+  let ret_ref =
+    match (Il.type_ t.prog r.ro_sig).ty_kind with Tfunc { rett; _ } -> is_ref rett | _ -> false
+  in
+  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref } in
   let params =
     List.map
-      (fun ((p : Il.param_info), by_ref) ->
+      (fun (p : Il.param_info) ->
+        let by_ref =
+          match (Il.type_ t.prog p.pi_type).ty_kind with
+          | Tref _ -> true
+          | Tqual { base; _ } -> is_ref base
+          | _ -> false
+        in
         (* a default sees the parameters before it, not its own *)
         let default = Option.map (fun d -> (expr ctx d).rv) p.pi_default in
         let slot = match p.pi_name with Some n -> declare ctx ~direct:true n | None -> -1 in
         (slot, by_ref, default))
-      facts.params
+      r.ro_params
   in
   let inits = List.map (fun (name, args) -> (name, List.map (fun a -> (expr ctx a).rv) args)) r.ro_inits in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
-  { nslots = ctx.nslots; params = Array.of_list params; inits; run }
+  let b = { nslots = ctx.nslots; params = Array.of_list params; inits; run } in
+  code.body <- Some b;
+  b
 
 (* ---- expressions: [rv] ticks once, as the walker's [eval] did ---- *)
 
 and expr ctx (e : Ast.expr) : cexpr =
   let t = ctx.t in
-  let tick t cost_expr = tick t cost_expr in
   let const v = { rv = (fun _ -> tick t cost_expr; v); lv = no_lv } in
   let rv rv = { rv; lv = no_lv } in
   match e.Ast.e with
@@ -972,10 +945,6 @@ and expr ctx (e : Ast.expr) : cexpr =
           tick t cost_expr;
           let c = a.lv f in
           if c != no_cell then Vptr c else Vptr (ref (a.rv f)))
-  | Ast.Unary ("*", { Ast.e = Ast.ThisE; _ }) ->
-      (* *this: the receiver itself, as Vptr (ref (Vobj o)) dereferenced *)
-      { rv = (fun f -> tick t cost_expr; tick t cost_expr; Vobj (this f));
-        lv = (fun f -> tick t cost_expr; ignore (this f); no_cell) }
   | Ast.Unary ("*", a) ->
       let a = expr ctx a and s = method_site t "operator*" in
       { rv =
@@ -990,33 +959,24 @@ and expr ctx (e : Ast.expr) : cexpr =
             | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
             | v -> v);
         lv = (fun f -> match deref (a.rv f) with Vptr cell -> cell | _ -> no_cell) }
-  | Ast.Unary ("!", a) ->
+  | Ast.Unary (("!" | "-" | "+" | "~") as op, a) ->
       let a = expr ctx a in
-      rv (fun f -> tick t cost_expr; vbool (not (truthy (deref (a.rv f)))))
-  | Ast.Unary ("-", a) ->
-      let a = expr ctx a in
-      rv (fun f ->
-          tick t cost_expr;
-          match deref (a.rv f) with
-          | Vdouble x -> Vdouble (-.x)
-          | v -> vint (Int64.neg (to_int v)))
-  | Ast.Unary ("+", a) ->
-      let a = expr ctx a in
-      rv (fun f -> tick t cost_expr; deref (a.rv f))
-  | Ast.Unary ("~", a) ->
-      let a = expr ctx a in
-      rv (fun f -> tick t cost_expr; Vint (Int64.lognot (to_int (deref (a.rv f)))))
+      let fn =
+        match op with
+        | "!" -> fun v -> vbool (not (truthy v))
+        | "-" -> ( function Vdouble x -> Vdouble (-.x) | v -> vint (Int64.neg (to_int v)))
+        | "+" -> Fun.id
+        | _ -> fun v -> Vint (Int64.lognot (to_int v))
+      in
+      rv (fun f -> tick t cost_expr; fn (deref (a.rv f)))
   | Ast.Unary (("++" | "--") as op, a) ->
       let opname = "operator" ^ op in
-      let a = expr ctx a and s = method_site t opname in
-      let dv = if op = "++" then 1L else -1L in
+      let a = expr ctx a and s = method_site t opname and bump = bump op in
       rv (fun f ->
           tick t cost_expr;
           let cell = a.lv f in
           if cell != no_cell then begin
-            (match !cell with
-             | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-             | v -> cell := vint (Int64.add (to_int v) dv));
+            bump cell;
             !cell
           end
           else
@@ -1036,37 +996,30 @@ and expr ctx (e : Ast.expr) : cexpr =
               if v != absent then v else error "no operator%s on object" op)
           | _ -> error "unsupported unary '%s'" op)
   | Ast.Postfix (("++" | "--") as op, a) ->
-      let a = expr ctx a in
-      let dv = if op = "++" then 1L else -1L in
+      let a = expr ctx a and bump = bump op in
       rv (fun f ->
           tick t cost_expr;
           let cell = a.lv f in
           if cell == no_cell then error "cannot increment non-lvalue";
           let old = !cell in
-          (match old with
-           | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-           | v -> cell := vint (Int64.add (to_int v) dv));
+          bump cell;
           old)
   | Ast.Postfix (op, _) -> rv (fun _ -> tick t cost_expr; error "unsupported postfix '%s'" op)
-  | Ast.Binary ("&&", a, b) ->
-      let a = expr ctx a and b = expr ctx b in
-      rv (fun f -> tick t cost_expr; vbool (truthy (deref (a.rv f)) && truthy (deref (b.rv f))))
-  | Ast.Binary ("||", a, b) ->
-      let a = expr ctx a and b = expr ctx b in
-      rv (fun f -> tick t cost_expr; vbool (truthy (deref (a.rv f)) || truthy (deref (b.rv f))))
+  | Ast.Binary (("&&" | "||") as op, a, b) ->
+      let a = expr ctx a and b = expr ctx b and conj = op = "&&" in
+      rv (fun f ->
+          tick t cost_expr;
+          (* the right operand runs only when the left does not decide *)
+          let x = truthy (deref (a.rv f)) in
+          vbool (if x <> conj then x else truthy (deref (b.rv f))))
   | Ast.Binary (op, a, b) ->
       let a = expr ctx a and b = expr ctx b in
       let arith = binop op and opname = "operator" ^ op in
       let s = method_site t opname in
       let free_operator =
         match Hashtbl.find_opt t.free_operators opname with
-        | None -> fun _ -> None
-        | Some c -> (
-            let fs = free_site c in
-            fun args ->
-              match site_code t fs (-1) args with
-              | Some code -> Some (invoke t code None args)
-              | None -> None)
+        | None -> fun _ -> absent
+        | Some c -> call_free t (free_site c)
       in
       rv (fun f ->
           tick t cost_expr;
@@ -1074,18 +1027,15 @@ and expr ctx (e : Ast.expr) : cexpr =
           | Vobj o as va -> (
               let vb = deref (b.rv f) in
               let v = call_method t s o opname [ vb ] in
-              if v != absent then v else (
-                  match free_operator [ va; vb ] with
-                  | Some v -> v
-                  | None -> error "no operator%s for class %s" op
-                              (Il.class_ t.prog o.o_class).cl_name))
+              let v = if v != absent then v else free_operator [ va; vb ] in
+              if v != absent then v
+              else error "no operator%s for class %s" op (Il.class_ t.prog o.o_class).cl_name)
           | va -> (
               match deref (b.rv f) with
-              | Vobj _ as vb -> (
+              | Vobj _ as vb ->
                   (* e.g. 1 + obj via free operator *)
-                  match free_operator [ va; vb ] with
-                  | Some v -> v
-                  | None -> arith va vb)
+                  let v = free_operator [ va; vb ] in
+                  if v != absent then v else arith va vb
               | vb -> arith va vb))
   | Ast.Assign (op, a, b) -> assign ctx op a b
   | Ast.Cond (c, a, b) ->
@@ -1162,16 +1112,12 @@ and expr ctx (e : Ast.expr) : cexpr =
       let make = construct_from_type ctx ty (Option.value args ~default:[]) in
       rv (fun f -> tick t cost_expr; Vptr (ref (make f)))
   | Ast.New (ty, _, Some n) ->
-      let n = expr ctx n in
-      let elem =
-        match lookup_class_of_asttype t ty with
-        | Some cl -> fun () -> Vobj (make_object t cl)
-        | None -> fun () -> Vint 0L
-      in
+      let n = expr ctx n and cl = lookup_class_of_asttype t ty in
+      let elem _ = ref (match cl with Some cl -> Vobj (make_object t cl) | None -> Vint 0L) in
       rv (fun f ->
           tick t cost_expr;
           let n = Int64.to_int (to_int (deref (n.rv f))) in
-          Vptr (ref (Varr (Array.init (max n 0) (fun _ -> ref (elem ()))))))
+          Vptr (ref (Varr (Array.init (max n 0) elem))))
   | Ast.Delete (_, a) ->
       let a = expr ctx a in
       rv (fun f -> tick t cost_expr; ignore (a.rv f); Vunit)
@@ -1191,7 +1137,6 @@ and this f =
    a qualified name is an enum constant or a namespace variable *)
 and ident ctx (q : Ast.qual_name) : cexpr =
   let t = ctx.t in
-  let tick t cost_expr = tick t cost_expr in
   match q.Ast.parts with
   | [ { id; _ } ] -> (
       let cell = name_cell ctx id in
@@ -1208,20 +1153,17 @@ and ident ctx (q : Ast.qual_name) : cexpr =
             if c != no_cell then c else error "unbound identifier '%s'" id
           in
           { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell })
-  | parts -> (
+  | _ -> (
       (* qualified: try enum constant Class::CONST or namespace variable *)
-      let last = (List.nth parts (List.length parts - 1)).Ast.id in
-      let global n = Hashtbl.find_opt t.globals n in
-      match Hashtbl.find_opt t.enum_constants last with
-      | Some v -> { rv = (let v = Vint v in fun _ -> tick t cost_expr; v); lv = no_lv }
-      | None -> (
-          match
-            match global (Ast.qual_name_to_string q) with Some c -> Some c | None -> global last
-          with
-          | Some c -> { rv = (fun _ -> tick t cost_expr; !c); lv = (fun _ -> c) }
-          | None ->
-              let fail _ = error "unbound name '%s'" (Ast.qual_name_to_string q) in
-              { rv = (fun f -> tick t cost_expr; fail f); lv = fail }))
+      let last = (Ast.last_part q).Ast.id and full = Ast.qual_name_to_string q in
+      let global = Hashtbl.find_opt t.globals in
+      match (Hashtbl.find_opt t.enum_constants last, global full, global last) with
+      | Some v, _, _ -> { rv = (let v = Vint v in fun _ -> tick t cost_expr; v); lv = no_lv }
+      | None, Some c, _ | None, None, Some c ->
+          { rv = (fun _ -> tick t cost_expr; !c); lv = (fun _ -> c) }
+      | None, None, None ->
+          let fail _ = error "unbound name '%s'" full in
+          { rv = (fun f -> tick t cost_expr; fail f); lv = fail })
 
 (* member access: the field's cell *)
 and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
@@ -1308,18 +1250,11 @@ and arguments ctx (args : Ast.expr list) : frame -> value list =
   match List.map arg args with
   | [] -> fun _ -> []
   | [ a ] -> fun f -> [ a f ]
-  | [ a; b ] ->
-      fun f ->
-        let x = a f in
-        [ x; b f ]
-  | l ->
-      let rec go f = function [] -> [] | a :: rest -> let v = a f in v :: go f rest in
-      fun f -> go f l
+  | l -> fun f -> eval_each f l
 
 and values ctx (args : Ast.expr list) : frame -> value list =
-  let args = List.map (fun a -> (expr ctx a).rv) args in
-  let rec go f = function [] -> [] | a :: rest -> let v = deref (a f) in v :: go f rest in
-  fun f -> go f args
+  let args = List.map (fun a -> let a = expr ctx a in fun f -> deref (a.rv f)) args in
+  fun f -> eval_each f args
 
 and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
@@ -1342,9 +1277,8 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
                 else
                   let s = free_site c in
                   fun vargs ->
-                    match site_code t s (-1) vargs with
-                    | Some code -> invoke t code None vargs
-                    | None -> error "no viable overload for %s::%s" cname last
+                    let v = call_free t s vargs in
+                    if v != absent then v else error "no viable overload for %s::%s" cname last
           in
           fun f -> call (vargs f))
       | _ -> (
@@ -1365,7 +1299,6 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
 (* function-call expression, the Call node's tick included *)
 and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
   let t = ctx.t in
-  let tick t cost_expr = tick t cost_expr in
   match callee.Ast.e with
   | Ast.Member (oe, _, m) ->
       let name = (Ast.last_part m).Ast.id in
@@ -1375,16 +1308,14 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
         let recv = deref (oe.rv f) in
         let vargs = args f in
         (match recv with
-         | Vobj o -> (
+         | Vobj o ->
              let v = call_method t s o name vargs in
-             if v != absent then v else error "no method '%s' on class %s" name
-                         (Il.class_ t.prog o.o_class).cl_name)
-         | Vptr cell -> (
-             match !cell with
-             | Vobj o -> (
-                 let v = call_method t s o name vargs in
-                 if v != absent then v else error "no method '%s'" name)
-             | _ -> error "method call through non-object pointer")
+             if v != absent then v
+             else error "no method '%s' on class %s" name (Il.class_ t.prog o.o_class).cl_name
+         | Vptr { contents = Vobj o } ->
+             let v = call_method t s o name vargs in
+             if v != absent then v else error "no method '%s'" name
+         | Vptr _ -> error "method call through non-object pointer"
          | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
          | _ -> error "method call on non-object (%s)" name)
   | Ast.IdE q -> (
@@ -1414,12 +1345,11 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
                 match find_class_by_name t (Ast.qual_name_to_string q) with
                 | Some cl -> construct t cl
                 | None -> fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
-            | Some c -> (
+            | Some c ->
                 let fs = free_site c in
                 fun vargs ->
-                  match site_code t fs (-1) vargs with
-                  | Some code -> invoke t code None vargs
-                  | None -> error "no viable overload for '%s'" name)
+                  let v = call_free t fs vargs in
+                  if v != absent then v else error "no viable overload for '%s'" name
           in
           fun f ->
             tick t cost_expr;
@@ -1446,14 +1376,8 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
    label is rebuilt only when its parts are not the last call's strings *)
 and tau_profile ctx (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
-  let enter f label =
-    if Rt.enter t.profiler label ~now:t.cycles then
-      f.f_timers <- f.f_timers + 1
-  in
-  let name_of a =
-    let a = expr ctx a in
-    fun f -> value_to_display_string (deref (a.rv f))
-  in
+  let enter f label = if Rt.enter t.profiler label ~now:t.cycles then f.f_timers <- f.f_timers + 1 in
+  let name_of a = let a = expr ctx a in fun f -> value_to_display_string (deref (a.rv f)) in
   let profile =
     match args with
     | _ when not t.instrumented -> fun _ -> ()
@@ -1483,7 +1407,6 @@ and tau_profile ctx (args : Ast.expr list) : frame -> value =
 
 and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
   let t = ctx.t in
-  let tick t cost_expr = tick t cost_expr in
   let cond c = let c = expr ctx c in fun f -> truthy (deref (c.rv f)) in
   let loop_body body = let body = stmt ctx ~direct:false body in
     fun f -> try body f with Continue_exc -> () in
@@ -1513,15 +1436,8 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
   | Ast.SDoWhile (body, c) ->
       let body = loop_body body in
       let c = cond c in
-      fun f ->
-        tick t cost_expr;
-        (try
-           let continue_ = ref true in
-           while !continue_ do
-             body f;
-             continue_ := c f
-           done
-         with Break_exc -> ())
+      let rec go f = body f; if c f then go f in
+      fun f -> tick t cost_expr; (try go f with Break_exc -> ())
   | Ast.SFor (init, c, step, body) ->
       let run, own =
         in_scope ctx (fun () ->
@@ -1554,35 +1470,25 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
   | Ast.SSwitch (e, cases) ->
       let e = expr ctx e in
       let cases =
-        Array.of_list
-          (List.map
-             (fun (c : Ast.switch_case) ->
-               let guard = Option.map (fun g -> (expr ctx g).rv) c.case_guard in
-               (guard, List.map (stmt ctx ~direct:false) c.case_body))
-             cases)
+        List.map
+          (fun (c : Ast.switch_case) ->
+            (Option.map (fun g -> (expr ctx g).rv) c.case_guard,
+             List.map (stmt ctx ~direct:false) c.case_body))
+          cases
       in
-      let n = Array.length cases in
       (* a switch with no matching case runs its default alone *)
-      let default =
-        let rec find i = if i = n then -1 else if fst cases.(i) = None then i else find (i + 1) in
-        find 0
-      in
-      let run i f = run_all (snd cases.(i)) f in
+      let default = List.filter (fun (g, _) -> Option.is_none g) cases in
+      let default = match default with d :: _ -> [ d ] | [] -> [] in
       fun f ->
         tick t cost_expr;
         let v = to_int (deref (e.rv f)) in
-        let rec from i =
-          if i = n then -1
-          else
-            match fst cases.(i) with
-            | Some g when to_int (deref (g f)) = v -> i
-            | _ -> from (i + 1)
+        let rec from = function
+          | [] -> default
+          | (Some g, _) :: _ as matching when to_int (deref (g f)) = v -> matching
+          | _ :: rest -> from rest
         in
-        let first = from 0 in
-        (try
-           if first >= 0 then for i = first to n - 1 do run i f done
-           else if default >= 0 then run default f
-         with Break_exc -> ())
+        let matching = from cases in
+        (try List.iter (fun (_, body) -> run_all body f) matching with Break_exc -> ())
   | Ast.STry (body, handlers) ->
       let body = stmt ctx ~direct:false body in
       let handlers = List.map (handler ctx) handlers in
@@ -1600,10 +1506,7 @@ and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
     match h.h_param with
     | None -> fun _ -> true
     | Some p -> (
-        let rec strip = function
-          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty
-          | ty -> ty
-        in
+        let rec strip = function Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty | ty -> ty in
         let ty = strip p.Ast.ptype in
         let cname = Ast.type_to_string (Ast.unqual ty) in
         let rec class_matches cl =
