@@ -64,15 +64,26 @@ let run source includes outdir do_run trace select mhp_only =
         1
       end
       else begin
-        let r = Pdt_tau.Interp.run ~tracing:trace c2.Pdt.program in
-        print_string r.output;
-        Printf.printf "\n(exit code %d, %Ld virtual cycles)\n\n" r.exit_code r.cycles;
-        print_string (Pdt_tau.Pprof.format r.profile);
-        if trace then begin
-          print_endline "\nEvent trace:";
-          print_string (Pdt_tau.Pprof.format_trace r.profile)
-        end;
-        0
+        (* a run that stops early prints what the program wrote, then one
+           line naming the file and the reason *)
+        let failed output msg =
+          print_string output;
+          flush stdout;
+          Printf.eprintf "tau_instr: %s: %s\n" source msg;
+          1
+        in
+        match Pdt_tau.Interp.run ~tracing:trace c2.Pdt.program with
+        | exception Pdt_tau.Interp.Uncaught (msg, r) -> failed r.output msg
+        | exception Pdt_tau.Interp.Runtime_error msg -> failed "" msg
+        | r ->
+            print_string r.output;
+            Printf.printf "\n(exit code %d, %Ld virtual cycles)\n\n" r.exit_code r.cycles;
+            print_string (Pdt_tau.Pprof.format r.profile);
+            if trace then begin
+              print_endline "\nEvent trace:";
+              print_string (Pdt_tau.Pprof.format_trace r.profile)
+            end;
+            0
       end
     end
     else 0

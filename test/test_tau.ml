@@ -447,6 +447,48 @@ let test_interp_fingerprints_golden () =
   Test_golden.check_text_golden ~suite:"tau" ~what:"interpreter fingerprints"
     ~name:"interp_fingerprints.txt" (interp_fingerprints_text ())
 
+(* tau_instr --run as a process: a run the interpreter stops (a C++
+   exception out of main, the step limit, the call-depth limit) prints the
+   program's output, one "tau_instr: FILE: reason" line on stderr and exits
+   1, where it used to die with an uncaught OCaml exception (exit 125). *)
+let test_tau_instr_runtime_errors () =
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "tau_instr.exe")
+  in
+  let dir = Test_pdtc.fresh_dir () in
+  Fun.protect ~finally:(fun () -> Test_pdtc.rm_rf dir) @@ fun () ->
+  let run name src =
+    let path = Filename.concat dir name in
+    Test_pdtc.write_file path src;
+    let out = Filename.concat dir "stdout.txt" and err = Filename.concat dir "stderr.txt" in
+    let open_log p = Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let o = open_log out and e = open_log err in
+    let pid = Unix.create_process exe [| exe; path; "--run" |] Unix.stdin o e in
+    Unix.close o;
+    Unix.close e;
+    let code =
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED c -> c
+      | _ -> Alcotest.fail "tau_instr did not exit normally"
+    in
+    (path, code, Test_pdtc.read_file out, Test_pdtc.read_file err)
+  in
+  let check name src ~output ~reason =
+    let path, code, out, err = run name src in
+    Alcotest.(check int) (name ^ ": exit code") 1 code;
+    Alcotest.(check string) (name ^ ": stderr") (Printf.sprintf "tau_instr: %s: %s\n" path reason) err;
+    Alcotest.(check bool) (name ^ ": program output printed") true (contains out output)
+  in
+  check "throw.cpp"
+    "#include <iostream.h>\nint main() { cout << \"before\" << endl; throw 1; return 0; }\n"
+    ~output:"instrumented 1 source files\nbefore\n" ~reason:"uncaught C++ exception: int";
+  check "loop.cpp" "int main() { int x = 0; while (true) { x++; } return 0; }\n"
+    ~output:"instrumented 1 source files\n" ~reason:"step limit exceeded (infinite loop?)";
+  check "deep.cpp" "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n"
+    ~output:"instrumented 1 source files\n" ~reason:"call stack overflow"
+
 let suite =
   [ Alcotest.test_case "Figure 6 plan filter" `Quick test_plan_figure6_filter;
     Alcotest.test_case "static/free: no CT(*this)" `Quick test_plan_static_members_no_ct;
@@ -463,4 +505,6 @@ let suite =
       test_uninstrumented_profile_empty;
     Alcotest.test_case "golden: tau profiles" `Quick test_tau_profiles_golden;
     Alcotest.test_case "golden: interp fingerprints" `Quick
-      test_interp_fingerprints_golden ]
+      test_interp_fingerprints_golden;
+    Alcotest.test_case "tau_instr --run: runtime errors exit 1" `Quick
+      test_tau_instr_runtime_errors ]
