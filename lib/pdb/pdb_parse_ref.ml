@@ -125,6 +125,8 @@ let split_blocks (src : string) : string option * block list =
   flush ();
   (!header, List.rev !blocks)
 
+(* Each item's lists are built newest first and reversed when the item is
+   done, so a long list costs one pass, not one copy per attribute. *)
 let of_string (src : string) : t =
   let header, blocks = split_blocks src in
   let t = create () in
@@ -143,10 +145,11 @@ let of_string (src : string) : t =
               match k with
               | "sinc" -> (
                   match split_id ln v with
-                  | "so", n -> f.so_includes <- f.so_includes @ [ n ]
+                  | "so", n -> f.so_includes <- n :: f.so_includes
                   | _ -> fail ln "sinc expects so# reference")
               | _ -> fail ln "unknown so attribute '%s'" k)
             b.b_attrs;
+          f.so_includes <- List.rev f.so_includes;
           files := f :: !files
       | "na" ->
           let n =
@@ -158,10 +161,11 @@ let of_string (src : string) : t =
               match k with
               | "nloc" -> n.na_loc <- parse_loc ln v
               | "nparent" -> n.na_parent <- parse_parentref ln v
-              | "nmem" -> n.na_members <- n.na_members @ [ parse_itemref ln v ]
+              | "nmem" -> n.na_members <- parse_itemref ln v :: n.na_members
               | "nalias" -> n.na_alias <- Some v
               | _ -> fail ln "unknown na attribute '%s'" k)
             b.b_attrs;
+          n.na_members <- List.rev n.na_members;
           namespaces := n :: !namespaces
       | "te" ->
           let te =
@@ -193,7 +197,7 @@ let of_string (src : string) : t =
           let flush_du () =
             match !pending_du with
             | Some v ->
-                r.ro_du <- r.ro_du @ [ v ];
+                r.ro_du <- { v with v_defs = List.rev v.v_defs; v_uses = List.rev v.v_uses } :: r.ro_du;
                 pending_du := None
             | None -> ()
           in
@@ -222,7 +226,7 @@ let of_string (src : string) : t =
                       | "ro", n ->
                           let l, _ = parse_loc_words ln rest in
                           r.ro_calls <-
-                            r.ro_calls @ [ { c_callee = n; c_virt = virt = "virt"; c_loc = l } ]
+                            { c_callee = n; c_virt = virt = "virt"; c_loc = l } :: r.ro_calls
                       | _ -> fail ln "rcall expects ro# reference")
                   | _ -> fail ln "malformed rcall")
               | "rspawn" -> (
@@ -242,7 +246,7 @@ let of_string (src : string) : t =
                             | _ ->
                                 fail ln "rspawn expects 'joined <loc>' or 'live'"
                           in
-                          r.ro_spawns <- r.ro_spawns @ [ sp ])
+                          r.ro_spawns <- sp :: r.ro_spawns)
                       | _ -> fail ln "rspawn expects ro# reference")
                   | [] -> fail ln "malformed rspawn")
               | "rdu" ->
@@ -254,7 +258,7 @@ let of_string (src : string) : t =
                   | Some dv ->
                       if k = "rdudef" then
                         pending_du :=
-                          Some { dv with v_defs = dv.v_defs @ [ parse_loc ln v ] }
+                          Some { dv with v_defs = parse_loc ln v :: dv.v_defs }
                       else
                         let l, rest =
                           parse_loc_words ln (String.split_on_char ' ' v)
@@ -269,14 +273,16 @@ let of_string (src : string) : t =
                                    Some
                                      { dv with
                                        v_uses =
-                                         dv.v_uses
-                                         @ [ { u_loc = l; u_reach = reach;
-                                               u_uninit = uninit } ] })))
+                                         { u_loc = l; u_reach = reach; u_uninit = uninit }
+                                         :: dv.v_uses })))
               | "rdef" -> r.ro_defined <- true
               | "rpos" -> r.ro_pos <- parse_extent ln v
               | _ -> fail ln "unknown ro attribute '%s'" k)
             b.b_attrs;
           flush_du ();
+          r.ro_du <- List.rev r.ro_du;
+          r.ro_calls <- List.rev r.ro_calls;
+          r.ro_spawns <- List.rev r.ro_spawns;
           routines := r :: !routines
       | "cl" ->
           let c =
@@ -289,7 +295,7 @@ let of_string (src : string) : t =
           let flush_member () =
             match !pending_member with
             | Some m ->
-                c.cl_members <- c.cl_members @ [ m ];
+                c.cl_members <- m :: c.cl_members;
                 pending_member := None
             | None -> ()
           in
@@ -312,13 +318,13 @@ let of_string (src : string) : t =
                   match String.split_on_char ' ' v with
                   | [ acs; virt; base ] -> (
                       match split_id ln base with
-                      | "cl", n -> c.cl_bases <- c.cl_bases @ [ (acs, virt = "virt", n) ]
+                      | "cl", n -> c.cl_bases <- (acs, virt = "virt", n) :: c.cl_bases
                       | _ -> fail ln "cbase expects cl# reference")
                   | _ -> fail ln "malformed cbase")
               | "cfriend" -> (
                   match split_id ln v with
-                  | "cl", n -> c.cl_friends <- c.cl_friends @ [ `Cl n ]
-                  | "ro", n -> c.cl_friends <- c.cl_friends @ [ `Ro n ]
+                  | "cl", n -> c.cl_friends <- `Cl n :: c.cl_friends
+                  | "ro", n -> c.cl_friends <- `Ro n :: c.cl_friends
                   | _ -> fail ln "cfriend expects cl# or ro#")
               | "cfunc" -> (
                   match String.split_on_char ' ' v with
@@ -326,7 +332,7 @@ let of_string (src : string) : t =
                       match split_id ln ro with
                       | "ro", n ->
                           let l, _ = parse_loc_words ln rest in
-                          c.cl_funcs <- c.cl_funcs @ [ (n, l) ]
+                          c.cl_funcs <- (n, l) :: c.cl_funcs
                       | _ -> fail ln "cfunc expects ro# reference")
                   | _ -> fail ln "malformed cfunc")
               | "cmem" ->
@@ -352,6 +358,10 @@ let of_string (src : string) : t =
               | _ -> fail ln "unknown cl attribute '%s'" k)
             b.b_attrs;
           flush_member ();
+          c.cl_members <- List.rev c.cl_members;
+          c.cl_bases <- List.rev c.cl_bases;
+          c.cl_friends <- List.rev c.cl_friends;
+          c.cl_funcs <- List.rev c.cl_funcs;
           classes := c :: !classes
       | "ty" ->
           let info = ref Yerror in
@@ -381,8 +391,8 @@ let of_string (src : string) : t =
               | "yrett" -> rett := parse_typeref ln v
               | "yargt" -> (
                   match String.split_on_char ' ' v with
-                  | [ r; d ] -> args := !args @ [ (parse_typeref ln r, d = "T") ]
-                  | [ r ] -> args := !args @ [ (parse_typeref ln r, false) ]
+                  | [ r; d ] -> args := (parse_typeref ln r, d = "T") :: !args
+                  | [ r ] -> args := (parse_typeref ln r, false) :: !args
                   | _ -> fail ln "malformed yargt")
               | "yellip" -> ellip := true
               | "yexcep" ->
@@ -394,10 +404,10 @@ let of_string (src : string) : t =
                   match String.split_on_char ' ' v with
                   | [ n; value ] -> (
                       match Int64.of_string_opt value with
-                      | Some x -> constants := !constants @ [ (n, x) ]
+                      | Some x -> constants := (n, x) :: !constants
                       | None -> fail ln "malformed ycon value")
                   | _ -> fail ln "malformed ycon")
-              | "yname" -> names := !names @ [ v ]
+              | "yname" -> names := v :: !names
               | _ -> fail ln "unknown ty attribute '%s'" k)
             b.b_attrs;
           info :=
@@ -407,15 +417,15 @@ let of_string (src : string) : t =
              | "tref" -> Ytref { target = !target; yconst = !quals_const; yvolatile = !quals_vol }
              | "array" -> Yarray { elem = !elem; size = !size }
              | "func" ->
-                 Yfunc { rett = !rett; args = !args; ellipsis = !ellip;
+                 Yfunc { rett = !rett; args = List.rev !args; ellipsis = !ellip;
                          cqual = !quals_const; exceptions = !excep }
-             | "enum" -> Yenum { constants = !constants }
+             | "enum" -> Yenum { constants = List.rev !constants }
              | "tparam" -> Ytparam
              | "error" -> Yerror
              | _ -> Ybuiltin { yikind = !yikind });
           types :=
             { ty_id = b.b_id; ty_name = b.b_name; ty_loc = !loc; ty_parent = !parent;
-              ty_acs = !acs; ty_info = !info; ty_names = !names }
+              ty_acs = !acs; ty_info = !info; ty_names = List.rev !names }
             :: !types
       | "ma" ->
           let m =

@@ -60,10 +60,16 @@ let rec eq_from (src : string) pos len (canonical : string) i =
 let eq_sub (src : string) pos len (canonical : string) =
   String.length canonical = len && eq_from src pos len canonical 0
 
+(* [find_sub]'s answer when the bucket has no such string: a fresh string,
+   never inserted, so no pooled string is physically equal to it *)
+let missing = String.make 1 '\000'
+
+(* the pooled copy of src[pos, pos+len) in [bucket], or [missing]; a hit
+   allocates nothing *)
 let rec find_sub bucket src pos len =
   match bucket with
-  | [] -> None
-  | c :: tl -> if eq_sub src pos len c then Some c else find_sub tl src pos len
+  | [] -> missing
+  | c :: tl -> if eq_sub src pos len c then c else find_sub tl src pos len
 
 (* double the bucket array once load factor exceeds 2; rehashes into a
    fresh array and publishes it with a single assignment (readers see
@@ -89,17 +95,19 @@ let insert_sub (src : string) pos len h : string =
   let b = !buckets in
   let i = h land (Array.length b - 1) in
   let r =
-    match find_sub b.(i) src pos len with
-    | Some canonical ->
-        Atomic.incr hit_count;
-        canonical
-    | None ->
-        Atomic.incr miss_count;
-        let s = String.sub src pos len in
-        b.(i) <- s :: b.(i);
-        incr entry_count;
-        maybe_grow ();
-        s
+    let canonical = find_sub b.(i) src pos len in
+    if canonical != missing then begin
+      Atomic.incr hit_count;
+      canonical
+    end
+    else begin
+      Atomic.incr miss_count;
+      let s = String.sub src pos len in
+      b.(i) <- s :: b.(i);
+      incr entry_count;
+      maybe_grow ();
+      s
+    end
   in
   Mutex.unlock mutex;
   r
@@ -114,11 +122,12 @@ let intern_sub (src : string) pos len : string =
   else begin
     let h = hash_sub src pos len in
     let b = !buckets in
-    match find_sub b.(h land (Array.length b - 1)) src pos len with
-    | Some canonical ->
-        Atomic.incr hit_count;
-        canonical
-    | None -> insert_sub src pos len h
+    let canonical = find_sub b.(h land (Array.length b - 1)) src pos len in
+    if canonical != missing then begin
+      Atomic.incr hit_count;
+      canonical
+    end
+    else insert_sub src pos len h
   end
 
 (** [intern s] = [intern_sub s 0 (String.length s)]. *)

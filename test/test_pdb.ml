@@ -517,6 +517,27 @@ let prop_item_count =
       let s = W.to_string pdb in
       P.item_count (R.of_string s) = P.item_count pdb)
 
+(* Intern.intern_sub's doc promises no allocation on a hit: 1,000 hits
+   may cost no more minor words than 10 (a hit used to box its answer in
+   an option, 2 words each) *)
+let test_intern_hit_allocates_nothing () =
+  let src = "xx interned_name yy" in
+  let first = Pdt_util.Intern.intern_sub src 3 13 in
+  let words n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Pdt_util.Intern.intern_sub src 3 13))
+    done;
+    Gc.minor_words () -. before
+  in
+  let w10 = words 10 in
+  let w1000 = words 1000 in
+  Alcotest.(check bool) "a hit returns the pooled copy" true
+    (Pdt_util.Intern.intern_sub src 3 13 == first);
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 hits (%.0f words) <= 10 hits (%.0f words)" w1000 w10)
+    true (w1000 <= w10)
+
 let suite =
   [ Alcotest.test_case "empty roundtrip" `Quick test_empty;
     Alcotest.test_case "stack roundtrip" `Quick test_stack_roundtrip;
@@ -540,6 +561,8 @@ let suite =
       test_cursor_matches_reference_stack;
     Alcotest.test_case "interning shares parsed names" `Quick
       test_interning_shares_names;
+    Alcotest.test_case "intern: a hit allocates nothing" `Quick
+      test_intern_hit_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_item_count ]
