@@ -197,7 +197,8 @@ let of_string (src : string) : t =
           let flush_du () =
             match !pending_du with
             | Some v ->
-                r.ro_du <- { v with v_defs = List.rev v.v_defs; v_uses = List.rev v.v_uses } :: r.ro_du;
+                r.ro_du <-
+                  { v with v_defs = List.rev v.v_defs; v_uses = List.rev v.v_uses } :: r.ro_du;
                 pending_du := None
             | None -> ()
           in

@@ -12,15 +12,22 @@
       [string]) and of the TAU measurement macros ([TAU_PROFILE], [CT]);
     - C++ exceptions mapped onto OCaml exceptions.
 
-    A step does no name resolution of its own.  Block scopes are immutable
-    association lists, saved and restored around a block.  Member and
-    constructor candidates, overload picks, per-routine parameter facts,
-    free routines, free operators, enum constants and the classes AST types
-    name come from tables in [t], each entry computed at most once per run;
-    the cycle and step counters are native ints.  A table may skip work,
-    never a tick: a step charges the same cycles whether its lookups hit a
-    table or not, so profiles stay byte-identical
-    (test/golden/tau_profiles.txt pins them). *)
+    A routine runs as OCaml closures: its first [invoke] in a run
+    translates its body, member initializers and default arguments once,
+    kept in [t] by routine id; global initializers are translated too.
+    Translation resolves what the text fixes: each local is a slot of the
+    frame's cell array (a fresh cell each time its declaration runs),
+    constants are built, and operators, ["operator" ^ op], the TAU and MPI
+    builtins, free routines, enum constants, globals and the classes AST
+    types name are looked up.  What depends on run-time values is cached
+    per site on exactly what the lookup reads: a call's routine on the
+    receiver's class and the arguments' kind tags, a non-local name's cell
+    on the [this] object (its field, else the global), a TAU label on the
+    identity of its two parts; a miss asks the per-run candidate and pick
+    tables.  No tick can move: ticks are charged by the closure of each AST
+    node and statement and by [invoke], where the walker charged them, and
+    never by a lookup, so a hit and a miss cost the same cycles and
+    test/golden/tau_profiles.txt and interp_fingerprints.txt hold. *)
 
 open Pdt_il
 open Il
@@ -198,10 +205,7 @@ let pick_overload_dyn t (cands : Il.routine_entity list) (args : value list) :
     go r.ro_params args 0
   in
   List.fold_left
-    (fun best r ->
-      match best with
-      | None -> Some r
-      | Some b -> if score r > score b then Some r else best)
+    (fun best r -> match best with Some b when score r <= score b -> best | _ -> Some r)
     None viable
 
 (* ------------------------------------------------------------------ *)
@@ -476,7 +480,8 @@ let binop op : value -> value -> value =
         | _ -> vint (Int64.add (to_int a) (to_int b)))
   | "-" -> arith Int64.sub ( -. )
   | "*" -> arith Int64.mul ( *. )
-  | "/" -> fun a b -> if is_float a b then Vdouble (to_float a /. to_float b) else divide Int64.div a b
+  | "/" ->
+      fun a b -> if is_float a b then Vdouble (to_float a /. to_float b) else divide Int64.div a b
   | "%" -> divide Int64.rem
   | "<<" -> integral (fun x y -> Int64.shift_left x (Int64.to_int y))
   | ">>" -> integral (fun x y -> Int64.shift_right x (Int64.to_int y))
@@ -668,11 +673,10 @@ let bind_params (b : body) frame (args : value list) =
       let slot, by_ref, default = b.params.(i) in
       match args with
       | arg :: rest ->
+          (* by-value parameters copy; reference parameters alias *)
           if slot >= 0 then
             frame.slots.(slot) <-
-              (match (arg, by_ref) with
-               | Vptr c, true -> c
-               | v, _ -> ref (copy_value (deref v)));
+              (match (arg, by_ref) with Vptr c, true -> c | v, _ -> ref (copy_value (deref v)));
           go (i + 1) rest
       | [] ->
           (match default with
@@ -730,7 +734,9 @@ let field_cell name =
   fun (o : obj) ->
     (match !last with
      | Some o' when o' == o -> ()
-     | _ -> cell := Option.value (Hashtbl.find_opt o.o_fields name) ~default:no_cell; last := Some o);
+     | _ ->
+         cell := Option.value (Hashtbl.find_opt o.o_fields name) ~default:no_cell;
+         last := Some o);
     !cell
 
 (* the cell a one-part name denotes, or [no_cell]: the innermost local of
@@ -768,7 +774,8 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
   t.depth <- t.depth + 1;
   if t.depth > 10_000 then error "call stack overflow";
   let b = match code.body with Some b -> b | None -> translate t code in
-  let frame = { slots = Array.make b.nslots unbound; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
+  let slots = Array.make b.nslots unbound in
+  let frame = { slots; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
   bind_params b frame args;
   (match this_obj with
    | Some o when code.routine.ro_kind = Rk_ctor -> run_inits t b o frame
@@ -805,13 +812,11 @@ and run_inits t b (o : obj) frame =
           | _, _ -> ())
       | None -> (
           (* base class initializer *)
-          let c = Il.class_ t.prog o.o_class in
+          let names (b : Il.base_spec) = Il.class_ t.prog b.ba_class in
           let base =
             List.find_opt
-              (fun (b : Il.base_spec) ->
-                class_base_name (Il.class_ t.prog b.ba_class) = name
-                || (Il.class_ t.prog b.ba_class).cl_name = name)
-              c.cl_bases
+              (fun b -> class_base_name (names b) = name || (names b).cl_name = name)
+              (Il.class_ t.prog o.o_class).cl_bases
           in
           match base with
           | Some b -> (
@@ -867,10 +872,8 @@ and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
   List.iter
     (fun (b : Il.base_spec) ->
       let bc = Il.class_ t.prog b.ba_class in
-      let covered =
-        List.mem bc.cl_name skip || List.mem (class_base_name bc) skip
-      in
-      if not covered then run_default_ctor t o b.ba_class)
+      if not (List.mem bc.cl_name skip || List.mem (class_base_name bc) skip) then
+        run_default_ctor t o b.ba_class)
     c.cl_bases;
   List.iter
     (fun (m : Il.data_member) ->
@@ -917,7 +920,9 @@ and translate t (code : code) : body =
         (slot, by_ref, default))
       r.ro_params
   in
-  let inits = List.map (fun (name, args) -> (name, List.map (fun a -> (expr ctx a).rv) args)) r.ro_inits in
+  let inits =
+    List.map (fun (name, args) -> (name, List.map (fun a -> (expr ctx a).rv) args)) r.ro_inits
+  in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
   let b = { nslots = ctx.nslots; params = Array.of_list params; inits; run } in
   code.body <- Some b;
@@ -1040,7 +1045,9 @@ and expr ctx (e : Ast.expr) : cexpr =
   | Ast.Assign (op, a, b) -> assign ctx op a b
   | Ast.Cond (c, a, b) ->
       let c = expr ctx c and a = expr ctx a and b = expr ctx b in
-      rv (fun f -> tick t cost_expr; if truthy (deref (c.rv f)) then deref (a.rv f) else deref (b.rv f))
+      rv (fun f ->
+          tick t cost_expr;
+          if truthy (deref (c.rv f)) then deref (a.rv f) else deref (b.rv f))
   | Ast.Call (callee, args) ->
       let call = call ctx callee args in
       { rv = call; lv = (fun f -> match call f with Vptr cell -> cell | _ -> no_cell) }
@@ -1049,13 +1056,14 @@ and expr ctx (e : Ast.expr) : cexpr =
       { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell }
   | Ast.Index (a, i) ->
       let a = expr ctx a and i = expr ctx i and s = method_site t "operator[]" in
-      let range cells vi =
-        let idx = Int64.to_int (to_int vi) in
-        if idx < 0 || idx >= Array.length cells then no_cell else cells.(idx)
-      in
-      let elem cells vi =
-        let c = range cells vi in
-        if c == no_cell then raise (Cpp_exception (Vstr "array index out of range")) else !c
+      (* an array element, or through a non-array pointer index 0 *)
+      let cell va vi =
+        match va with
+        | Varr cells | Vptr { contents = Varr cells } ->
+            let idx = Int64.to_int (to_int vi) in
+            if idx < 0 || idx >= Array.length cells then no_cell else cells.(idx)
+        | Vptr cell -> if to_int vi = 0L then cell else no_cell
+        | _ -> no_cell
       in
       { rv =
           (fun f ->
@@ -1067,16 +1075,18 @@ and expr ctx (e : Ast.expr) : cexpr =
                 let v = call_method t s o "operator[]" [ vi ] in
                 if v != absent then deref v
                 else error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name
-            | Varr cells -> elem cells vi
-            | Vptr cell -> (
-                match !cell with
-                | Varr cells -> elem cells vi
-                | v when to_int vi = 0L -> v
-                | _ -> error "unsupported pointer indexing")
             | Vstr s ->
                 let idx = Int64.to_int (to_int vi) in
                 if idx >= 0 && idx < String.length s then Vchar (Char.code s.[idx]) else Vchar 0
-            | _ -> error "cannot index this value");
+            | _ -> (
+                let c = cell va vi in
+                if c != no_cell then !c
+                else
+                  match va with
+                  | Varr _ | Vptr { contents = Varr _ } ->
+                      raise (Cpp_exception (Vstr "array index out of range"))
+                  | Vptr _ -> error "unsupported pointer indexing"
+                  | _ -> error "cannot index this value"));
         lv =
           (fun f ->
             let va = deref (a.rv f) in
@@ -1087,12 +1097,7 @@ and expr ctx (e : Ast.expr) : cexpr =
                 | v when v == absent -> no_cell
                 | Vptr cell -> cell
                 | v -> ref v)
-            | Varr cells -> range cells vi
-            | Vptr cell -> (
-                match !cell with
-                | Varr cells -> range cells vi
-                | _ -> if to_int vi = 0L then cell else no_cell)
-            | _ -> no_cell) }
+            | va -> cell va vi) }
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
       let a = expr ctx a in
       (* scalar conversions really convert; class/pointer casts pass through *)
@@ -1344,7 +1349,8 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
                 (* constructor call: Class(args) where parser kept IdE *)
                 match find_class_by_name t (Ast.qual_name_to_string q) with
                 | Some cl -> construct t cl
-                | None -> fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
+                | None ->
+                    fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
             | Some c ->
                 let fs = free_site c in
                 fun vargs ->
@@ -1376,7 +1382,9 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
    label is rebuilt only when its parts are not the last call's strings *)
 and tau_profile ctx (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
-  let enter f label = if Rt.enter t.profiler label ~now:t.cycles then f.f_timers <- f.f_timers + 1 in
+  let enter f label =
+    if Rt.enter t.profiler label ~now:t.cycles then f.f_timers <- f.f_timers + 1
+  in
   let name_of a = let a = expr ctx a in fun f -> value_to_display_string (deref (a.rv f)) in
   let profile =
     match args with
@@ -1506,7 +1514,10 @@ and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
     match h.h_param with
     | None -> fun _ -> true
     | Some p -> (
-        let rec strip = function Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty | ty -> ty in
+        let rec strip = function
+          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty
+          | ty -> ty
+        in
         let ty = strip p.Ast.ptype in
         let cname = Ast.type_to_string (Ast.unqual ty) in
         let rec class_matches cl =
@@ -1569,7 +1580,8 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
         let e = expr ctx e in
         match cls with
         | Some cl -> (
-            fun f -> match deref (e.rv f) with Vobj _ as v -> construct t cl [ v ] | v -> copy_value v)
+            fun f ->
+              match deref (e.rv f) with Vobj _ as v -> construct t cl [ v ] | v -> copy_value v)
         | None -> fun f -> copy_value (deref (e.rv f)))
     | Ast.CtorInit args -> (
         let vargs = values ctx args in
