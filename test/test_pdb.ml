@@ -561,8 +561,8 @@ let suite =
       test_cursor_matches_reference_stack;
     Alcotest.test_case "interning shares parsed names" `Quick
       test_interning_shares_names;
-    Alcotest.test_case "intern: a hit allocates nothing" `Quick
-      test_intern_hit_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_item_count ]
+    QCheck_alcotest.to_alcotest prop_item_count;
+    Alcotest.test_case "intern: a hit allocates nothing" `Quick
+      test_intern_hit_allocates_nothing ]
