@@ -24,10 +24,10 @@
     receiver's class and the arguments' kind tags, a non-local name's cell
     on the [this] object (its field, else the global), a TAU label on the
     identity of its two parts; a miss asks the per-run candidate and pick
-    tables.  No tick can move: ticks are charged by the closure of each AST
-    node and statement and by [invoke], where the walker charged them, and
-    never by a lookup, so a hit and a miss cost the same cycles and
-    test/golden/tau_profiles.txt and interp_fingerprints.txt hold. *)
+    tables.  No tick can move: the closure of each AST expression and
+    statement charges one tick when it runs and [invoke] charges one call,
+    and no lookup ever ticks, so a hit and a miss cost the same cycles;
+    test/golden/tau_profiles.txt and interp_fingerprints.txt pin them. *)
 
 open Pdt_il
 open Il
@@ -216,26 +216,15 @@ let pick_overload_dyn t (cands : Il.routine_entity list) (args : value list) :
 let memo tbl compute t key =
   match Hashtbl.find_opt tbl key with
   | Some v -> v
-  | None ->
-      let v = compute t key in
-      Hashtbl.add tbl key v;
-      v
+  | None -> let v = compute t key in Hashtbl.add tbl key v; v
 
 let cands routines = { routines; picks = Hashtbl.create 4 }
 
 (* [pick_overload_dyn] sees of an argument only its constructor and, for an
    object, its class: the tag carries exactly that *)
 let kind_tag = function
-  | Vunit -> 0
-  | Vint _ -> 1
-  | Vdouble _ -> 2
-  | Vbool _ -> 3
-  | Vchar _ -> 4
-  | Vstr _ -> 5
-  | Vptr _ -> 6
-  | Vnull -> 7
-  | Varr _ -> 8
-  | Vobj o -> 9 + o.o_class
+  | Vunit -> 0 | Vint _ -> 1 | Vdouble _ -> 2 | Vbool _ -> 3 | Vchar _ -> 4
+  | Vstr _ -> 5 | Vptr _ -> 6 | Vnull -> 7 | Varr _ -> 8 | Vobj o -> 9 + o.o_class
 
 let pick t (c : cands) (args : value list) : Il.routine_entity option =
   match c.routines with
@@ -597,9 +586,11 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value =
 let unbound : value ref = ref Vunit
 let no_cell : value ref = ref Vunit
 
-(* An expression, translated: [rv] evaluates it (the walker's [eval]), [lv]
-   yields the cell it denotes or [no_cell], evaluating exactly the operands
-   the walker's [eval_lval] evaluated. *)
+(* An expression, translated: [rv] evaluates it; [lv] yields the cell it
+   denotes or [no_cell].  A name, member, index, [*p] or call runs the
+   operands its cell needs (ticking as they do); any other expression runs
+   nothing in [lv], and a caller that then needs its value runs [rv], so an
+   operand probed for a cell may run twice, ticks included. *)
 type cexpr = { rv : frame -> value; lv : frame -> value ref }
 
 let no_lv : frame -> value ref = fun _ -> no_cell
@@ -615,8 +606,6 @@ type ctx = {
   mutable leaky : int list;
   ret_ref : bool;
 }
-
-let find_class_by_name t name : Il.class_id option = Hashtbl.find_opt t.class_by_name name
 
 (* find the IL class named by an AST type (display-name based) *)
 let lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
@@ -928,7 +917,7 @@ and translate t (code : code) : body =
   code.body <- Some b;
   b
 
-(* ---- expressions: [rv] ticks once, as the walker's [eval] did ---- *)
+(* ---- expressions: [rv] ticks once for the node, then runs its operands ---- *)
 
 and expr ctx (e : Ast.expr) : cexpr =
   let t = ctx.t in
@@ -1274,7 +1263,7 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
           let last = (List.nth parts (List.length parts - 1)).Ast.id in
           let cname = Ast.qual_name_to_string { Ast.global; parts = front } in
           let call =
-            match find_class_by_name t cname with
+            match Hashtbl.find_opt t.class_by_name cname with
             | None -> fun _ -> error "unknown class '%s'" cname
             | Some cl ->
                 let c = member_cands t cl last in
@@ -1347,7 +1336,7 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
             match Hashtbl.find_opt t.free_routines name with
             | None -> (
                 (* constructor call: Class(args) where parser kept IdE *)
-                match find_class_by_name t (Ast.qual_name_to_string q) with
+                match Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q) with
                 | Some cl -> construct t cl
                 | None ->
                     fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
@@ -1411,7 +1400,7 @@ and tau_profile ctx (args : Ast.expr list) : frame -> value =
     profile f;
     Vunit
 
-(* ---- statements: each ticks once, as the walker's [exec_stmt] did ---- *)
+(* ---- statements: each ticks once for itself, then runs its parts ---- *)
 
 and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
   let t = ctx.t in
@@ -1515,9 +1504,7 @@ and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
     | None -> fun _ -> true
     | Some p -> (
         let rec strip = function
-          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty
-          | ty -> ty
-        in
+          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty | ty -> ty in
         let ty = strip p.Ast.ptype in
         let cname = Ast.type_to_string (Ast.unqual ty) in
         let rec class_matches cl =
