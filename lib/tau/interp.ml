@@ -885,8 +885,9 @@ and run_ctor t (o : obj) (cl : Il.class_id) (ctor : Il.routine_entity)
   construct_bases_and_fields t o cl ~skip;
   ignore (invoke t (code_of t ctor) (Some o) args)
 
-(* A routine's parameters, member initializers and body, translated.  The
-   parameters take the first slots, in order. *)
+(* A routine's parameters, member initializers and body, translated and
+   kept in [code] for the rest of the run.  The parameters take the first
+   slots, in order. *)
 and translate t (code : code) : body =
   let r = code.routine in
   let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
