@@ -2,8 +2,9 @@
     substrate.
 
     The paper's TAU workflow compiles instrumented C++ and runs it natively;
-    in this reproduction the instrumented program runs on this interpreter
-    instead (see DESIGN.md, substitutions).  It executes the AST bodies the
+    here the instrumented program runs on this interpreter, whose virtual
+    cycles are deterministic, and CI checks its exit codes against g++ on
+    test/gxx (see DESIGN.md, substitutions).  It executes the AST bodies the
     front end attached to IL routines, dispatching member calls dynamically
     (so virtual dispatch falls out of the object's dynamic class), with:
 
@@ -11,6 +12,14 @@
     - builtin implementations of the mini-STL ([vector], [ostream],
       [string]) and of the TAU measurement macros ([TAU_PROFILE], [CT]);
     - C++ exceptions mapped onto OCaml exceptions.
+
+    Memory is cells.  An object is one cell per field, in its class's
+    [layout]: bases first, then members in IL order, made once per class
+    in a run.  A pointer ([Vptr]) holds the cell it points at, so [&c],
+    [this] and a [Cell *] reach the object itself; only a by-value
+    initialization or argument copies it, and an assignment to an object
+    writes its own cells.  An lvalue in flight (a [T&] argument or result,
+    a vector element) is a [Vref], the one value [deref] strips.
 
     A routine runs as OCaml closures: its first [invoke] in a run
     translates its body, member initializers and default arguments once,
@@ -21,13 +30,14 @@
     builtins, free routines, enum constants, globals and the classes AST
     types name are looked up.  What depends on run-time values is cached
     per site on exactly what the lookup reads: a call's routine on the
-    receiver's class and the arguments' kind tags, a non-local name's cell
-    on the [this] object (its field, else the global), a TAU label on the
-    identity of its two parts; a miss asks the per-run candidate and pick
-    tables.  No tick can move: the closure of each AST expression and
-    statement charges one tick when it runs and [invoke] charges one call,
-    and no lookup ever ticks, so a hit and a miss cost the same cycles;
-    test/golden/tau_profiles.txt and interp_fingerprints.txt pin them. *)
+    receiver's class and the arguments' kind tags, a field's index on the
+    object's class (a non-local name is a field of [this], else a global),
+    a TAU label on the identity of its two parts; a miss asks the per-run
+    candidate, pick and layout tables.  No tick can move: the closure of
+    each AST expression and statement charges one tick when it runs and
+    [invoke] charges one call, and no lookup ever ticks, so a hit and a
+    miss cost the same cycles; test/golden/tau_profiles.txt and
+    interp_fingerprints.txt pin them. *)
 
 open Pdt_il
 open Il
@@ -46,13 +56,14 @@ type value =
   | Vchar of int
   | Vstr of string
   | Vobj of obj
-  | Vptr of value ref
+  | Vptr of value ref  (** a pointer: the cell it points at *)
+  | Vref of value ref  (** an lvalue in flight: a [T&] argument or result *)
   | Vnull
   | Varr of value ref array
 
 and obj = {
   o_class : Il.class_id;
-  o_fields : (string, value ref) Hashtbl.t;
+  o_fields : value ref array;  (** one cell per field of its class's [layout] *)
   mutable o_builtin : builtin option;
 }
 
@@ -80,7 +91,7 @@ type frame = {
 type body = {
   nslots : int;
   params : (int * bool * (frame -> value) option) array;
-  inits : (string * (frame -> value) list) list;
+  inits : (string * (obj -> value ref) * (frame -> value) list) list;
   run : (frame -> unit) option;
 }
 
@@ -99,6 +110,11 @@ type cands = {
 type pick_entry = { p_cl : int; p_tags : int array; p_code : code option }
 
 type site = { s_cands : Il.class_id -> cands; mutable picks_at : pick_entry list }
+
+(* A class's fields in its objects' cell order: bases first, then its own
+   non-static members in IL order; [index] maps a name to its cell (the
+   last declaration's, when a derived class redeclares a name). *)
+type layout = { fields : Il.data_member array; index : (string, int) Hashtbl.t }
 
 type t = {
   prog : Il.program;
@@ -120,6 +136,7 @@ type t = {
   free_routines : (string, cands) Hashtbl.t;  (** non-members, by name *)
   free_operators : (string, cands) Hashtbl.t;  (** parentless routines, by name *)
   enum_constants : (string, int64) Hashtbl.t;
+  layouts : (Il.class_id, layout) Hashtbl.t;  (** filled on use *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -130,6 +147,9 @@ let cost_expr = 1
 let cost_call = 5
 
 let step_limit () = error "step limit exceeded (infinite loop?)"
+
+(* the value an lvalue in flight refers to; any other value is itself *)
+let deref = function Vref cell -> !cell | v -> v
 
 let[@inline] tick t c =
   t.cycles <- t.cycles + c;
@@ -185,7 +205,7 @@ let pick_overload_dyn t (cands : Il.routine_entity list) (args : value list) :
   in
   let kind_score (p : Il.param_info) (v : value) =
     let pty = Il.strip_qual_ref t.prog p.pi_type in
-    match ((Il.type_ t.prog pty).ty_kind, v) with
+    match ((Il.type_ t.prog pty).ty_kind, deref v) with
     | Tclass pc, Vobj o -> if pc = o.o_class then 3 else 2
     | Tclass _, _ -> 0
     | Tbuiltin { ykind = "int"; _ }, Vint _ -> 3
@@ -220,11 +240,12 @@ let memo tbl compute t key =
 
 let cands routines = { routines; picks = Hashtbl.create 4 }
 
-(* [pick_overload_dyn] sees of an argument only its constructor and, for an
-   object, its class: the tag carries exactly that *)
-let kind_tag = function
+(* [pick_overload_dyn] sees of an argument only its value's constructor and,
+   for an object, its class: the tag carries exactly that *)
+let rec kind_tag = function
   | Vunit -> 0 | Vint _ -> 1 | Vdouble _ -> 2 | Vbool _ -> 3 | Vchar _ -> 4
   | Vstr _ -> 5 | Vptr _ -> 6 | Vnull -> 7 | Varr _ -> 8 | Vobj o -> 9 + o.o_class
+  | Vref cell -> kind_tag !cell
 
 let pick t (c : cands) (args : value list) : Il.routine_entity option =
   match c.routines with
@@ -259,10 +280,8 @@ let rec copy_value (v : value) : value =
   | v -> v
 
 and copy_obj (o : obj) : obj =
-  let fields = Hashtbl.create (Hashtbl.length o.o_fields) in
-  Hashtbl.iter (fun k cell -> Hashtbl.replace fields k (ref (copy_value !cell))) o.o_fields;
   { o_class = o.o_class;
-    o_fields = fields;
+    o_fields = Array.map (fun cell -> ref (copy_value !cell)) o.o_fields;
     o_builtin =
       (match o.o_builtin with
        | Some (Bvector (store, size)) ->
@@ -277,11 +296,9 @@ let truthy = function
   | Vint n -> n <> 0L
   | Vdouble f -> f <> 0.0
   | Vchar c -> c <> 0
-  | Vnull -> false
-  | Vptr _ -> true
+  | Vnull | Vunit -> false
   | Vstr s -> s <> ""
-  | Vunit -> false
-  | Vobj _ | Varr _ -> true
+  | Vptr _ | Vref _ | Vobj _ | Varr _ -> true
 
 let to_float = function
   | Vint n -> Int64.to_float n
@@ -306,7 +323,7 @@ let value_to_display_string = function
   | Vstr s -> s
   | Vnull -> "0"
   | Vunit -> ""
-  | Vptr _ -> "<ptr>"
+  | Vptr _ | Vref _ -> "<ptr>"
   | Vobj _ -> "<object>"
   | Varr _ -> "<array>"
 
@@ -363,7 +380,7 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
     members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
-    free_routines; free_operators; enum_constants }
+    free_routines; free_operators; enum_constants; layouts = Hashtbl.create 16 }
 
 (* type name of a value, used by the CT() macro *)
 let type_name_of_value t = function
@@ -373,10 +390,40 @@ let type_name_of_value t = function
   | Vchar _ -> "char"
   | Vstr _ -> "const char *"
   | Vobj o -> (Il.class_ t.prog o.o_class).cl_name
-  | Vptr _ -> "<ptr>"
+  | Vptr _ | Vref _ -> "<ptr>"
   | Vnull -> "<null>"
   | Vunit -> "void"
   | Varr _ -> "<array>"
+
+(* the state of a new object of a mini-STL class the interpreter implements *)
+let builtin_state t (cl : Il.class_id) =
+  match class_base_name (Il.class_ t.prog cl) with
+  | "vector" -> Some (Bvector (ref [||], ref 0))
+  | "ostream" | "istream" -> Some Bostream
+  | "string" -> Some (Bstring (ref ""))
+  | _ -> None
+
+(* [cl]'s layout, made on its first use in a run; a builtin has no fields *)
+let layout t (cl : Il.class_id) : layout =
+  memo t.layouts
+    (fun t cl ->
+      let fields =
+        if builtin_state t cl <> None then [||]
+        else Array.of_list (List.filter (fun m -> not m.dm_static) (all_data_members t cl))
+      in
+      let index = Hashtbl.create (Array.length fields) in
+      Array.iteri (fun i (m : Il.data_member) -> Hashtbl.replace index m.dm_name i) fields;
+      { fields; index })
+    t cl
+
+(* the answer "no cell" of a field lookup and of an expression's [lv];
+   compared by physical equality, it never holds a value *)
+let no_cell : value ref = ref Vunit
+
+(* [name]'s cell in [o], or [no_cell] *)
+let field_of t (o : obj) name =
+  let index = Hashtbl.find_opt (layout t o.o_class).index name in
+  match index with Some i -> o.o_fields.(i) | None -> no_cell
 
 (* default value for a type *)
 let rec default_value t (ty : Il.type_id) : value =
@@ -396,19 +443,23 @@ let rec default_value t (ty : Il.type_id) : value =
 
 (* allocate an object with default-initialized fields (no ctor run) *)
 and make_object t (cl : Il.class_id) : obj =
-  let c = Il.class_ t.prog cl in
-  let o = { o_class = cl; o_fields = Hashtbl.create 8; o_builtin = None } in
-  (match class_base_name c with
-   | "vector" -> o.o_builtin <- Some (Bvector (ref [||], ref 0))
-   | "ostream" -> o.o_builtin <- Some Bostream
-   | "string" -> o.o_builtin <- Some (Bstring (ref ""))
-   | _ ->
-       List.iter
-         (fun (m : Il.data_member) ->
-           if not m.dm_static then
-             Hashtbl.replace o.o_fields m.dm_name (ref (default_value t m.dm_type)))
-         (all_data_members t cl));
-  o
+  { o_class = cl;
+    o_fields =
+      Array.map (fun (m : Il.data_member) -> ref (default_value t m.dm_type)) (layout t cl).fields;
+    o_builtin = builtin_state t cl }
+
+(* [dst = src] for objects whose class has no operator=: [src]'s fields, by
+   name, into [dst]'s own cells (a derived source is sliced), so every
+   pointer to [dst] sees the change *)
+let rec assign_obj t (dst : obj) (src : obj) =
+  if src.o_builtin <> None then dst.o_builtin <- (copy_obj src).o_builtin;
+  Array.iteri
+    (fun i (m : Il.data_member) ->
+      let cell = dst.o_fields.(i) and from = field_of t src m.dm_name in
+      match (!cell, !from) with
+      | Vobj d, Vobj s -> assign_obj t d s
+      | _, v -> if from != no_cell then cell := copy_value v)
+    (layout t dst.o_class).fields
 
 (* ------------------------------------------------------------------ *)
 (* Binary operations on scalars                                        *)
@@ -430,8 +481,10 @@ let equal a b =
   match (a, b) with
   | Vint x, Vint y -> Int64.equal x y
   | Vstr x, Vstr y -> x = y
-  | Vnull, (Vnull | Vptr _) | Vptr _, Vnull -> a = Vnull && b = Vnull
-  | Vptr x, Vptr y -> x == y
+  | Vnull, Vnull -> true
+  | (Vnull | Vint 0L), Vptr _ | Vptr _, (Vnull | Vint 0L) -> false  (* 0 is the null pointer *)
+  (* [this] is a fresh cell, so two pointers to one object may differ *)
+  | Vptr x, Vptr y -> x == y || (match (!x, !y) with Vobj p, Vobj q -> p == q | _ -> false)
   | _ when is_float a b -> to_float a = to_float b
   | _ -> to_int a = to_int b
 
@@ -485,12 +538,28 @@ let binop op : value -> value -> value =
   | ">=" -> fun a b -> vbool (not (less a b))
   | op -> fun _ _ -> error "unsupported binary operator '%s'" op
 
+(* a cast's conversion, one for (T)x, static_cast<T>(x) and T(x): an integer
+   type wraps to its LP64 width as g++ does (char 8 bits, short 16, int 32,
+   long 64), zero-extending when unsigned; other types keep the value *)
+let conversion (ty : Ast.type_expr) : value -> value =
+  let wrap bits signedness n =
+    let s = 64 - bits in
+    if signedness = Some `Unsigned then Int64.shift_right_logical (Int64.shift_left n s) s
+    else Int64.shift_right (Int64.shift_left n s) s
+  in
+  match Ast.unqual ty with
+  | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
+  | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
+  | Ast.TBuiltin { base = `Char; signedness; _ } ->
+      fun v -> Vchar (Int64.to_int (wrap 8 signedness (to_int v)))
+  | Ast.TBuiltin { base = `Int | `Wchar; signedness; length } ->
+      let bits = match length with Some `Short -> 16 | Some _ -> 64 | None -> 32 in
+      fun v -> vint (wrap bits signedness (to_int v))
+  | _ -> Fun.id
+
 (* ------------------------------------------------------------------ *)
 (* Builtin class methods                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* explicit reference dereference used where a value (not a cell) is needed *)
-let deref = function Vptr cell -> !cell | v -> v
 
 (* "no such method", compared by physical equality; never a program value *)
 let absent = Vptr (ref Vunit)
@@ -518,7 +587,7 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value =
       | "capacity", [] -> Vint (Int64.of_int (Array.length !store))
       | "empty", [] -> vbool (!size = 0)
       | "push_back", [ v ] ->
-          (* an lvalue argument arrives as a reference: store its value *)
+          (* an lvalue argument arrives in flight: store its value *)
           vector_grow store size (!size + 1);
           !store.(!size - 1) := copy_value (deref v);
           Vunit
@@ -530,10 +599,10 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value =
           if i < 0 then raise (Cpp_exception (Vstr "vector index negative"))
           else begin
             vector_grow store size (i + 1);
-            Vptr !store.(i)  (* reference into the vector *)
+            Vref !store.(i)
           end
-      | "front", [] -> if !size > 0 then Vptr !store.(0) else Vnull
-      | "back", [] -> if !size > 0 then Vptr !store.(!size - 1) else Vnull
+      | "front", [] -> if !size > 0 then Vref !store.(0) else Vnull
+      | "back", [] -> if !size > 0 then Vref !store.(!size - 1) else Vnull
       | "clear", [] ->
           size := 0;
           Vunit
@@ -580,11 +649,9 @@ let builtin_method t (o : obj) (name : string) (args : value list) : value =
 (* Translation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A local's slot before its declaration has run in the current block, and
-   the answer "no lvalue" of an expression's [lv]; both are compared by
-   physical equality and never hold a value. *)
+(* A local's slot before its declaration has run in the current block;
+   compared by physical equality, it never holds a value. *)
 let unbound : value ref = ref Vunit
-let no_cell : value ref = ref Vunit
 
 (* An expression, translated: [rv] evaluates it; [lv] yields the cell it
    denotes or [no_cell].  A name, member, index, [*p] or call runs the
@@ -665,7 +732,7 @@ let bind_params (b : body) frame (args : value list) =
           (* by-value parameters copy; reference parameters alias *)
           if slot >= 0 then
             frame.slots.(slot) <-
-              (match (arg, by_ref) with Vptr c, true -> c | v, _ -> ref (copy_value (deref v)));
+              (match (arg, by_ref) with Vref c, true -> c | v, _ -> ref (copy_value (deref v)));
           go (i + 1) rest
       | [] ->
           (match default with
@@ -716,17 +783,11 @@ let declare ctx ~direct name =
   ctx.scope <- (name, s) :: ctx.scope;
   s
 
-(* [name]'s cell in [o], kept for the last object asked about: an object's
-   field cells are fixed once it is made *)
-let field_cell name =
-  let last = ref None and cell = ref no_cell in
-  fun (o : obj) ->
-    (match !last with
-     | Some o' when o' == o -> ()
-     | _ ->
-         cell := Option.value (Hashtbl.find_opt o.o_fields name) ~default:no_cell;
-         last := Some o);
-    !cell
+(* [name]'s cell in an object, or [no_cell]: its index is looked up once
+   per site and receiver class *)
+let field_cell t name =
+  let index = per_class (fun cl -> Hashtbl.find_opt (layout t cl).index name) in
+  fun (o : obj) -> match index o.o_class with Some i -> o.o_fields.(i) | None -> no_cell
 
 (* the cell a one-part name denotes, or [no_cell]: the innermost local of
    that name whose declaration has run, else a field of [this] (an object
@@ -734,7 +795,7 @@ let field_cell name =
 let name_cell ctx id : frame -> value ref =
   let t = ctx.t in
   let global = Option.value (Hashtbl.find_opt t.globals id) ~default:no_cell in
-  let field = field_cell id in
+  let field = field_cell t id in
   let nonlocal f =
     match f.f_this with
     | Some o ->
@@ -786,20 +847,11 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
 
 and run_inits t b (o : obj) frame =
   List.iter
-    (fun (name, init_args) ->
+    (fun (name, field, init_args) ->
       let vargs = List.map (fun a -> deref (a frame)) init_args in
-      match Hashtbl.find_opt o.o_fields name with
-      | Some cell -> (
-          match (!cell, vargs) with
-          | Vobj fo, _ -> (
-              let c = Il.class_ t.prog fo.o_class in
-              if builtin_method t fo (class_base_name c) vargs == absent then
-                match pick t (ctor_cands t fo.o_class) vargs with
-                | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
-                | None -> ())
-          | _, [ v ] -> cell := copy_value v
-          | _, _ -> ())
-      | None -> (
+      let cell = field o in
+      match (!cell, vargs) with
+      | _ when cell == no_cell -> (
           (* base class initializer *)
           let names (b : Il.base_spec) = Il.class_ t.prog b.ba_class in
           let base =
@@ -812,7 +864,15 @@ and run_inits t b (o : obj) frame =
               match pick t (ctor_cands t b.ba_class) vargs with
               | Some ctor -> ignore (invoke t (code_of t ctor) (Some o) vargs)
               | None -> ())
-          | None -> ()))
+          | None -> ())
+      | Vobj fo, _ -> (
+          let c = Il.class_ t.prog fo.o_class in
+          if builtin_method t fo (class_base_name c) vargs == absent then
+            match pick t (ctor_cands t fo.o_class) vargs with
+            | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
+            | None -> ())
+      | _, [ v ] -> cell := copy_value v
+      | _, _ -> ())
     b.inits
 
 (* a call of a free routine or static member through [s], [absent] when no
@@ -831,16 +891,10 @@ and call_method t (s : site) (o : obj) name (args : value list) : value =
 
 (* construct an object of class [cl] with the given argument values *)
 and construct t (cl : Il.class_id) (args : value list) : value =
-  let o = make_object t cl in
   match args with
-  | [ Vobj src ] when src.o_class = cl ->
-      (* copy ctor semantics *)
-      let copied = copy_obj src in
-      Hashtbl.reset o.o_fields;
-      Hashtbl.iter (fun k v -> Hashtbl.replace o.o_fields k v) copied.o_fields;
-      o.o_builtin <- copied.o_builtin;
-      Vobj o
+  | [ Vobj src ] when src.o_class = cl -> Vobj (copy_obj src)  (* copy ctor semantics *)
   | _ ->
+      let o = make_object t cl in
       let c = Il.class_ t.prog cl in
       let ctor_name = class_base_name c in
       if builtin_method t o ctor_name args == absent then begin
@@ -867,8 +921,8 @@ and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
   List.iter
     (fun (m : Il.data_member) ->
       if (not m.dm_static) && not (List.mem m.dm_name skip) then
-        match Hashtbl.find_opt o.o_fields m.dm_name with
-        | Some { contents = Vobj fo } -> run_default_ctor t fo fo.o_class
+        match !(field_of t o m.dm_name) with
+        | Vobj fo -> run_default_ctor t fo fo.o_class
         | _ -> ())
     c.cl_members
 
@@ -911,7 +965,9 @@ and translate t (code : code) : body =
       r.ro_params
   in
   let inits =
-    List.map (fun (name, args) -> (name, List.map (fun a -> (expr ctx a).rv) args)) r.ro_inits
+    List.map
+      (fun (name, args) -> (name, field_cell t name, List.map (fun a -> (expr ctx a).rv) args))
+      r.ro_inits
   in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
   let b = { nslots = ctx.nslots; params = Array.of_list params; inits; run } in
@@ -945,7 +1001,7 @@ and expr ctx (e : Ast.expr) : cexpr =
       { rv =
           (fun f ->
             tick t cost_expr;
-            match a.rv f with
+            match deref (a.rv f) with
             | Vptr cell -> !cell
             | Vobj o -> (
                 (* operator* on an object *)
@@ -954,52 +1010,37 @@ and expr ctx (e : Ast.expr) : cexpr =
             | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
             | v -> v);
         lv = (fun f -> match deref (a.rv f) with Vptr cell -> cell | _ -> no_cell) }
-  | Ast.Unary (("!" | "-" | "+" | "~") as op, a) ->
-      let a = expr ctx a in
-      let fn =
+  | Ast.Unary (op, a) | Ast.Postfix (op, a) ->
+      (* an object calls its class's operator, postfix passing the dummy
+         int; a scalar takes the builtin operation *)
+      let postfix = match e.Ast.e with Ast.Postfix _ -> true | _ -> false in
+      let opname = "operator" ^ op and args = if postfix then [ vint 0L ] else [] in
+      let a = expr ctx a and s = method_site t opname and bump = bump op in
+      let on_object o =
+        let v = call_method t s o opname args in
+        if v != absent then v
+        else error "no operator%s on class %s" op (Il.class_ t.prog o.o_class).cl_name
+      in
+      let scalar : value -> value =
         match op with
         | "!" -> fun v -> vbool (not (truthy v))
         | "-" -> ( function Vdouble x -> Vdouble (-.x) | v -> vint (Int64.neg (to_int v)))
         | "+" -> Fun.id
-        | _ -> fun v -> Vint (Int64.lognot (to_int v))
+        | "~" -> fun v -> Vint (Int64.lognot (to_int v))
+        | "++" | "--" -> fun _ -> error "cannot increment non-lvalue"
+        | _ -> fun _ -> error "unsupported operator '%s'" op
       in
-      rv (fun f -> tick t cost_expr; fn (deref (a.rv f)))
-  | Ast.Unary (("++" | "--") as op, a) ->
-      let opname = "operator" ^ op in
-      let a = expr ctx a and s = method_site t opname and bump = bump op in
-      rv (fun f ->
-          tick t cost_expr;
-          let cell = a.lv f in
-          if cell != no_cell then begin
-            bump cell;
-            !cell
-          end
-          else
-            match deref (a.rv f) with
-            | Vobj o -> (
-                let r = call_method t s o opname [] in
-                if r != absent then r else error "no operator%s" op)
-            | _ -> error "cannot increment non-lvalue")
-  | Ast.Unary (op, a) ->
-      let opname = "operator" ^ op in
-      let a = expr ctx a and s = method_site t opname in
-      rv (fun f ->
-          tick t cost_expr;
-          match deref (a.rv f) with
-          | Vobj o -> (
-              let v = call_method t s o opname [] in
-              if v != absent then v else error "no operator%s on object" op)
-          | _ -> error "unsupported unary '%s'" op)
-  | Ast.Postfix (("++" | "--") as op, a) ->
-      let a = expr ctx a and bump = bump op in
-      rv (fun f ->
-          tick t cost_expr;
-          let cell = a.lv f in
-          if cell == no_cell then error "cannot increment non-lvalue";
-          let old = !cell in
-          bump cell;
-          old)
-  | Ast.Postfix (op, _) -> rv (fun _ -> tick t cost_expr; error "unsupported postfix '%s'" op)
+      let on_value f = match deref (a.rv f) with Vobj o -> on_object o | v -> scalar v in
+      if op <> "++" && op <> "--" then rv (fun f -> tick t cost_expr; on_value f)
+      else
+        rv (fun f ->
+            tick t cost_expr;
+            let cell = a.lv f in
+            if cell == no_cell then on_value f
+            else
+              match !cell with
+              | Vobj o -> on_object o
+              | old -> bump cell; if postfix then old else !cell)
   | Ast.Binary (("&&" | "||") as op, a, b) ->
       let a = expr ctx a and b = expr ctx b and conj = op = "&&" in
       rv (fun f ->
@@ -1040,7 +1081,7 @@ and expr ctx (e : Ast.expr) : cexpr =
           if truthy (deref (c.rv f)) then deref (a.rv f) else deref (b.rv f))
   | Ast.Call (callee, args) ->
       let call = call ctx callee args in
-      { rv = call; lv = (fun f -> match call f with Vptr cell -> cell | _ -> no_cell) }
+      { rv = call; lv = (fun f -> match call f with Vref cell -> cell | _ -> no_cell) }
   | Ast.Member (oe, _, m) ->
       let cell = member ctx oe m in
       { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell }
@@ -1085,20 +1126,11 @@ and expr ctx (e : Ast.expr) : cexpr =
             | Vobj o -> (
                 match call_method t s o "operator[]" [ vi ] with
                 | v when v == absent -> no_cell
-                | Vptr cell -> cell
+                | Vref cell -> cell
                 | v -> ref v)
             | va -> cell va vi) }
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
-      let a = expr ctx a in
-      (* scalar conversions really convert; class/pointer casts pass through *)
-      let conv =
-        match Ast.unqual ty with
-        | Ast.TBuiltin { base = `Int; _ } -> fun v -> vint (to_int v)
-        | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
-        | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
-        | Ast.TBuiltin { base = `Char; _ } -> fun v -> Vchar (Int64.to_int (to_int v) land 0xff)
-        | _ -> Fun.id
-      in
+      let a = expr ctx a and conv = conversion ty in
       rv (fun f -> tick t cost_expr; conv (deref (a.rv f)))
   | Ast.Construct (ty, args) ->
       let make = construct_from_type ctx ty args in
@@ -1160,23 +1192,18 @@ and ident ctx (q : Ast.qual_name) : cexpr =
           let fail _ = error "unbound name '%s'" full in
           { rv = (fun f -> tick t cost_expr; fail f); lv = fail })
 
-(* member access: the field's cell *)
+(* member access, [o.f] or [p->f]: the field's cell *)
 and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
   let t = ctx.t in
   let oe = expr ctx oe and name = (Ast.last_part m).Ast.id in
-  let field = field_cell name in
+  let field = field_cell t name in
   fun f ->
     match deref (oe.rv f) with
-    | Vobj o ->
+    | Vobj o | Vptr { contents = Vobj o } ->
         let c = field o in
         if c != no_cell then c
         else error "object of class %s has no field '%s'" (Il.class_ t.prog o.o_class).cl_name name
-    | Vptr cell -> (
-        match !cell with
-        | Vobj o ->
-            let c = field o in
-            if c != no_cell then c else error "object has no field '%s'" name
-        | _ -> error "member access through non-object pointer")
+    | Vptr _ -> error "member access through non-object pointer"
     | Vnull -> raise (Cpp_exception (Vstr "null pointer member access"))
     | _ -> error "member access on non-object"
 
@@ -1189,8 +1216,11 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
     per_class (fun cl -> Il.find_member_funcs t.prog (Il.class_ t.prog cl) opname <> [])
   in
   let update =
-    if op = "=" then fun cell _ vb ->
-      cell := copy_value vb;
+    if op = "=" then fun cell cur vb ->
+      (match (cur, vb) with
+       | Vobj o, Vobj src -> assign_obj t o src
+       | Vobj _, _ -> error "cannot assign a non-object to an object"
+       | _ -> cell := copy_value vb);
       !cell
     else
       let arith = binop (String.sub op 0 (String.length op - 1)) in
@@ -1213,24 +1243,11 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
         | Vobj o when has_op o.o_class -> (
             let v = call_method t s o opname [ vb ] in
             if v != absent then v else error "operator%s failed" op)
-        | Vobj o when op = "=" && o.o_builtin <> None -> (
-            (* builtin copy assignment *)
-            match vb with
-            | Vobj src ->
-                let copy = copy_obj src in
-                (match (o.o_builtin, copy.o_builtin) with
-                 | Some (Bvector (st, sz)), Some (Bvector (st', sz')) ->
-                     st := !st';
-                     sz := !sz'
-                 | Some (Bstring s), Some (Bstring s') -> s := !s'
-                 | _ -> ());
-                Vobj o
-            | _ -> error "cannot assign non-object to builtin object")
         | cur -> update cell cur vb);
     lv = no_lv }
 
-(* arguments pass references through so T& parameters can alias; a call
-   runs once, its T& result already a Vptr *)
+(* an lvalue argument is passed in flight, so a T& parameter can alias it;
+   a call runs once, its T& result already in flight *)
 and arguments ctx (args : Ast.expr list) : frame -> value list =
   let arg (a : Ast.expr) : frame -> value =
     let c = expr ctx a in
@@ -1240,7 +1257,7 @@ and arguments ctx (args : Ast.expr list) : frame -> value list =
     | _ ->
         fun f ->
           let cell = c.lv f in
-          if cell != no_cell then Vptr cell else deref (c.rv f)
+          if cell != no_cell then Vref cell else deref (c.rv f)
   in
   match List.map arg args with
   | [] -> fun _ -> []
@@ -1278,13 +1295,7 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
           fun f -> call (vargs f))
       | _ -> (
           (* scalar functional cast *)
-          let conv =
-            match Ast.unqual ty with
-            | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
-            | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
-            | Ast.TBuiltin { base = `Char; _ } -> fun v -> Vchar (Int64.to_int (to_int v))
-            | _ -> ( function Vdouble _ as v -> Vint (to_int v) | v -> v)
-          in
+          let conv = conversion ty in
           fun f ->
             match vargs f with
             | [] -> Vint 0L
@@ -1294,6 +1305,7 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
 (* function-call expression, the Call node's tick included *)
 and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
   let t = ctx.t in
+  let local = function [ (p : Ast.name_part) ] -> List.mem_assoc p.id ctx.scope | _ -> false in
   match callee.Ast.e with
   | Ast.Member (oe, _, m) ->
       let name = (Ast.last_part m).Ast.id in
@@ -1303,17 +1315,14 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
         let recv = deref (oe.rv f) in
         let vargs = args f in
         (match recv with
-         | Vobj o ->
+         | Vobj o | Vptr { contents = Vobj o } ->
              let v = call_method t s o name vargs in
              if v != absent then v
              else error "no method '%s' on class %s" name (Il.class_ t.prog o.o_class).cl_name
-         | Vptr { contents = Vobj o } ->
-             let v = call_method t s o name vargs in
-             if v != absent then v else error "no method '%s'" name
          | Vptr _ -> error "method call through non-object pointer"
          | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
          | _ -> error "method call on non-object (%s)" name)
-  | Ast.IdE q -> (
+  | Ast.IdE q when not (local q.Ast.parts) -> (
       let name = (Ast.last_part q).Ast.id in
       (* TAU measurement builtins *)
       match (name, cargs) with
@@ -1356,6 +1365,7 @@ and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
                 if v != absent then v else error "member call '%s' failed" name)
             | _ -> free vargs)
   | _ ->
+      (* an object called through its operator(), a local variable included *)
       let fe = expr ctx callee and args = arguments ctx cargs in
       let s = method_site t "operator()" in
       fun f ->
@@ -1461,7 +1471,7 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
         fun f ->
           tick t cost_expr;
           let cell = e.lv f in
-          if cell != no_cell then ret f (Vptr cell) else ret f (e.rv f)
+          if cell != no_cell then ret f (Vref cell) else ret f (e.rv f)
       else fun f -> tick t cost_expr; ret f (deref (e.rv f))
   | Ast.SBreak -> fun _ -> tick t cost_expr; raise_notrace Break_exc
   | Ast.SContinue -> fun _ -> tick t cost_expr; raise_notrace Continue_exc
@@ -1598,20 +1608,10 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
 let init_globals t =
   List.iter
     (fun (gv : Il.global_var) ->
-      let base = Il.strip_qual_ref t.prog gv.gv_type in
       let v =
-        match (Il.type_ t.prog base).ty_kind with
-        | Tclass cl -> (
-            let c = Il.class_ t.prog cl in
-            match class_base_name c with
-            | "ostream" | "istream" ->
-                let o = make_object t cl in
-                o.o_builtin <- Some Bostream;
-                Vobj o
-            | _ -> Vobj (make_object t cl))
-        | _ -> default_value t base
+        if gv.gv_name = "endl" then Vstr "\n"
+        else default_value t (Il.strip_qual_ref t.prog gv.gv_type)
       in
-      let v = if gv.gv_name = "endl" then Vstr "\n" else v in
       Hashtbl.replace t.globals gv.gv_name (ref v))
     (Il.globals t.prog);
   (* global initializers run in a frame with no locals and no receiver *)

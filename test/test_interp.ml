@@ -224,6 +224,36 @@ let test_push_back_copies_lvalue () =
     "#include <vector.h>\nint main() { vector<int> v; int n = 4; v.resize(n); v.reserve(n); return v.size(); }"
     4
 
+(* test/gxx holds self-contained programs whose first line is "// g++: N",
+   N being the exit status of the program built by g++ -std=c++98; CI's
+   "Interpreter against g++" step holds each pin to g++ itself.  Every
+   program must give N under the interpreter. *)
+let test_gxx_corpus () =
+  let dir = if Sys.file_exists "gxx" then "gxx" else Filename.concat "test" "gxx" in
+  let files =
+    List.sort compare
+      (List.filter (fun f -> Filename.check_suffix f ".cpp") (Array.to_list (Sys.readdir dir)))
+  in
+  if files = [] then Alcotest.failf "no programs in %s" dir;
+  let disagreement file =
+    let src = Test_golden.read_file (Filename.concat dir file) in
+    let want = Scanf.sscanf src "// g++: %d" Fun.id in
+    let vfs = Pdt_util.Vfs.create () in
+    Pdt_util.Vfs.add_file vfs file src;
+    let c = Pdt.compile ~vfs file in
+    let got =
+      if Pdt_util.Diag.has_errors c.Pdt.diags then Some "compile errors"
+      else
+        match Pdt_tau.Interp.run c.Pdt.program with
+        | r when r.exit_code = want -> None
+        | r -> Some (Printf.sprintf "exit %d" r.exit_code)
+        | exception Pdt_tau.Interp.(Uncaught (msg, _) | Runtime_error msg) -> Some msg
+    in
+    Option.map (fun got -> Printf.sprintf "%s: %s, g++ exits %d" file got want) got
+  in
+  Alcotest.(check (list string)) "programs the interpreter runs unlike g++" []
+    (List.filter_map disagreement files)
+
 let suite =
   [ Alcotest.test_case "casts convert" `Quick test_casts_convert;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -246,4 +276,5 @@ let suite =
     Alcotest.test_case "function templates at runtime" `Quick test_function_template_runtime;
     Alcotest.test_case "call arguments evaluated once" `Quick test_call_args_evaluated_once;
     Alcotest.test_case "dispatch tables" `Quick test_dispatch_tables;
-    Alcotest.test_case "push_back copies an lvalue" `Quick test_push_back_copies_lvalue ]
+    Alcotest.test_case "push_back copies an lvalue" `Quick test_push_back_copies_lvalue;
+    Alcotest.test_case "exit codes agree with g++" `Quick test_gxx_corpus ]
