@@ -224,7 +224,9 @@ let rec unqual = function
   | TConst t | TVolatile t -> unqual t
   | t -> t
 
-let rec pp_builtin ppf (b : builtin) =
+(** The canonical spelling of a builtin type, the one the IL names it by:
+    the redundant "int" dropped ("long", "unsigned short"). *)
+let builtin_name (b : builtin) : string =
   let prefix =
     (match b.signedness with
      | Some `Unsigned -> "unsigned "
@@ -236,15 +238,12 @@ let rec pp_builtin ppf (b : builtin) =
        | Some `LongLong -> "long long "
        | None -> "")
   in
-  (* canonical spelling drops the redundant "int": "long", "unsigned" *)
-  let s =
-    match b.base with
-    | `Void -> "void" | `Bool -> "bool" | `Char -> prefix ^ "char"
-    | `Wchar -> "wchar_t"
-    | `Int -> if prefix = "" then "int" else String.trim prefix
-    | `Float -> "float" | `Double -> prefix ^ "double"
-  in
-  Fmt.string ppf (String.trim s)
+  match b.base with
+  | `Void -> "void" | `Bool -> "bool" | `Wchar -> "wchar_t" | `Float -> "float"
+  | `Char -> prefix ^ "char" | `Double -> prefix ^ "double"
+  | `Int -> if prefix = "" then "int" else String.sub prefix 0 (String.length prefix - 1)
+
+let rec pp_builtin ppf (b : builtin) = Fmt.string ppf (builtin_name b)
 
 and pp_qual_name ppf (q : qual_name) =
   if q.global then Fmt.string ppf "::";

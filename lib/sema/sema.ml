@@ -124,30 +124,16 @@ let access_of_ast = function
   | Ast.Protected -> Prot
   | Ast.Private -> Priv
 
-let builtin_info (b : Ast.builtin) : string * string * string =
-  (* canonical name, ykind, yikind *)
-  let prefix =
-    (match b.signedness with
-     | Some `Unsigned -> "unsigned "
-     | Some `Signed -> "signed "
-     | None -> "")
-    ^
-    match b.length with
-    | Some `Short -> "short "
-    | Some `Long -> "long "
-    | Some `LongLong -> "long long "
-    | None -> ""
-  in
+(* a builtin's PDB kind and integer kind; its name is [Ast.builtin_name] *)
+let builtin_info (b : Ast.builtin) : string * string =
   match b.base with
-  | `Void -> ("void", "void", "NA")
-  | `Bool -> ("bool", "bool", "char")
-  | `Char -> (String.trim (prefix ^ "char"), "char", "char")
-  | `Wchar -> ("wchar_t", "wchar", "int")
-  | `Int ->
-      let name = if prefix = "" then "int" else String.trim prefix in
-      (name, "int", "int")
-  | `Float -> ("float", "float", "float")
-  | `Double -> (String.trim (prefix ^ "double"), "float", "double")
+  | `Void -> ("void", "NA")
+  | `Bool -> ("bool", "char")
+  | `Char -> ("char", "char")
+  | `Wchar -> ("wchar", "int")
+  | `Int -> ("int", "int")
+  | `Float -> ("float", "float")
+  | `Double -> ("float", "double")
 
 let class_scope t (cl : Il.class_id) : Scope.t =
   match Hashtbl.find_opt t.class_scopes cl with
@@ -390,8 +376,8 @@ and resolve_targ t scope ~loc (a : Ast.template_arg) : rarg =
 and resolve_type t scope (ty : Ast.type_expr) ~loc : Il.type_id =
   match ty with
   | Ast.TBuiltin b ->
-      let bname, ykind, yikind = builtin_info b in
-      Il.builtin_type t.prog ~bname ~ykind ~yikind
+      let ykind, yikind = builtin_info b in
+      Il.builtin_type t.prog ~bname:(Ast.builtin_name b) ~ykind ~yikind
   | Ast.TName q -> (
       match resolve_name t scope q ~loc with
       | Some (Scope.Sym_class cl) -> Il.intern_type t.prog (Tclass cl)
@@ -507,9 +493,8 @@ and match_type t scope ~tparams (pat : Ast.type_expr) (ty : Il.type_id)
           let resolved = resolve_type t scope pat ~loc:Srcloc.dummy in
           Il.type_name t.prog resolved = Il.type_name t.prog ty)
   | Ast.TBuiltin b ->
-      let bname, _, _ = builtin_info b in
       (match kind with
-       | Tbuiltin { bname = n; _ } -> String.equal n bname
+       | Tbuiltin { bname; _ } -> String.equal bname (Ast.builtin_name b)
        | _ -> false)
   | Ast.TFunc _ -> false
 
@@ -2244,22 +2229,9 @@ let macro_entities t (pp : Pdt_pp.Preproc.result) : unit =
         ignore (Il.add_macro t.prog ~name:m.m_name ~kind:"def" ~text:m.m_text ~loc:m.m_loc))
     pp.macros
 
-(** Analyze one preprocessed translation unit, producing its IL. *)
-let analyze ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.result)
-    (tu : Ast.translation_unit) : Il.program =
-  Trace.timed ~cat:"sema"
-    ~args:(if Trace.on () then [ ("file", Trace.Str tu.Ast.tu_file) ] else [])
-    "sema.analyze"
-  @@ fun () ->
-  let t = create ~opts ?limits ~diags () in
-  file_entities t pp;
-  macro_entities t pp;
-  List.iter (do_decl t t.global) tu.Ast.tu_decls;
-  drain t;
-  t.prog
-
-(** Like {!analyze} but also returns the analysis state (used by tools that
-    need scopes or the instantiation log, e.g. the prelink simulator). *)
+(** Analyze one preprocessed translation unit, returning the analysis
+    state (tools that need scopes or the instantiation log use it, e.g. the
+    prelink simulator); {!analyze} keeps only its IL. *)
 let analyze_full ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.result)
     (tu : Ast.translation_unit) : t =
   Trace.timed ~cat:"sema"
@@ -2272,6 +2244,10 @@ let analyze_full ?(opts = default_options) ?limits ~diags (pp : Pdt_pp.Preproc.r
   List.iter (do_decl t t.global) tu.Ast.tu_decls;
   drain t;
   t
+
+(** Analyze one preprocessed translation unit, producing its IL. *)
+let analyze ?opts ?limits ~diags pp tu : Il.program =
+  program (analyze_full ?opts ?limits ~diags pp tu)
 
 (** Instantiation requests recorded while [instantiate_used = false]. *)
 let deferred_requests t = List.rev t.deferred_requests

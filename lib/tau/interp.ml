@@ -17,27 +17,27 @@
     [layout]: bases first, then members in IL order, made once per class
     in a run.  A pointer ([Vptr]) holds the cell it points at, so [&c],
     [this] and a [Cell *] reach the object itself; only a by-value
-    initialization or argument copies it, and an assignment to an object
-    writes its own cells.  An lvalue in flight (a [T&] argument or result,
-    a vector element) is a [Vref], the one value [deref] strips.
+    initialization, argument or return copies it, and an assignment to an
+    object writes its own cells.  An lvalue in flight (a [T&] argument or
+    result, a vector element) is a [Vref], the one value [deref] strips.
 
     A routine runs as OCaml closures: its first [invoke] in a run
     translates its body, member initializers and default arguments once,
     kept in [t] by routine id; global initializers are translated too.
     Translation resolves what the text fixes: each local is a slot of the
     frame's cell array (a fresh cell each time its declaration runs),
-    constants are built, and operators, ["operator" ^ op], the TAU and MPI
-    builtins, free routines, enum constants, globals and the classes AST
-    types name are looked up.  What depends on run-time values is cached
-    per site on exactly what the lookup reads: a call's routine on the
-    receiver's class and the arguments' kind tags, a field's index on the
-    object's class (a non-local name is a field of [this], else a global),
-    a TAU label on the identity of its two parts; a miss asks the per-run
-    candidate, pick and layout tables.  No tick can move: the closure of
-    each AST expression and statement charges one tick when it runs and
-    [invoke] charges one call, and no lookup ever ticks, so a hit and a
-    miss cost the same cycles; test/golden/tau_profiles.txt and
-    interp_fingerprints.txt pin them. *)
+    constants are built, operators, the TAU and MPI builtins, routines,
+    enum constants and globals are looked up, and each store's [bind] is
+    chosen from its declared type (DESIGN §5).  What depends on run-time
+    values is cached per site on exactly what the lookup reads: a call's
+    routine on the receiver's class and the arguments' kind tags, a field's
+    index on the object's class (a non-local name is a field of [this],
+    else a global), a TAU label on the identity of its two parts; a miss
+    asks the per-run candidate, pick and layout tables.  No tick can move:
+    the closure of each AST expression and statement charges one tick when
+    it runs and [invoke] charges one call, and neither a lookup nor a
+    [bind] ever ticks, so a hit and a miss cost the same cycles;
+    test/golden/tau_profiles.txt and interp_fingerprints.txt pin them. *)
 
 open Pdt_il
 open Il
@@ -85,13 +85,13 @@ type frame = {
   mutable f_ret : value;  (** what a [return] hands back *)
 }
 
-(* A routine translated to closures: its slot count, its parameters (slot,
-   or -1 when unnamed; bound by reference; default argument), its member
-   initializers and its body. *)
+(* A routine translated to closures: its slot count, its parameters (slot
+   or -1 when unnamed, by reference, [bind], default argument), its member
+   initializers (name, cell, [bind], arguments) and its body. *)
 type body = {
   nslots : int;
-  params : (int * bool * (frame -> value) option) array;
-  inits : (string * (obj -> value ref) * (frame -> value) list) list;
+  params : (int * bool * (value -> value) * (frame -> value) option) array;
+  inits : (string * (obj -> value ref) * (value -> value) * (frame -> value) list) list;
   run : (frame -> unit) option;
 }
 
@@ -129,6 +129,7 @@ type t = {
   mpi : int * int;      (** simulated (rank, size) for mpi_rank()/mpi_size() *)
   (* Lookup tables; the IL is immutable during execution. *)
   class_by_name : (string, Il.class_id) Hashtbl.t;  (** display name -> class *)
+  typedefs : (string, Il.type_id option) Hashtbl.t;  (** None: two typedefs bind it *)
   members : (Il.class_id * string, cands) Hashtbl.t;
       (** member functions by name, inherited ones included; filled on use *)
   ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
@@ -353,6 +354,11 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
       if not (Hashtbl.mem class_by_name c.cl_name) then
         Hashtbl.replace class_by_name c.cl_name id)
     prog.Il.classes;
+  let typedefs = Hashtbl.create 16 in
+  let typedef id n =
+    Hashtbl.replace typedefs n (if Hashtbl.mem typedefs n then None else Some id)
+  in
+  Hashtbl.iter (fun id ty -> List.iter (typedef id) ty.Il.ty_typedef_names) prog.Il.types;
   let free_routines =
     routines_by_name prog
       (fun r -> match r.ro_parent with Pclass _ -> false | _ -> true)
@@ -379,7 +385,7 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
   { prog; globals = Hashtbl.create 64; output = Buffer.create 256;
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
-    members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
+    typedefs; members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
     free_routines; free_operators; enum_constants; layouts = Hashtbl.create 16 }
 
 (* type name of a value, used by the CT() macro *)
@@ -428,18 +434,14 @@ let field_of t (o : obj) name =
 (* default value for a type *)
 let rec default_value t (ty : Il.type_id) : value =
   match (Il.type_ t.prog ty).ty_kind with
-  | Tbuiltin { ykind = "int"; _ } -> Vint 0L
   | Tbuiltin { ykind = "float"; _ } -> Vdouble 0.0
   | Tbuiltin { ykind = "bool"; _ } -> Vbool false
   | Tbuiltin { ykind = "char"; _ } -> Vchar 0
-  | Tbuiltin _ -> Vint 0L
+  | Tbuiltin _ | Tenum _ -> Vint 0L
   | Tqual { base; _ } -> default_value t base
-  | Tref _ | Tptr _ -> Vnull
   | Tarray (elem, Some n) -> Varr (Array.init n (fun _ -> ref (default_value t elem)))
-  | Tarray (_, None) -> Vnull
   | Tclass cl -> Vobj (make_object t cl)
-  | Tenum _ -> Vint 0L
-  | Tfunc _ | Ttparam _ | Terror -> Vnull
+  | Tref _ | Tptr _ | Tarray (_, None) | Tfunc _ | Ttparam _ | Terror -> Vnull
 
 (* allocate an object with default-initialized fields (no ctor run) *)
 and make_object t (cl : Il.class_id) : obj =
@@ -460,6 +462,19 @@ let rec assign_obj t (dst : obj) (src : obj) =
       | Vobj d, Vobj s -> assign_obj t d s
       | _, v -> if from != no_cell then cell := copy_value v)
     (layout t dst.o_class).fields
+
+let rec derives t sub (cl : Il.class_id) =
+  sub = cl
+  || List.exists (fun (b : Il.base_spec) -> derives t b.ba_class cl) (Il.class_ t.prog sub).cl_bases
+
+(* [ty]'s kind under its cv-qualifiers *)
+let rec unqual t ty =
+  match (Il.type_ t.prog ty).ty_kind with Tqual { base; _ } -> unqual t base | k -> k
+
+let class_of t ty = match Option.map (unqual t) ty with Some (Tclass cl) -> Some cl | _ -> None
+
+let rett t (r : Il.routine_entity) =
+  match (Il.type_ t.prog r.ro_sig).ty_kind with Tfunc { rett; _ } -> Some rett | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Binary operations on scalars                                        *)
@@ -538,24 +553,9 @@ let binop op : value -> value -> value =
   | ">=" -> fun a b -> vbool (not (less a b))
   | op -> fun _ _ -> error "unsupported binary operator '%s'" op
 
-(* a cast's conversion, one for (T)x, static_cast<T>(x) and T(x): an integer
-   type wraps to its LP64 width as g++ does (char 8 bits, short 16, int 32,
-   long 64), zero-extending when unsigned; other types keep the value *)
-let conversion (ty : Ast.type_expr) : value -> value =
-  let wrap bits signedness n =
-    let s = 64 - bits in
-    if signedness = Some `Unsigned then Int64.shift_right_logical (Int64.shift_left n s) s
-    else Int64.shift_right (Int64.shift_left n s) s
-  in
-  match Ast.unqual ty with
-  | Ast.TBuiltin { base = `Double | `Float; _ } -> fun v -> Vdouble (to_float v)
-  | Ast.TBuiltin { base = `Bool; _ } -> fun v -> vbool (truthy v)
-  | Ast.TBuiltin { base = `Char; signedness; _ } ->
-      fun v -> Vchar (Int64.to_int (wrap 8 signedness (to_int v)))
-  | Ast.TBuiltin { base = `Int | `Wchar; signedness; length } ->
-      let bits = match length with Some `Short -> 16 | Some _ -> 64 | None -> 32 in
-      fun v -> vint (wrap bits signedness (to_int v))
-  | _ -> Fun.id
+let[@inline] wrap ~unsigned s n =
+  if unsigned then Int64.shift_right_logical (Int64.shift_left n s) s
+  else Int64.shift_right (Int64.shift_left n s) s
 
 (* ------------------------------------------------------------------ *)
 (* Builtin class methods                                               *)
@@ -665,18 +665,54 @@ let no_lv : frame -> value ref = fun _ -> no_cell
 (* What translation knows of the routine it is in: the locals visible here,
    innermost first, with their slots; the slot count so far; the slots of
    declarations the current block does not own directly (a declaration
-   under an if, a loop or a case), which its entry resets to [unbound]. *)
+   under an if, a loop or a case), which its entry resets to [unbound];
+   the declared type of each slot that has one; the routine's class and
+   return type. *)
 type ctx = {
   t : t;
   mutable scope : (string * int) list;
   mutable nslots : int;
   mutable leaky : int list;
-  ret_ref : bool;
+  tys : (int, Il.type_id) Hashtbl.t;
+  cls : Il.class_id option;
+  rett : Il.type_id option;
 }
 
-(* find the IL class named by an AST type (display-name based) *)
-let lookup_class_of_asttype t (ty : Ast.type_expr) : Il.class_id option =
-  Hashtbl.find_opt t.class_by_name (Ast.type_to_string (Ast.unqual ty))
+let new_ctx t cls rett =
+  { t; scope = []; nslots = 0; leaky = []; tys = Hashtbl.create 8; cls; rett }
+
+(* The IL type an AST type names, looked up in the IL's own intern table: a
+   builtin by its canonical spelling, a class by its display name, else a
+   typedef name; [None] when the IL has no such type.  It adds no type. *)
+let rec resolve t (ty : Ast.type_expr) : Il.type_id option =
+  let find k = Hashtbl.find_opt t.prog.type_intern (Il.type_key t.prog k) in
+  let over a k = Option.bind (resolve t a) (fun a -> find (k a)) in
+  (* as sema merges them: [const] over a qualified type sets its flag *)
+  let qual c base =
+    match (Il.type_ t.prog base).ty_kind with
+    | Tqual q -> Tqual { q with q_const = q.q_const || c; q_volatile = q.q_volatile || not c }
+    | _ -> Tqual { base; q_const = c; q_volatile = not c }
+  in
+  match ty with
+  | Ast.TBuiltin b -> find (Tbuiltin { bname = Ast.builtin_name b; ykind = ""; yikind = "" })
+  | Ast.TName q -> (
+      let name = Ast.qual_name_to_string q in
+      match Hashtbl.find_opt t.class_by_name name with
+      | Some cl -> find (Tclass cl)
+      | None -> Option.join (Hashtbl.find_opt t.typedefs name))
+  | Ast.TPtr a -> over a (fun a -> Tptr a)
+  | Ast.TRef a -> over a (fun a -> Tref a)
+  | Ast.TConst a -> over a (qual true)
+  | Ast.TVolatile a -> over a (qual false)
+  | Ast.TArray (a, n) ->
+      let n = match n with Some { Ast.e = Ast.IntE n; _ } -> Some (Int64.to_int n) | _ -> None in
+      over a (fun a -> Tarray (a, n))
+  | Ast.TFunc _ -> None
+
+(* the declared type of [cl]'s field [name] (the last declaration's) *)
+let field_type t cl name =
+  let l = layout t cl in
+  Option.map (fun i -> l.fields.(i).dm_type) (Hashtbl.find_opt l.index name)
 
 let code_of t (r : Il.routine_entity) : code =
   memo t.codes (fun _ _ -> { routine = r; body = None }) t r.ro_id
@@ -726,17 +762,17 @@ let finish t frame v =
 let bind_params (b : body) frame (args : value list) =
   let rec go i args =
     if i < Array.length b.params then begin
-      let slot, by_ref, default = b.params.(i) in
+      let slot, by_ref, conv, default = b.params.(i) in
       match args with
       | arg :: rest ->
-          (* by-value parameters copy; reference parameters alias *)
+          (* a reference parameter aliases an lvalue; any other is bound *)
           if slot >= 0 then
             frame.slots.(slot) <-
-              (match (arg, by_ref) with Vref c, true -> c | v, _ -> ref (copy_value (deref v)));
+              (match (arg, by_ref) with Vref c, true -> c | v, _ -> ref (conv (deref v)));
           go (i + 1) rest
       | [] ->
           (match default with
-           | Some d when slot >= 0 -> frame.slots.(slot) <- ref (deref (d frame))
+           | Some d when slot >= 0 -> frame.slots.(slot) <- ref (conv (deref (d frame)))
            | _ -> ());
           go (i + 1) []
     end
@@ -763,24 +799,25 @@ let ret f v =
   f.f_ret <- v;
   raise_notrace Return
 
-(* ++ or -- on a cell *)
-let bump op =
+(* ++ or -- on a cell, the result bound by [conv] *)
+let bump op conv =
   let dv = if op = "++" then 1L else -1L in
   fun cell ->
     match !cell with
-    | Vdouble x -> cell := Vdouble (x +. Int64.to_float dv)
-    | v -> cell := vint (Int64.add (to_int v) dv)
+    | Vdouble x -> cell := conv (Vdouble (x +. Int64.to_float dv))
+    | v -> cell := conv (vint (Int64.add (to_int v) dv))
 
 let rec run_all ss f = match ss with [] -> () | s :: rest -> s f; run_all rest f
 
 (* the values of [es] in order *)
 let rec eval_each f = function [] -> [] | e :: rest -> let v = e f in v :: eval_each f rest
 
-let declare ctx ~direct name =
+let declare ctx ~direct name ty =
   let s = ctx.nslots in
   ctx.nslots <- s + 1;
   if not direct then ctx.leaky <- s :: ctx.leaky;
   ctx.scope <- (name, s) :: ctx.scope;
+  Option.iter (Hashtbl.replace ctx.tys s) ty;
   s
 
 (* [name]'s cell in an object, or [no_cell]: its index is looked up once
@@ -819,6 +856,54 @@ let name_cell ctx id : frame -> value ref =
         in
         go chain
 
+(* The type a store to [e] writes, cv and references stripped, where
+   translation sees it: a named variable (local, else field of [this], else
+   global), a field of a typed object, what a typed array or pointer holds,
+   and what [operator[]] or a routine returns if all its overloads agree. *)
+let rec type_of ctx (e : Ast.expr) : Il.type_id option =
+  let t = ctx.t in
+  let kind ty = (Il.type_ t.prog ty).ty_kind in
+  let strip = Option.map (Il.strip_qual_ref t.prog) in
+  let pointee ty =
+    match Option.map kind ty with Some (Tptr p | Tarray (p, _)) -> strip (Some p) | _ -> None
+  in
+  let returns rs =
+    match List.sort_uniq compare (List.map (fun r -> strip (rett t r)) rs) with
+    | [ ty ] -> ty
+    | _ -> None
+  in
+  let obj_class oe arrow =
+    match oe.Ast.e with
+    | Ast.ThisE -> ctx.cls
+    | _ -> class_of t (if arrow then pointee (type_of ctx oe) else type_of ctx oe)
+  in
+  match e.Ast.e with
+  | Ast.IdE { parts = [ { id; _ } ]; _ } -> (
+      let global (g : Il.global_var) = if g.gv_name = id then Some g.gv_type else None in
+      match (List.assoc_opt id ctx.scope, Option.bind ctx.cls (fun cl -> field_type t cl id)) with
+      | Some s, _ -> strip (Hashtbl.find_opt ctx.tys s)
+      | None, Some ty -> strip (Some ty)
+      (* the IL lists globals newest first: the one [t.globals] keeps *)
+      | None, None -> strip (List.find_map global t.prog.globals))
+  | Ast.Member (oe, arrow, m) ->
+      strip (Option.bind (obj_class oe arrow) (fun cl -> field_type t cl (Ast.last_part m).Ast.id))
+  | Ast.Unary ("*", a) -> pointee (type_of ctx a)
+  | Ast.Index (a, _) -> (
+      let ty = type_of ctx a in
+      match class_of t ty with
+      | Some cl -> returns (member_funcs t cl "operator[]")
+      | None -> pointee ty)
+  | Ast.Call ({ Ast.e = Ast.Member (oe, arrow, m); _ }, _) ->
+      let name = (Ast.last_part m).Ast.id in
+      Option.bind (obj_class oe arrow) (fun cl -> returns (member_funcs t cl name))
+  | Ast.Call ({ Ast.e = Ast.IdE q; _ }, _)
+    when not (List.mem_assoc (Ast.last_part q).Ast.id ctx.scope) -> (
+      let name = (Ast.last_part q).Ast.id in
+      match Option.map (fun cl -> member_funcs t cl name) ctx.cls with
+      | Some (_ :: _ as rs) -> returns rs
+      | _ -> Option.bind (Hashtbl.find_opt t.free_routines name) (fun c -> returns c.routines))
+  | _ -> None
+
 let rec invoke t (code : code) (this_obj : obj option) (args : value list) : value =
   tick t cost_call;
   t.depth <- t.depth + 1;
@@ -847,7 +932,7 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
 
 and run_inits t b (o : obj) frame =
   List.iter
-    (fun (name, field, init_args) ->
+    (fun (name, field, conv, init_args) ->
       let vargs = List.map (fun a -> deref (a frame)) init_args in
       let cell = field o in
       match (!cell, vargs) with
@@ -859,19 +944,9 @@ and run_inits t b (o : obj) frame =
               (fun b -> class_base_name (names b) = name || (names b).cl_name = name)
               (Il.class_ t.prog o.o_class).cl_bases
           in
-          match base with
-          | Some b -> (
-              match pick t (ctor_cands t b.ba_class) vargs with
-              | Some ctor -> ignore (invoke t (code_of t ctor) (Some o) vargs)
-              | None -> ())
-          | None -> ())
-      | Vobj fo, _ -> (
-          let c = Il.class_ t.prog fo.o_class in
-          if builtin_method t fo (class_base_name c) vargs == absent then
-            match pick t (ctor_cands t fo.o_class) vargs with
-            | Some ctor -> ignore (invoke t (code_of t ctor) (Some fo) vargs)
-            | None -> ())
-      | _, [ v ] -> cell := copy_value v
+          match base with Some b -> init_obj t o b.ba_class vargs | None -> ())
+      | Vobj fo, _ -> init_obj t fo fo.o_class vargs
+      | _, [ v ] -> cell := conv v
       | _, _ -> ())
     b.inits
 
@@ -889,84 +964,96 @@ and call_method t (s : site) (o : obj) name (args : value list) : value =
     | Some code -> invoke t code (Some o) args
     | None -> absent
 
-(* construct an object of class [cl] with the given argument values *)
+(* a new object of class [cl] from [args] *)
 and construct t (cl : Il.class_id) (args : value list) : value =
+  let o = make_object t cl in
+  init_obj t o cl args;
+  Vobj o
+
+(* Initialize [o] as a [cl] from [args]: one object of [cl] or of a class
+   derived from it is copied, sliced; a builtin runs its own constructor;
+   else the picked constructor runs once the bases and class-typed fields
+   its initializers skip are default-constructed. *)
+and init_obj t (o : obj) (cl : Il.class_id) (args : value list) : unit =
   match args with
-  | [ Vobj src ] when src.o_class = cl -> Vobj (copy_obj src)  (* copy ctor semantics *)
-  | _ ->
-      let o = make_object t cl in
-      let c = Il.class_ t.prog cl in
-      let ctor_name = class_base_name c in
-      if builtin_method t o ctor_name args == absent then begin
+  | [ Vobj src ] when derives t src.o_class cl -> assign_obj t o src
+  | _ -> (
+      if builtin_method t o (class_base_name (Il.class_ t.prog cl)) args == absent then
         match pick t (ctor_cands t cl) args with
         | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
-            run_ctor t o cl ctor args
-        | Some _ | None ->
-            (* implicit / trivial constructor: still construct bases and
-               class-typed fields *)
-            construct_bases_and_fields t o cl ~skip:[]
-      end;
-      Vobj o
+            construct_bases_and_fields t o cl ~skip:(List.map fst ctor.ro_inits);
+            ignore (invoke t (code_of t ctor) (Some o) args)
+        | Some _ | None -> construct_bases_and_fields t o cl ~skip:[])
 
-(* run base-class and class-typed-field default constructors, except those
-   named in [skip] (the explicit mem-initializer list) *)
+(* default-construct the bases and class-typed fields of [cl] in [o],
+   except those named in [skip] (the explicit mem-initializer list) *)
 and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
   let c = Il.class_ t.prog cl in
   List.iter
     (fun (b : Il.base_spec) ->
       let bc = Il.class_ t.prog b.ba_class in
       if not (List.mem bc.cl_name skip || List.mem (class_base_name bc) skip) then
-        run_default_ctor t o b.ba_class)
+        init_obj t o b.ba_class [])
     c.cl_bases;
   List.iter
     (fun (m : Il.data_member) ->
       if (not m.dm_static) && not (List.mem m.dm_name skip) then
         match !(field_of t o m.dm_name) with
-        | Vobj fo -> run_default_ctor t fo fo.o_class
+        | Vobj fo -> init_obj t fo fo.o_class []
         | _ -> ())
     c.cl_members
 
-and run_default_ctor t (o : obj) (cl : Il.class_id) : unit =
-  let c = Il.class_ t.prog cl in
-  if builtin_method t o (class_base_name c) [] == absent then
-    match pick t (ctor_cands t cl) [] with
-    | Some ctor when ctor.ro_defined || ctor.ro_body <> None -> run_ctor t o cl ctor []
-    | Some _ | None -> construct_bases_and_fields t o cl ~skip:[]
-
-and run_ctor t (o : obj) (cl : Il.class_id) (ctor : Il.routine_entity)
-    (args : value list) : unit =
-  let skip = List.map fst ctor.ro_inits in
-  construct_bases_and_fields t o cl ~skip;
-  ignore (invoke t (code_of t ctor) (Some o) args)
+(* What a store of declared type [ty] keeps of [v], chosen once per site:
+   an integer wrapped to its LP64 width as g++ does (char 8 bits, short 16,
+   int 32, long 64; zero-extended when unsigned), a floating value as a
+   double, bool as [truthy], [0] as a null pointer, an object copied as its
+   class (a derived one sliced); a reference keeps it, other types copy. *)
+and bind t (ty : Il.type_id option) : value -> value =
+  match Option.map (unqual t) ty with
+  | Some (Tbuiltin { ykind = "float"; _ }) -> (
+      function (Vint _ | Vbool _ | Vchar _) as v -> Vdouble (to_float v) | v -> v)
+  | Some (Tbuiltin { ykind = "bool"; _ }) -> fun v -> vbool (truthy v)
+  | Some (Tbuiltin { ykind = ("int" | "char" | "wchar") as k; bname; _ }) -> (
+      let has w = List.mem w (String.split_on_char ' ' bname) in
+      let unsigned = has "unsigned" and char = k = "char" in
+      let s = 64 - if char then 8 else if has "short" then 16 else if has "long" then 64 else 32 in
+      function
+      | Vint n as v when (not char) && wrap ~unsigned s n = n -> v
+      | (Vint _ | Vdouble _ | Vbool _ | Vchar _) as v ->
+          let n = wrap ~unsigned s (to_int v) in
+          if char then Vchar (Int64.to_int n) else vint n
+      | v -> v)
+  | Some (Tptr _) -> ( function Vint 0L -> Vnull | v -> v)
+  | Some (Tref _) -> Fun.id
+  | Some (Tclass cl) -> (
+      function
+      | Vobj src as v when src.o_class <> cl && derives t src.o_class cl -> construct t cl [ v ]
+      | v -> copy_value v)
+  | _ -> copy_value
 
 (* A routine's parameters, member initializers and body, translated and
    kept in [code] for the rest of the run.  The parameters take the first
    slots, in order. *)
 and translate t (code : code) : body =
   let r = code.routine in
-  let is_ref ty = match (Il.type_ t.prog ty).ty_kind with Tref _ -> true | _ -> false in
-  let ret_ref =
-    match (Il.type_ t.prog r.ro_sig).ty_kind with Tfunc { rett; _ } -> is_ref rett | _ -> false
-  in
-  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref } in
+  let cls = match r.ro_parent with Pclass cl -> Some cl | _ -> None in
+  let ctx = new_ctx t cls (rett t r) in
   let params =
     List.map
       (fun (p : Il.param_info) ->
-        let by_ref =
-          match (Il.type_ t.prog p.pi_type).ty_kind with
-          | Tref _ -> true
-          | Tqual { base; _ } -> is_ref base
-          | _ -> false
-        in
+        let by_ref = match unqual t p.pi_type with Tref _ -> true | _ -> false in
         (* a default sees the parameters before it, not its own *)
         let default = Option.map (fun d -> (expr ctx d).rv) p.pi_default in
-        let slot = match p.pi_name with Some n -> declare ctx ~direct:true n | None -> -1 in
-        (slot, by_ref, default))
+        let ty = Some p.pi_type in
+        let slot = match p.pi_name with Some n -> declare ctx ~direct:true n ty | None -> -1 in
+        (slot, by_ref, bind t ty, default))
       r.ro_params
   in
   let inits =
     List.map
-      (fun (name, args) -> (name, field_cell t name, List.map (fun a -> (expr ctx a).rv) args))
+      (fun (name, args) ->
+        let conv = bind t (Option.bind cls (fun cl -> field_type t cl name)) in
+        (name, field_cell t name, conv, List.map (fun a -> (expr ctx a).rv) args))
       r.ro_inits
   in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
@@ -1015,7 +1102,8 @@ and expr ctx (e : Ast.expr) : cexpr =
          int; a scalar takes the builtin operation *)
       let postfix = match e.Ast.e with Ast.Postfix _ -> true | _ -> false in
       let opname = "operator" ^ op and args = if postfix then [ vint 0L ] else [] in
-      let a = expr ctx a and s = method_site t opname and bump = bump op in
+      let bump = bump op (bind t (type_of ctx a)) in
+      let a = expr ctx a and s = method_site t opname in
       let on_object o =
         let v = call_method t s o opname args in
         if v != absent then v
@@ -1130,7 +1218,7 @@ and expr ctx (e : Ast.expr) : cexpr =
                 | v -> ref v)
             | va -> cell va vi) }
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
-      let a = expr ctx a and conv = conversion ty in
+      let a = expr ctx a and conv = bind t (resolve t ty) in
       rv (fun f -> tick t cost_expr; conv (deref (a.rv f)))
   | Ast.Construct (ty, args) ->
       let make = construct_from_type ctx ty args in
@@ -1139,8 +1227,8 @@ and expr ctx (e : Ast.expr) : cexpr =
       let make = construct_from_type ctx ty (Option.value args ~default:[]) in
       rv (fun f -> tick t cost_expr; Vptr (ref (make f)))
   | Ast.New (ty, _, Some n) ->
-      let n = expr ctx n and cl = lookup_class_of_asttype t ty in
-      let elem _ = ref (match cl with Some cl -> Vobj (make_object t cl) | None -> Vint 0L) in
+      let n = expr ctx n and ty = resolve t ty in
+      let elem _ = ref (match ty with Some ty -> default_value t ty | None -> Vint 0L) in
       rv (fun f ->
           tick t cost_expr;
           let n = Int64.to_int (to_int (deref (n.rv f))) in
@@ -1209,7 +1297,7 @@ and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
 
 and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
   let t = ctx.t in
-  let b = expr ctx b and a = expr ctx a in
+  let b = expr ctx b and conv = bind t (type_of ctx a) and a = expr ctx a in
   let opname = "operator" ^ op in
   let s = method_site t opname in
   let has_op =
@@ -1220,7 +1308,7 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
       (match (cur, vb) with
        | Vobj o, Vobj src -> assign_obj t o src
        | Vobj _, _ -> error "cannot assign a non-object to an object"
-       | _ -> cell := copy_value vb);
+       | _ -> cell := conv vb);
       !cell
     else
       let arith = binop (String.sub op 0 (String.length op - 1)) in
@@ -1230,7 +1318,7 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
             let v = call_method t s o opname [ vb ] in
             if v != absent then v else error "no operator%s" op)
         | _ ->
-            cell := arith cur vb;
+            cell := conv (arith cur vb);
             !cell
   in
   { rv =
@@ -1270,8 +1358,8 @@ and values ctx (args : Ast.expr list) : frame -> value list =
 
 and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
-  let vargs = values ctx args in
-  match lookup_class_of_asttype t ty with
+  let vargs = values ctx args and rty = resolve t ty in
+  match class_of t rty with
   | Some cl -> fun f -> construct t cl (vargs f)
   | None -> (
       match ty with
@@ -1294,13 +1382,10 @@ and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame 
           in
           fun f -> call (vargs f))
       | _ -> (
-          (* scalar functional cast *)
-          let conv = conversion ty in
-          fun f ->
-            match vargs f with
-            | [] -> Vint 0L
-            | [ v ] -> conv v
-            | v :: _ -> v))
+          (* a scalar's functional cast, or T(): 0 of its type *)
+          let conv = bind t rty in
+          let zero = conv (Vint 0L) in
+          fun f -> match vargs f with [] -> zero | [ v ] -> conv v | v :: _ -> v))
 
 (* function-call expression, the Call node's tick included *)
 and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
@@ -1466,13 +1551,16 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
   | Ast.SReturn None -> fun f -> tick t cost_expr; ret f Vunit
   | Ast.SReturn (Some e) ->
       let e = expr ctx e in
-      if ctx.ret_ref then
-        (* preserve the reference so callers can assign through it *)
-        fun f ->
-          tick t cost_expr;
-          let cell = e.lv f in
-          if cell != no_cell then ret f (Vref cell) else ret f (e.rv f)
-      else fun f -> tick t cost_expr; ret f (deref (e.rv f))
+      (match Option.map (unqual t) ctx.rett with
+       | Some (Tref _) ->
+           (* preserve the reference so callers can assign through it *)
+           fun f ->
+             tick t cost_expr;
+             let cell = e.lv f in
+             if cell != no_cell then ret f (Vref cell) else ret f (e.rv f)
+       | _ ->
+           let conv = bind t ctx.rett in
+           fun f -> tick t cost_expr; ret f (conv (deref (e.rv f))))
   | Ast.SBreak -> fun _ -> tick t cost_expr; raise_notrace Break_exc
   | Ast.SContinue -> fun _ -> tick t cost_expr; raise_notrace Continue_exc
   | Ast.SSwitch (e, cases) ->
@@ -1508,38 +1596,26 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
            | Some (_, run) -> run f v
            | None -> raise (Cpp_exception v)))
 
+(* a handler catches an object of its class or a derived one, a scalar of
+   its kind, or a string literal when it takes a pointer *)
 and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
   let t = ctx.t in
+  let ty = Option.bind h.h_param (fun p -> resolve t p.Ast.ptype) in
   let matches =
-    match h.h_param with
-    | None -> fun _ -> true
-    | Some p -> (
-        let rec strip = function
-          | Ast.TConst ty | Ast.TVolatile ty | Ast.TRef ty -> strip ty | ty -> ty in
-        let ty = strip p.Ast.ptype in
-        let cname = Ast.type_to_string (Ast.unqual ty) in
-        let rec class_matches cl =
-          let c = Il.class_ t.prog cl in
-          c.cl_name = cname
-          || class_base_name c = cname
-          || List.exists (fun (b : Il.base_spec) -> class_matches b.ba_class) c.cl_bases
-        in
-        let scalar =
-          match ty with Ast.TBuiltin { base = (`Int | `Double) as b; _ } -> Some b | _ -> None
-        in
-        let str = match p.Ast.ptype with Ast.TPtr _ | Ast.TConst _ -> true | _ -> false in
-        function
-        | Vobj o -> class_matches o.o_class
-        | Vint _ -> scalar = Some `Int
-        | Vdouble _ -> scalar = Some `Double
-        | Vstr _ -> str
-        | _ -> false)
+    match Option.map (fun ty -> (Il.type_ t.prog (Il.strip_qual_ref t.prog ty)).ty_kind) ty with
+    | _ when h.h_param = None -> fun _ -> true
+    | Some (Tclass cl) -> ( function Vobj o -> derives t o.o_class cl | _ -> false)
+    | Some (Tbuiltin { ykind; _ }) ->
+        fun v -> ykind = (match v with Vdouble _ -> "float" | v -> type_name_of_value t v)
+    | Some (Tptr _) -> ( function Vstr _ -> true | _ -> false)
+    | _ -> fun _ -> false
   in
+  let conv = bind t ty in
   let (slot, body), own =
     in_scope ctx (fun () ->
         let slot =
           match h.h_param with
-          | Some { Ast.pname = Some n; _ } -> declare ctx ~direct:true n
+          | Some { Ast.pname = Some n; _ } -> declare ctx ~direct:true n ty
           | _ -> -1
         in
         (slot, stmt ctx ~direct:false h.h_body))
@@ -1547,12 +1623,13 @@ and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
   ( matches,
     fun f v ->
       reset own f;
-      if slot >= 0 then f.slots.(slot) <- ref v;
+      if slot >= 0 then f.slots.(slot) <- ref (conv v);
       body f )
 
 and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
   let t = ctx.t in
-  (* recursive default for a declared type, handling nested arrays *)
+  (* a declared type's default: an array's size is evaluated each time, a
+     class object is default-constructed, a scalar is 0 of its type *)
   let rec default_of ty : frame -> value =
     match Ast.unqual ty with
     | Ast.TArray (elem, Some n) ->
@@ -1561,31 +1638,25 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
           (match deref (n.rv f) with
            | Vint len -> Varr (Array.init (Int64.to_int len) (fun _ -> ref (elem f)))
            | _ -> Vnull)
-    | Ast.TBuiltin { base = `Double | `Float; _ } -> fun _ -> Vdouble 0.0
-    | Ast.TBuiltin { base = `Bool; _ } -> fun _ -> vfalse
-    | Ast.TBuiltin { base = `Char; _ } -> fun _ -> Vchar 0
-    | Ast.TPtr _ -> fun _ -> Vnull
     | ty -> (
-        match lookup_class_of_asttype t ty with
+        let ty = resolve t ty in
+        match class_of t ty with
         | Some cl -> fun _ -> construct t cl []
-        | None -> fun _ -> Vint 0L)
+        | None -> let zero = bind t ty (Vint 0L) in fun _ -> zero)
   in
-  let cls = lookup_class_of_asttype t vd.Ast.v_type in
+  let ty = resolve t vd.Ast.v_type in
+  let conv = bind t ty in
   let init : frame -> value =
-    match vd.Ast.v_init with
-    | Ast.NoInit -> default_of vd.Ast.v_type
-    | Ast.EqInit e -> (
-        let e = expr ctx e in
-        match cls with
-        | Some cl -> (
-            fun f ->
-              match deref (e.rv f) with Vobj _ as v -> construct t cl [ v ] | v -> copy_value v)
-        | None -> fun f -> copy_value (deref (e.rv f)))
-    | Ast.CtorInit args -> (
+    match (vd.Ast.v_init, class_of t ty) with
+    | Ast.NoInit, _ -> default_of vd.Ast.v_type
+    | Ast.EqInit e, Some cl -> let e = expr ctx e in fun f -> construct t cl [ deref (e.rv f) ]
+    | Ast.EqInit e, None -> let e = expr ctx e in fun f -> conv (deref (e.rv f))
+    | Ast.CtorInit args, Some cl ->
         let vargs = values ctx args in
-        match cls with
-        | Some cl -> fun f -> construct t cl (vargs f)
-        | None -> fun f -> (match vargs f with v :: _ -> copy_value v | [] -> Vint 0L))
+        fun f -> construct t cl (vargs f)
+    | Ast.CtorInit args, None ->
+        let vargs = values ctx args in
+        fun f -> conv (match vargs f with v :: _ -> v | [] -> Vint 0L)
   in
   (* reference locals alias their initializer *)
   let cell : frame -> value ref =
@@ -1598,7 +1669,7 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
           if c != no_cell then c else ref v
     | _ -> fun f -> ref (init f)
   in
-  let slot = declare ctx ~direct vd.Ast.v_name in
+  let slot = declare ctx ~direct vd.Ast.v_name ty in
   fun f -> f.slots.(slot) <- cell f
 
 (* ------------------------------------------------------------------ *)
@@ -1615,14 +1686,14 @@ let init_globals t =
       Hashtbl.replace t.globals gv.gv_name (ref v))
     (Il.globals t.prog);
   (* global initializers run in a frame with no locals and no receiver *)
-  let ctx = { t; scope = []; nslots = 0; leaky = []; ret_ref = false } in
+  let ctx = new_ctx t None None in
   let gframe = { slots = [||]; f_this = None; f_timers = 0; f_ret = Vunit } in
   List.iter
     (fun (gv : Il.global_var) ->
       match gv.gv_init with
       | Ast.EqInit e -> (
           match Hashtbl.find_opt t.globals gv.gv_name with
-          | Some cell -> cell := copy_value (deref ((expr ctx e).rv gframe))
+          | Some cell -> cell := bind t (Some gv.gv_type) (deref ((expr ctx e).rv gframe))
           | None -> ())
       | Ast.CtorInit _ | Ast.NoInit -> ())
     (Il.globals t.prog)

@@ -224,6 +224,17 @@ let test_push_back_copies_lvalue () =
     "#include <vector.h>\nint main() { vector<int> v; int n = 4; v.resize(n); v.reserve(n); return v.size(); }"
     4
 
+(* values take their declared types through the mini-STL, which test/gxx
+   programs cannot include; g++ with the real headers gives 4, "b" and 35 *)
+let test_declared_types_stl () =
+  check_exit "string initialized from a literal"
+    "#include <string.h>\nint main() { string s = \"abcd\"; return s.length(); }" 4;
+  check_output "char incremented"
+    "#include <iostream.h>\nint main() { char c = 'a'; c++; cout << c; return 0; }" "b";
+  check_exit "int stored through vector<double>::operator[]"
+    "#include <vector.h>\nint main() { vector<double> v(3); v[0] = 7; return (int)(v[0] / 2 * 10); }"
+    35
+
 (* test/gxx holds self-contained programs whose first line is "// g++: N",
    N being the exit status of the program built by g++ -std=c++98; CI's
    "Interpreter against g++" step holds each pin to g++ itself.  Every
@@ -277,4 +288,5 @@ let suite =
     Alcotest.test_case "call arguments evaluated once" `Quick test_call_args_evaluated_once;
     Alcotest.test_case "dispatch tables" `Quick test_dispatch_tables;
     Alcotest.test_case "push_back copies an lvalue" `Quick test_push_back_copies_lvalue;
+    Alcotest.test_case "declared types through the mini-STL" `Quick test_declared_types_stl;
     Alcotest.test_case "exit codes agree with g++" `Quick test_gxx_corpus ]
