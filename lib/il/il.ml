@@ -268,6 +268,12 @@ type program = {
   mutable template_order : template_id list;
   mutable macro_order : macro_id list;
   mutable main_file : file_id option;
+  (* What sema resolved in routine bodies, for the interpreter (see
+     {!note}): the type a local or catch parameter declares, a cast
+     converts to, and a [T(...)] or [new] builds, by its AST type; the
+     type a store writes, by the lvalue it stores to. *)
+  ast_types : (Srcloc.t, (Pdt_ast.Ast.type_expr * type_id) list) Hashtbl.t;
+  store_types : (Srcloc.t, (Pdt_ast.Ast.expr * type_id) list) Hashtbl.t;
 }
 
 let create_program () =
@@ -279,7 +285,16 @@ let create_program () =
     next_file = 1; next_namespace = 1; next_class = 1; next_routine = 1;
     next_type = 1; next_template = 1; next_macro = 1;
     file_order = []; namespace_order = []; class_order = []; routine_order = [];
-    type_order = []; template_order = []; macro_order = []; main_file = None }
+    type_order = []; template_order = []; macro_order = []; main_file = None;
+    ast_types = Hashtbl.create 256; store_types = Hashtbl.create 256 }
+
+(** [note tbl loc node ty]: sema resolved [node], found at [loc], to [ty].
+    [noted] finds it by the node itself, so each template instance's
+    substituted copy of a body keeps its own types. *)
+let note tbl loc node ty =
+  Hashtbl.replace tbl loc ((node, ty) :: Option.value (Hashtbl.find_opt tbl loc) ~default:[])
+
+let noted tbl loc node = Option.bind (Hashtbl.find_opt tbl loc) (List.assq_opt node)
 
 (* accessors *)
 

@@ -1626,7 +1626,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       ignore (ty_expr t benv a);
       Il.ty_bool t.prog
   | Ast.Unary (op, a) -> (
-      let ty = ty_expr t benv a in
+      let ty = if op = "++" || op = "--" then store_type t benv a else ty_expr t benv a in
       match Il.class_of_type t.prog ty with
       | Some _ -> (
           match class_operator t benv op ty [] ~loc with
@@ -1634,7 +1634,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
           | None -> ty)
       | None -> ty)
   | Ast.Postfix (op, a) -> (
-      let ty = ty_expr t benv a in
+      let ty = store_type t benv a in
       match Il.class_of_type t.prog ty with
       | Some _ -> (
           match class_operator t benv op ty [ Il.ty_int t.prog ] ~loc with
@@ -1656,7 +1656,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
               else if name ta = "float" || name tb = "float" then Il.ty_float t.prog
               else Il.strip_qual_ref t.prog ta))
   | Ast.Assign (op, a, b) -> (
-      let ta = ty_expr t benv a in
+      let ta = store_type t benv a in
       let tb = ty_expr t benv b in
       match class_operator t benv op ta [ tb ] ~loc with
       | Some r -> r
@@ -1693,7 +1693,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
           | _ -> Il.ty_error t.prog))
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
       ignore (ty_expr t benv a);
-      resolve_type t benv.be_scope ty ~loc
+      resolve_noted t benv.be_scope ty ~loc
   | Ast.Construct (ty, args) -> (
       let arg_tys = List.map (ty_expr t benv) args in
       (* [S<int>::make(x)] parses as a functional cast of the "type"
@@ -1716,7 +1716,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       match as_routine_call with
       | Some rt -> rt
       | None ->
-          let tid = resolve_type t benv.be_scope ty ~loc in
+          let tid = resolve_noted t benv.be_scope ty ~loc in
           (match Il.class_of_type t.prog tid with
            | Some cl -> construct_class t benv cl arg_tys ~loc
            | None -> ());
@@ -1724,7 +1724,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
   | Ast.New (ty, args, n) -> (
       let arg_tys = List.map (ty_expr t benv) (Option.value args ~default:[]) in
       (match n with Some n -> ignore (ty_expr t benv n) | None -> ());
-      let tid = resolve_type t benv.be_scope ty ~loc in
+      let tid = resolve_noted t benv.be_scope ty ~loc in
       (match (Il.class_of_type t.prog tid, n) with
        | Some cl, None -> construct_class t benv cl arg_tys ~loc
        | Some cl, Some _ -> construct_class t benv cl [] ~loc
@@ -1749,6 +1749,18 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
   | Ast.Comma (a, b) ->
       ignore (ty_expr t benv a);
       ty_expr t benv b
+
+(* [resolve_type], its answer noted for the interpreter *)
+and resolve_noted t scope (ty : Ast.type_expr) ~loc : Il.type_id =
+  let id = resolve_type t scope ty ~loc in
+  Il.note t.prog.Il.ast_types loc ty id;
+  id
+
+(* the type of [a], a store's target, noted for the interpreter *)
+and store_type t benv (a : Ast.expr) : Il.type_id =
+  let ty = ty_expr t benv a in
+  Il.note t.prog.Il.store_types a.Ast.eloc a ty;
+  ty
 
 (* the type of a (possibly qualified) identifier in an expression *)
 and id_type t benv (q : Ast.qual_name) ~loc : Il.type_id =
@@ -1950,7 +1962,7 @@ and elab_stmt t benv (s : Ast.stmt) : unit =
           let hsc = Scope.create ~parent:benv.be_scope Scope.Sk_block in
           (match h.h_param with
            | Some p ->
-               let ty = resolve_type t hsc p.Ast.ptype ~loc:p.Ast.ploc in
+               let ty = resolve_noted t hsc p.Ast.ptype ~loc:p.Ast.ploc in
                (match p.Ast.pname with
                 | Some n ->
                     Scope.bind hsc n
@@ -2025,7 +2037,7 @@ and block_end_loc (ss : Ast.stmt list) : Pdt_util.Srcloc.t =
 
 and elab_local_decl t benv (vd : Ast.var_decl) : unit =
   let loc = vd.Ast.v_loc in
-  let ty = resolve_type t benv.be_scope vd.Ast.v_type ~loc in
+  let ty = resolve_noted t benv.be_scope vd.Ast.v_type ~loc in
   Scope.bind benv.be_scope vd.Ast.v_name
     (Scope.Sym_var { vs_name = vd.Ast.v_name; vs_type = ty; vs_global = false });
   let direct_class =

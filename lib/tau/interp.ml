@@ -87,11 +87,12 @@ type frame = {
 
 (* A routine translated to closures: its slot count, its parameters (slot
    or -1 when unnamed, by reference, [bind], default argument), its member
-   initializers (name, cell, [bind], arguments) and its body. *)
+   initializers (the base it names if any, else the field's cell and
+   [bind]; arguments) and its body. *)
 type body = {
   nslots : int;
   params : (int * bool * (value -> value) * (frame -> value) option) array;
-  inits : (string * (obj -> value ref) * (value -> value) * (frame -> value) list) list;
+  inits : (Il.class_id option * (obj -> value ref) * (value -> value) * (frame -> value) list) list;
   run : (frame -> unit) option;
 }
 
@@ -129,7 +130,6 @@ type t = {
   mpi : int * int;      (** simulated (rank, size) for mpi_rank()/mpi_size() *)
   (* Lookup tables; the IL is immutable during execution. *)
   class_by_name : (string, Il.class_id) Hashtbl.t;  (** display name -> class *)
-  typedefs : (string, Il.type_id option) Hashtbl.t;  (** None: two typedefs bind it *)
   members : (Il.class_id * string, cands) Hashtbl.t;
       (** member functions by name, inherited ones included; filled on use *)
   ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
@@ -354,11 +354,6 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
       if not (Hashtbl.mem class_by_name c.cl_name) then
         Hashtbl.replace class_by_name c.cl_name id)
     prog.Il.classes;
-  let typedefs = Hashtbl.create 16 in
-  let typedef id n =
-    Hashtbl.replace typedefs n (if Hashtbl.mem typedefs n then None else Some id)
-  in
-  Hashtbl.iter (fun id ty -> List.iter (typedef id) ty.Il.ty_typedef_names) prog.Il.types;
   let free_routines =
     routines_by_name prog
       (fun r -> match r.ro_parent with Pclass _ -> false | _ -> true)
@@ -385,7 +380,7 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
   { prog; globals = Hashtbl.create 64; output = Buffer.create 256;
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
-    typedefs; members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
+    members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
     free_routines; free_operators; enum_constants; layouts = Hashtbl.create 16 }
 
 (* type name of a value, used by the CT() macro *)
@@ -666,48 +661,36 @@ let no_lv : frame -> value ref = fun _ -> no_cell
    innermost first, with their slots; the slot count so far; the slots of
    declarations the current block does not own directly (a declaration
    under an if, a loop or a case), which its entry resets to [unbound];
-   the declared type of each slot that has one; the routine's class and
-   return type. *)
+   the routine's return type. *)
 type ctx = {
   t : t;
   mutable scope : (string * int) list;
   mutable nslots : int;
   mutable leaky : int list;
-  tys : (int, Il.type_id) Hashtbl.t;
-  cls : Il.class_id option;
   rett : Il.type_id option;
 }
 
-let new_ctx t cls rett =
-  { t; scope = []; nslots = 0; leaky = []; tys = Hashtbl.create 8; cls; rett }
+let new_ctx t rett = { t; scope = []; nslots = 0; leaky = []; rett }
 
-(* The IL type an AST type names, looked up in the IL's own intern table: a
-   builtin by its canonical spelling, a class by its display name, else a
-   typedef name; [None] when the IL has no such type.  It adds no type. *)
-let rec resolve t (ty : Ast.type_expr) : Il.type_id option =
+(* The IL type sema resolved [ty], at [loc] in a body, to: a declared, cast
+   or constructed type seen in its own scope, so typedefs and template
+   arguments name what they name there.  Sema resolves nothing in a global
+   initializer or a default argument; there a builtin is found by its
+   spelling and a class by its name, and no type is added. *)
+let ast_type t loc (ty : Ast.type_expr) =
   let find k = Hashtbl.find_opt t.prog.type_intern (Il.type_key t.prog k) in
-  let over a k = Option.bind (resolve t a) (fun a -> find (k a)) in
-  (* as sema merges them: [const] over a qualified type sets its flag *)
-  let qual c base =
-    match (Il.type_ t.prog base).ty_kind with
-    | Tqual q -> Tqual { q with q_const = q.q_const || c; q_volatile = q.q_volatile || not c }
-    | _ -> Tqual { base; q_const = c; q_volatile = not c }
-  in
-  match ty with
-  | Ast.TBuiltin b -> find (Tbuiltin { bname = Ast.builtin_name b; ykind = ""; yikind = "" })
-  | Ast.TName q -> (
-      let name = Ast.qual_name_to_string q in
-      match Hashtbl.find_opt t.class_by_name name with
-      | Some cl -> find (Tclass cl)
-      | None -> Option.join (Hashtbl.find_opt t.typedefs name))
-  | Ast.TPtr a -> over a (fun a -> Tptr a)
-  | Ast.TRef a -> over a (fun a -> Tref a)
-  | Ast.TConst a -> over a (qual true)
-  | Ast.TVolatile a -> over a (qual false)
-  | Ast.TArray (a, n) ->
-      let n = match n with Some { Ast.e = Ast.IntE n; _ } -> Some (Int64.to_int n) | _ -> None in
-      over a (fun a -> Tarray (a, n))
-  | Ast.TFunc _ -> None
+  match (Il.noted t.prog.ast_types loc ty, Ast.unqual ty) with
+  | None, Ast.TBuiltin b -> find (Tbuiltin { bname = Ast.builtin_name b; ykind = ""; yikind = "" })
+  | None, Ast.TName q ->
+      Option.bind (Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q)) (fun cl ->
+          find (Tclass cl))
+  | id, _ -> id
+
+(* The type a store to [e] writes, cv and references stripped, as sema typed
+   the lvalue: a variable, a field, an element, a pointee, or what the
+   picked [operator[]] or routine returns. *)
+let store_type t (e : Ast.expr) =
+  Option.map (Il.strip_qual_ref t.prog) (Il.noted t.prog.store_types e.Ast.eloc e)
 
 (* the declared type of [cl]'s field [name] (the last declaration's) *)
 let field_type t cl name =
@@ -812,12 +795,11 @@ let rec run_all ss f = match ss with [] -> () | s :: rest -> s f; run_all rest f
 (* the values of [es] in order *)
 let rec eval_each f = function [] -> [] | e :: rest -> let v = e f in v :: eval_each f rest
 
-let declare ctx ~direct name ty =
+let declare ctx ~direct name =
   let s = ctx.nslots in
   ctx.nslots <- s + 1;
   if not direct then ctx.leaky <- s :: ctx.leaky;
   ctx.scope <- (name, s) :: ctx.scope;
-  Option.iter (Hashtbl.replace ctx.tys s) ty;
   s
 
 (* [name]'s cell in an object, or [no_cell]: its index is looked up once
@@ -856,54 +838,6 @@ let name_cell ctx id : frame -> value ref =
         in
         go chain
 
-(* The type a store to [e] writes, cv and references stripped, where
-   translation sees it: a named variable (local, else field of [this], else
-   global), a field of a typed object, what a typed array or pointer holds,
-   and what [operator[]] or a routine returns if all its overloads agree. *)
-let rec type_of ctx (e : Ast.expr) : Il.type_id option =
-  let t = ctx.t in
-  let kind ty = (Il.type_ t.prog ty).ty_kind in
-  let strip = Option.map (Il.strip_qual_ref t.prog) in
-  let pointee ty =
-    match Option.map kind ty with Some (Tptr p | Tarray (p, _)) -> strip (Some p) | _ -> None
-  in
-  let returns rs =
-    match List.sort_uniq compare (List.map (fun r -> strip (rett t r)) rs) with
-    | [ ty ] -> ty
-    | _ -> None
-  in
-  let obj_class oe arrow =
-    match oe.Ast.e with
-    | Ast.ThisE -> ctx.cls
-    | _ -> class_of t (if arrow then pointee (type_of ctx oe) else type_of ctx oe)
-  in
-  match e.Ast.e with
-  | Ast.IdE { parts = [ { id; _ } ]; _ } -> (
-      let global (g : Il.global_var) = if g.gv_name = id then Some g.gv_type else None in
-      match (List.assoc_opt id ctx.scope, Option.bind ctx.cls (fun cl -> field_type t cl id)) with
-      | Some s, _ -> strip (Hashtbl.find_opt ctx.tys s)
-      | None, Some ty -> strip (Some ty)
-      (* the IL lists globals newest first: the one [t.globals] keeps *)
-      | None, None -> strip (List.find_map global t.prog.globals))
-  | Ast.Member (oe, arrow, m) ->
-      strip (Option.bind (obj_class oe arrow) (fun cl -> field_type t cl (Ast.last_part m).Ast.id))
-  | Ast.Unary ("*", a) -> pointee (type_of ctx a)
-  | Ast.Index (a, _) -> (
-      let ty = type_of ctx a in
-      match class_of t ty with
-      | Some cl -> returns (member_funcs t cl "operator[]")
-      | None -> pointee ty)
-  | Ast.Call ({ Ast.e = Ast.Member (oe, arrow, m); _ }, _) ->
-      let name = (Ast.last_part m).Ast.id in
-      Option.bind (obj_class oe arrow) (fun cl -> returns (member_funcs t cl name))
-  | Ast.Call ({ Ast.e = Ast.IdE q; _ }, _)
-    when not (List.mem_assoc (Ast.last_part q).Ast.id ctx.scope) -> (
-      let name = (Ast.last_part q).Ast.id in
-      match Option.map (fun cl -> member_funcs t cl name) ctx.cls with
-      | Some (_ :: _ as rs) -> returns rs
-      | _ -> Option.bind (Hashtbl.find_opt t.free_routines name) (fun c -> returns c.routines))
-  | _ -> None
-
 let rec invoke t (code : code) (this_obj : obj option) (args : value list) : value =
   tick t cost_call;
   t.depth <- t.depth + 1;
@@ -932,22 +866,15 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
 
 and run_inits t b (o : obj) frame =
   List.iter
-    (fun (name, field, conv, init_args) ->
+    (fun (base, field, conv, init_args) ->
       let vargs = List.map (fun a -> deref (a frame)) init_args in
       let cell = field o in
-      match (!cell, vargs) with
-      | _ when cell == no_cell -> (
-          (* base class initializer *)
-          let names (b : Il.base_spec) = Il.class_ t.prog b.ba_class in
-          let base =
-            List.find_opt
-              (fun b -> class_base_name (names b) = name || (names b).cl_name = name)
-              (Il.class_ t.prog o.o_class).cl_bases
-          in
-          match base with Some b -> init_obj t o b.ba_class vargs | None -> ())
-      | Vobj fo, _ -> init_obj t fo fo.o_class vargs
-      | _, [ v ] -> cell := conv v
-      | _, _ -> ())
+      match (!cell, vargs, base) with
+      | _, _, Some bc when cell == no_cell -> init_obj t o bc vargs
+      | _ when cell == no_cell -> ()
+      | Vobj fo, _, _ -> init_obj t fo fo.o_class vargs
+      | _, [ v ], _ -> cell := conv v
+      | _ -> ())
     b.inits
 
 (* a call of a free routine or static member through [s], [absent] when no
@@ -971,19 +898,29 @@ and construct t (cl : Il.class_id) (args : value list) : value =
   Vobj o
 
 (* Initialize [o] as a [cl] from [args]: one object of [cl] or of a class
-   derived from it is copied, sliced; a builtin runs its own constructor;
-   else the picked constructor runs once the bases and class-typed fields
-   its initializers skip are default-constructed. *)
+   derived from it is copied, sliced, unless a written copy constructor
+   takes it; a builtin runs its own constructor; else the picked written
+   constructor runs once the bases and class-typed fields its initializers
+   skip are default-constructed. *)
 and init_obj t (o : obj) (cl : Il.class_id) (args : value list) : unit =
-  match args with
-  | [ Vobj src ] when derives t src.o_class cl -> assign_obj t o src
-  | _ -> (
-      if builtin_method t o (class_base_name (Il.class_ t.prog cl)) args == absent then
-        match pick t (ctor_cands t cl) args with
-        | Some ctor when ctor.ro_defined || ctor.ro_body <> None ->
-            construct_bases_and_fields t o cl ~skip:(List.map fst ctor.ro_inits);
-            ignore (invoke t (code_of t ctor) (Some o) args)
-        | Some _ | None -> construct_bases_and_fields t o cl ~skip:[])
+  let ctor =
+    match pick t (ctor_cands t cl) args with
+    | Some c when c.ro_defined || c.ro_body <> None -> Some c
+    | _ -> None
+  in
+  let copier =
+    match ctor with
+    | Some { ro_params = [ p ]; _ } ->
+        class_of t (Some (Il.strip_qual_ref t.prog p.pi_type)) = Some cl
+    | _ -> false
+  in
+  match (args, ctor) with
+  | [ Vobj src ], _ when derives t src.o_class cl && not copier -> assign_obj t o src
+  | _ when builtin_method t o (class_base_name (Il.class_ t.prog cl)) args != absent -> ()
+  | _, Some ctor ->
+      construct_bases_and_fields t o cl ~skip:(List.map fst ctor.ro_inits);
+      ignore (invoke t (code_of t ctor) (Some o) args)
+  | _, None -> construct_bases_and_fields t o cl ~skip:[]
 
 (* default-construct the bases and class-typed fields of [cl] in [o],
    except those named in [skip] (the explicit mem-initializer list) *)
@@ -1007,7 +944,8 @@ and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
    an integer wrapped to its LP64 width as g++ does (char 8 bits, short 16,
    int 32, long 64; zero-extended when unsigned), a floating value as a
    double, bool as [truthy], [0] as a null pointer, an object copied as its
-   class (a derived one sliced); a reference keeps it, other types copy. *)
+   class (a derived one sliced), a scalar or string literal constructing
+   one; a reference keeps it, other types copy. *)
 and bind t (ty : Il.type_id option) : value -> value =
   match Option.map (unqual t) ty with
   | Some (Tbuiltin { ykind = "float"; _ }) -> (
@@ -1028,6 +966,7 @@ and bind t (ty : Il.type_id option) : value -> value =
   | Some (Tclass cl) -> (
       function
       | Vobj src as v when src.o_class <> cl && derives t src.o_class cl -> construct t cl [ v ]
+      | (Vstr _ | Vint _ | Vdouble _ | Vchar _ | Vbool _) as v -> construct t cl [ v ]
       | v -> copy_value v)
   | _ -> copy_value
 
@@ -1037,23 +976,28 @@ and bind t (ty : Il.type_id option) : value -> value =
 and translate t (code : code) : body =
   let r = code.routine in
   let cls = match r.ro_parent with Pclass cl -> Some cl | _ -> None in
-  let ctx = new_ctx t cls (rett t r) in
+  let ctx = new_ctx t (rett t r) in
   let params =
     List.map
       (fun (p : Il.param_info) ->
         let by_ref = match unqual t p.pi_type with Tref _ -> true | _ -> false in
         (* a default sees the parameters before it, not its own *)
         let default = Option.map (fun d -> (expr ctx d).rv) p.pi_default in
-        let ty = Some p.pi_type in
-        let slot = match p.pi_name with Some n -> declare ctx ~direct:true n ty | None -> -1 in
-        (slot, by_ref, bind t ty, default))
+        let slot = match p.pi_name with Some n -> declare ctx ~direct:true n | None -> -1 in
+        (slot, by_ref, bind t (Some p.pi_type), default))
       r.ro_params
   in
   let inits =
     List.map
       (fun (name, args) ->
+        (* a base initializer names a direct base of the constructor's class *)
+        let base (b : Il.base_spec) =
+          let c = Il.class_ t.prog b.ba_class in
+          if class_base_name c = name || c.cl_name = name then Some b.ba_class else None
+        in
+        let base = Option.bind cls (fun cl -> List.find_map base (Il.class_ t.prog cl).cl_bases) in
         let conv = bind t (Option.bind cls (fun cl -> field_type t cl name)) in
-        (name, field_cell t name, conv, List.map (fun a -> (expr ctx a).rv) args))
+        (base, field_cell t name, conv, List.map (fun a -> (expr ctx a).rv) args))
       r.ro_inits
   in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
@@ -1102,7 +1046,7 @@ and expr ctx (e : Ast.expr) : cexpr =
          int; a scalar takes the builtin operation *)
       let postfix = match e.Ast.e with Ast.Postfix _ -> true | _ -> false in
       let opname = "operator" ^ op and args = if postfix then [ vint 0L ] else [] in
-      let bump = bump op (bind t (type_of ctx a)) in
+      let bump = bump op (bind t (store_type t a)) in
       let a = expr ctx a and s = method_site t opname in
       let on_object o =
         let v = call_method t s o opname args in
@@ -1218,16 +1162,16 @@ and expr ctx (e : Ast.expr) : cexpr =
                 | v -> ref v)
             | va -> cell va vi) }
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
-      let a = expr ctx a and conv = bind t (resolve t ty) in
+      let a = expr ctx a and conv = bind t (ast_type t e.Ast.eloc ty) in
       rv (fun f -> tick t cost_expr; conv (deref (a.rv f)))
   | Ast.Construct (ty, args) ->
-      let make = construct_from_type ctx ty args in
+      let make = construct_from_type ctx e.Ast.eloc ty args in
       rv (fun f -> tick t cost_expr; make f)
   | Ast.New (ty, args, None) ->
-      let make = construct_from_type ctx ty (Option.value args ~default:[]) in
+      let make = construct_from_type ctx e.Ast.eloc ty (Option.value args ~default:[]) in
       rv (fun f -> tick t cost_expr; Vptr (ref (make f)))
   | Ast.New (ty, _, Some n) ->
-      let n = expr ctx n and ty = resolve t ty in
+      let n = expr ctx n and ty = ast_type t e.Ast.eloc ty in
       let elem _ = ref (match ty with Some ty -> default_value t ty | None -> Vint 0L) in
       rv (fun f ->
           tick t cost_expr;
@@ -1297,7 +1241,7 @@ and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
 
 and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
   let t = ctx.t in
-  let b = expr ctx b and conv = bind t (type_of ctx a) and a = expr ctx a in
+  let b = expr ctx b and conv = bind t (store_type t a) and a = expr ctx a in
   let opname = "operator" ^ op in
   let s = method_site t opname in
   let has_op =
@@ -1356,9 +1300,9 @@ and values ctx (args : Ast.expr list) : frame -> value list =
   let args = List.map (fun a -> let a = expr ctx a in fun f -> deref (a.rv f)) args in
   fun f -> eval_each f args
 
-and construct_from_type ctx (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
+and construct_from_type ctx loc (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
   let t = ctx.t in
-  let vargs = values ctx args and rty = resolve t ty in
+  let vargs = values ctx args and rty = ast_type t loc ty in
   match class_of t rty with
   | Some cl -> fun f -> construct t cl (vargs f)
   | None -> (
@@ -1600,7 +1544,7 @@ and stmt ctx ~direct (s : Ast.stmt) : frame -> unit =
    its kind, or a string literal when it takes a pointer *)
 and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
   let t = ctx.t in
-  let ty = Option.bind h.h_param (fun p -> resolve t p.Ast.ptype) in
+  let ty = Option.bind h.h_param (fun p -> ast_type t p.Ast.ploc p.Ast.ptype) in
   let matches =
     match Option.map (fun ty -> (Il.type_ t.prog (Il.strip_qual_ref t.prog ty)).ty_kind) ty with
     | _ when h.h_param = None -> fun _ -> true
@@ -1615,7 +1559,7 @@ and handler ctx (h : Ast.handler) : (value -> bool) * (frame -> value -> unit) =
     in_scope ctx (fun () ->
         let slot =
           match h.h_param with
-          | Some { Ast.pname = Some n; _ } -> declare ctx ~direct:true n ty
+          | Some { Ast.pname = Some n; _ } -> declare ctx ~direct:true n
           | _ -> -1
         in
         (slot, stmt ctx ~direct:false h.h_body))
@@ -1630,27 +1574,26 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
   let t = ctx.t in
   (* a declared type's default: an array's size is evaluated each time, a
      class object is default-constructed, a scalar is 0 of its type *)
-  let rec default_of ty : frame -> value =
-    match Ast.unqual ty with
+  let rec default_of aty ty : frame -> value =
+    match Ast.unqual aty with
     | Ast.TArray (elem, Some n) ->
-        let n = expr ctx n and elem = default_of elem in
+        let ety = match Option.map (unqual t) ty with Some (Tarray (e, _)) -> Some e | _ -> None in
+        let n = expr ctx n and elem = default_of elem ety in
         fun f ->
           (match deref (n.rv f) with
            | Vint len -> Varr (Array.init (Int64.to_int len) (fun _ -> ref (elem f)))
            | _ -> Vnull)
-    | ty -> (
-        let ty = resolve t ty in
+    | _ -> (
         match class_of t ty with
         | Some cl -> fun _ -> construct t cl []
         | None -> let zero = bind t ty (Vint 0L) in fun _ -> zero)
   in
-  let ty = resolve t vd.Ast.v_type in
+  let ty = ast_type t vd.Ast.v_loc vd.Ast.v_type in
   let conv = bind t ty in
   let init : frame -> value =
     match (vd.Ast.v_init, class_of t ty) with
-    | Ast.NoInit, _ -> default_of vd.Ast.v_type
-    | Ast.EqInit e, Some cl -> let e = expr ctx e in fun f -> construct t cl [ deref (e.rv f) ]
-    | Ast.EqInit e, None -> let e = expr ctx e in fun f -> conv (deref (e.rv f))
+    | Ast.NoInit, _ -> default_of vd.Ast.v_type ty
+    | Ast.EqInit e, _ -> let e = expr ctx e in fun f -> conv (deref (e.rv f))
     | Ast.CtorInit args, Some cl ->
         let vargs = values ctx args in
         fun f -> construct t cl (vargs f)
@@ -1669,7 +1612,7 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
           if c != no_cell then c else ref v
     | _ -> fun f -> ref (init f)
   in
-  let slot = declare ctx ~direct vd.Ast.v_name ty in
+  let slot = declare ctx ~direct vd.Ast.v_name in
   fun f -> f.slots.(slot) <- cell f
 
 (* ------------------------------------------------------------------ *)
@@ -1686,7 +1629,7 @@ let init_globals t =
       Hashtbl.replace t.globals gv.gv_name (ref v))
     (Il.globals t.prog);
   (* global initializers run in a frame with no locals and no receiver *)
-  let ctx = new_ctx t None None in
+  let ctx = new_ctx t None in
   let gframe = { slots = [||]; f_this = None; f_timers = 0; f_ret = Vunit } in
   List.iter
     (fun (gv : Il.global_var) ->

@@ -225,10 +225,13 @@ let test_push_back_copies_lvalue () =
     4
 
 (* values take their declared types through the mini-STL, which test/gxx
-   programs cannot include; g++ with the real headers gives 4, "b" and 35 *)
+   programs cannot include; g++ with the real headers gives 4, 34, "b" and 35 *)
 let test_declared_types_stl () =
   check_exit "string initialized from a literal"
     "#include <string.h>\nint main() { string s = \"abcd\"; return s.length(); }" 4;
+  check_exit "string parameter and global from literals"
+    "#include <string.h>\nstring g = \"abcd\";\nint len(string s) { return s.length(); }\nint main() { return len(\"abc\") * 10 + g.length(); }"
+    34;
   check_output "char incremented"
     "#include <iostream.h>\nint main() { char c = 'a'; c++; cout << c; return 0; }" "b";
   check_exit "int stored through vector<double>::operator[]"
