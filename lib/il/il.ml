@@ -272,8 +272,15 @@ type program = {
      {!note}): the type a local or catch parameter declares, a cast
      converts to, and a [T(...)] or [new] builds, by its AST type; the
      type a store writes, by the lvalue it stores to. *)
-  ast_types : (Srcloc.t, (Pdt_ast.Ast.type_expr * type_id) list) Hashtbl.t;
-  store_types : (Srcloc.t, (Pdt_ast.Ast.expr * type_id) list) Hashtbl.t;
+  ast_types : (Srcloc.t, Pdt_ast.Ast.type_expr * type_id) Hashtbl.t;
+  store_types : (Srcloc.t, Pdt_ast.Ast.expr * type_id) Hashtbl.t;
+  (* The call each call edge records, by the node making it: an expression
+     (a call, an operator, [T(x)], [new T(x)], [C::f(x)]), a local
+     declaration constructing a class, or a member or base initializer,
+     kept under its constructor's location. *)
+  expr_calls : (Srcloc.t, Pdt_ast.Ast.expr * call_site) Hashtbl.t;
+  decl_calls : (Srcloc.t, Pdt_ast.Ast.var_decl * call_site) Hashtbl.t;
+  init_calls : (Srcloc.t, (string * Pdt_ast.Ast.expr list) * call_site) Hashtbl.t;
 }
 
 let create_program () =
@@ -286,15 +293,16 @@ let create_program () =
     next_type = 1; next_template = 1; next_macro = 1;
     file_order = []; namespace_order = []; class_order = []; routine_order = [];
     type_order = []; template_order = []; macro_order = []; main_file = None;
-    ast_types = Hashtbl.create 256; store_types = Hashtbl.create 256 }
+    ast_types = Hashtbl.create 256; store_types = Hashtbl.create 256;
+    expr_calls = Hashtbl.create 256; decl_calls = Hashtbl.create 64;
+    init_calls = Hashtbl.create 64 }
 
-(** [note tbl loc node ty]: sema resolved [node], found at [loc], to [ty].
-    [noted] finds it by the node itself, so each template instance's
-    substituted copy of a body keeps its own types. *)
-let note tbl loc node ty =
-  Hashtbl.replace tbl loc ((node, ty) :: Option.value (Hashtbl.find_opt tbl loc) ~default:[])
+(** [note tbl loc node x]: sema resolved [node], found at [loc], to [x] (a
+    type or a call).  [noted] finds it by the node itself, so each template
+    instance's substituted copy of a body keeps its own. *)
+let note tbl loc node ty = Hashtbl.add tbl loc (node, ty)
 
-let noted tbl loc node = Option.bind (Hashtbl.find_opt tbl loc) (List.assq_opt node)
+let noted tbl loc node = List.assq_opt node (Hashtbl.find_all tbl loc)
 
 (* accessors *)
 
@@ -525,6 +533,46 @@ let find_member_funcs p (c : class_entity) name : routine_entity list =
       let r = routine p id in
       if String.equal r.ro_name name then Some r else None)
     c.cl_funcs
+
+(** The overload of [candidates] that arguments of types [arg_tys] call: of
+    those that take that many arguments, the one whose parameters match the
+    arguments best, summed over the arguments, the first on a tie.  An
+    argument matches its own type best, then a builtin of its kind ([float]
+    for [double]), then another builtin, a base of its class, another
+    pointer, or between an enum and a builtin; a class matches no unrelated
+    class.  When no candidate takes that many arguments, the first. *)
+let pick_overload p (candidates : routine_entity list) (arg_tys : type_id list) :
+    routine_entity option =
+  let nargs = List.length arg_tys in
+  let viable (r : routine_entity) =
+    let ellipsis = match (type_ p r.ro_sig).ty_kind with Tfunc f -> f.ellipsis | _ -> false in
+    nargs >= List.length (List.filter (fun q -> not q.pi_has_default) r.ro_params)
+    && (nargs <= List.length r.ro_params || ellipsis)
+  in
+  let rec derives c pc =
+    c = pc || List.exists (fun (b : base_spec) -> derives b.ba_class pc) (class_ p c).cl_bases
+  in
+  let param_score (q : param_info) a =
+    let pa = strip_qual_ref p q.pi_type and aa = strip_qual_ref p a in
+    if pa = aa then 6
+    else
+      match ((type_ p pa).ty_kind, (type_ p aa).ty_kind) with
+      | Tbuiltin x, Tbuiltin y -> if x.ykind = y.ykind then 5 else 4
+      | Tclass pc, Tclass ac -> if derives ac pc then 4 else 0
+      | (Tptr _, Tptr _) | (Tenum _, Tbuiltin _) | (Tbuiltin _, Tenum _) -> 4
+      | _ -> 2
+  in
+  (* extra arguments go to an ellipsis *)
+  let rec score ps args acc =
+    match (ps, args) with
+    | q :: ps', a :: args' -> score ps' args' (acc + param_score q a)
+    | _ -> acc
+  in
+  let scored r = (r, score r.ro_params arg_tys 0) in
+  let better (r, s) r' = let (_, s') as c = scored r' in if s' > s then c else (r, s) in
+  match List.filter viable candidates with
+  | first :: rest -> Some (fst (List.fold_left better (scored first) rest))
+  | [] -> (match candidates with [] -> None | c :: _ -> Some c)
 
 (** Signature string used to distinguish overloads. *)
 let overload_key p (r : routine_entity) : string =

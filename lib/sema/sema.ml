@@ -1380,11 +1380,20 @@ and elab_class t scope cd ?name_override ?into ~access ~bind_name
 (* Body elaboration: expression typing, call resolution, call edges    *)
 (* ------------------------------------------------------------------ *)
 
-and record_call t (benv : benv) (callee : Il.routine_entity) ~loc : unit =
-  benv.be_routine.ro_calls <-
-    { cs_callee = callee.ro_id; cs_virtual = callee.ro_virt <> Virt_no; cs_loc = loc }
-    :: benv.be_routine.ro_calls;
+(* an edge to [callee], virtual unless the call names its class, handed
+   to [note] for the interpreter *)
+and record_call t (benv : benv) ?(note = ignore) ?(qualified = false)
+    (callee : Il.routine_entity) ~loc : unit =
+  let cs =
+    { Il.cs_callee = callee.ro_id; cs_virtual = callee.ro_virt <> Virt_no && not qualified;
+      cs_loc = loc }
+  in
+  benv.be_routine.ro_calls <- cs :: benv.be_routine.ro_calls;
+  note cs;
   request_body t callee.ro_id
+
+(* notes the call expression [e] makes, for the interpreter *)
+and note_expr t (e : Ast.expr) cs = Il.note t.prog.Il.expr_calls e.Ast.eloc e cs
 
 and request_body t ro_id : unit =
   match Hashtbl.find_opt t.lazy_bodies ro_id with
@@ -1392,70 +1401,6 @@ and request_body t ro_id : unit =
       Hashtbl.remove t.lazy_bodies ro_id;
       Queue.add (ro_id, pb) t.body_queue
   | None -> ()
-
-(* pick the best overload for the given argument types *)
-and pick_overload t (candidates : Il.routine_entity list) (arg_tys : Il.type_id list) :
-    Il.routine_entity option =
-  let nargs = List.length arg_tys in
-  let viable =
-    List.filter
-      (fun (r : Il.routine_entity) ->
-        let nparams = List.length r.ro_params in
-        let required =
-          List.length (List.filter (fun p -> not p.pi_has_default) r.ro_params)
-        in
-        let (ellipsis : bool) =
-          match (Il.type_ t.prog r.ro_sig).ty_kind with
-          | Tfunc { ellipsis; _ } -> ellipsis
-          | _ -> false
-        in
-        nargs >= required && (nargs <= nparams || ellipsis))
-      candidates
-  in
-  let score (r : Il.routine_entity) =
-    let rec go ps args acc =
-      match (ps, args) with
-      | _, [] -> acc
-      | [], _ -> acc  (* extra args matched against ellipsis *)
-      | (p : Il.param_info) :: ps', a :: args' ->
-          let pa = Il.strip_qual_ref t.prog p.pi_type in
-          let aa = Il.strip_qual_ref t.prog a in
-          let s =
-            if pa = aa then 3
-            else
-              match ((Il.type_ t.prog pa).ty_kind, (Il.type_ t.prog aa).ty_kind) with
-              | Tbuiltin _, Tbuiltin _ -> 2
-              | Tclass pc, Tclass ac ->
-                  (* derived-to-base *)
-                  let rec derives c =
-                    c = pc
-                    || List.exists
-                         (fun (b : Il.base_spec) -> derives b.ba_class)
-                         (Il.class_ t.prog c).cl_bases
-                  in
-                  if derives ac then 2 else 0
-              | Tptr _, Tptr _ -> 2
-              | Tenum _, Tbuiltin _ | Tbuiltin _, Tenum _ -> 2
-              | Terror, _ | _, Terror -> 1
-              | _ -> 1
-          in
-          go ps' args' (acc + s)
-    in
-    go r.ro_params arg_tys 0
-  in
-  match viable with
-  | [] -> (match candidates with [] -> None | c :: _ -> Some c)
-  | _ ->
-      let best =
-        List.fold_left
-          (fun acc r ->
-            match acc with
-            | None -> Some (r, score r)
-            | Some (_, s) when score r > s -> Some (r, score r)
-            | _ -> acc)
-          None viable
-      in
-      Option.map fst best
 
 (* implicit default constructor / destructor, created on demand *)
 and implicit_member t (cl : Il.class_id) which : Il.routine_entity =
@@ -1483,7 +1428,7 @@ and implicit_member t (cl : Il.class_id) which : Il.routine_entity =
       r
 
 (* record a constructor call for creating an object of class [cl] *)
-and construct_class t benv (cl : Il.class_id) (arg_tys : Il.type_id list) ~loc : unit =
+and construct_class t benv ?note (cl : Il.class_id) (arg_tys : Il.type_id list) ~loc : unit =
   let c = Il.class_ t.prog cl in
   let ctors =
     List.filter
@@ -1494,11 +1439,9 @@ and construct_class t benv (cl : Il.class_id) (arg_tys : Il.type_id list) ~loc :
   let callee =
     match ctors with
     | [] -> Some (implicit_member t cl "ctor")
-    | _ -> pick_overload t ctors arg_tys
+    | _ -> Il.pick_overload t.prog ctors arg_tys
   in
-  (match callee with
-   | Some r -> record_call t benv r ~loc
-   | None -> ())
+  Option.iter (record_call t benv ?note ~loc) callee
 
 and destroy_class t benv (cl : Il.class_id) ~loc : unit =
   let c = Il.class_ t.prog cl in
@@ -1547,8 +1490,8 @@ and data_member_rec t (cl : Il.class_id) name : Il.data_member option =
       through c.cl_bases
 
 (* resolve a member call  obj.m(args) / obj->m(args) *)
-and member_call t benv obj_ty (m : Ast.qual_name) (arg_tys : Il.type_id list) ~loc :
-    Il.type_id =
+and member_call t benv (e : Ast.expr) obj_ty (m : Ast.qual_name) (arg_tys : Il.type_id list)
+    ~loc : Il.type_id =
   match Il.class_of_type t.prog obj_ty with
   | None ->
       (* not a class: tolerated (e.g. builtin pseudo-members) *)
@@ -1562,37 +1505,44 @@ and member_call t benv obj_ty (m : Ast.qual_name) (arg_tys : Il.type_id list) ~l
             (Il.class_ t.prog cl).cl_name name;
           Il.ty_error t.prog
       | candidates -> (
-          match pick_overload t candidates arg_tys with
+          let qualified = List.length m.Ast.parts > 1 in
+          match Il.pick_overload t.prog candidates arg_tys with
           | Some r ->
-              record_call t benv r ~loc;
+              record_call t benv ~note:(note_expr t e) ~qualified r ~loc;
               ret_type_of t r
           | None -> Il.ty_error t.prog))
 
-(* operator overload on class operands; returns None when not a class op *)
-and class_operator t benv op (lhs_ty : Il.type_id) (rhs_tys : Il.type_id list) ~loc :
-    Il.type_id option =
-  match Il.class_of_type t.prog lhs_ty with
-  | None -> None
-  | Some cl -> (
-      let name = "operator" ^ op in
-      match member_funcs_rec t cl name with
+(* the class of an operand's type, never through a pointer *)
+and operand_class t ty =
+  match (Il.type_ t.prog (Il.strip_qual_ref t.prog ty)).ty_kind with
+  | Tclass cl -> Some cl
+  | _ -> None
+
+and no_class t = function
+  | [] -> true
+  | ty :: rest -> Option.is_none (operand_class t ty) && no_class t rest
+
+(* An operator overload on class operands, never on a pointer to one: a
+   member of the left operand's class, else a free operator when either
+   operand is a class; None when the operator is the builtin one. *)
+and class_operator t benv (e : Ast.expr) op (lhs_ty : Il.type_id) (rhs_tys : Il.type_id list)
+    ~loc : Il.type_id option =
+  let lhs = operand_class t lhs_ty in
+  if Option.is_none lhs && no_class t rhs_tys then None
+  else
+    let name = "operator" ^ op in
+    let members = match lhs with Some cl -> member_funcs_rec t cl name | None -> [] in
+    let cands, arg_tys =
+      match members with
+      | _ :: _ -> (members, rhs_tys)
       | [] -> (
-          (* free operator function *)
           match Scope.find t.global name with
-          | Some (Scope.Sym_routines rs) -> (
-              let cands = List.map (Il.routine t.prog) !rs in
-              match pick_overload t cands (lhs_ty :: rhs_tys) with
-              | Some r ->
-                  record_call t benv r ~loc;
-                  Some (ret_type_of t r)
-              | None -> None)
-          | _ -> None)
-      | candidates -> (
-          match pick_overload t candidates rhs_tys with
-          | Some r ->
-              record_call t benv r ~loc;
-              Some (ret_type_of t r)
-          | None -> None))
+          | Some (Scope.Sym_routines rs) -> (List.map (Il.routine t.prog) !rs, lhs_ty :: rhs_tys)
+          | _ -> ([], []))
+    in
+    Option.map
+      (fun r -> record_call t benv ~note:(note_expr t e) r ~loc; ret_type_of t r)
+      (Il.pick_overload t.prog cands arg_tys)
 
 (* type an expression, recording call edges and triggering instantiations *)
 and ty_expr t benv (e : Ast.expr) : Il.type_id =
@@ -1618,33 +1568,23 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       | Tptr inner -> inner
       | Tarray (inner, _) -> inner
       | _ -> (
-          match class_operator t benv "*" ty [] ~loc with
+          match class_operator t benv e "*" ty [] ~loc with
           | Some r -> r
           | None -> Il.ty_error t.prog))
   | Ast.Unary ("&", a) -> Il.intern_type t.prog (Tptr (ty_expr t benv a))
   | Ast.Unary ("!", a) ->
-      ignore (ty_expr t benv a);
-      Il.ty_bool t.prog
-  | Ast.Unary (op, a) -> (
+      let ty = ty_expr t benv a in
+      Option.value (class_operator t benv e "!" ty [] ~loc) ~default:(Il.ty_bool t.prog)
+  | Ast.Unary (op, a) ->
       let ty = if op = "++" || op = "--" then store_type t benv a else ty_expr t benv a in
-      match Il.class_of_type t.prog ty with
-      | Some _ -> (
-          match class_operator t benv op ty [] ~loc with
-          | Some r -> r
-          | None -> ty)
-      | None -> ty)
-  | Ast.Postfix (op, a) -> (
+      Option.value (class_operator t benv e op ty [] ~loc) ~default:ty
+  | Ast.Postfix (op, a) ->
       let ty = store_type t benv a in
-      match Il.class_of_type t.prog ty with
-      | Some _ -> (
-          match class_operator t benv op ty [ Il.ty_int t.prog ] ~loc with
-          | Some r -> r
-          | None -> ty)
-      | None -> ty)
+      Option.value (class_operator t benv e op ty [ Il.ty_int t.prog ] ~loc) ~default:ty
   | Ast.Binary (op, a, b) -> (
       let ta = ty_expr t benv a in
       let tb = ty_expr t benv b in
-      match class_operator t benv op ta [ tb ] ~loc with
+      match class_operator t benv e op ta [ tb ] ~loc with
       | Some r -> r
       | None -> (
           match op with
@@ -1658,7 +1598,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
   | Ast.Assign (op, a, b) -> (
       let ta = store_type t benv a in
       let tb = ty_expr t benv b in
-      match class_operator t benv op ta [ tb ] ~loc with
+      match class_operator t benv e op ta [ tb ] ~loc with
       | Some r -> r
       | None -> ta)
   | Ast.Cond (c, a, b) ->
@@ -1666,7 +1606,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       let ta = ty_expr t benv a in
       ignore (ty_expr t benv b);
       ta
-  | Ast.Call (f, args) -> resolve_call t benv f args ~loc
+  | Ast.Call (f, args) -> resolve_call t benv e f args ~loc
   | Ast.Member (obj, _, m) -> (
       let oty = ty_expr t benv obj in
       match Il.class_of_type t.prog oty with
@@ -1685,7 +1625,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
   | Ast.Index (a, i) -> (
       let ta = ty_expr t benv a in
       let ti = ty_expr t benv i in
-      match class_operator t benv "[]" ta [ ti ] ~loc with
+      match class_operator t benv e "[]" ta [ ti ] ~loc with
       | Some r -> r
       | None -> (
           match (Il.type_ t.prog (Il.strip_qual_ref t.prog ta)).ty_kind with
@@ -1703,13 +1643,14 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
         match ty with
         | Ast.TName q -> (
             match resolve_name t benv.be_scope q ~loc with
-            | Some (Scope.Sym_routines rs) -> (
+            | Some (Scope.Sym_routines rs) ->
                 let cands = List.map (Il.routine t.prog) !rs in
-                match pick_overload t cands arg_tys with
-                | Some r ->
-                    record_call t benv r ~loc;
-                    Some (ret_type_of t r)
-                | None -> None)
+                let qualified = q.Ast.global || List.length q.Ast.parts > 1 in
+                Option.map
+                  (fun r ->
+                    record_call t benv ~note:(note_expr t e) ~qualified r ~loc;
+                    ret_type_of t r)
+                  (Il.pick_overload t.prog cands arg_tys)
             | _ -> None)
         | _ -> None
       in
@@ -1718,7 +1659,7 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       | None ->
           let tid = resolve_noted t benv.be_scope ty ~loc in
           (match Il.class_of_type t.prog tid with
-           | Some cl -> construct_class t benv cl arg_tys ~loc
+           | Some cl -> construct_class t benv ~note:(note_expr t e) cl arg_tys ~loc
            | None -> ());
           tid)
   | Ast.New (ty, args, n) -> (
@@ -1726,8 +1667,8 @@ and ty_expr t benv (e : Ast.expr) : Il.type_id =
       (match n with Some n -> ignore (ty_expr t benv n) | None -> ());
       let tid = resolve_noted t benv.be_scope ty ~loc in
       (match (Il.class_of_type t.prog tid, n) with
-       | Some cl, None -> construct_class t benv cl arg_tys ~loc
-       | Some cl, Some _ -> construct_class t benv cl [] ~loc
+       | Some cl, None -> construct_class t benv ~note:(note_expr t e) cl arg_tys ~loc
+       | Some cl, Some _ -> construct_class t benv ~note:(note_expr t e) cl [] ~loc
        | None, _ -> ());
       Il.intern_type t.prog (Tptr tid))
   | Ast.Delete (_, a) -> (
@@ -1801,12 +1742,13 @@ and id_type t benv (q : Ast.qual_name) ~loc : Il.type_id =
           Il.ty_error t.prog)
 
 (* resolve a call expression *)
-and resolve_call t benv (f : Ast.expr) (args : Ast.expr list) ~loc : Il.type_id =
+and resolve_call t benv (e : Ast.expr) (f : Ast.expr) (args : Ast.expr list) ~loc : Il.type_id =
   let arg_tys = List.map (ty_expr t benv) args in
+  let note = note_expr t e in
   match f.Ast.e with
   | Ast.Member (obj, _, m) ->
       let oty = ty_expr t benv obj in
-      member_call t benv oty m arg_tys ~loc
+      member_call t benv e oty m arg_tys ~loc
   | Ast.IdE q -> (
       let sym =
         (* unqualified name in a member context: member lookup first *)
@@ -1820,25 +1762,26 @@ and resolve_call t benv (f : Ast.expr) (args : Ast.expr list) ~loc : Il.type_id 
       match sym with
       | Some (Scope.Sym_routines rs) -> (
           let cands = List.map (Il.routine t.prog) !rs in
-          match pick_overload t cands arg_tys with
+          let qualified = q.Ast.global || List.length q.Ast.parts > 1 in
+          match Il.pick_overload t.prog cands arg_tys with
           | Some r ->
-              record_call t benv r ~loc;
+              record_call t benv ~note ~qualified r ~loc;
               ret_type_of t r
           | None -> Il.ty_error t.prog)
       | Some (Scope.Sym_template te_id) -> (
           (* function template call with deduction *)
           match deduce_and_instantiate t benv te_id args arg_tys ~loc with
           | Some r ->
-              record_call t benv r ~loc;
+              record_call t benv ~note r ~loc;
               ret_type_of t r
           | None -> Il.ty_error t.prog)
       | Some (Scope.Sym_class cl) ->
-          construct_class t benv cl arg_tys ~loc;
+          construct_class t benv ~note cl arg_tys ~loc;
           Il.intern_type t.prog (Tclass cl)
       | Some (Scope.Sym_var vs) -> (
           (* call through function pointer or functor *)
           match Il.class_of_type t.prog vs.vs_type with
-          | Some cl -> member_call t benv (Il.intern_type t.prog (Tclass cl))
+          | Some cl -> member_call t benv e (Il.intern_type t.prog (Tclass cl))
                          (Ast.simple_name "operator()") arg_tys ~loc
           | None -> (
               match (Il.type_ t.prog (Il.strip_qual_ref t.prog vs.vs_type)).ty_kind with
@@ -1851,7 +1794,7 @@ and resolve_call t benv (f : Ast.expr) (args : Ast.expr list) ~loc : Il.type_id 
       | Some (Scope.Sym_typedef ty) | Some (Scope.Sym_enum ty) ->
           (* functional cast through a typedef *)
           (match Il.class_of_type t.prog ty with
-           | Some cl -> construct_class t benv cl arg_tys ~loc
+           | Some cl -> construct_class t benv ~note cl arg_tys ~loc
            | None -> ());
           ty
       | Some (Scope.Sym_enum_const (ty, _)) -> ty
@@ -1864,7 +1807,7 @@ and resolve_call t benv (f : Ast.expr) (args : Ast.expr list) ~loc : Il.type_id 
       let fty = ty_expr t benv f in
       match Il.class_of_type t.prog fty with
       | Some _ -> (
-          match class_operator t benv "()" fty arg_tys ~loc with
+          match class_operator t benv e "()" fty arg_tys ~loc with
           | Some r -> r
           | None -> Il.ty_error t.prog)
       | None -> (
@@ -2037,6 +1980,7 @@ and block_end_loc (ss : Ast.stmt list) : Pdt_util.Srcloc.t =
 
 and elab_local_decl t benv (vd : Ast.var_decl) : unit =
   let loc = vd.Ast.v_loc in
+  let note = Il.note t.prog.Il.decl_calls loc vd in
   let ty = resolve_noted t benv.be_scope vd.Ast.v_type ~loc in
   Scope.bind benv.be_scope vd.Ast.v_name
     (Scope.Sym_var { vs_name = vd.Ast.v_name; vs_type = ty; vs_global = false });
@@ -2048,20 +1992,13 @@ and elab_local_decl t benv (vd : Ast.var_decl) : unit =
     | _ -> None
   in
   match vd.Ast.v_init with
-  | Ast.NoInit -> (
-      match direct_class with
-      | Some cl -> construct_class t benv cl [] ~loc
-      | None -> ())
-  | Ast.EqInit e -> (
+  | Ast.NoInit -> Option.iter (fun cl -> construct_class t benv ~note cl [] ~loc) direct_class
+  | Ast.EqInit e ->
       let ety = ty_expr t benv e in
-      match direct_class with
-      | Some cl -> construct_class t benv cl [ ety ] ~loc
-      | None -> ())
-  | Ast.CtorInit args -> (
+      Option.iter (fun cl -> construct_class t benv ~note cl [ ety ] ~loc) direct_class
+  | Ast.CtorInit args ->
       let arg_tys = List.map (ty_expr t benv) args in
-      match direct_class with
-      | Some cl -> construct_class t benv cl arg_tys ~loc
-      | None -> ())
+      Option.iter (fun cl -> construct_class t benv ~note cl arg_tys ~loc) direct_class
 
 (* ------------------------------------------------------------------ *)
 (* Routine body elaboration driver                                     *)
@@ -2094,14 +2031,15 @@ and elaborate_body t (ro_id : Il.routine_id) (pb : pending_body) : unit =
     let benv = { be_scope = psc; be_this = pb.pb_this; be_routine = r } in
     (* constructor member-initializers *)
     List.iter
-      (fun (name, args) ->
+      (fun ((name, args) as init) ->
         let arg_tys = List.map (ty_expr t benv) args in
+        let note = Il.note t.prog.Il.init_calls r.ro_loc init in
         match pb.pb_this with
         | Some cl -> (
             match data_member_rec t cl name with
             | Some dm -> (
                 match Il.class_of_type t.prog dm.dm_type with
-                | Some mcl -> construct_class t benv mcl arg_tys ~loc:dm.dm_loc
+                | Some mcl -> construct_class t benv ~note mcl arg_tys ~loc:dm.dm_loc
                 | None -> ())
             | None -> (
                 (* base class initializer *)
@@ -2117,7 +2055,7 @@ and elaborate_body t (ro_id : Il.routine_id) (pb : pending_body) : unit =
                     c.cl_bases
                 in
                 match base with
-                | Some b -> construct_class t benv b.ba_class arg_tys ~loc:r.ro_loc
+                | Some b -> construct_class t benv ~note b.ba_class arg_tys ~loc:r.ro_loc
                 | None -> ()))
         | None -> ())
       pb.pb_func.Ast.f_inits;

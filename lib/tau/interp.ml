@@ -5,8 +5,9 @@
     here the instrumented program runs on this interpreter, whose virtual
     cycles are deterministic, and CI checks its exit codes against g++ on
     test/gxx (see DESIGN.md, substitutions).  It executes the AST bodies the
-    front end attached to IL routines, dispatching member calls dynamically
-    (so virtual dispatch falls out of the object's dynamic class), with:
+    front end attached to IL routines, and each call runs the routine sema
+    resolved there (the PDB's [rcall] edge), dispatching on the receiver's
+    class only when the call is virtual, with:
 
     - a deterministic virtual-cycle cost model, so profiles are reproducible;
     - builtin implementations of the mini-STL ([vector], [ostream],
@@ -26,14 +27,13 @@
     kept in [t] by routine id; global initializers are translated too.
     Translation resolves what the text fixes: each local is a slot of the
     frame's cell array (a fresh cell each time its declaration runs),
-    constants are built, operators, the TAU and MPI builtins, routines,
-    enum constants and globals are looked up, and each store's [bind] is
-    chosen from its declared type (DESIGN §5).  What depends on run-time
-    values is cached per site on exactly what the lookup reads: a call's
-    routine on the receiver's class and the arguments' kind tags, a field's
-    index on the object's class (a non-local name is a field of [this],
-    else a global), a TAU label on the identity of its two parts; a miss
-    asks the per-run candidate, pick and layout tables.  No tick can move:
+    constants are built, each call's routine is the one sema noted, the TAU
+    and MPI builtins, enum constants and globals are looked up, and each
+    store's [bind] is chosen from its declared type (DESIGN §5).  What
+    depends on run-time values is cached per site on exactly what the
+    lookup reads: a virtual call's overrider and a field's index on the
+    object's class (a non-local name is a field of [this], else a global),
+    a TAU label on the identity of its two parts.  No tick can move:
     the closure of each AST expression and statement charges one tick when
     it runs and [invoke] charges one call, and neither a lookup nor a
     [bind] ever ticks, so a hit and a miss cost the same cycles;
@@ -87,30 +87,17 @@ type frame = {
 
 (* A routine translated to closures: its slot count, its parameters (slot
    or -1 when unnamed, by reference, [bind], default argument), its member
-   initializers (the base it names if any, else the field's cell and
-   [bind]; arguments) and its body. *)
+   initializers (each initializing a base or a field of the object) and its
+   body. *)
 type body = {
   nslots : int;
   params : (int * bool * (value -> value) * (frame -> value) option) array;
-  inits : (Il.class_id option * (obj -> value ref) * (value -> value) * (frame -> value) list) list;
+  inits : (obj -> frame -> unit) list;
   run : (frame -> unit) option;
 }
 
 (* A routine of the program, translated on its first invoke in a run. *)
 type code = { routine : Il.routine_entity; mutable body : body option }
-
-(* The candidate routines of one kind of call, with the overload picked for
-   each list of argument kind tags (see [pick]). *)
-type cands = {
-  routines : Il.routine_entity list;
-  picks : (int list, Il.routine_entity option) Hashtbl.t;
-}
-
-(* One call site's picks, newest first: the routine chosen for a receiver
-   class (-1 when there is none) and the arguments' kind tags. *)
-type pick_entry = { p_cl : int; p_tags : int array; p_code : code option }
-
-type site = { s_cands : Il.class_id -> cands; mutable picks_at : pick_entry list }
 
 (* A class's fields in its objects' cell order: bases first, then its own
    non-static members in IL order; [index] maps a name to its cell (the
@@ -130,12 +117,7 @@ type t = {
   mpi : int * int;      (** simulated (rank, size) for mpi_rank()/mpi_size() *)
   (* Lookup tables; the IL is immutable during execution. *)
   class_by_name : (string, Il.class_id) Hashtbl.t;  (** display name -> class *)
-  members : (Il.class_id * string, cands) Hashtbl.t;
-      (** member functions by name, inherited ones included; filled on use *)
-  ctors : (Il.class_id, cands) Hashtbl.t;  (** filled on use *)
   codes : (Il.routine_id, code) Hashtbl.t;  (** this run's routines, by id *)
-  free_routines : (string, cands) Hashtbl.t;  (** non-members, by name *)
-  free_operators : (string, cands) Hashtbl.t;  (** parentless routines, by name *)
   enum_constants : (string, int64) Hashtbl.t;
   layouts : (Il.class_id, layout) Hashtbl.t;  (** filled on use *)
 }
@@ -166,72 +148,10 @@ let class_base_name (c : Il.class_entity) =
   | Some i -> String.sub c.cl_name 0 i
   | None -> c.cl_name
 
-let rec member_funcs t (cl : Il.class_id) name : Il.routine_entity list =
-  let c = Il.class_ t.prog cl in
-  match Il.find_member_funcs t.prog c name with
-  | [] ->
-      let rec through = function
-        | [] -> []
-        | (b : Il.base_spec) :: rest -> (
-            match member_funcs t b.ba_class name with
-            | [] -> through rest
-            | fs -> fs)
-      in
-      through c.cl_bases
-  | fs -> fs
-
 let rec all_data_members t (cl : Il.class_id) : Il.data_member list =
   let c = Il.class_ t.prog cl in
   List.concat_map (fun (b : Il.base_spec) -> all_data_members t b.ba_class) c.cl_bases
   @ c.cl_members
-
-(* dynamic overload pick: by arity, then by value-kind proximity *)
-let pick_overload_dyn t (cands : Il.routine_entity list) (args : value list) :
-    Il.routine_entity option =
-  let nargs = List.length args in
-  let viable =
-    List.filter
-      (fun (r : Il.routine_entity) ->
-        let nparams = List.length r.ro_params in
-        let required =
-          List.length (List.filter (fun p -> not p.pi_has_default) r.ro_params)
-        in
-        let ellipsis =
-          match (Il.type_ t.prog r.ro_sig).ty_kind with
-          | Tfunc { ellipsis; _ } -> ellipsis
-          | _ -> false
-        in
-        nargs >= required && (nargs <= nparams || ellipsis))
-      cands
-  in
-  let kind_score (p : Il.param_info) (v : value) =
-    let pty = Il.strip_qual_ref t.prog p.pi_type in
-    match ((Il.type_ t.prog pty).ty_kind, deref v) with
-    | Tclass pc, Vobj o -> if pc = o.o_class then 3 else 2
-    | Tclass _, _ -> 0
-    | Tbuiltin { ykind = "int"; _ }, Vint _ -> 3
-    | Tbuiltin { ykind = "float"; _ }, Vdouble _ -> 3
-    | Tbuiltin { ykind = "bool"; _ }, Vbool _ -> 3
-    | Tbuiltin { ykind = "char"; _ }, Vchar _ -> 3
-    | Tbuiltin _, (Vint _ | Vdouble _ | Vbool _ | Vchar _) -> 2
-    | Tptr _, (Vptr _ | Vnull | Vstr _) -> 3
-    | _ -> 1
-  in
-  let score (r : Il.routine_entity) =
-    let rec go ps vs acc =
-      match (ps, vs) with
-      | _, [] | [], _ -> acc
-      | p :: ps', v :: vs' -> go ps' vs' (acc + kind_score p v)
-    in
-    go r.ro_params args 0
-  in
-  List.fold_left
-    (fun best r -> match best with Some b when score r <= score b -> best | _ -> Some r)
-    None viable
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch tables                                                     *)
-(* ------------------------------------------------------------------ *)
 
 (* [tbl]'s entry for [key], computed by [compute t key] on first use *)
 let memo tbl compute t key =
@@ -239,37 +159,62 @@ let memo tbl compute t key =
   | Some v -> v
   | None -> let v = compute t key in Hashtbl.add tbl key v; v
 
-let cands routines = { routines; picks = Hashtbl.create 4 }
+(* the interned type of kind [k], if the program has it; none is added *)
+let find_type t k = Hashtbl.find_opt t.prog.type_intern (Il.type_key t.prog k)
 
-(* [pick_overload_dyn] sees of an argument only its value's constructor and,
-   for an object, its class: the tag carries exactly that *)
-let rec kind_tag = function
-  | Vunit -> 0 | Vint _ -> 1 | Vdouble _ -> 2 | Vbool _ -> 3 | Vchar _ -> 4
-  | Vstr _ -> 5 | Vptr _ -> 6 | Vnull -> 7 | Varr _ -> 8 | Vobj o -> 9 + o.o_class
-  | Vref cell -> kind_tag !cell
+let find_builtin t bname = find_type t (Tbuiltin { bname; ykind = ""; yikind = "" })
 
-let pick t (c : cands) (args : value list) : Il.routine_entity option =
-  match c.routines with
-  | [] -> None
-  | routines -> (
-      let tags = List.map kind_tag args in
-      match Hashtbl.find_opt c.picks tags with
-      | Some r -> r
-      | None ->
-          let r = pick_overload_dyn t routines args in
-          Hashtbl.add c.picks tags r;
-          r)
+(* The IL type of a value at a site where sema noted no call, as far as the
+   value tells: an integer is an int, a floating value a double, a string
+   literal a const char *, an object its class, a pointer one to its
+   target's type; None for a null pointer. *)
+let rec value_type t v =
+  let ptr_to ty = Option.bind ty (fun ty -> find_type t (Tptr ty)) in
+  match deref v with
+  | Vint _ -> find_builtin t "int"
+  | Vdouble _ -> find_builtin t "double"
+  | Vchar _ -> find_builtin t "char"
+  | Vbool _ -> find_builtin t "bool"
+  | Vstr _ ->
+      ptr_to
+        (Option.bind (find_builtin t "char") (fun c ->
+             find_type t (Tqual { base = c; q_const = true; q_volatile = false })))
+  | Vobj o -> find_type t (Tclass o.o_class)
+  | Vptr { contents = Varr a } when Array.length a > 0 -> ptr_to (value_type t !(a.(0)))
+  | Vptr cell -> ptr_to (value_type t !cell)
+  | Vunit | Vnull | Varr _ | Vref _ -> None
 
-let member_cands t (cl : Il.class_id) name : cands =
-  memo t.members (fun t (cl, name) -> cands (member_funcs t cl name)) t (cl, name)
+(* The routine of [candidates] that [args] call where sema noted no call:
+   sema's rule on the values' types; None when a value has no type. *)
+let pick_on_values t candidates args =
+  let tys = List.map (value_type t) args in
+  if List.mem None tys then None
+  else Il.pick_overload t.prog candidates (List.map Option.get tys)
 
-let ctor_cands t (cl : Il.class_id) : cands =
-  memo t.ctors
-    (fun t cl ->
-      cands
-        (List.filter (fun r -> r.ro_kind = Rk_ctor)
-           (List.map (Il.routine t.prog) (Il.class_ t.prog cl).cl_funcs)))
-    t cl
+let members t cl = List.map (Il.routine t.prog) (Il.class_ t.prog cl).cl_funcs
+
+let ctors t cl = List.filter (fun r -> r.ro_kind = Rk_ctor) (members t cl)
+
+(* the member functions of [cl] that [keep] selects, or else those of its
+   nearest base that has any *)
+let rec nearest t cl keep =
+  match List.filter keep (members t cl) with
+  | [] ->
+      List.fold_left
+        (fun found (b : Il.base_spec) ->
+          match found with [] -> nearest t b.ba_class keep | _ -> found)
+        [] (Il.class_ t.prog cl).cl_bases
+  | found -> found
+
+(* the overrider of [r] for an object of class [cl]: the member of [cl], or
+   of its nearest base, with [r]'s name and parameter types *)
+let overrider t (r : Il.routine_entity) cl =
+  let same (m : Il.routine_entity) =
+    m.ro_name = r.ro_name
+    && List.equal (fun (p : Il.param_info) (q : Il.param_info) -> p.pi_type = q.pi_type)
+         m.ro_params r.ro_params
+  in
+  match nearest t cl same with m :: _ -> m | [] -> r
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                              *)
@@ -332,20 +277,6 @@ let value_to_display_string = function
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the routines [keep] selects, grouped by name, each group in Hashtbl.iter
-   order reversed unless [order] sorts it *)
-let routines_by_name (prog : Il.program) keep order : (string, cands) Hashtbl.t =
-  let groups = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ (r : Il.routine_entity) ->
-      if keep r then
-        Hashtbl.replace groups r.ro_name
-          (r :: Option.value (Hashtbl.find_opt groups r.ro_name) ~default:[]))
-    prog.Il.routines;
-  let by_name = Hashtbl.create (Hashtbl.length groups) in
-  Hashtbl.iter (fun name rs -> Hashtbl.replace by_name name (cands (order rs))) groups;
-  by_name
-
 let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
     ?(max_steps = 50_000_000L) ?(mpi = (0, 1)) (prog : Il.program) : t =
   let class_by_name = Hashtbl.create 64 in
@@ -354,13 +285,6 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
       if not (Hashtbl.mem class_by_name c.cl_name) then
         Hashtbl.replace class_by_name c.cl_name id)
     prog.Il.classes;
-  let free_routines =
-    routines_by_name prog
-      (fun r -> match r.ro_parent with Pclass _ -> false | _ -> true)
-      (List.sort (fun a b -> compare a.Il.ro_id b.Il.ro_id))
-  in
-  (* unsorted: the candidate order decides overload ties *)
-  let free_operators = routines_by_name prog (fun r -> r.ro_parent = Pnone) Fun.id in
   (* the first enum (in table order) that declares a name wins *)
   let enum_constants = Hashtbl.create 16 in
   Hashtbl.iter
@@ -380,8 +304,7 @@ let create ?(instrumented = true) ?(tracing = false) ?callpath ?throttle
   { prog; globals = Hashtbl.create 64; output = Buffer.create 256;
     profiler = Rt.create ~tracing ?callpath ?throttle (); cycles = 0; steps = 0;
     max_steps; depth = 0; instrumented = true && instrumented; mpi; class_by_name;
-    members = Hashtbl.create 64; ctors = Hashtbl.create 16; codes = Hashtbl.create 64;
-    free_routines; free_operators; enum_constants; layouts = Hashtbl.create 16 }
+    codes = Hashtbl.create 64; enum_constants; layouts = Hashtbl.create 16 }
 
 (* type name of a value, used by the CT() macro *)
 let type_name_of_value t = function
@@ -678,12 +601,11 @@ let new_ctx t rett = { t; scope = []; nslots = 0; leaky = []; rett }
    initializer or a default argument; there a builtin is found by its
    spelling and a class by its name, and no type is added. *)
 let ast_type t loc (ty : Ast.type_expr) =
-  let find k = Hashtbl.find_opt t.prog.type_intern (Il.type_key t.prog k) in
   match (Il.noted t.prog.ast_types loc ty, Ast.unqual ty) with
-  | None, Ast.TBuiltin b -> find (Tbuiltin { bname = Ast.builtin_name b; ykind = ""; yikind = "" })
+  | None, Ast.TBuiltin b -> find_builtin t (Ast.builtin_name b)
   | None, Ast.TName q ->
       Option.bind (Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q)) (fun cl ->
-          find (Tclass cl))
+          find_type t (Tclass cl))
   | id, _ -> id
 
 (* The type a store to [e] writes, cv and references stripped, as sema typed
@@ -700,39 +622,33 @@ let field_type t cl name =
 let code_of t (r : Il.routine_entity) : code =
   memo t.codes (fun _ _ -> { routine = r; body = None }) t r.ro_id
 
-(* [f cl], recomputed only when [cl] differs from the last call's *)
+(* the call sema noted at expression [e], if any *)
+let noted_call t (e : Ast.expr) = Il.noted t.prog.expr_calls e.Ast.eloc e
+
+let callee_routine t (cs : Il.call_site) = Il.routine t.prog cs.cs_callee
+
+(* whether [r] runs on a receiver *)
+let on_receiver (r : Il.routine_entity) =
+  match r.ro_parent with Pclass _ -> not r.ro_static | _ -> false
+
+(* the object a member call runs on *)
+let receiver = function
+  | Vobj o | Vptr { contents = Vobj o } -> o
+  | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
+  | Vptr _ -> error "method call through non-object pointer"
+  | _ -> error "method call on non-object"
+
+let rec find_class cl = function
+  | (c, a) :: rest -> if c = cl then a else find_class cl rest
+  | [] -> raise_notrace Not_found
+
+(* [f cl], computed once per site for each class it meets *)
 let per_class f =
-  let last = ref (-1) and answer = ref None in
+  let seen = ref [] in
   fun cl ->
-    match !answer with
-    | Some a when cl = !last -> a
-    | _ -> let a = f cl in answer := Some a; last := cl; a
-
-let site s_cands = { s_cands; picks_at = [] }
-
-let rec tags_match tags i = function
-  | [] -> i = Array.length tags
-  | v :: rest ->
-      i < Array.length tags && Array.unsafe_get tags i = kind_tag v && tags_match tags (i + 1) rest
-
-(* the routine [site] calls on a receiver of class [cl] (-1: none) with
-   [args]: [pick]'s answer, kept per site for the pair the pick reads *)
-let site_code t (s : site) cl (args : value list) : code option =
-  let rec find = function
-    | [] ->
-        let code = Option.map (code_of t) (pick t (s.s_cands cl) args) in
-        s.picks_at <-
-          { p_cl = cl; p_tags = Array.of_list (List.map kind_tag args); p_code = code }
-          :: s.picks_at;
-        code
-    | e :: rest -> if e.p_cl = cl && tags_match e.p_tags 0 args then e.p_code else find rest
-  in
-  find s.picks_at
-
-let method_site t name = site (fun cl -> member_cands t cl name)
-
-(* a site over fixed candidates, for free routines and operators *)
-let free_site c = site (fun _ -> c)
+    match !seen with
+    | (c, a) :: _ when c = cl -> a
+    | l -> ( try find_class cl l with Not_found -> let a = f cl in seen := (cl, a) :: l; a)
 
 (* leave a frame: close the TAU timers it opened *)
 let finish t frame v =
@@ -847,7 +763,7 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
   let frame = { slots; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
   bind_params b frame args;
   (match this_obj with
-   | Some o when code.routine.ro_kind = Rk_ctor -> run_inits t b o frame
+   | Some o when code.routine.ro_kind = Rk_ctor -> List.iter (fun init -> init o frame) b.inits
    | _ -> ());
   match b.run with
   | None ->
@@ -864,47 +780,98 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
           ignore (finish t frame Vunit);
           raise ex)
 
-and run_inits t b (o : obj) frame =
-  List.iter
-    (fun (base, field, conv, init_args) ->
-      let vargs = List.map (fun a -> deref (a frame)) init_args in
-      let cell = field o in
-      match (!cell, vargs, base) with
-      | _, _, Some bc when cell == no_cell -> init_obj t o bc vargs
-      | _ when cell == no_cell -> ()
-      | Vobj fo, _, _ -> init_obj t fo fo.o_class vargs
-      | _, [ v ], _ -> cell := conv v
-      | _ -> ())
-    b.inits
+(* The routine sema noted a call to, as the call runs it on a receiver
+   (None for a free or static routine): a member of a builtin mini-STL
+   class runs as that builtin, a virtual call runs the overrider in the
+   receiver's class (found once per class at this site), any other call
+   the routine itself. *)
+and callee t (cs : Il.call_site) : obj option -> value list -> value =
+  let r = callee_routine t cs in
+  match r.ro_parent with
+  | Pclass cl when builtin_state t cl <> None -> (
+      let name = r.ro_name in
+      (* push_back stores its element as the parameter's type *)
+      let args =
+        match (name, r.ro_params) with
+        | "push_back", [ p ] ->
+            let conv = bind t (Some (Il.strip_qual_ref t.prog p.pi_type)) in
+            List.map (fun v -> conv (deref v))
+        | _ -> Fun.id
+      in
+      fun this vargs ->
+        let v = match this with Some o -> builtin_method t o name (args vargs) | None -> absent in
+        if v != absent then v
+        else error "no builtin '%s' on class %s" name (Il.class_ t.prog cl).cl_name)
+  | Pclass _ when cs.cs_virtual -> (
+      let code_in = per_class (fun cl -> code_of t (overrider t r cl)) in
+      fun this args ->
+        match this with
+        | Some o -> invoke t (code_in o.o_class) this args
+        | None -> invoke t (code_of t r) None args)
+  | _ ->
+      let code = code_of t r in
+      fun this args -> invoke t code this args
 
-(* a call of a free routine or static member through [s], [absent] when no
-   candidate is viable *)
-and call_free t (s : site) (args : value list) : value =
-  match site_code t s (-1) args with Some code -> invoke t code None args | None -> absent
+(* an operator sema noted, applied to its first operand and the rest: a
+   member runs on the first *)
+and operator t (cs : Il.call_site) : value -> value list -> value =
+  let run = callee t cs in
+  match (callee_routine t cs).ro_parent with
+  | Pclass _ -> (
+      fun v rest ->
+        match deref v with Vobj o -> run (Some o) rest | _ -> error "operator on a non-object")
+  | _ -> fun v rest -> run None (v :: rest)
 
-(* method call with dynamic dispatch, [absent] when [o] has no such method *)
-and call_method t (s : site) (o : obj) name (args : value list) : value =
-  let v = builtin_method t o name args in
-  if v != absent then v
-  else
-    match site_code t s o.o_class args with
-    | Some code -> invoke t code (Some o) args
-    | None -> absent
+(* The routine [name] that the values pick where sema noted no call (in a
+   global initializer or a default argument): a builtin method of [this],
+   or a member of its class or nearest base, taking [args]; else a free
+   routine taking [free_args]. *)
+and call_by_name t name (this : obj option) args free_args : value =
+  let run this candidates args =
+    Option.map (fun r -> invoke t (code_of t r) this args) (pick_on_values t candidates args)
+  in
+  let member =
+    match this with
+    | Some o when o.o_builtin <> None ->
+        let v = builtin_method t o name args in
+        if v != absent then Some v else None
+    | Some o -> run this (nearest t o.o_class (fun m -> m.ro_name = name)) args
+    | None -> None
+  in
+  match member with
+  | Some v -> v
+  | None -> (
+      let free r = r.ro_name = name && not (on_receiver r) in
+      match run None (List.filter free (Il.routines t.prog)) free_args with
+      | Some v -> v
+      | None -> error "no routine '%s' for these arguments" name)
 
-(* a new object of class [cl] from [args] *)
-and construct t (cl : Il.class_id) (args : value list) : value =
+(* the operator [name] at [e] on its operands: the one sema noted, else by
+   name on the first operand's class or free *)
+and operator_at t (e : Ast.expr) name : value -> value list -> value =
+  match noted_call t e with
+  | Some cs -> operator t cs
+  | None -> (
+      fun v rest ->
+        match deref v with
+        | Vobj o -> call_by_name t name (Some o) rest (v :: rest)
+        | _ -> call_by_name t name None [] (v :: rest))
+
+(* a new object of class [cl] from [args], built by [ctor] (see [init_obj]) *)
+and construct t (cl : Il.class_id) ctor (args : value list) : value =
   let o = make_object t cl in
-  init_obj t o cl args;
+  init_obj t o cl ctor args;
   Vobj o
 
-(* Initialize [o] as a [cl] from [args]: one object of [cl] or of a class
+(* Initialize [o] as a [cl] from [args] with [ctor], the constructor sema
+   noted, or else the one the values pick: one object of [cl] or of a class
    derived from it is copied, sliced, unless a written copy constructor
-   takes it; a builtin runs its own constructor; else the picked written
+   takes it; a builtin runs its own constructor; else a written or implicit
    constructor runs once the bases and class-typed fields its initializers
    skip are default-constructed. *)
-and init_obj t (o : obj) (cl : Il.class_id) (args : value list) : unit =
+and init_obj t (o : obj) (cl : Il.class_id) ctor (args : value list) : unit =
   let ctor =
-    match pick t (ctor_cands t cl) args with
+    match (match ctor with None -> pick_on_values t (ctors t cl) args | c -> c) with
     | Some c when c.ro_defined || c.ro_body <> None -> Some c
     | _ -> None
   in
@@ -930,13 +897,13 @@ and construct_bases_and_fields t (o : obj) (cl : Il.class_id) ~skip : unit =
     (fun (b : Il.base_spec) ->
       let bc = Il.class_ t.prog b.ba_class in
       if not (List.mem bc.cl_name skip || List.mem (class_base_name bc) skip) then
-        init_obj t o b.ba_class [])
+        init_obj t o b.ba_class None [])
     c.cl_bases;
   List.iter
     (fun (m : Il.data_member) ->
       if (not m.dm_static) && not (List.mem m.dm_name skip) then
         match !(field_of t o m.dm_name) with
-        | Vobj fo -> init_obj t fo fo.o_class []
+        | Vobj fo -> init_obj t fo fo.o_class None []
         | _ -> ())
     c.cl_members
 
@@ -965,8 +932,9 @@ and bind t (ty : Il.type_id option) : value -> value =
   | Some (Tref _) -> Fun.id
   | Some (Tclass cl) -> (
       function
-      | Vobj src as v when src.o_class <> cl && derives t src.o_class cl -> construct t cl [ v ]
-      | (Vstr _ | Vint _ | Vdouble _ | Vchar _ | Vbool _) as v -> construct t cl [ v ]
+      | Vobj src as v when src.o_class <> cl && derives t src.o_class cl ->
+          construct t cl None [ v ]
+      | (Vstr _ | Vint _ | Vdouble _ | Vchar _ | Vbool _) as v -> construct t cl None [ v ]
       | v -> copy_value v)
   | _ -> copy_value
 
@@ -989,15 +957,25 @@ and translate t (code : code) : body =
   in
   let inits =
     List.map
-      (fun (name, args) ->
+      (fun ((name, args) as init) ->
         (* a base initializer names a direct base of the constructor's class *)
         let base (b : Il.base_spec) =
           let c = Il.class_ t.prog b.ba_class in
           if class_base_name c = name || c.cl_name = name then Some b.ba_class else None
         in
         let base = Option.bind cls (fun cl -> List.find_map base (Il.class_ t.prog cl).cl_bases) in
+        let ctor = Option.map (callee_routine t) (Il.noted t.prog.init_calls r.ro_loc init) in
         let conv = bind t (Option.bind cls (fun cl -> field_type t cl name)) in
-        (base, field_cell t name, conv, List.map (fun a -> (expr ctx a).rv) args))
+        let field = field_cell t name and args = List.map (fun a -> (expr ctx a).rv) args in
+        fun o frame ->
+          let vargs = List.map (fun a -> deref (a frame)) args in
+          let cell = field o in
+          match (!cell, vargs, base) with
+          | _, _, Some bc when cell == no_cell -> init_obj t o bc ctor vargs
+          | _ when cell == no_cell -> ()
+          | Vobj fo, _, _ -> init_obj t fo fo.o_class ctor vargs
+          | _, [ v ], _ -> cell := conv v
+          | _ -> ())
       r.ro_inits
   in
   let run = Option.map (stmt ctx ~direct:false) r.ro_body in
@@ -1028,16 +1006,13 @@ and expr ctx (e : Ast.expr) : cexpr =
           let c = a.lv f in
           if c != no_cell then Vptr c else Vptr (ref (a.rv f)))
   | Ast.Unary ("*", a) ->
-      let a = expr ctx a and s = method_site t "operator*" in
+      let a = expr ctx a and on_object = operator_at t e "operator*" in
       { rv =
           (fun f ->
             tick t cost_expr;
             match deref (a.rv f) with
             | Vptr cell -> !cell
-            | Vobj o -> (
-                (* operator* on an object *)
-                let v = call_method t s o "operator*" [] in
-                if v != absent then v else error "no operator* on object")
+            | Vobj _ as v -> on_object v []
             | Vnull -> raise (Cpp_exception (Vstr "null pointer dereference"))
             | v -> v);
         lv = (fun f -> match deref (a.rv f) with Vptr cell -> cell | _ -> no_cell) }
@@ -1045,14 +1020,12 @@ and expr ctx (e : Ast.expr) : cexpr =
       (* an object calls its class's operator, postfix passing the dummy
          int; a scalar takes the builtin operation *)
       let postfix = match e.Ast.e with Ast.Postfix _ -> true | _ -> false in
-      let opname = "operator" ^ op and args = if postfix then [ vint 0L ] else [] in
-      let bump = bump op (bind t (store_type t a)) in
-      let a = expr ctx a and s = method_site t opname in
-      let on_object o =
-        let v = call_method t s o opname args in
-        if v != absent then v
-        else error "no operator%s on class %s" op (Il.class_ t.prog o.o_class).cl_name
+      let on_object =
+        let run = operator_at t e ("operator" ^ op) in
+        if postfix then fun v -> run v [ vint 0L ] else fun v -> run v []
       in
+      let bump = bump op (bind t (store_type t a)) in
+      let a = expr ctx a in
       let scalar : value -> value =
         match op with
         | "!" -> fun v -> vbool (not (truthy v))
@@ -1062,7 +1035,7 @@ and expr ctx (e : Ast.expr) : cexpr =
         | "++" | "--" -> fun _ -> error "cannot increment non-lvalue"
         | _ -> fun _ -> error "unsupported operator '%s'" op
       in
-      let on_value f = match deref (a.rv f) with Vobj o -> on_object o | v -> scalar v in
+      let on_value f = match deref (a.rv f) with Vobj _ as v -> on_object v | v -> scalar v in
       if op <> "++" && op <> "--" then rv (fun f -> tick t cost_expr; on_value f)
       else
         rv (fun f ->
@@ -1071,7 +1044,7 @@ and expr ctx (e : Ast.expr) : cexpr =
             if cell == no_cell then on_value f
             else
               match !cell with
-              | Vobj o -> on_object o
+              | Vobj _ -> on_object (Vref cell)
               | old -> bump cell; if postfix then old else !cell)
   | Ast.Binary (("&&" | "||") as op, a, b) ->
       let a = expr ctx a and b = expr ctx b and conj = op = "&&" in
@@ -1081,44 +1054,29 @@ and expr ctx (e : Ast.expr) : cexpr =
           let x = truthy (deref (a.rv f)) in
           vbool (if x <> conj then x else truthy (deref (b.rv f))))
   | Ast.Binary (op, a, b) ->
+      (* an object operand calls an operator, scalars take the builtin one *)
       let a = expr ctx a and b = expr ctx b in
-      let arith = binop op and opname = "operator" ^ op in
-      let s = method_site t opname in
-      let free_operator =
-        match Hashtbl.find_opt t.free_operators opname with
-        | None -> fun _ -> absent
-        | Some c -> call_free t (free_site c)
-      in
+      let arith = binop op and on_objects = operator_at t e ("operator" ^ op) in
       rv (fun f ->
           tick t cost_expr;
-          match deref (a.rv f) with
-          | Vobj o as va -> (
-              let vb = deref (b.rv f) in
-              let v = call_method t s o opname [ vb ] in
-              let v = if v != absent then v else free_operator [ va; vb ] in
-              if v != absent then v
-              else error "no operator%s for class %s" op (Il.class_ t.prog o.o_class).cl_name)
-          | va -> (
-              match deref (b.rv f) with
-              | Vobj _ as vb ->
-                  (* e.g. 1 + obj via free operator *)
-                  let v = free_operator [ va; vb ] in
-                  if v != absent then v else arith va vb
-              | vb -> arith va vb))
-  | Ast.Assign (op, a, b) -> assign ctx op a b
+          let va = deref (a.rv f) in
+          let vb = deref (b.rv f) in
+          match (va, vb) with Vobj _, _ | _, Vobj _ -> on_objects va [ vb ] | _ -> arith va vb)
+  | Ast.Assign (op, a, b) -> assign ctx e op a b
   | Ast.Cond (c, a, b) ->
       let c = expr ctx c and a = expr ctx a and b = expr ctx b in
       rv (fun f ->
           tick t cost_expr;
           if truthy (deref (c.rv f)) then deref (a.rv f) else deref (b.rv f))
   | Ast.Call (callee, args) ->
-      let call = call ctx callee args in
+      let call = call ctx e callee args in
       { rv = call; lv = (fun f -> match call f with Vref cell -> cell | _ -> no_cell) }
   | Ast.Member (oe, _, m) ->
       let cell = member ctx oe m in
       { rv = (fun f -> tick t cost_expr; !(cell f)); lv = cell }
   | Ast.Index (a, i) ->
-      let a = expr ctx a and i = expr ctx i and s = method_site t "operator[]" in
+      let a = expr ctx a and i = expr ctx i in
+      let on_object = operator_at t e "operator[]" in
       (* an array element, or through a non-array pointer index 0 *)
       let cell va vi =
         match va with
@@ -1134,10 +1092,7 @@ and expr ctx (e : Ast.expr) : cexpr =
             let va = deref (a.rv f) in
             let vi = deref (i.rv f) in
             match va with
-            | Vobj o ->
-                let v = call_method t s o "operator[]" [ vi ] in
-                if v != absent then deref v
-                else error "no operator[] on class %s" (Il.class_ t.prog o.o_class).cl_name
+            | Vobj _ -> deref (on_object va [ vi ])
             | Vstr s ->
                 let idx = Int64.to_int (to_int vi) in
                 if idx >= 0 && idx < String.length s then Vchar (Char.code s.[idx]) else Vchar 0
@@ -1155,24 +1110,28 @@ and expr ctx (e : Ast.expr) : cexpr =
             let va = deref (a.rv f) in
             let vi = deref (i.rv f) in
             match va with
-            | Vobj o -> (
-                match call_method t s o "operator[]" [ vi ] with
-                | v when v == absent -> no_cell
-                | Vref cell -> cell
-                | v -> ref v)
-            | va -> cell va vi) }
+            | Vobj _ -> ( match on_object va [ vi ] with Vref cell -> cell | v -> ref v)
+            | _ -> cell va vi) }
   | Ast.CCast (ty, a) | Ast.NamedCast (_, ty, a) ->
       let a = expr ctx a and conv = bind t (ast_type t e.Ast.eloc ty) in
       rv (fun f -> tick t cost_expr; conv (deref (a.rv f)))
   | Ast.Construct (ty, args) ->
-      let make = construct_from_type ctx e.Ast.eloc ty args in
+      let make = construct_from_type ctx e ty args in
       rv (fun f -> tick t cost_expr; make f)
   | Ast.New (ty, args, None) ->
-      let make = construct_from_type ctx e.Ast.eloc ty (Option.value args ~default:[]) in
+      let make = construct_from_type ctx e ty (Option.value args ~default:[]) in
       rv (fun f -> tick t cost_expr; Vptr (ref (make f)))
   | Ast.New (ty, _, Some n) ->
+      (* each element of a class is built by the constructor sema noted *)
       let n = expr ctx n and ty = ast_type t e.Ast.eloc ty in
-      let elem _ = ref (match ty with Some ty -> default_value t ty | None -> Vint 0L) in
+      let elem =
+        match (class_of t ty, ty) with
+        | Some cl, _ ->
+            let make = construct t cl (Option.map (callee_routine t) (noted_call t e)) in
+            fun _ -> ref (make [])
+        | None, Some ty -> fun _ -> ref (default_value t ty)
+        | None, None -> fun _ -> ref (Vint 0L)
+      in
       rv (fun f ->
           tick t cost_expr;
           let n = Int64.to_int (to_int (deref (n.rv f))) in
@@ -1239,31 +1198,28 @@ and member ctx (oe : Ast.expr) (m : Ast.qual_name) : frame -> value ref =
     | Vnull -> raise (Cpp_exception (Vstr "null pointer member access"))
     | _ -> error "member access on non-object"
 
-and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
+(* [a op b]: the operator sema noted, on [a]'s cell, else the builtin
+   store (an object assigned field by field) *)
+and assign ctx (e : Ast.expr) op (a : Ast.expr) (b : Ast.expr) : cexpr =
   let t = ctx.t in
   let b = expr ctx b and conv = bind t (store_type t a) and a = expr ctx a in
-  let opname = "operator" ^ op in
-  let s = method_site t opname in
-  let has_op =
-    per_class (fun cl -> Il.find_member_funcs t.prog (Il.class_ t.prog cl) opname <> [])
-  in
   let update =
-    if op = "=" then fun cell cur vb ->
-      (match (cur, vb) with
-       | Vobj o, Vobj src -> assign_obj t o src
-       | Vobj _, _ -> error "cannot assign a non-object to an object"
-       | _ -> cell := conv vb);
-      !cell
-    else
-      let arith = binop (String.sub op 0 (String.length op - 1)) in
-      fun cell cur vb ->
-        match cur with
-        | Vobj o -> (
-            let v = call_method t s o opname [ vb ] in
-            if v != absent then v else error "no operator%s" op)
-        | _ ->
-            cell := conv (arith cur vb);
-            !cell
+    match noted_call t e with
+    | Some cs -> let run = operator t cs in fun cell vb -> run (Vref cell) [ vb ]
+    | None when op = "=" -> (
+        fun cell vb ->
+          (match (!cell, vb) with
+           | Vobj o, Vobj src -> assign_obj t o src
+           | Vobj _, _ -> error "cannot assign a non-object to an object"
+           | _ -> cell := conv vb);
+          !cell)
+    | None -> (
+        let arith = binop (String.sub op 0 (String.length op - 1)) in
+        let on_object = operator_at t e ("operator" ^ op) in
+        fun cell vb ->
+          match !cell with
+          | Vobj _ -> on_object (Vref cell) [ vb ]
+          | cur -> cell := conv (arith cur vb); !cell)
   in
   { rv =
       (fun f ->
@@ -1271,11 +1227,7 @@ and assign ctx op (a : Ast.expr) (b : Ast.expr) : cexpr =
         let vb = deref (b.rv f) in
         let cell = a.lv f in
         if cell == no_cell then error "cannot assign to non-lvalue";
-        match !cell with
-        | Vobj o when has_op o.o_class -> (
-            let v = call_method t s o opname [ vb ] in
-            if v != absent then v else error "operator%s failed" op)
-        | cur -> update cell cur vb);
+        update cell vb);
     lv = no_lv }
 
 (* an lvalue argument is passed in flight, so a T& parameter can alias it;
@@ -1300,112 +1252,91 @@ and values ctx (args : Ast.expr list) : frame -> value list =
   let args = List.map (fun a -> let a = expr ctx a in fun f -> deref (a.rv f)) args in
   fun f -> eval_each f args
 
-and construct_from_type ctx loc (ty : Ast.type_expr) (args : Ast.expr list) : frame -> value =
+(* [T(args)] or [new T(args)] at [e]: a class is built by the constructor
+   sema noted; a routine sema noted instead (a qualified call read as
+   [T(x)], such as [C::f(x)], or [B::val()] on [this]) runs; a scalar
+   converts, [T()] giving 0 of its type. *)
+and construct_from_type ctx (e : Ast.expr) (ty : Ast.type_expr) (args : Ast.expr list) :
+    frame -> value =
   let t = ctx.t in
-  let vargs = values ctx args and rty = ast_type t loc ty in
-  match class_of t rty with
-  | Some cl -> fun f -> construct t cl (vargs f)
-  | None -> (
-      match ty with
-      | Ast.TName { parts; global } when List.length parts >= 2 -> (
-          (* qualified call parsed as a cast: Class::static_member(args) *)
-          let front = List.filteri (fun i _ -> i < List.length parts - 1) parts in
-          let last = (List.nth parts (List.length parts - 1)).Ast.id in
-          let cname = Ast.qual_name_to_string { Ast.global; parts = front } in
-          let call =
-            match Hashtbl.find_opt t.class_by_name cname with
-            | None -> fun _ -> error "unknown class '%s'" cname
-            | Some cl ->
-                let c = member_cands t cl last in
-                if c.routines = [] then fun _ -> error "no member '%s' in %s" last cname
-                else
-                  let s = free_site c in
-                  fun vargs ->
-                    let v = call_free t s vargs in
-                    if v != absent then v else error "no viable overload for %s::%s" cname last
-          in
-          fun f -> call (vargs f))
-      | _ -> (
-          (* a scalar's functional cast, or T(): 0 of its type *)
-          let conv = bind t rty in
-          let zero = conv (Vint 0L) in
-          fun f -> match vargs f with [] -> zero | [ v ] -> conv v | v :: _ -> v))
-
-(* function-call expression, the Call node's tick included *)
-and call ctx (callee : Ast.expr) (cargs : Ast.expr list) : frame -> value =
-  let t = ctx.t in
-  let local = function [ (p : Ast.name_part) ] -> List.mem_assoc p.id ctx.scope | _ -> false in
-  match callee.Ast.e with
-  | Ast.Member (oe, _, m) ->
-      let name = (Ast.last_part m).Ast.id in
-      let oe = expr ctx oe and args = arguments ctx cargs and s = method_site t name in
-      fun f ->
-        tick t cost_expr;
-        let recv = deref (oe.rv f) in
-        let vargs = args f in
-        (match recv with
-         | Vobj o | Vptr { contents = Vobj o } ->
-             let v = call_method t s o name vargs in
-             if v != absent then v
-             else error "no method '%s' on class %s" name (Il.class_ t.prog o.o_class).cl_name
-         | Vptr _ -> error "method call through non-object pointer"
-         | Vnull -> raise (Cpp_exception (Vstr "null pointer method call"))
-         | _ -> error "method call on non-object (%s)" name)
-  | Ast.IdE q when not (local q.Ast.parts) -> (
-      let name = (Ast.last_part q).Ast.id in
-      (* TAU measurement builtins *)
-      match (name, cargs) with
-      | "TAU_PROFILE", _ -> tau_profile ctx cargs
-      | "mpi_rank", _ -> let v = Vint (Int64.of_int (fst t.mpi)) in fun _ -> tick t cost_expr; v
-      | "mpi_size", _ -> let v = Vint (Int64.of_int (snd t.mpi)) in fun _ -> tick t cost_expr; v
-      | "CT", [ { Ast.e = Ast.Unary ("*", { Ast.e = Ast.ThisE; _ }); _ } ] ->
-          (* CT( *this ): the receiver's class name *)
-          let cname = per_class (fun cl -> Vstr (Il.class_ t.prog cl).cl_name) in
-          fun f -> tick t cost_expr; tick t cost_expr; tick t cost_expr; cname (this f).o_class
-      | "CT", [ a ] ->
-          let a = expr ctx a in
-          fun f -> tick t cost_expr; Vstr (type_name_of_value t (deref (a.rv f)))
-      | "CT", _ -> fun _ -> tick t cost_expr; Vstr "<CT?>"
-      | _ ->
-          let args = arguments ctx cargs and s = method_site t name in
-          (* member function of this? *)
-          let is_member = per_class (fun cl -> (member_cands t cl name).routines <> []) in
-          let free =
-            (* free function by its unqualified name *)
-            match Hashtbl.find_opt t.free_routines name with
-            | None -> (
-                (* constructor call: Class(args) where parser kept IdE *)
-                match Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q) with
-                | Some cl -> construct t cl
-                | None ->
-                    fun _ -> error "call to unknown function '%s'" (Ast.qual_name_to_string q))
-            | Some c ->
-                let fs = free_site c in
-                fun vargs ->
-                  let v = call_free t fs vargs in
-                  if v != absent then v else error "no viable overload for '%s'" name
-          in
-          fun f ->
-            tick t cost_expr;
-            let vargs = args f in
-            match f.f_this with
-            | Some o when is_member o.o_class -> (
-                let v = call_method t s o name vargs in
-                if v != absent then v else error "member call '%s' failed" name)
-            | _ -> free vargs)
+  let vargs = values ctx args and rty = ast_type t e.Ast.eloc ty in
+  let noted = Option.map (fun cs -> (cs, callee_routine t cs)) (noted_call t e) in
+  match (noted, class_of t rty) with
+  | Some (cs, r), _ when r.ro_kind <> Rk_ctor ->
+      let run = callee t cs in
+      if on_receiver r then fun f -> let this = this f in run (Some this) (vargs f)
+      else fun f -> run None (vargs f)
+  | _, Some cl ->
+      let make = construct t cl (Option.map snd noted) in
+      fun f -> make (vargs f)
   | _ ->
-      (* an object called through its operator(), a local variable included *)
-      let fe = expr ctx callee and args = arguments ctx cargs in
-      let s = method_site t "operator()" in
-      fun f ->
-        tick t cost_expr;
-        let fv = deref (fe.rv f) in
-        let vargs = args f in
-        match fv with
-        | Vobj o -> (
-            let v = call_method t s o "operator()" vargs in
-            if v != absent then v else error "object is not callable")
-        | _ -> error "value is not callable"
+      let conv = bind t rty in
+      let zero = conv (Vint 0L) in
+      fun f -> match vargs f with [] -> zero | [ v ] -> conv v | v :: _ -> v
+
+(* A call expression [e], the Call node's tick included.  The routine sema
+   noted runs: a constructor builds its class, a member runs on the object
+   the callee names ([o.f], [p->f], a functor) or else on [this], any
+   other without a receiver.  Where sema noted no call, [call_by_name]. *)
+and call ctx (e : Ast.expr) (callee_e : Ast.expr) (cargs : Ast.expr list) : frame -> value =
+  let t = ctx.t in
+  (* the TAU measurement builtins and mpi_rank/mpi_size go by name *)
+  let builtin =
+    match callee_e.Ast.e with
+    | Ast.IdE { Ast.parts = [ p ]; _ } when List.mem_assoc p.Ast.id ctx.scope -> ""
+    | Ast.IdE q -> (Ast.last_part q).Ast.id
+    | _ -> ""
+  in
+  match (builtin, cargs) with
+  | "TAU_PROFILE", _ -> tau_profile ctx cargs
+  | "mpi_rank", _ -> let v = Vint (Int64.of_int (fst t.mpi)) in fun _ -> tick t cost_expr; v
+  | "mpi_size", _ -> let v = Vint (Int64.of_int (snd t.mpi)) in fun _ -> tick t cost_expr; v
+  | "CT", [ { Ast.e = Ast.Unary ("*", { Ast.e = Ast.ThisE; _ }); _ } ] ->
+      (* CT( *this ): the receiver's class name *)
+      let cname = per_class (fun cl -> Vstr (Il.class_ t.prog cl).cl_name) in
+      fun f -> tick t cost_expr; tick t cost_expr; tick t cost_expr; cname (this f).o_class
+  | "CT", [ a ] ->
+      let a = expr ctx a in
+      fun f -> tick t cost_expr; Vstr (type_name_of_value t (deref (a.rv f)))
+  | "CT", _ -> fun _ -> tick t cost_expr; Vstr "<CT?>"
+  | _ -> (
+      let args = arguments ctx cargs in
+      (* on the object [recv_e] names, found before the arguments run *)
+      let on recv_e run =
+        let recv = expr ctx recv_e in
+        fun f ->
+          tick t cost_expr;
+          let o = receiver (deref (recv.rv f)) in
+          run o (args f)
+      in
+      match (callee_e.Ast.e, noted_call t e) with
+      | _, Some cs -> (
+          let r = callee_routine t cs and run = callee t cs in
+          match (callee_e.Ast.e, r.ro_parent) with
+          | _, Pclass cl when r.ro_kind = Rk_ctor ->
+              let make = construct t cl (Some r) in
+              fun f -> tick t cost_expr; make (args f)
+          | Ast.Member (oe, _, _), _ -> on oe (fun o vargs -> run (Some o) vargs)
+          | _ when r.ro_name = "operator()" -> on callee_e (fun o vargs -> run (Some o) vargs)
+          | _ when on_receiver r ->
+              fun f ->
+                tick t cost_expr;
+                let vargs = args f in
+                run (Some (this f)) vargs
+          | _ -> fun f -> tick t cost_expr; run None (args f))
+      | Ast.Member (oe, _, m), None ->
+          let name = (Ast.last_part m).Ast.id in
+          on oe (fun o vargs -> call_by_name t name (Some o) vargs vargs)
+      | Ast.IdE q, None -> (
+          let name = (Ast.last_part q).Ast.id in
+          match Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q) with
+          | Some cl -> fun f -> tick t cost_expr; construct t cl None (args f)
+          | None ->
+              fun f ->
+                tick t cost_expr;
+                let vargs = args f in
+                call_by_name t name f.f_this vargs vargs)
+      | _, None -> fun _ -> error "call to an unresolved routine")
 
 (* the TAU_PROFILE statement: start a timer bound to the current frame; the
    label is rebuilt only when its parts are not the last call's strings *)
@@ -1574,29 +1505,31 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
   let t = ctx.t in
   (* a declared type's default: an array's size is evaluated each time, a
      class object is default-constructed, a scalar is 0 of its type *)
-  let rec default_of aty ty : frame -> value =
+  let rec default_of aty ty ctor : frame -> value =
     match Ast.unqual aty with
     | Ast.TArray (elem, Some n) ->
         let ety = match Option.map (unqual t) ty with Some (Tarray (e, _)) -> Some e | _ -> None in
-        let n = expr ctx n and elem = default_of elem ety in
+        let n = expr ctx n and elem = default_of elem ety None in
         fun f ->
           (match deref (n.rv f) with
            | Vint len -> Varr (Array.init (Int64.to_int len) (fun _ -> ref (elem f)))
            | _ -> Vnull)
     | _ -> (
         match class_of t ty with
-        | Some cl -> fun _ -> construct t cl []
+        | Some cl -> let make = construct t cl ctor in fun _ -> make []
         | None -> let zero = bind t ty (Vint 0L) in fun _ -> zero)
   in
   let ty = ast_type t vd.Ast.v_loc vd.Ast.v_type in
   let conv = bind t ty in
+  (* the constructor sema noted for a class object *)
+  let ctor = Option.map (callee_routine t) (Il.noted t.prog.decl_calls vd.Ast.v_loc vd) in
   let init : frame -> value =
     match (vd.Ast.v_init, class_of t ty) with
-    | Ast.NoInit, _ -> default_of vd.Ast.v_type ty
+    | Ast.NoInit, _ -> default_of vd.Ast.v_type ty ctor
     | Ast.EqInit e, _ -> let e = expr ctx e in fun f -> conv (deref (e.rv f))
     | Ast.CtorInit args, Some cl ->
-        let vargs = values ctx args in
-        fun f -> construct t cl (vargs f)
+        let vargs = values ctx args and make = construct t cl ctor in
+        fun f -> make (vargs f)
     | Ast.CtorInit args, None ->
         let vargs = values ctx args in
         fun f -> conv (match vargs f with v :: _ -> v | [] -> Vint 0L)

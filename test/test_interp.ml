@@ -225,7 +225,8 @@ let test_push_back_copies_lvalue () =
     4
 
 (* values take their declared types through the mini-STL, which test/gxx
-   programs cannot include; g++ with the real headers gives 4, 34, "b" and 35 *)
+   programs cannot include; g++ with the real headers gives 4, 34, "b", 35
+   and 35 *)
 let test_declared_types_stl () =
   check_exit "string initialized from a literal"
     "#include <string.h>\nint main() { string s = \"abcd\"; return s.length(); }" 4;
@@ -236,6 +237,9 @@ let test_declared_types_stl () =
     "#include <iostream.h>\nint main() { char c = 'a'; c++; cout << c; return 0; }" "b";
   check_exit "int stored through vector<double>::operator[]"
     "#include <vector.h>\nint main() { vector<double> v(3); v[0] = 7; return (int)(v[0] / 2 * 10); }"
+    35;
+  check_exit "int pushed onto a vector<double>"
+    "#include <vector.h>\nint main() { vector<double> v; v.push_back(7); return (int)(v[0] / 2 * 10); }"
     35
 
 (* test/gxx holds self-contained programs whose first line is "// g++: N",

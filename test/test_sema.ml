@@ -67,7 +67,26 @@ let test_call_edges () =
   let sig0 = type_name prog (routine prog (List.nth cs 0).cs_callee).ro_sig in
   let sig1 = type_name prog (routine prog (List.nth cs 1).cs_callee).ro_sig in
   Alcotest.(check string) "int overload" "int (int)" sig0;
-  Alcotest.(check string) "double overload" "int (double)" sig1
+  Alcotest.(check string) "double overload" "int (double)" sig1;
+  (* a float goes to the builtin of its own kind, double, before int *)
+  let prog =
+    compile_ok
+      "int h(int n) { return 1; }\nint h(double d) { return 2; }\n\
+       int main() { float f = 1.5; return h(f); }"
+  in
+  let cs = calls (find_routine prog "main") in
+  Alcotest.(check (list string)) "h(f) with a float f" [ "int (double)" ]
+    (List.map (fun cs -> type_name prog (routine prog cs.cs_callee).ro_sig) cs);
+  (* a call that names its class is direct, even to a virtual routine *)
+  let prog =
+    compile_ok
+      "class V {\npublic:\n  virtual int val() { return 1; }\n};\n\
+       class W : public V {\npublic:\n  int val() { return V::val() + 1; }\n};"
+  in
+  Alcotest.(check (list (pair string bool))) "V::val() inside W::val" [ ("V::val", false) ]
+    (List.map
+       (fun cs -> (routine_full_name prog (routine prog cs.cs_callee), cs.cs_virtual))
+       (calls (find_routine prog "W::val")))
 
 let test_member_call_edges () =
   let prog =
@@ -209,7 +228,20 @@ let test_operator_calls () =
   let main = find_routine prog "main" in
   let names = callee_names prog main in
   Alcotest.(check bool) "operator+ edge" true (List.mem "V::operator+" names);
-  Alcotest.(check bool) "operator< edge" true (List.mem "V::operator<" names)
+  Alcotest.(check bool) "operator< edge" true (List.mem "V::operator<" names);
+  (* a free operator is found for a scalar left operand; an operator never
+     applies to pointers to a class *)
+  let prog =
+    compile_ok
+      "class V {\npublic:\n  V(int x) : x_(x) { }\n  bool operator==(const V & o) const { return true; }\n\
+       \  int x_;\n};\n\
+       V operator*(int k, const V & v) { return V(k * v.x_); }\n\
+       int main() { V a(1); V b = 2 * a; V * p = &a; V * q = &b; return p == q; }"
+  in
+  let names = callee_names prog (find_routine prog "main") in
+  Alcotest.(check bool) "2 * a calls the free operator*" true (List.mem "operator*" names);
+  Alcotest.(check bool) "p == q on V * calls no operator==" false
+    (List.mem "V::operator==" names)
 
 let test_out_of_line_definition () =
   let prog =
