@@ -1069,13 +1069,13 @@ and elab_member_function t csc (c : Il.class_entity) (fd : Ast.func_def)
   r.ro_inline <- fd.Ast.f_quals.Ast.q_inline;
   r.ro_const <- fd.Ast.f_quals.Ast.q_const;
   r.ro_store <- (if r.ro_static then "static" else "NA");
-  (* virtuality: declared, or overriding a virtual base member *)
+  (* virtuality: declared, or overriding a virtual member of any ancestor *)
   let overrides_virtual =
     List.exists
       (fun (b : Il.base_spec) ->
         List.exists
           (fun (br : Il.routine_entity) -> br.ro_virt <> Virt_no)
-          (Il.find_member_funcs t.prog (Il.class_ t.prog b.ba_class) name))
+          (member_funcs_rec t b.ba_class name))
       c.cl_bases
   in
   r.ro_virt <-
@@ -1523,15 +1523,21 @@ and no_class t = function
   | ty :: rest -> Option.is_none (operand_class t ty) && no_class t rest
 
 (* An operator overload on class operands, never on a pointer to one: a
-   member of the left operand's class, else a free operator when either
-   operand is a class; None when the operator is the builtin one. *)
+   member of the left operand's class (operator= only its own: a class
+   without one assigns through its implicit one), else a free operator when
+   either operand is a class; None when the operator is the builtin one. *)
 and class_operator t benv (e : Ast.expr) op (lhs_ty : Il.type_id) (rhs_tys : Il.type_id list)
     ~loc : Il.type_id option =
   let lhs = operand_class t lhs_ty in
   if Option.is_none lhs && no_class t rhs_tys then None
   else
     let name = "operator" ^ op in
-    let members = match lhs with Some cl -> member_funcs_rec t cl name | None -> [] in
+    let members =
+      match lhs with
+      | Some cl when op = "=" -> Il.find_member_funcs t.prog (Il.class_ t.prog cl) name
+      | Some cl -> member_funcs_rec t cl name
+      | None -> []
+    in
     let cands, arg_tys =
       match members with
       | _ :: _ -> (members, rhs_tys)

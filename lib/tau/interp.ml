@@ -802,12 +802,10 @@ and callee t (cs : Il.call_site) : obj option -> value list -> value =
         let v = match this with Some o -> builtin_method t o name (args vargs) | None -> absent in
         if v != absent then v
         else error "no builtin '%s' on class %s" name (Il.class_ t.prog cl).cl_name)
-  | Pclass _ when cs.cs_virtual -> (
+  | Pclass _ when cs.cs_virtual ->
       let code_in = per_class (fun cl -> code_of t (overrider t r cl)) in
       fun this args ->
-        match this with
-        | Some o -> invoke t (code_in o.o_class) this args
-        | None -> invoke t (code_of t r) None args)
+        invoke t (match this with Some o -> code_in o.o_class | None -> code_of t r) this args
   | _ ->
       let code = code_of t r in
       fun this args -> invoke t code this args
@@ -822,29 +820,30 @@ and operator t (cs : Il.call_site) : value -> value list -> value =
         match deref v with Vobj o -> run (Some o) rest | _ -> error "operator on a non-object")
   | _ -> fun v rest -> run None (v :: rest)
 
-(* The routine [name] that the values pick where sema noted no call (in a
-   global initializer or a default argument): a builtin method of [this],
-   or a member of its class or nearest base, taking [args]; else a free
-   routine taking [free_args]. *)
-and call_by_name t name (this : obj option) args free_args : value =
+(* The routine [name] that the values pick at a site where sema noted no
+   call (in a global initializer or a default argument): a builtin method
+   of [this], or a member of its class or nearest base, taking [args]; else
+   a free routine taking [free_args].  The candidates are found once per
+   site (the members once per class). *)
+and call_by_name t name : obj option -> value list -> value list -> value =
   let run this candidates args =
-    Option.map (fun r -> invoke t (code_of t r) this args) (pick_on_values t candidates args)
+    match pick_on_values t candidates args with
+    | Some r -> invoke t (code_of t r) this args
+    | None -> absent
   in
-  let member =
-    match this with
-    | Some o when o.o_builtin <> None ->
-        let v = builtin_method t o name args in
-        if v != absent then Some v else None
-    | Some o -> run this (nearest t o.o_class (fun m -> m.ro_name = name)) args
-    | None -> None
+  let members = per_class (fun cl -> nearest t cl (fun m -> m.ro_name = name)) in
+  let free =
+    lazy (List.filter (fun r -> r.ro_name = name && not (on_receiver r)) (Il.routines t.prog))
   in
-  match member with
-  | Some v -> v
-  | None -> (
-      let free r = r.ro_name = name && not (on_receiver r) in
-      match run None (List.filter free (Il.routines t.prog)) free_args with
-      | Some v -> v
-      | None -> error "no routine '%s' for these arguments" name)
+  fun this args free_args ->
+    let v =
+      match this with
+      | Some o when o.o_builtin <> None -> builtin_method t o name args
+      | Some o -> run this (members o.o_class) args
+      | None -> absent
+    in
+    let v = if v != absent then v else run None (Lazy.force free) free_args in
+    if v != absent then v else error "no routine '%s' for these arguments" name
 
 (* the operator [name] at [e] on its operands: the one sema noted, else by
    name on the first operand's class or free *)
@@ -852,10 +851,11 @@ and operator_at t (e : Ast.expr) name : value -> value list -> value =
   match noted_call t e with
   | Some cs -> operator t cs
   | None -> (
+      let by_name = call_by_name t name in
       fun v rest ->
         match deref v with
-        | Vobj o -> call_by_name t name (Some o) rest (v :: rest)
-        | _ -> call_by_name t name None [] (v :: rest))
+        | Vobj o -> by_name (Some o) rest (v :: rest)
+        | _ -> by_name None [] (v :: rest))
 
 (* a new object of class [cl] from [args], built by [ctor] (see [init_obj]) *)
 and construct t (cl : Il.class_id) ctor (args : value list) : value =
@@ -1319,23 +1319,17 @@ and call ctx (e : Ast.expr) (callee_e : Ast.expr) (cargs : Ast.expr list) : fram
           | Ast.Member (oe, _, _), _ -> on oe (fun o vargs -> run (Some o) vargs)
           | _ when r.ro_name = "operator()" -> on callee_e (fun o vargs -> run (Some o) vargs)
           | _ when on_receiver r ->
-              fun f ->
-                tick t cost_expr;
-                let vargs = args f in
-                run (Some (this f)) vargs
+              fun f -> tick t cost_expr; let vargs = args f in run (Some (this f)) vargs
           | _ -> fun f -> tick t cost_expr; run None (args f))
       | Ast.Member (oe, _, m), None ->
-          let name = (Ast.last_part m).Ast.id in
-          on oe (fun o vargs -> call_by_name t name (Some o) vargs vargs)
+          let by_name = call_by_name t (Ast.last_part m).Ast.id in
+          on oe (fun o vargs -> by_name (Some o) vargs vargs)
       | Ast.IdE q, None -> (
-          let name = (Ast.last_part q).Ast.id in
           match Hashtbl.find_opt t.class_by_name (Ast.qual_name_to_string q) with
           | Some cl -> fun f -> tick t cost_expr; construct t cl None (args f)
           | None ->
-              fun f ->
-                tick t cost_expr;
-                let vargs = args f in
-                call_by_name t name f.f_this vargs vargs)
+              let by_name = call_by_name t (Ast.last_part q).Ast.id in
+              fun f -> tick t cost_expr; let vargs = args f in by_name f.f_this vargs vargs)
       | _, None -> fun _ -> error "call to an unresolved routine")
 
 (* the TAU_PROFILE statement: start a timer bound to the current frame; the
@@ -1526,6 +1520,14 @@ and local_decl ctx ~direct (vd : Ast.var_decl) : frame -> unit =
   let init : frame -> value =
     match (vd.Ast.v_init, class_of t ty) with
     | Ast.NoInit, _ -> default_of vd.Ast.v_type ty ctor
+    | Ast.EqInit e, Some cl when ctor <> None -> (
+        (* an object of [cl] or of a class derived from it is copied as [bind]
+           copies it; any other value runs the constructor sema noted *)
+        let e = expr ctx e and make = construct t cl ctor in
+        fun f ->
+          match deref (e.rv f) with
+          | Vobj o as v when derives t o.o_class cl -> conv v
+          | v -> make [ v ])
     | Ast.EqInit e, _ -> let e = expr ctx e in fun f -> conv (deref (e.rv f))
     | Ast.CtorInit args, Some cl ->
         let vargs = values ctx args and make = construct t cl ctor in

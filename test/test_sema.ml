@@ -126,7 +126,23 @@ let test_virtual_override () =
   Alcotest.(check string) "override is virtual" "virt" (virt_to_string df.ro_virt);
   let main = find_routine prog "main" in
   let virtual_calls = List.filter (fun cs -> cs.cs_virtual) (calls main) in
-  Alcotest.(check int) "virtual call site" 1 (List.length virtual_calls)
+  Alcotest.(check int) "virtual call site" 1 (List.length virtual_calls);
+  (* a grandparent's virtual makes an override virtual through a class that
+     does not redeclare it *)
+  let prog =
+    compile_ok
+      "class A {\npublic:\n  virtual int f() { return 1; }\n};\nclass B : public A { };\n\
+       class C : public B {\npublic:\n  int f() { return 2; }\n};\n\
+       int main() { C c; C * p = &c; return p->f(); }"
+  in
+  Alcotest.(check string) "override past a level is virtual" "virt"
+    (virt_to_string (find_routine prog "C::f").ro_virt);
+  Alcotest.(check (list (pair string bool))) "p->f() through a C *" [ ("C::f", true) ]
+    (List.map
+       (fun cs -> (routine_full_name prog (routine prog cs.cs_callee), cs.cs_virtual))
+       (List.filter
+          (fun cs -> (routine prog cs.cs_callee).ro_name = "f")
+          (calls (find_routine prog "main"))))
 
 let test_bases_and_derived () =
   let prog =
