@@ -1416,7 +1416,15 @@ and parse_function_or_var t ?class_id ~in_class () : decl =
         in
         prefixes ();
         let name = parse_qual_name ~in_expr:false t in
-        if check_punct t "(" then begin
+        (* [T name(] opens a parameter list, unless a literal follows:
+           then it is a direct initialization, [Foo g(3);] *)
+        let literal_follows () =
+          match (peek_at t 0).tok with
+          | Token.IntLit _ | Token.FloatLit _ | Token.CharLit _ | Token.StringLit _
+          | Token.Kw ("true" | "false") -> true
+          | _ -> false
+        in
+        if check_punct t "(" && not (literal_follows ()) then begin
           advance t;
           let params, variadic = parse_params t in
           let const_m = eat_kw t "const" in
@@ -1460,6 +1468,11 @@ and parse_function_or_var t ?class_id ~in_class () : decl =
         end
         else begin
           (* variable(s) *)
+          let init () =
+            if eat_punct t "=" then EqInit (parse_assignment t)
+            else if eat_punct t "(" then CtorInit (parse_call_args t)
+            else NoInit
+          in
           match name.parts with
           | [ { id; targs = None } ] ->
               let rec dims acc =
@@ -1471,14 +1484,7 @@ and parse_function_or_var t ?class_id ~in_class () : decl =
                 else acc
               in
               List.iter (fun n -> ty := TArray (!ty, n)) (dims []);
-              let init =
-                if eat_punct t "=" then EqInit (parse_assignment t)
-                else if check_punct t "(" then begin
-                  advance t;
-                  CtorInit (parse_call_args t)
-                end
-                else NoInit
-              in
+              let init = init () in
               expect_punct t ";";
               { d =
                   DVar { v_name = id; v_type = !ty; v_init = init; v_loc = lo;
@@ -1486,7 +1492,7 @@ and parse_function_or_var t ?class_id ~in_class () : decl =
                 dloc = lo }
           | _ ->
               (* qualified variable definition: e.g. int Stack::count = 0; *)
-              let init = if eat_punct t "=" then EqInit (parse_assignment t) else NoInit in
+              let init = init () in
               expect_punct t ";";
               { d =
                   DVar { v_name = qual_name_to_string name; v_type = !ty;

@@ -33,10 +33,10 @@
     depends on run-time values is cached per site on exactly what the
     lookup reads: a virtual call's overrider and a field's index on the
     object's class (a non-local name is a field of [this], else a global),
-    a TAU label on the identity of its two parts.  No tick can move:
-    the closure of each AST expression and statement charges one tick when
-    it runs and [invoke] charges one call, and neither a lookup nor a
-    [bind] ever ticks, so a hit and a miss cost the same cycles;
+    a TAU label and its timer on the identity of its two parts.  No tick
+    can move: the closure of each AST expression and statement charges one
+    tick when it runs and [invoke] charges one call, and neither a lookup
+    nor a [bind] ever ticks, so a hit and a miss cost the same cycles;
     test/golden/tau_profiles.txt and interp_fingerprints.txt pin them. *)
 
 open Pdt_il
@@ -391,6 +391,12 @@ let rec unqual t ty =
 
 let class_of t ty = match Option.map (unqual t) ty with Some (Tclass cl) -> Some cl | _ -> None
 
+(* whether [r]'s one parameter is a [cl]: a copy constructor or assignment *)
+let copies t cl (r : Il.routine_entity) =
+  match r.ro_params with
+  | [ p ] -> class_of t (Some (Il.strip_qual_ref t.prog p.pi_type)) = Some cl
+  | _ -> false
+
 let rett t (r : Il.routine_entity) =
   match (Il.type_ t.prog r.ro_sig).ty_kind with Tfunc { rett; _ } -> Some rett | _ -> None
 
@@ -638,45 +644,50 @@ let receiver = function
   | Vptr _ -> error "method call through non-object pointer"
   | _ -> error "method call on non-object"
 
-let rec find_class cl = function
-  | (c, a) :: rest -> if c = cl then a else find_class cl rest
+let rec find_class (cl : Il.class_id) = function
+  | (c, a) :: rest -> if Int.equal c cl then a else find_class cl rest
   | [] -> raise_notrace Not_found
 
 (* [f cl], computed once per site for each class it meets *)
 let per_class f =
   let seen = ref [] in
-  fun cl ->
+  fun (cl : Il.class_id) ->
     match !seen with
-    | (c, a) :: _ when c = cl -> a
+    | (c, a) :: _ when Int.equal c cl -> a
     | l -> ( try find_class cl l with Not_found -> let a = f cl in seen := (cl, a) :: l; a)
 
 (* leave a frame: close the TAU timers it opened *)
 let finish t frame v =
-  for _ = 1 to frame.f_timers do
-    Rt.exit_ t.profiler ~now:t.cycles
-  done;
+  for _ = 1 to frame.f_timers do Rt.exit_ t.profiler ~now:t.cycles done;
   t.depth <- t.depth - 1;
   v
 
-let bind_params (b : body) frame (args : value list) =
-  let rec go i args =
-    if i < Array.length b.params then begin
-      let slot, by_ref, conv, default = b.params.(i) in
-      match args with
-      | arg :: rest ->
-          (* a reference parameter aliases an lvalue; any other is bound *)
-          if slot >= 0 then
-            frame.slots.(slot) <-
-              (match (arg, by_ref) with Vref c, true -> c | v, _ -> ref (conv (deref v)));
-          go (i + 1) rest
-      | [] ->
-          (match default with
-           | Some d when slot >= 0 -> frame.slots.(slot) <- ref (conv (deref (d frame)))
-           | _ -> ());
-          go (i + 1) []
-    end
-  in
-  go 0 args
+(* bind [args] to the parameters of [params] from the [i]th on *)
+let rec bind_params params frame i (args : value list) =
+  if i < Array.length params then begin
+    let slot, by_ref, conv, default = params.(i) in
+    match args with
+    | arg :: rest ->
+        (* a reference parameter aliases an lvalue; any other is bound *)
+        if slot >= 0 then
+          frame.slots.(slot) <-
+            (match (arg, by_ref) with Vref c, true -> c | v, _ -> ref (conv (deref v)));
+        bind_params params frame (i + 1) rest
+    | [] ->
+        (match default with
+         | Some d when slot >= 0 -> frame.slots.(slot) <- ref (conv (deref (d frame)))
+         | _ -> ());
+        bind_params params frame (i + 1) []
+  end
+
+(* a frame's cells, all [unbound]: a few slots are built without a C call *)
+let new_slots = function
+  | 0 -> [||]
+  | 1 -> [| unbound |]
+  | 2 -> [| unbound; unbound |]
+  | 3 -> [| unbound; unbound; unbound |]
+  | 4 -> [| unbound; unbound; unbound; unbound |]
+  | n -> Array.make n unbound
 
 (* the slots a block must reset on entry, with the block's scope dropped
    when [k] returns *)
@@ -759,9 +770,8 @@ let rec invoke t (code : code) (this_obj : obj option) (args : value list) : val
   t.depth <- t.depth + 1;
   if t.depth > 10_000 then error "call stack overflow";
   let b = match code.body with Some b -> b | None -> translate t code in
-  let slots = Array.make b.nslots unbound in
-  let frame = { slots; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
-  bind_params b frame args;
+  let frame = { slots = new_slots b.nslots; f_this = this_obj; f_timers = 0; f_ret = Vunit } in
+  bind_params b.params frame 0 args;
   (match this_obj with
    | Some o when code.routine.ro_kind = Rk_ctor -> List.iter (fun init -> init o frame) b.inits
    | _ -> ());
@@ -857,6 +867,40 @@ and operator_at t (e : Ast.expr) name : value -> value list -> value =
         | Vobj o -> by_name (Some o) rest (v :: rest)
         | _ -> by_name None [] (v :: rest))
 
+(* [dst = src] by [cl]'s implicit operator=: each base, and each
+   class-typed field, assigned through that class's own written copy
+   assignment (its operator= taking that class) when it has one, else
+   implicitly in turn; then [cl]'s other fields copied by name (a derived
+   source is sliced).  A site plans this once per class it meets. *)
+and assign_implicit t (cl : Il.class_id) : obj -> obj -> unit =
+  let c = Il.class_ t.prog cl in
+  let through part =
+    let own = Il.find_member_funcs t.prog (Il.class_ t.prog part) "operator=" in
+    match List.find_opt (copies t part) own with
+    | Some r when builtin_state t part = None ->
+        let code = code_of t r in
+        fun d s -> ignore (invoke t code (Some d) [ Vobj s ])
+    | _ -> assign_implicit t part
+  in
+  let bases = List.map (fun (b : Il.base_spec) -> through b.ba_class) c.cl_bases in
+  let fields =
+    List.filter_map
+      (fun (m : Il.data_member) ->
+        if m.dm_static then None
+        else Some (m.dm_name, Option.map through (class_of t (Some m.dm_type))))
+      c.cl_members
+  in
+  fun dst src ->
+    if src.o_builtin <> None then dst.o_builtin <- (copy_obj src).o_builtin;
+    List.iter (fun base -> base dst src) bases;
+    List.iter
+      (fun (name, sub) ->
+        let cell = field_of t dst name and from = field_of t src name in
+        match (sub, !cell, !from) with
+        | Some sub, Vobj d, Vobj s -> sub d s
+        | _, _, v -> if cell != no_cell && from != no_cell then cell := copy_value v)
+      fields
+
 (* a new object of class [cl] from [args], built by [ctor] (see [init_obj]) *)
 and construct t (cl : Il.class_id) ctor (args : value list) : value =
   let o = make_object t cl in
@@ -875,12 +919,7 @@ and init_obj t (o : obj) (cl : Il.class_id) ctor (args : value list) : unit =
     | Some c when c.ro_defined || c.ro_body <> None -> Some c
     | _ -> None
   in
-  let copier =
-    match ctor with
-    | Some { ro_params = [ p ]; _ } ->
-        class_of t (Some (Il.strip_qual_ref t.prog p.pi_type)) = Some cl
-    | _ -> false
-  in
+  let copier = match ctor with Some c -> copies t cl c | None -> false in
   match (args, ctor) with
   | [ Vobj src ], _ when derives t src.o_class cl && not copier -> assign_obj t o src
   | _ when builtin_method t o (class_base_name (Il.class_ t.prog cl)) args != absent -> ()
@@ -1207,9 +1246,10 @@ and assign ctx (e : Ast.expr) op (a : Ast.expr) (b : Ast.expr) : cexpr =
     match noted_call t e with
     | Some cs -> let run = operator t cs in fun cell vb -> run (Vref cell) [ vb ]
     | None when op = "=" -> (
+        let implicit = per_class (assign_implicit t) in
         fun cell vb ->
           (match (!cell, vb) with
-           | Vobj o, Vobj src -> assign_obj t o src
+           | Vobj o, Vobj src -> implicit o.o_class o src
            | Vobj _, _ -> error "cannot assign a non-object to an object"
            | _ -> cell := conv vb);
           !cell)
@@ -1332,38 +1372,39 @@ and call ctx (e : Ast.expr) (callee_e : Ast.expr) (cargs : Ast.expr list) : fram
               fun f -> tick t cost_expr; let vargs = args f in by_name f.f_this vargs vargs)
       | _, None -> fun _ -> error "call to an unresolved routine")
 
-(* the TAU_PROFILE statement: start a timer bound to the current frame; the
-   label is rebuilt only when its parts are not the last call's strings *)
+(* the TAU_PROFILE statement: start a timer bound to the current frame.  As
+   TAU's macro keeps a static timer per site, the site keeps its label and
+   that label's entry, both rebuilt only when the label's parts are not the
+   last call's strings; in callpath mode there is no such entry, and the
+   label is resolved on each call. *)
 and tau_profile ctx (args : Ast.expr list) : frame -> value =
-  let t = ctx.t in
-  let enter f label =
-    if Rt.enter t.profiler label ~now:t.cycles then f.f_timers <- f.f_timers + 1
-  in
-  let name_of a = let a = expr ctx a in fun f -> value_to_display_string (deref (a.rv f)) in
-  let profile =
-    match args with
-    | _ when not t.instrumented -> fun _ -> ()
-    | [ n ] ->
-        let n = name_of n in
-        fun f -> enter f (n f)
-    | n :: ty :: _ ->
-        let n = name_of n and ty = name_of ty in
-        let last_n = ref "" and last_ty = ref "" and last = ref "" in
-        fun f ->
-          let n = n f in
-          let ty = ty f in
-          if n != !last_n || ty != !last_ty then begin
-            last := if ty = "" || ty = "0" then n else String.concat "" [ n; " ["; ty; "]" ];
-            last_n := n;
-            last_ty := ty
-          end;
-          enter f !last
-    | [] -> fun f -> enter f "<unnamed>"
-  in
-  fun f ->
-    tick t cost_expr;
-    profile f;
-    Vunit
+  let t = ctx.t and rt = ctx.t.profiler in
+  if not t.instrumented then fun _ -> tick t cost_expr; Vunit
+  else
+    let part a = let a = expr ctx a in fun f -> value_to_display_string (deref (a.rv f)) in
+    let name, group =
+      match args with
+      | [] -> ((fun _ -> "<unnamed>"), fun _ -> "")
+      | n :: rest -> (part n, match rest with ty :: _ -> part ty | [] -> fun _ -> "")
+    in
+    let last_n = ref "" and last_ty = ref "" and label = ref "" and timer = ref None in
+    let start f =
+      let n = name f in
+      let ty = group f in
+      if n != !last_n || ty != !last_ty then begin
+        label := if ty = "" || ty = "0" then n else String.concat "" [ n; " ["; ty; "]" ];
+        last_n := n;
+        last_ty := ty;
+        timer := Rt.static_entry rt !label
+      end;
+      let started =
+        match !timer with
+        | Some e -> Rt.start rt e ~now:t.cycles
+        | None -> Rt.enter rt !label ~now:t.cycles
+      in
+      if started then f.f_timers <- f.f_timers + 1
+    in
+    fun f -> tick t cost_expr; start f; Vunit
 
 (* ---- statements: each ticks once for itself, then runs its parts ---- *)
 
@@ -1568,12 +1609,18 @@ let init_globals t =
   let gframe = { slots = [||]; f_this = None; f_timers = 0; f_ret = Vunit } in
   List.iter
     (fun (gv : Il.global_var) ->
-      match gv.gv_init with
-      | Ast.EqInit e -> (
-          match Hashtbl.find_opt t.globals gv.gv_name with
-          | Some cell -> cell := bind t (Some gv.gv_type) (deref ((expr ctx e).rv gframe))
-          | None -> ())
-      | Ast.CtorInit _ | Ast.NoInit -> ())
+      let ty = Some gv.gv_type in
+      match (gv.gv_init, Hashtbl.find_opt t.globals gv.gv_name) with
+      | Ast.EqInit e, Some cell -> cell := bind t ty (deref ((expr ctx e).rv gframe))
+      | Ast.CtorInit args, Some cell -> (
+          (* [T g(args);]: a class is built by the constructor the values
+             pick, a scalar takes its first value *)
+          let vargs = values ctx args gframe in
+          match (class_of t ty, vargs) with
+          | Some cl, _ -> cell := construct t cl None vargs
+          | None, v :: _ -> cell := bind t ty v
+          | None, [] -> ())
+      | _ -> ())
     (Il.globals t.prog)
 
 type result = {

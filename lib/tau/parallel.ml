@@ -47,7 +47,7 @@ let aggregate (rs : rank_result list) : agg list =
                 Hashtbl.replace table e.e_name l;
                 l
           in
-          cur := (e.e_calls, e.e_inclusive, e.e_exclusive) :: !cur)
+          cur := (e.e_calls, Int64.of_int e.e_inclusive, Int64.of_int e.e_exclusive) :: !cur)
         (Rt.entries rr.result.Interp.profile))
     rs;
   Hashtbl.fold

@@ -44,8 +44,8 @@ let format ?(title = "TAU profile") (p : Rt.t) : string =
     (List.map
        (fun (e : Rt.entry) ->
          { r_name = e.e_name; r_calls = e.e_calls;
-           r_child_calls = e.e_child_calls; r_exclusive = e.e_exclusive;
-           r_inclusive = e.e_inclusive })
+           r_child_calls = e.e_child_calls; r_exclusive = Int64.of_int e.e_exclusive;
+           r_inclusive = Int64.of_int e.e_inclusive })
        (Rt.entries p))
 
 (** Machine-readable rows: (name, calls, child calls, exclusive, inclusive,
@@ -56,9 +56,10 @@ let rows (p : Rt.t) : (string * int * int * int64 * int64 * float) list =
     (fun (e : Rt.entry) ->
       let pct =
         if total = 0L then 0.0
-        else Int64.to_float e.e_inclusive /. Int64.to_float total *. 100.0
+        else float_of_int e.e_inclusive /. Int64.to_float total *. 100.0
       in
-      (e.e_name, e.e_calls, e.e_child_calls, e.e_exclusive, e.e_inclusive, pct))
+      (e.e_name, e.e_calls, e.e_child_calls, Int64.of_int e.e_exclusive,
+       Int64.of_int e.e_inclusive, pct))
     (Rt.entries p)
 
 (** Event trace dump (TAU's tracing mode). *)

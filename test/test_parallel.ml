@@ -105,7 +105,7 @@ let test_throttling () =
   let incl name (r : Pdt_tau.Interp.result) =
     List.fold_left
       (fun acc (e : Rt.entry) -> if contains e.e_name name then e.e_inclusive else acc)
-      0L
+      0
       (Rt.entries r.profile)
   in
   let calls name (r : Pdt_tau.Interp.result) =

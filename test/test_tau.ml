@@ -447,6 +447,55 @@ let test_interp_fingerprints_golden () =
   Test_golden.check_text_golden ~suite:"tau" ~what:"interpreter fingerprints"
     ~name:"interp_fingerprints.txt" (interp_fingerprints_text ())
 
+(* As TAU's macro keeps a static timer per site, a timed call resolves no
+   name and allocates nothing: what an instrumented pooma_like run
+   allocates beyond an uninstrumented run of the same program (the
+   profile table, and one row and label per timer) is the same at n=8
+   and at n=16, which makes about five times as many timed calls. *)
+let test_timers_allocate_nothing () =
+  let excess n =
+    let vfs = Pdt_workloads.Pooma_like.vfs ~n () in
+    let main = Pdt_workloads.Pooma_like.main_file in
+    let _, d = compile_d vfs main in
+    let vfs2, _ = I.instrument_vfs vfs (I.plan d) in
+    let prog = (Pdt.compile_exn ~vfs:vfs2 main).Pdt.program in
+    let words run =
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (run ()));
+      Gc.minor_words () -. before
+    in
+    words (fun () -> Pdt_tau.Interp.run prog)
+    -. words (fun () -> Pdt_tau.Interp.run ~instrumented:false prog)
+  in
+  let e8 = excess 8 and e16 = excess 16 in
+  if Float.abs (e16 -. e8) > 64.0 then
+    Alcotest.failf "timing allocates per call: %.0f words beyond the bare run at n=8, %.0f at n=16"
+      e8 e16
+
+(* A CT( *this ) site in a base method changes its label with the
+   receiver's class, and the timer it starts follows the label; in
+   callpath mode the timer is named by its parent too. *)
+let test_timer_follows_label () =
+  let vfs = Pdt_util.Vfs.create () in
+  Pdt_workloads.Ministl.mount vfs;
+  Pdt_util.Vfs.add_file vfs "snippet.cpp" (List.assoc "virtuals" fingerprint_snippets);
+  let _, d = compile_d vfs "snippet.cpp" in
+  let vfs2, _ = I.instrument_vfs vfs (I.plan d) in
+  let prog = (Pdt.compile_exn ~vfs:vfs2 "snippet.cpp").Pdt.program in
+  let check mode (r : Pdt_tau.Interp.result) prefix =
+    let rows = Pdt_tau.Pprof.rows r.profile in
+    List.iter
+      (fun (cls, incl) ->
+        let name = prefix ^ "Shape::twice [" ^ cls ^ "]" in
+        match List.find_opt (fun (n, _, _, _, _, _) -> n = name) rows with
+        | Some (_, calls, _, _, i, _) ->
+            Alcotest.(check (pair int int64)) (mode ^ ": " ^ name) (3, incl) (calls, i)
+        | None -> Alcotest.failf "%s: no row %s" mode name)
+      [ ("Tri", 66L); ("Sq", 60L) ]
+  in
+  check "flat" (Pdt_tau.Interp.run prog) "";
+  check "callpath" (Pdt_tau.Interp.run ~callpath:true prog) "main [int ()] => "
+
 (* tau_instr --run as a process: a run the interpreter stops (a C++
    exception out of main, the step limit, the call-depth limit) prints the
    program's output, one "tau_instr: FILE: reason" line on stderr and exits
@@ -506,5 +555,7 @@ let suite =
     Alcotest.test_case "golden: tau profiles" `Quick test_tau_profiles_golden;
     Alcotest.test_case "golden: interp fingerprints" `Quick
       test_interp_fingerprints_golden;
+    Alcotest.test_case "timers allocate nothing per call" `Quick test_timers_allocate_nothing;
+    Alcotest.test_case "a timer follows its label" `Quick test_timer_follows_label;
     Alcotest.test_case "tau_instr --run: runtime errors exit 1" `Quick
       test_tau_instr_runtime_errors ]
